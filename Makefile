@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint sarif vet fmt race chaos tracesmoke batchsmoke crashsmoke servesmoke metricssmoke bench ci
+.PHONY: all build test lint sarif vet fmt race chaos perfbench tracesmoke batchsmoke crashsmoke servesmoke metricssmoke bench ci
 
 all: build test lint
 
@@ -39,6 +39,12 @@ race:
 
 chaos:
 	$(GO) test -race -run 'Chaos|Checkpoint|Cancel' -count=2 ./...
+
+# perfbench vets and tests the benchmark harness, a nested module that
+# builds against this one: a change to the evaluator contract that
+# breaks it fails here rather than at benchmark time.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # tracesmoke proves the observe-only invariant end to end through the
 # CLI: a traced and an untraced fig6 run produce byte-identical CSVs,
@@ -183,4 +189,4 @@ bench:
 	  }' /tmp/bench6.txt > BENCH_6.json
 	cat BENCH_6.json
 
-ci: lint build test race chaos tracesmoke batchsmoke crashsmoke servesmoke metricssmoke
+ci: lint build test race chaos perfbench tracesmoke batchsmoke crashsmoke servesmoke metricssmoke

@@ -181,12 +181,13 @@ func summarize(r io.Reader, w io.Writer) error {
 	// accumulates the cumulative time of direct children so self time is
 	// cum − childDur without a second pass.
 	type spanRec struct {
-		kind     string
-		parent   int64
-		dur      float64
-		childDur float64
-		children int
-		closed   bool
+		kind       string
+		parent     int64
+		dur        float64
+		childDur   float64
+		start, end float64 // t_ms of span.start and span.end
+		children   int
+		closed     bool
 	}
 	spans := map[int64]*spanRec{}
 	var spanOrder []int64
@@ -233,7 +234,7 @@ func summarize(r io.Reader, w io.Writer) error {
 			persistCounts[kind]++
 		case obs.SpanStart:
 			if _, seen := spans[e.Span]; !seen {
-				spans[e.Span] = &spanRec{kind: e.Detail, parent: e.Parent}
+				spans[e.Span] = &spanRec{kind: e.Detail, parent: e.Parent, start: e.TMS}
 				spanOrder = append(spanOrder, e.Span)
 				if p := spans[e.Parent]; p != nil {
 					p.children++
@@ -243,6 +244,7 @@ func summarize(r io.Reader, w io.Writer) error {
 			if s := spans[e.Span]; s != nil && !s.closed {
 				s.closed = true
 				s.dur = e.DurMS
+				s.end = e.TMS
 				if p := spans[s.parent]; p != nil {
 					p.childDur += e.DurMS
 				}
@@ -336,7 +338,10 @@ func summarize(r io.Reader, w io.Writer) error {
 		}
 		kinds := map[string]*kindAgg{}
 		var kindOrder []string
-		var rootDur, leafDur float64
+		// The critical-path line compares the union of leaf-span intervals
+		// with the union of root-span intervals, so leaves that overlap on
+		// parallel workers count once.
+		var roots, leaves []interval
 		for _, id := range spanOrder {
 			s := spans[id]
 			if !s.closed {
@@ -356,10 +361,10 @@ func summarize(r io.Reader, w io.Writer) error {
 			}
 			agg.self += self
 			if spans[s.parent] == nil {
-				rootDur += s.dur
+				roots = append(roots, interval{s.start, s.end})
 			}
 			if s.children == 0 {
-				leafDur += s.dur
+				leaves = append(leaves, interval{s.start, s.end})
 			}
 		}
 		sort.Slice(kindOrder, func(i, j int) bool {
@@ -375,9 +380,9 @@ func summarize(r io.Reader, w io.Writer) error {
 			agg := kinds[kind]
 			fmt.Fprintf(w, "  %-18s %5d %10.1f %10.1f\n", kind, agg.count, agg.cum, agg.self)
 		}
-		if rootDur > 0 {
-			fmt.Fprintf(w, "critical path: leaf spans account for %.1f%% of the root span's %.1f ms\n",
-				100*leafDur/rootDur, rootDur)
+		if rootMS := unionMS(roots); rootMS > 0 {
+			fmt.Fprintf(w, "critical path: leaf spans cover %.1f%% of the root span's %.1f ms\n",
+				100*unionMS(leaves)/rootMS, rootMS)
 		}
 
 		if len(evals) > 0 {
@@ -421,6 +426,31 @@ func summarize(r io.Reader, w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// interval is a span's extent on the trace clock, in t_ms.
+type interval struct{ start, end float64 }
+
+// unionMS returns the total length of the union of the intervals.
+func unionMS(ivs []interval) float64 {
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].start < ivs[j].start })
+	var total float64
+	var cur interval
+	for i, iv := range ivs {
+		switch {
+		case i == 0:
+			cur = iv
+		case iv.start > cur.end:
+			total += cur.end - cur.start
+			cur = iv
+		case iv.end > cur.end:
+			cur.end = iv.end
+		}
+	}
+	if len(ivs) > 0 {
+		total += cur.end - cur.start
+	}
+	return total
 }
 
 // formatCounts renders a name→count map as "a=1 b=2", sorted by name for

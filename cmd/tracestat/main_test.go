@@ -159,3 +159,26 @@ func TestSummarizeEmptyTrace(t *testing.T) {
 		t.Fatal("summarize accepted an empty trace")
 	}
 }
+
+// TestCriticalPathUnionOfOverlappingLeaves: two sw.layer leaves running
+// on parallel workers overlap in time. Coverage is the union of their
+// intervals (1–10 ms of a 10 ms root, 90%), where summing their
+// durations would report 160%.
+func TestCriticalPathUnionOfOverlappingLeaves(t *testing.T) {
+	trace := `{"seq":1,"t_ms":0,"type":"span.start","span":1,"detail":"job"}` + "\n" +
+		`{"seq":2,"t_ms":0,"type":"span.start","span":2,"parent":1,"detail":"trial","sample":1}` + "\n" +
+		`{"seq":3,"t_ms":1,"type":"span.start","span":3,"parent":2,"detail":"sw.layer","layer":"m/a"}` + "\n" +
+		`{"seq":4,"t_ms":2,"type":"span.start","span":4,"parent":2,"detail":"sw.layer","layer":"m/b"}` + "\n" +
+		`{"seq":5,"t_ms":9,"type":"span.end","span":3,"parent":2,"detail":"sw.layer","dur_ms":8}` + "\n" +
+		`{"seq":6,"t_ms":10,"type":"span.end","span":4,"parent":2,"detail":"sw.layer","dur_ms":8}` + "\n" +
+		`{"seq":7,"t_ms":10,"type":"span.end","span":2,"parent":1,"detail":"trial","dur_ms":10}` + "\n" +
+		`{"seq":8,"t_ms":10,"type":"span.end","span":1,"detail":"job","dur_ms":10}` + "\n"
+	var out bytes.Buffer
+	if err := summarize(strings.NewReader(trace), &out); err != nil {
+		t.Fatalf("summarize: %v", err)
+	}
+	want := "critical path: leaf spans cover 90.0% of the root span's 10.0 ms\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
+	}
+}

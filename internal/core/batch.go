@@ -46,8 +46,9 @@ func EvaluateBatch(ev Evaluator, a hw.Accel, ss []sched.Schedule, l workload.Lay
 // RoundProposer is the optional batching hook of SWProposer: a proposer
 // implements it when its next RoundSize() Suggest calls are independent
 // of any intervening Observe calls, so the driver may collect that many
-// candidates up front and evaluate them in one EvaluateBatch call,
-// delivering the Observe feedback afterwards in suggestion order.
+// candidates up front and evaluate them in one EvaluateBatchSpan call,
+// delivering the Observe feedback afterwards in suggestion order. Any
+// other proposer is driven in rounds of one.
 //
 // RoundSize is consulted before each round and may change as the
 // proposer's state evolves (a genetic searcher batches its whole

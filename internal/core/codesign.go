@@ -52,12 +52,12 @@ type RunConfig struct {
 	// analytical models and the sim backend all are).
 	Workers int
 
-	// DisableBatch forces the per-layer software search onto the
-	// one-Evaluate-per-sample path even when the proposer and evaluator
-	// both support round batching (RoundProposer / BatchEvaluator). The
-	// batched and sequential paths produce bit-identical Histories by
-	// contract, so this switch exists for A/B verification of that
-	// invariant (and for bisecting regressions), not for correctness.
+	// DisableBatch runs the per-layer software search in rounds of one
+	// (strict Suggest/Evaluate/Observe interleaving) even when the
+	// proposer declares larger rounds (RoundProposer). Both round sizes
+	// produce bit-identical Histories by contract, so this switch exists
+	// for A/B verification of that invariant (and for bisecting
+	// regressions), not for correctness.
 	// Like Workers and Tracer, it is excluded from the checkpoint
 	// fingerprint: batched and unbatched runs share checkpoints.
 	DisableBatch bool
@@ -496,62 +496,26 @@ func OptimizeLayer(cfg RunConfig, strat Strategy, rng *rand.Rand, accel hw.Accel
 // cost whose fields are not all finite is classified invalid rather than
 // allowed to poison the proposer's statistics or become a NaN "best".
 //
-// Proposers that declare feedback-independent rounds (RoundProposer)
-// take the batched path: each round's suggestions are collected up
-// front and evaluated in one EvaluateBatch call, then observed in
-// suggestion order. Because a round by definition draws the same RNG
-// stream whether or not Observe calls are interleaved, and because
-// EvaluateBatch is bit-identical to per-item Evaluate, the two paths
-// produce the same LayerResult bit for bit — cfg.DisableBatch exists to
-// verify exactly that.
+// The search runs in rounds: per round it draws the round's suggestions
+// into a scratch slice reused across rounds, evaluates them in one
+// EvaluateBatchSpan call, and delivers the Observe feedback in
+// suggestion order. A proposer that declares feedback-independent rounds
+// (RoundProposer) sets the round size, capped at the remaining budget;
+// any other proposer, or any run with cfg.DisableBatch, runs rounds of
+// one — strict Suggest/Observe interleaving. Because a round by
+// definition draws the same RNG stream whether or not Observe calls are
+// interleaved, and because a batch is bit-identical to per-item
+// evaluation, both round sizes produce the same LayerResult bit for bit;
+// cfg.DisableBatch exists to verify exactly that. Cancellation is
+// checked between rounds; a canceled layer search is discarded by the
+// caller either way.
 func runLayerSearch(ctx context.Context, cfg RunConfig, sw SWProposer, accel hw.Accel,
 	layer workload.Layer, budget int, sp *obs.Span) LayerResult {
 
-	if rp, ok := sw.(RoundProposer); ok && !cfg.DisableBatch {
-		return runLayerSearchBatched(ctx, cfg, rp, accel, layer, budget, sp)
+	rp, _ := sw.(RoundProposer)
+	if cfg.DisableBatch {
+		rp = nil
 	}
-
-	best := LayerResult{Layer: layer}
-	bestObj := math.Inf(1)
-	for i := 0; i < budget; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		s := sw.Suggest()
-		cost, err := EvaluateSpan(cfg.Eval, sp, accel, s, layer)
-		obj := math.Inf(1)
-		if err == nil {
-			obj = cfg.Objective.LayerCost(cost)
-		}
-		if err == nil && (!cost.Finite() || math.IsNaN(obj) || math.IsInf(obj, 0)) {
-			err = fmt.Errorf("%w: evaluator returned non-finite cost for layer %s",
-				maestro.ErrInvalid, layer.Name)
-		}
-		if err != nil {
-			sw.Observe(s, math.Inf(1), err)
-			continue
-		}
-		sw.Observe(s, obj, nil)
-		if obj < bestObj {
-			bestObj = obj
-			best.Schedule = s
-			best.Cost = cost
-			best.Valid = true
-		}
-	}
-	return best
-}
-
-// runLayerSearchBatched is runLayerSearch's round-at-a-time variant: per
-// round it drains RoundSize() suggestions (capped to the remaining
-// budget) into a scratch slice reused across rounds, evaluates them in
-// one EvaluateBatch call, and replays the per-sample feedback loop over
-// the results. Cancellation is checked between rounds; a canceled layer
-// search is discarded by the caller either way, so the coarser check
-// cannot change any completed run's output.
-func runLayerSearchBatched(ctx context.Context, cfg RunConfig, sw RoundProposer, accel hw.Accel,
-	layer workload.Layer, budget int, sp *obs.Span) LayerResult {
-
 	best := LayerResult{Layer: layer}
 	bestObj := math.Inf(1)
 	var ss []sched.Schedule
@@ -559,20 +523,18 @@ func runLayerSearchBatched(ctx context.Context, cfg RunConfig, sw RoundProposer,
 		if ctx.Err() != nil {
 			break
 		}
-		n := sw.RoundSize()
-		if n < 1 {
-			n = 1
+		n := 1
+		if rp != nil {
+			n = max(rp.RoundSize(), 1)
 		}
-		if rem := budget - done; n > rem {
-			n = rem
-		}
+		n = min(n, budget-done)
 		ss = ss[:0]
 		for j := 0; j < n; j++ {
 			ss = append(ss, sw.Suggest())
 		}
 		costs, errs := EvaluateBatchSpan(cfg.Eval, sp, accel, ss, layer)
-		for j := range ss {
-			s, cost, err := ss[j], costs[j], errs[j]
+		for j, s := range ss {
+			cost, err := costs[j], errs[j]
 			obj := math.Inf(1)
 			if err == nil {
 				obj = cfg.Objective.LayerCost(cost)

@@ -3,10 +3,11 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
-	"spotlight/internal/core"
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
 	"spotlight/internal/sched"
@@ -37,73 +38,183 @@ func groupTriples(trs []triple) []batchGroup {
 	return out
 }
 
-// assertPipelineBatchMatchesBare checks the flagship property at the
-// pipeline level: every batched result must be bitwise identical (cost
-// bits, error strings, ErrInvalid classification) to a fresh bare
-// backend evaluated sequentially.
-func assertPipelineBatchMatchesBare(t *testing.T, p core.BatchEvaluator, groups []batchGroup) {
-	t.Helper()
-	bare := maestro.New()
-	for g, grp := range groups {
-		costs, errs := p.EvaluateBatch(grp.a.a, grp.ss, grp.a.l)
-		if len(costs) != len(grp.ss) || len(errs) != len(grp.ss) {
-			t.Fatalf("group %d: %d costs / %d errs for %d schedules", g, len(costs), len(errs), len(grp.ss))
-		}
-		for i, s := range grp.ss {
-			wantCost, wantErr := bare.Evaluate(grp.a.a, s, grp.a.l)
-			if (errs[i] == nil) != (wantErr == nil) {
-				t.Fatalf("group %d item %d: err=%v, want %v", g, i, errs[i], wantErr)
-			}
-			if wantErr != nil {
-				if errs[i].Error() != wantErr.Error() ||
-					errors.Is(errs[i], maestro.ErrInvalid) != errors.Is(wantErr, maestro.ErrInvalid) {
-					t.Fatalf("group %d item %d: error mismatch: %q vs %q", g, i, errs[i], wantErr)
-				}
-				continue
-			}
-			if !costBitsEqual(costs[i], wantCost) {
-				t.Fatalf("group %d item %d: cost not bit-identical:\n%+v\n%+v", g, i, costs[i], wantCost)
-			}
-		}
-	}
+// result is one evaluation outcome, as the bare backend returns it.
+type result struct {
+	cost maestro.Cost
+	err  error
 }
 
-// TestPipelineBatchMatchesBareBackend runs the full default middleware
-// stack (maestro,cache,stats + trace) through EvaluateBatch under 8
-// racing workers — the satellite-1 property at the eval layer. The
-// duplicated triples from randomTriples land as in-batch duplicate keys
-// and cross-worker races on the same entries.
+// sameResult compares one pipeline result with the bare backend's:
+// cost bits, error text and ErrInvalid classification.
+func sameResult(cost maestro.Cost, err error, want result) error {
+	switch {
+	case (err == nil) != (want.err == nil):
+		return fmt.Errorf("err=%v, want %v", err, want.err)
+	case want.err != nil:
+		if err.Error() != want.err.Error() ||
+			errors.Is(err, maestro.ErrInvalid) != errors.Is(want.err, maestro.ErrInvalid) {
+			return fmt.Errorf("error mismatch: %q vs %q", err, want.err)
+		}
+	case !costBitsEqual(cost, want.cost):
+		return fmt.Errorf("cost not bit-identical:\n%+v\n%+v", cost, want.cost)
+	}
+	return nil
+}
+
+// TestPipelineBatchMatchesBareBackend is the identity property across
+// every entry point: for each pipeline shape, traced and untraced, 8
+// racing workers drive all four public Pipeline methods (Evaluate,
+// EvaluateSpan, EvaluateBatch, EvaluateBatchSpan) over the same design
+// points, and every cost and error must be bit-identical to the bare
+// backend evaluated sequentially. The duplicated triples from
+// randomTriples land as in-batch duplicate keys and cross-worker races
+// on the same entries; the specs cover stats above and below the cache,
+// the persistent cache under a guard with a timeout (the guard's
+// abandoned-call path), and a backend without a native batch path.
 func TestPipelineBatchMatchesBareBackend(t *testing.T) {
-	rec := &recordingTracer{}
-	p := MustFromSpec("maestro,cache,stats", SpecOptions{Tracer: rec})
-	groups := groupTriples(randomTriples(77, 48))
+	const workers, methods = 8, 4
+	journal := filepath.Join(t.TempDir(), "maestro.journal")
+	cases := []struct {
+		name, spec, backend string
+		points              int // random design points; the simulator is slow, so sim gets fewer
+		guard               GuardOptions
+		statsSeesAll        bool // stats sits above the cache and counts every request
+	}{
+		{spec: "maestro,cache,stats", backend: "maestro", points: 48, statsSeesAll: true},
+		{spec: "maestro,stats,cache", backend: "maestro", points: 48},
+		{name: "maestro,diskcache,cache,guard", spec: "maestro,diskcache(path=" + journal + "),cache,guard",
+			backend: "maestro", points: 48, guard: GuardOptions{Timeout: time.Minute}},
+		{spec: "sim,cache", backend: "sim", points: 12},
+	}
+	for _, c := range cases {
+		if c.name == "" {
+			c.name = c.spec
+		}
+		groups := groupTriples(randomTriples(77, c.points))
+		var items int
+		for _, g := range groups {
+			items += len(g.ss)
+		}
+		bare, err := Open(c.backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]result, len(groups))
+		for g, grp := range groups {
+			for _, s := range grp.ss {
+				cost, err := bare.Evaluate(grp.a.a, s, grp.a.l)
+				want[g] = append(want[g], result{cost, err})
+			}
+		}
+		for _, traced := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/traced=%v", c.name, traced), func(t *testing.T) {
+				rec := &recordingTracer{}
+				opts := SpecOptions{Guard: c.guard}
+				if traced {
+					opts.Tracer = rec
+				}
+				p := MustFromSpec(c.spec, opts)
+				defer p.Close()
+				var sp *obs.Span
+				if traced {
+					sp = obs.StartSpan(rec, "test")
+				}
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for m := 0; m < methods; m++ {
+							method := (w + m) % methods
+							for g, grp := range groups {
+								a, l := grp.a.a, grp.a.l
+								label := fmt.Sprintf("worker %d method %d group %d", w, method, g)
+								switch method {
+								case 0, 1:
+									for i, s := range grp.ss {
+										var cost maestro.Cost
+										var err error
+										if method == 0 {
+											cost, err = p.Evaluate(a, s, l)
+										} else {
+											cost, err = p.EvaluateSpan(sp, a, s, l)
+										}
+										if err := sameResult(cost, err, want[g][i]); err != nil {
+											t.Errorf("%s item %d: %v", label, i, err)
+											return
+										}
+									}
+								default:
+									var costs []maestro.Cost
+									var errs []error
+									if method == 2 {
+										costs, errs = p.EvaluateBatch(a, grp.ss, l)
+									} else {
+										costs, errs = p.EvaluateBatchSpan(sp, a, grp.ss, l)
+									}
+									if len(costs) != len(grp.ss) || len(errs) != len(grp.ss) {
+										t.Errorf("%s: %d costs / %d errs for %d schedules", label, len(costs), len(errs), len(grp.ss))
+										return
+									}
+									for i := range grp.ss {
+										if err := sameResult(costs[i], errs[i], want[g][i]); err != nil {
+											t.Errorf("%s item %d: %v", label, i, err)
+											return
+										}
+									}
+								}
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				sp.End()
+				if t.Failed() {
+					return
+				}
 
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			assertPipelineBatchMatchesBare(t, p, groups)
-		}()
-	}
-	wg.Wait()
-
-	var items int
-	for _, g := range groups {
-		items += len(g.ss)
-	}
-	snap := p.Cache().Snapshot()
-	if got := snap.Hits + snap.Misses; got != int64(workers*items) {
-		t.Fatalf("hits(%d)+misses(%d) != %d batched items", snap.Hits, snap.Misses, workers*items)
-	}
-	if snap.Hits == 0 {
-		t.Fatal("no cache hits despite duplicate keys across 8 workers")
-	}
-	// In "maestro,cache,stats" the stats layer sits outermost, so it
-	// counts request traffic: every batched item from every worker.
-	if st := p.Stats().Snapshot(); st.Evals != int64(workers*items) {
-		t.Fatalf("stats evals %d != %d batched requests", st.Evals, workers*items)
+				requests := int64(workers * methods * items)
+				snap := p.Cache().Snapshot()
+				if got := snap.Hits + snap.Misses; got != requests {
+					t.Fatalf("hits(%d)+misses(%d) != %d requests", snap.Hits, snap.Misses, requests)
+				}
+				if snap.Hits == 0 {
+					t.Fatal("no cache hits despite duplicate keys across 8 workers")
+				}
+				if st := p.Stats(); st != nil {
+					wantEvals := snap.Misses
+					if c.statsSeesAll {
+						wantEvals = requests
+					}
+					if got := st.Snapshot().Evals; got != wantEvals {
+						t.Fatalf("stats evals %d, want %d", got, wantEvals)
+					}
+				}
+				// Traced, every evaluation that reached the backend emitted
+				// one schema-valid eval.done; untraced, nothing did.
+				backendEvals := snap.Misses
+				if d := p.Disk(); d != nil {
+					backendEvals -= d.Store().Snapshot().Hits
+				}
+				var done int64
+				for _, e := range rec.events {
+					if e.Type != obs.EvalDone {
+						continue
+					}
+					done++
+					e.Seq = 1 // the recording tracer stamps no seq
+					if err := e.Validate(); err != nil {
+						t.Fatalf("eval.done fails schema: %v", err)
+					}
+				}
+				if !traced {
+					backendEvals = 0
+				}
+				if done != backendEvals {
+					t.Fatalf("%d eval.done events, want %d", done, backendEvals)
+				}
+			})
+		}
 	}
 }
 
@@ -179,14 +290,15 @@ func TestBatchFallbackForNonBatchBackend(t *testing.T) {
 // sequential path — a later batch re-evaluates instead of reusing it.
 func TestBatchCacheTransientNotMemoized(t *testing.T) {
 	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{}, errors.New("transient") }}
-	c := WithCache()(fake).(*Cache)
+	pipe := Chain(fake, WithCache())
+	c := pipe.Cache()
 	tr := randomTriples(21, 1)[0]
 	ss := []sched.Schedule{tr.s}
 
-	if _, errs := c.EvaluateBatch(tr.a, ss, tr.l); errs[0] == nil {
+	if _, errs := pipe.EvaluateBatch(tr.a, ss, tr.l); errs[0] == nil {
 		t.Fatal("fault swallowed")
 	}
-	if _, errs := c.EvaluateBatch(tr.a, ss, tr.l); errs[0] == nil {
+	if _, errs := pipe.EvaluateBatch(tr.a, ss, tr.l); errs[0] == nil {
 		t.Fatal("fault swallowed on retry")
 	}
 	if got := fake.calls.Load(); got != 2 {
@@ -203,11 +315,12 @@ func TestBatchCacheTransientNotMemoized(t *testing.T) {
 // deadlock), and all copies agree.
 func TestBatchCacheDuplicateKeysSingleFlight(t *testing.T) {
 	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{DelayCycles: 5}, nil }}
-	c := WithCache()(fake).(*Cache)
+	pipe := Chain(fake, WithCache())
+	c := pipe.Cache()
 	tr := randomTriples(22, 1)[0]
 	ss := []sched.Schedule{tr.s, tr.s, tr.s, tr.s}
 
-	costs, errs := c.EvaluateBatch(tr.a, ss, tr.l)
+	costs, errs := pipe.EvaluateBatch(tr.a, ss, tr.l)
 	for i := range ss {
 		if errs[i] != nil || costs[i].DelayCycles != 5 {
 			t.Fatalf("item %d: cost=%+v err=%v", i, costs[i], errs[i])
@@ -234,7 +347,7 @@ func TestBatchCachePanicWithdrawsLeaders(t *testing.T) {
 		}
 		return maestro.Cost{DelayCycles: 2}, nil
 	}}
-	c := WithCache()(fake).(*Cache)
+	pipe := Chain(fake, WithCache())
 	trs := randomTriples(23, 3)
 	ss := make([]sched.Schedule, len(trs))
 	for i, tr := range trs {
@@ -247,10 +360,10 @@ func TestBatchCachePanicWithdrawsLeaders(t *testing.T) {
 				t.Fatal("panic did not propagate through the batch cache")
 			}
 		}()
-		c.EvaluateBatch(trs[0].a, ss, trs[0].l)
+		pipe.EvaluateBatch(trs[0].a, ss, trs[0].l)
 	}()
 
-	costs, errs := c.EvaluateBatch(trs[0].a, ss, trs[0].l)
+	costs, errs := pipe.EvaluateBatch(trs[0].a, ss, trs[0].l)
 	for i := range ss {
 		if errs[i] != nil || costs[i].DelayCycles != 2 {
 			t.Fatalf("post-panic item %d: cost=%+v err=%v", i, costs[i], errs[i])

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"spotlight/internal/core"
 	"spotlight/internal/obs"
 	"spotlight/internal/sched"
 )
@@ -109,12 +108,12 @@ func BenchmarkEvalCache(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead measures what tracing costs an evaluation
-// pipeline. "untraced" is the baseline (no trace layer at all), "nil"
-// has the layer with a nil tracer (the always-off configuration every
-// production run without -trace pays: one branch), "nop" uses the
-// disabled obs.Nop sink through the same branch, and "jsonl" streams
-// every event to an io.Discard-backed JSONL sink — the full cost of
-// -trace minus the disk. The acceptance bar is nil/nop within noise of
+// pipeline. "untraced" is the baseline: a pipeline without a tracer,
+// which every production run without -trace uses, and whose backend
+// adapter pays one branch for tracing. "nop" passes the disabled obs.Nop
+// sink, which the adapter treats exactly like no tracer, and "jsonl"
+// streams every event to an io.Discard-backed JSONL sink — the full cost
+// of -trace minus the disk. The acceptance bar is nop within noise of
 // untraced; CI runs this with -benchtime=1x as a smoke test.
 func BenchmarkTraceOverhead(b *testing.B) {
 	const keys = 256
@@ -129,23 +128,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("untraced", func(b *testing.B) {
 		run(b, MustFromSpec("maestro", SpecOptions{}))
 	})
-	b.Run("nil", func(b *testing.B) {
-		run(b, Chain(mustOpen(b, "maestro"), WithTrace(nil)))
-	})
 	b.Run("nop", func(b *testing.B) {
-		run(b, Chain(mustOpen(b, "maestro"), WithTrace(obs.Nop)))
+		run(b, MustFromSpec("maestro", SpecOptions{Tracer: obs.Nop}))
 	})
 	b.Run("jsonl", func(b *testing.B) {
 		run(b, MustFromSpec("maestro", SpecOptions{Tracer: obs.NewJSONL(io.Discard)}))
 	})
-}
-
-// mustOpen opens a registered backend or fails the benchmark.
-func mustOpen(b *testing.B, name string) core.Evaluator {
-	b.Helper()
-	backend, err := Open(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return backend
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"spotlight/internal/core"
 	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
@@ -115,7 +114,7 @@ type cacheShard struct {
 // its sample budget, and the figure harnesses want cross-trial reuse.
 // The zero value is not usable; build one with WithCache.
 type Cache struct {
-	inner  core.Evaluator
+	inner  layer
 	shards [cacheShards]cacheShard
 
 	hits      atomic.Int64
@@ -123,17 +122,12 @@ type Cache struct {
 	coalesced atomic.Int64
 	entries   atomic.Int64
 
-	tr obs.Tracer // emits cache.hit/miss/leaderpanic; nil disables
+	tr obs.Tracer // receives cache.hit/miss/leaderpanic without a span; set by Chain
 }
-
-// SetTracer attaches a tracer that receives one event per cache hit,
-// miss, and leader panic. Call it before evaluation begins (FromSpec
-// does); the field is not synchronized against in-flight Evaluate calls.
-func (c *Cache) SetTracer(tr obs.Tracer) { c.tr = tr }
 
 // WithCache returns the memo-cache middleware.
 func WithCache() Middleware {
-	return func(inner core.Evaluator) core.Evaluator {
+	return func(inner layer) layer {
 		c := &Cache{inner: inner}
 		for i := range c.shards {
 			c.shards[i].m = make(map[Key]*cacheEntry)
@@ -142,98 +136,210 @@ func WithCache() Middleware {
 	}
 }
 
-// Name implements core.Evaluator. The cache is trajectory-neutral — a
+// Name implements layer. The cache is trajectory-neutral — a
 // cached pipeline returns bit-identical results to an uncached one — so
 // it is transparent in the name (and the checkpoint fingerprint).
 func (c *Cache) Name() string { return c.inner.Name() }
 
-// Evaluate implements core.Evaluator with memoization and single-flight
-// deduplication.
-func (c *Cache) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return c.evaluateSpan(nil, a, s, l)
+// missSet is the reusable miss subset of a caching layer's batch: the
+// positions of the items that must go to the layer below, their
+// schedules, and result buffers for that one inner call.
+type missSet struct {
+	idx   []int
+	ss    []sched.Schedule
+	costs []maestro.Cost
+	errs  []error
 }
 
-// EvaluateSpan implements core.SpanEvaluator: identical memoization, but
-// the cache.hit/miss/leaderpanic events this call emits are parented
-// under sp and delivered to sp's sink — so on a shared pipeline each job
-// sees only its own cache traffic.
-func (c *Cache) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return c.evaluateSpan(sp, a, s, l)
+func (m *missSet) reset() {
+	m.idx = m.idx[:0]
+	m.ss = m.ss[:0]
 }
 
-func (c *Cache) evaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	key := CanonicalKey(a, s, l)
-	shard := &c.shards[Fingerprint(key)&(cacheShards-1)]
-	for {
-		shard.mu.Lock()
-		if e, ok := shard.m[key]; ok {
-			shard.mu.Unlock()
-			inFlight := false
-			select {
-			case <-e.done:
-			default:
-				inFlight = true // wait for the leader, single-flight style
-			}
-			<-e.done
-			if inFlight {
-				c.coalesced.Add(1)
-			}
-			if e.keep {
-				c.hits.Add(1)
-				if obs.Active(sp, c.tr) {
-					sp.EmitTo(c.tr, obs.Event{Type: obs.CacheHit})
-				}
-				return e.cost, e.err
-			}
-			// The leader's outcome was not memoizable (transient fault,
-			// or the leader panicked); it withdrew the entry, so retry
-			// as a leader.
-			continue
-		}
-		e := &cacheEntry{done: make(chan struct{})}
-		shard.m[key] = e
-		shard.mu.Unlock()
-		return c.lead(sp, shard, key, e, a, s, l)
+func (m *missSet) add(i int, s sched.Schedule) {
+	m.idx = append(m.idx, i)
+	m.ss = append(m.ss, s)
+}
+
+// run evaluates the miss subset with one call into inner and leaves
+// each result at its item's position in costs/errs. When every item
+// missed, the caller's slices go straight through; an empty subset
+// makes no call.
+func (m *missSet) run(inner layer, sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
+	switch len(m.idx) {
+	case 0:
+		return
+	case len(ss):
+		inner.evaluate(sp, a, ss, l, costs, errs)
+		return
+	}
+	n := len(m.idx)
+	if cap(m.costs) < n {
+		m.costs = make([]maestro.Cost, n)
+		m.errs = make([]error, n)
+	}
+	mc, me := m.costs[:n], m.errs[:n]
+	inner.evaluate(sp, a, m.ss, l, mc, me)
+	for j, i := range m.idx {
+		costs[i], errs[i] = mc[j], me[j]
+		me[j] = nil
 	}
 }
 
-// lead runs the one real evaluation for a key and publishes the result.
-// If the evaluation panics (no guard below the cache), the entry is
-// withdrawn before the panic propagates so waiting followers retry
-// instead of blocking forever.
-func (c *Cache) lead(sp *obs.Span, shard *cacheShard, key Key, e *cacheEntry,
-	a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+// cacheScratch is the reusable per-call working set of Cache.evaluate:
+// canonical keys, per-item entry pointers and role flags, and the miss
+// subset. Pooled so steady-state evaluation allocates nothing here.
+type cacheScratch struct {
+	keys  []Key
+	ents  []*cacheEntry
+	flags []uint8
+	miss  missSet
+}
 
-	finished := false
-	defer func() {
-		if !finished { // panicking: withdraw and release followers
-			shard.mu.Lock()
-			delete(shard.m, key)
+// role flags for cacheScratch.flags.
+const (
+	flagLeader   uint8 = 1 << iota // this call owns the entry and must publish it
+	flagInFlight                   // follower found the entry unresolved (counts as coalesced)
+)
+
+var cacheScratchPool = sync.Pool{New: func() any { return new(cacheScratch) }}
+
+func (b *cacheScratch) reset(n int) {
+	if cap(b.keys) < n {
+		b.keys = make([]Key, n)
+		b.ents = make([]*cacheEntry, n)
+		b.flags = make([]uint8, n)
+	}
+	b.keys = b.keys[:n]
+	b.ents = b.ents[:n]
+	b.flags = b.flags[:n]
+	for i := 0; i < n; i++ {
+		b.ents[i] = nil
+		b.flags[i] = 0
+	}
+	b.miss.reset()
+}
+
+// shard returns the table segment that owns k.
+func (c *Cache) shard(k Key) *cacheShard { return &c.shards[Fingerprint(k)&(cacheShards-1)] }
+
+// withdraw removes k's entry from the table, so the next caller for k
+// evaluates it afresh.
+func (c *Cache) withdraw(k Key) {
+	shard := c.shard(k)
+	shard.mu.Lock()
+	delete(shard.m, k)
+	shard.mu.Unlock()
+}
+
+// evaluate implements layer with memoization and single-flight
+// deduplication. The batch is partitioned into memoized hits, a miss
+// set this call leads, and followers of in-flight entries (other
+// callers' or this very batch's leaders, for duplicate keys). The
+// misses go to the inner layer in ONE call; followers are resolved only
+// after the leaders publish, which is what makes in-batch duplicates
+// safe — a follower of its own batch's leader would otherwise deadlock
+// waiting on work that has not been submitted yet. A follower whose
+// leader withdrew its entry (a non-memoizable outcome, or a panic)
+// retries: the withdrawn followers go through the cache again as a
+// smaller batch, becoming leaders or following whoever got there first.
+//
+// Memoization keeps successes and ErrInvalid verdicts and withdraws
+// faults. The cache.hit/miss/leaderpanic events are parented under sp
+// and delivered to its sink, so on a shared pipeline each job sees only
+// its own cache traffic. An in-batch duplicate counts as coalesced+hit,
+// because it genuinely waited on the in-flight leader.
+func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
+	if len(ss) == 0 {
+		return
+	}
+	sc := cacheScratchPool.Get().(*cacheScratch)
+	defer cacheScratchPool.Put(sc)
+	sc.reset(len(ss))
+
+	// Phase 1: register every item, becoming leader or follower per key.
+	for i := range ss {
+		sc.keys[i] = CanonicalKey(a, ss[i], l)
+		shard := c.shard(sc.keys[i])
+		shard.mu.Lock()
+		if e, ok := shard.m[sc.keys[i]]; ok {
 			shard.mu.Unlock()
-			close(e.done)
+			sc.ents[i] = e
+			select {
+			case <-e.done:
+			default:
+				sc.flags[i] |= flagInFlight
+			}
+			continue
+		}
+		e := &cacheEntry{done: make(chan struct{})}
+		shard.m[sc.keys[i]] = e
+		shard.mu.Unlock()
+		sc.ents[i] = e
+		sc.flags[i] |= flagLeader
+		sc.miss.add(i, ss[i])
+	}
+
+	// Phase 2: one inner call for all misses. If the inner layer panics
+	// (no guard below the cache), every unpublished leader entry is
+	// withdrawn and released before the panic propagates, so followers
+	// retry instead of blocking forever.
+	innerReturned := false
+	defer func() {
+		if innerReturned {
+			return
+		}
+		for _, i := range sc.miss.idx {
+			c.withdraw(sc.keys[i])
+			close(sc.ents[i].done)
 			if obs.Active(sp, c.tr) {
 				sp.EmitTo(c.tr, obs.Event{Type: obs.CachePanic})
 			}
 		}
 	}()
-	cost, err := core.EvaluateSpan(c.inner, sp, a, s, l)
-	finished = true
+	sc.miss.run(c.inner, sp, a, ss, l, costs, errs)
+	innerReturned = true
 
-	e.cost, e.err = cost, err
-	e.keep = err == nil || errors.Is(err, maestro.ErrInvalid)
-	if e.keep {
-		c.entries.Add(1)
-	} else {
-		shard.mu.Lock()
-		delete(shard.m, key)
-		shard.mu.Unlock()
+	// Phase 3: publish the leaders' results.
+	for _, i := range sc.miss.idx {
+		e := sc.ents[i]
+		e.cost, e.err = costs[i], errs[i]
+		e.keep = e.err == nil || errors.Is(e.err, maestro.ErrInvalid)
+		if e.keep {
+			c.entries.Add(1)
+		} else {
+			c.withdraw(sc.keys[i])
+		}
+		c.misses.Add(1)
+		if obs.Active(sp, c.tr) {
+			sp.EmitTo(c.tr, obs.Event{Type: obs.CacheMiss})
+		}
+		close(e.done)
 	}
-	c.misses.Add(1)
-	if obs.Active(sp, c.tr) {
-		sp.EmitTo(c.tr, obs.Event{Type: obs.CacheMiss})
+
+	// Phase 4: resolve followers, now that every leader in this batch
+	// has published; collect the ones whose entry was withdrawn.
+	sc.miss.reset()
+	for i := range ss {
+		if sc.flags[i]&flagLeader != 0 {
+			continue
+		}
+		e := sc.ents[i]
+		<-e.done
+		if sc.flags[i]&flagInFlight != 0 {
+			c.coalesced.Add(1)
+		}
+		if !e.keep {
+			sc.miss.add(i, ss[i])
+			continue
+		}
+		c.hits.Add(1)
+		if obs.Active(sp, c.tr) {
+			sp.EmitTo(c.tr, obs.Event{Type: obs.CacheHit})
+		}
+		costs[i], errs[i] = e.cost, e.err
 	}
-	close(e.done)
-	return cost, err
+	sc.miss.run(c, sp, a, ss, l, costs, errs)
 }
 
 // CacheSnapshot is a point-in-time view of the cache counters.
@@ -245,7 +351,7 @@ type CacheSnapshot struct {
 }
 
 // Snapshot returns the current counters. It is safe to call
-// concurrently with Evaluate; the fields are read individually, so a
+// concurrently with evaluation; the fields are read individually, so a
 // snapshot taken mid-flight may be off by in-flight calls.
 func (c *Cache) Snapshot() CacheSnapshot {
 	return CacheSnapshot{

@@ -151,7 +151,8 @@ func TestSingleFlightCoalescesConcurrentCallers(t *testing.T) {
 		<-release
 		return maestro.Cost{DelayCycles: 1}, nil
 	}}
-	cache := WithCache()(fake).(*Cache)
+	pipe := Chain(fake, WithCache())
+	cache := pipe.Cache()
 	tr := randomTriples(1, 1)[0]
 
 	var wg sync.WaitGroup
@@ -160,7 +161,7 @@ func TestSingleFlightCoalescesConcurrentCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			arrived.Add(1)
-			if _, err := cache.Evaluate(tr.a, tr.s, tr.l); err != nil {
+			if _, err := pipe.Evaluate(tr.a, tr.s, tr.l); err != nil {
 				t.Errorf("Evaluate: %v", err)
 			}
 		}()
@@ -184,11 +185,12 @@ func TestSingleFlightCoalescesConcurrentCallers(t *testing.T) {
 func TestInvalidVerdictIsMemoized(t *testing.T) {
 	invalid := fmt.Errorf("pe array too small: %w", maestro.ErrInvalid)
 	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{}, invalid }}
-	cache := WithCache()(fake).(*Cache)
+	pipe := Chain(fake, WithCache())
+	cache := pipe.Cache()
 	tr := randomTriples(2, 1)[0]
 
-	_, err1 := cache.Evaluate(tr.a, tr.s, tr.l)
-	_, err2 := cache.Evaluate(tr.a, tr.s, tr.l)
+	_, err1 := pipe.Evaluate(tr.a, tr.s, tr.l)
+	_, err2 := pipe.Evaluate(tr.a, tr.s, tr.l)
 	if !errors.Is(err1, maestro.ErrInvalid) || !errors.Is(err2, maestro.ErrInvalid) {
 		t.Fatalf("classification lost: %v / %v", err1, err2)
 	}
@@ -205,11 +207,12 @@ func TestInvalidVerdictIsMemoized(t *testing.T) {
 
 func TestTransientErrorIsNotMemoized(t *testing.T) {
 	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{}, errors.New("transient fault") }}
-	cache := WithCache()(fake).(*Cache)
+	pipe := Chain(fake, WithCache())
+	cache := pipe.Cache()
 	tr := randomTriples(3, 1)[0]
 
 	for i := 0; i < 2; i++ {
-		if _, err := cache.Evaluate(tr.a, tr.s, tr.l); err == nil {
+		if _, err := pipe.Evaluate(tr.a, tr.s, tr.l); err == nil {
 			t.Fatal("fault swallowed")
 		}
 	}
@@ -230,7 +233,7 @@ func TestLeaderPanicWithdrawsEntry(t *testing.T) {
 		}
 		return maestro.Cost{DelayCycles: 2}, nil
 	}}
-	cache := WithCache()(fake).(*Cache)
+	pipe := Chain(fake, WithCache())
 	tr := randomTriples(4, 1)[0]
 
 	func() {
@@ -239,12 +242,12 @@ func TestLeaderPanicWithdrawsEntry(t *testing.T) {
 				t.Fatal("panic did not propagate through the cache")
 			}
 		}()
-		cache.Evaluate(tr.a, tr.s, tr.l)
+		pipe.Evaluate(tr.a, tr.s, tr.l)
 	}()
 
 	// The panicked entry must be withdrawn: the next caller re-evaluates
 	// instead of deadlocking on (or hitting) a dead entry.
-	cost, err := cache.Evaluate(tr.a, tr.s, tr.l)
+	cost, err := pipe.Evaluate(tr.a, tr.s, tr.l)
 	if err != nil || cost.DelayCycles != 2 {
 		t.Fatalf("post-panic Evaluate = %+v, %v", cost, err)
 	}
@@ -255,20 +258,20 @@ func TestLeaderPanicWithdrawsEntry(t *testing.T) {
 
 func TestCanonicalKeyIgnoresRepeat(t *testing.T) {
 	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{DelayCycles: 3}, nil }}
-	cache := WithCache()(fake).(*Cache)
+	pipe := Chain(fake, WithCache())
 	tr := randomTriples(5, 1)[0]
 
 	tr.l.Repeat = 1
-	cache.Evaluate(tr.a, tr.s, tr.l)
+	pipe.Evaluate(tr.a, tr.s, tr.l)
 	tr.l.Repeat = 16
-	cache.Evaluate(tr.a, tr.s, tr.l)
+	pipe.Evaluate(tr.a, tr.s, tr.l)
 	if got := fake.calls.Load(); got != 1 {
 		t.Fatalf("Repeat-only variants evaluated %d times, want 1 shared entry", got)
 	}
 
 	// Any other dimension change is a different key.
 	tr.l.K++
-	cache.Evaluate(tr.a, tr.s, tr.l)
+	pipe.Evaluate(tr.a, tr.s, tr.l)
 	if got := fake.calls.Load(); got != 2 {
 		t.Fatalf("distinct layer reused a stale entry (calls=%d)", got)
 	}

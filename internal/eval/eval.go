@@ -11,10 +11,13 @@
 //     constructor, Open instantiates by name, and Backends lists what is
 //     available. The three bundled backends (maestro, timeloop, sim)
 //     self-register.
-//   - A middleware chain: Chain(backend, mw...) wraps a backend in
+//   - A middleware chain: Chain(backend, mw...) lifts a backend into
+//     the pipeline's layer contract (one batch-shaped evaluation method
+//     per layer; a single evaluation is a batch of one) and wraps it in
 //     layers that each preserve the evaluator contract. The bundled
 //     middlewares are WithCache (a sharded, concurrency-safe memo cache
-//     with single-flight deduplication), WithStats (atomic per-backend
+//     with single-flight deduplication), WithDisk (a crash-safe
+//     persistent cache), WithStats (atomic per-backend
 //     eval/invalid/error/latency counters), and WithGuard (the
 //     resilience.Guard panic/timeout/retry policy).
 //   - A spec language: FromSpec("sim,cache,guard") builds the whole
@@ -106,21 +109,35 @@ func Open(name string) (core.Evaluator, error) {
 	return f()
 }
 
-// Middleware is one layer of an evaluation pipeline: it wraps an
-// evaluator in another evaluator. Middlewares must preserve the
-// evaluator contract — in particular the error classification (errors
-// wrapping maestro.ErrInvalid mark infeasible points) — and must be safe
-// for concurrent Evaluate calls whenever the wrapped evaluator is.
-type Middleware func(core.Evaluator) core.Evaluator
+// layer is one stage of a pipeline: the backend adapter innermost, and
+// each middleware wrapping the stage below it. A layer has exactly one
+// evaluation method. evaluate fills costs[i] and errs[i] for ss[i]; the
+// caller owns all three slices, which have equal length. A single
+// evaluation is a batch of one, and a nil span means untraced. Every
+// (costs[i], errs[i]) pair must be bit-identical to what the backend's
+// own Evaluate returns for ss[i] (same cost bits, same error text, same
+// errors.Is classification), and evaluate must be safe for concurrent
+// calls whenever the backend's Evaluate is.
+type layer interface {
+	Name() string
+	evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error)
+}
+
+// Middleware is one layer of an evaluation pipeline: it wraps the layer
+// below it in another. Middlewares must preserve the evaluator contract
+// stated on layer — in particular the error classification (errors
+// wrapping maestro.ErrInvalid mark infeasible points).
+type Middleware func(layer) layer
 
 // Pipeline is a backend composed with its middleware stack. It
-// implements core.Evaluator (Evaluate and Name delegate to the outermost
-// layer) plus Validate, which core.RunConfig checks before a run starts.
-// Handles to the cache and stats layers, when present, are retained for
+// implements core.Evaluator and its span and batch extensions, each a
+// thin adapter onto the outermost layer's one evaluation method, plus
+// Validate, which core.RunConfig checks before a run starts. Handles to
+// the cache, stats and disk layers, when present, are retained for
 // reporting.
 type Pipeline struct {
-	backend core.Evaluator // innermost layer
-	outer   core.Evaluator // fully composed chain
+	backend core.Evaluator // the backend the chain was built on
+	outer   layer          // fully composed chain
 	cache   *Cache         // nil when the chain has no cache layer
 	stats   *Stats         // nil when the chain has no stats layer
 	disk    *Disk          // nil when the chain has no persistent cache layer
@@ -134,19 +151,25 @@ type Pipeline struct {
 // layer, so backend-specific counters live in the middleware rather
 // than the backend.
 func Chain(backend core.Evaluator, mw ...Middleware) *Pipeline {
-	p := &Pipeline{backend: backend, outer: backend}
+	return chain(nil, backend, mw...)
+}
+
+// chain is Chain with a tracer: the backend adapter reports eval.done
+// and eval.batch to it, and the cache and stats layers their own events.
+func chain(tr obs.Tracer, backend core.Evaluator, mw ...Middleware) *Pipeline {
+	p := &Pipeline{backend: backend, outer: lift(backend, tr)}
 	for _, m := range mw {
 		if m == nil {
 			continue
 		}
 		p.outer = m(p.outer)
-		switch layer := p.outer.(type) {
+		switch v := p.outer.(type) {
 		case *Cache:
-			p.cache = layer
+			p.cache, v.tr = v, tr
 		case *Stats:
-			p.stats = layer
+			p.stats, v.tr = v, tr
 		case *Disk:
-			p.disk = layer
+			p.disk = v
 		}
 	}
 	if b, ok := backend.(*sim.Backend); ok && p.stats != nil {
@@ -155,18 +178,48 @@ func Chain(backend core.Evaluator, mw ...Middleware) *Pipeline {
 	return p
 }
 
-// Evaluate implements core.Evaluator.
-func (p *Pipeline) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return p.outer.Evaluate(a, s, l)
+// single is the pooled one-item buffer behind Pipeline.EvaluateSpan, so
+// a warm cache hit through the single-evaluation entry point allocates
+// nothing.
+type single struct {
+	ss    [1]sched.Schedule
+	costs [1]maestro.Cost
+	errs  [1]error
 }
 
-// EvaluateSpan implements core.SpanEvaluator, handing the caller's span
-// to the outermost layer. Layers that understand spans thread them
-// inward; the first one that does not silently drops the span and the
-// rest of the chain behaves exactly as an un-spanned call — results are
-// identical either way.
+var singles = sync.Pool{New: func() any { return new(single) }}
+
+// Evaluate implements core.Evaluator: an untraced batch of one.
+func (p *Pipeline) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+	return p.EvaluateSpan(nil, a, s, l)
+}
+
+// EvaluateSpan implements core.SpanEvaluator: a batch of one under sp.
+// The span parents every event the layers emit for this call and routes
+// it to the span's sink, so each job sharing a pipeline sees only its
+// own evaluations.
 func (p *Pipeline) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return core.EvaluateSpan(p.outer, sp, a, s, l)
+	b := singles.Get().(*single)
+	b.ss[0] = s
+	p.outer.evaluate(sp, a, b.ss[:], l, b.costs[:], b.errs[:])
+	cost, err := b.costs[0], b.errs[0]
+	b.errs[0] = nil
+	singles.Put(b)
+	return cost, err
+}
+
+// EvaluateBatch implements core.BatchEvaluator: an untraced batch.
+func (p *Pipeline) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
+	return p.EvaluateBatchSpan(nil, a, ss, l)
+}
+
+// EvaluateBatchSpan implements core.SpanBatchEvaluator, handing the
+// whole batch and the caller's span to the outermost layer.
+func (p *Pipeline) EvaluateBatchSpan(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
+	costs := make([]maestro.Cost, len(ss))
+	errs := make([]error, len(ss))
+	p.outer.evaluate(sp, a, ss, l, costs, errs)
+	return costs, errs
 }
 
 // Name implements core.Evaluator. Trajectory-neutral layers (cache,
@@ -194,7 +247,7 @@ func (p *Pipeline) Validate() error {
 	return nil
 }
 
-// Backend returns the innermost layer of the pipeline.
+// Backend returns the backend the pipeline was built on.
 func (p *Pipeline) Backend() core.Evaluator { return p.backend }
 
 // Cache returns the pipeline's cache layer, or nil.

@@ -164,7 +164,7 @@ func TestReport(t *testing.T) {
 			t.Fatalf("report %q missing %q", rep, want)
 		}
 	}
-	if (&Pipeline{backend: maestro.New(), outer: maestro.New()}).Report() != "" {
+	if Chain(maestro.New()).Report() != "" {
 		t.Fatal("bare pipeline should report nothing")
 	}
 }

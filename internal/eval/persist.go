@@ -5,8 +5,8 @@ import (
 	"math"
 	"path/filepath"
 	"strings"
+	"sync"
 
-	"spotlight/internal/core"
 	"spotlight/internal/eval/diskcache"
 	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
@@ -68,7 +68,7 @@ func (o DiskOptions) journalPath() string {
 // (a corrupt record that survived framing, or a value from a newer
 // codec) are treated as misses and repaired by recomputation.
 type Disk struct {
-	inner       core.Evaluator
+	inner       layer
 	store       *diskcache.Store // nil when persistence is disabled
 	backend     string
 	fingerprint string
@@ -166,7 +166,7 @@ func decodeResult(b []byte) (maestro.Cost, error, bool) {
 // happens here, once, when the chain is assembled; failures degrade to
 // a pass-through layer rather than failing pipeline construction.
 func WithDisk(opts DiskOptions) Middleware {
-	return func(inner core.Evaluator) core.Evaluator {
+	return func(inner layer) layer {
 		d := &Disk{
 			inner:       inner,
 			backend:     opts.Backend,
@@ -211,7 +211,7 @@ func WithDisk(opts DiskOptions) Middleware {
 	}
 }
 
-// Name implements core.Evaluator. The disk cache returns bit-identical
+// Name implements layer. The disk cache returns bit-identical
 // results, so — like the in-memory cache — it is transparent in the
 // name and therefore in the checkpoint fingerprint.
 func (d *Disk) Name() string { return d.inner.Name() }
@@ -240,60 +240,32 @@ func (d *Disk) Sync() {
 	}
 }
 
-// Evaluate implements core.Evaluator.
-func (d *Disk) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return d.EvaluateSpan(nil, a, s, l)
+// diskScratch is the reusable per-call working set of Disk.evaluate.
+type diskScratch struct {
+	keys []diskcache.Key
+	miss missSet
 }
 
-// EvaluateSpan implements core.SpanEvaluator: the hit/append persistence
-// events are parented under sp (when given) and follow its sink.
-func (d *Disk) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+var diskScratchPool = sync.Pool{New: func() any { return new(diskScratch) }}
+
+// evaluate implements layer: disk hits are answered from the index, and
+// the misses go to the inner layer in ONE call (preserving the batch
+// fast path), each persistable result appended as it is published. The
+// hit/append persistence events are parented under sp and follow its
+// sink.
+func (d *Disk) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
 	if d.store == nil {
-		return core.EvaluateSpan(d.inner, sp, a, s, l)
+		d.inner.evaluate(sp, a, ss, l, costs, errs)
+		return
 	}
-	key := diskcache.Key(RecordKey(d.backend, d.fingerprint, CanonicalKey(a, s, l)))
-	if val, ok := d.store.Get(key); ok {
-		if cost, verdict, ok := decodeResult(val); ok {
-			if obs.Active(sp, d.tr) {
-				sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "hit"})
-			}
-			return cost, verdict
-		}
-		// Undecodable entry: fall through, recompute, and re-Put below —
-		// the repair path for corrupt-but-framed records.
-	}
-	cost, err := core.EvaluateSpan(d.inner, sp, a, s, l)
-	if val := encodeResult(cost, err); val != nil {
-		d.store.Put(key, val)
-		if obs.Active(sp, d.tr) {
-			sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "append"})
-		}
-	}
-	return cost, err
-}
-
-// EvaluateBatch implements core.BatchEvaluator: disk hits are answered
-// from the index, and the misses go to the inner evaluator in ONE batch
-// call (preserving the batch fast path), each persistable result
-// appended as it is published.
-func (d *Disk) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
-	return d.EvaluateBatchSpan(nil, a, ss, l)
-}
-
-// EvaluateBatchSpan implements core.SpanBatchEvaluator with the same
-// hit/miss partitioning; the span rides inward on the one miss-set call.
-func (d *Disk) EvaluateBatchSpan(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
-	if d.store == nil {
-		return core.EvaluateBatchSpan(d.inner, sp, a, ss, l)
-	}
-	costs := make([]maestro.Cost, len(ss))
-	errs := make([]error, len(ss))
-	keys := make([]diskcache.Key, len(ss))
-	var missIdx []int
-	var missSS []sched.Schedule
+	sc := diskScratchPool.Get().(*diskScratch)
+	defer diskScratchPool.Put(sc)
+	sc.keys = sc.keys[:0]
+	sc.miss.reset()
 	for i := range ss {
-		keys[i] = diskcache.Key(RecordKey(d.backend, d.fingerprint, CanonicalKey(a, ss[i], l)))
-		if val, ok := d.store.Get(keys[i]); ok {
+		key := diskcache.Key(RecordKey(d.backend, d.fingerprint, CanonicalKey(a, ss[i], l)))
+		sc.keys = append(sc.keys, key)
+		if val, ok := d.store.Get(key); ok {
 			if cost, verdict, ok := decodeResult(val); ok {
 				if obs.Active(sp, d.tr) {
 					sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "hit"})
@@ -301,22 +273,18 @@ func (d *Disk) EvaluateBatchSpan(sp *obs.Span, a hw.Accel, ss []sched.Schedule, 
 				costs[i], errs[i] = cost, verdict
 				continue
 			}
+			// Undecodable entry: recompute and re-Put below — the repair
+			// path for corrupt-but-framed records.
 		}
-		missIdx = append(missIdx, i)
-		missSS = append(missSS, ss[i])
+		sc.miss.add(i, ss[i])
 	}
-	if len(missIdx) == 0 {
-		return costs, errs
-	}
-	missCosts, missErrs := core.EvaluateBatchSpan(d.inner, sp, a, missSS, l)
-	for j, i := range missIdx {
-		costs[i], errs[i] = missCosts[j], missErrs[j]
+	sc.miss.run(d.inner, sp, a, ss, l, costs, errs)
+	for _, i := range sc.miss.idx {
 		if val := encodeResult(costs[i], errs[i]); val != nil {
-			d.store.Put(keys[i], val)
+			d.store.Put(sc.keys[i], val)
 			if obs.Active(sp, d.tr) {
 				sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "append"})
 			}
 		}
 	}
-	return costs, errs
 }

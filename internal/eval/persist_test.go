@@ -119,14 +119,15 @@ func TestDiskHitSkipsInner(t *testing.T) {
 
 	inner := &fakeEval{fn: func() (maestro.Cost, error) { return want, nil }}
 	mw := WithDisk(DiskOptions{Path: path, Backend: "maestro", Fingerprint: "fp-v1"})
-	d := mw(inner).(*Disk)
+	pipe := Chain(inner, mw)
+	d := pipe.Disk()
 	if d.OpenErr() != nil {
 		t.Fatalf("OpenErr: %v", d.OpenErr())
 	}
-	if _, err := d.Evaluate(a, s, l); err != nil {
+	if _, err := pipe.Evaluate(a, s, l); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Evaluate(a, s, l); err != nil {
+	if _, err := pipe.Evaluate(a, s, l); err != nil {
 		t.Fatal(err)
 	}
 	if n := inner.calls.Load(); n != 1 {
@@ -138,9 +139,9 @@ func TestDiskHitSkipsInner(t *testing.T) {
 
 	// A fresh layer over the same journal starts warm.
 	inner2 := &fakeEval{fn: func() (maestro.Cost, error) { return want, nil }}
-	d2 := mw(inner2).(*Disk)
-	defer d2.Close()
-	got, err := d2.Evaluate(a, s, l)
+	pipe2 := Chain(inner2, mw)
+	defer pipe2.Close()
+	got, err := pipe2.Evaluate(a, s, l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ func (c *spanSink) byType(t obs.EventType) []obs.Event {
 }
 
 // TestSpanThreadingRoutesMiddlewareEvents proves the per-job telemetry
-// mechanism end to end at the middleware layer: with a span threaded
-// through EvaluateSpan, the trace and cache middleware parent their
+// mechanism end to end at the pipeline layer: with a span threaded
+// through EvaluateSpan, the backend adapter and the cache parent their
 // events under the span and follow the SPAN's sink — not the pipeline's
 // construction-time tracer — which is what keeps per-job registries
 // isolated even though spotlightd's eval pipeline is shared. Without a
@@ -46,7 +46,7 @@ func (c *spanSink) byType(t obs.EventType) []obs.Event {
 func TestSpanThreadingRoutesMiddlewareEvents(t *testing.T) {
 	fallback, jobSink := &spanSink{}, &spanSink{}
 	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{DelayCycles: 1}, nil }}
-	pipe := Chain(fake, WithTrace(fallback), WithCache())
+	pipe := chain(fallback, fake, WithCache())
 	tr := randomTriples(7, 2)
 
 	// Under a span: every event routes to the span's sink, parented.

@@ -6,11 +6,14 @@ import (
 	"time"
 
 	"spotlight/internal/core"
+	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
 	"spotlight/internal/resilience"
+	"spotlight/internal/sched"
 	"spotlight/internal/sim"
 	"spotlight/internal/timeloop"
+	"spotlight/internal/workload"
 )
 
 // The three bundled backends self-register, so eval.Open and -eval spec
@@ -42,15 +45,42 @@ func (g GuardOptions) configured() bool { return g.Timeout > 0 || g.Retries > 0 
 // This is the only place in the tree that constructs a resilience.Guard;
 // call sites compose it by putting "guard" in their pipeline spec.
 func WithGuard(opts GuardOptions) Middleware {
-	return func(inner core.Evaluator) core.Evaluator {
-		return &resilience.Guard{
-			Eval:    inner,
+	return func(inner layer) layer {
+		return &guardLayer{inner: inner, policy: &resilience.Guard{
 			Timeout: opts.Timeout,
 			Retries: opts.Retries,
 			Backoff: opts.Backoff,
 			Seed:    opts.Seed,
 			Tracer:  opts.Tracer,
-		}
+		}}
+	}
+}
+
+// guardLayer applies the resilience.Guard policy to each item of a
+// batch separately: every item is its own guarded call into the layer
+// below, a batch of one, so a retry or timeout costs that one
+// evaluation and no other.
+type guardLayer struct {
+	inner  layer
+	policy *resilience.Guard
+}
+
+// Name implements layer. The guard can change what the search observes
+// under faults, so — unlike cache and stats — it shows in the name and
+// therefore in the checkpoint fingerprint.
+func (g *guardLayer) Name() string { return "guard(" + g.inner.Name() + ")" }
+
+func (g *guardLayer) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
+	for i := range ss {
+		s := ss[i]
+		costs[i], errs[i] = g.policy.Do(sp, a, s, l, func() (maestro.Cost, error) {
+			// Buffers of its own: a call abandoned on timeout keeps
+			// running after Do returns and must not touch the caller's.
+			var one single
+			one.ss[0] = s
+			g.inner.evaluate(sp, a, one.ss[:], l, one.costs[:], one.errs[:])
+			return one.costs[0], one.errs[0]
+		})
 	}
 }
 
@@ -67,11 +97,12 @@ type SpecOptions struct {
 	// always have a layer to read.
 	EnsureStats bool
 	// Tracer, when set, threads trace emission through the whole
-	// pipeline: a trace layer is inserted innermost (so, like stats, it
-	// times true backend work — cache hits never reach it), the cache
-	// and stats layers report their events to it, and any guard layer
-	// reports retries and timeouts. Tracing is observe-only: a traced
-	// pipeline returns bit-identical results to an untraced one.
+	// pipeline: the backend adapter times every backend call and emits
+	// eval.done/eval.batch (so, like stats, it sees true backend work —
+	// cache hits never reach it), the cache and stats layers report
+	// their events to it, and any guard layer reports retries and
+	// timeouts. Tracing is observe-only: a traced pipeline returns
+	// bit-identical results to an untraced one.
 	Tracer obs.Tracer
 	// CacheDir, when non-empty, enables the persistent disk cache: a
 	// diskcache layer is inserted directly above the backend (under any
@@ -156,22 +187,11 @@ func FromSpec(spec string, opts SpecOptions) (*Pipeline, error) {
 	if opts.EnsureStats && !hasStats {
 		mws = append([]Middleware{WithStats()}, mws...)
 	}
-	if obs.Enabled(opts.Tracer) {
-		mws = append([]Middleware{WithTrace(opts.Tracer)}, mws...)
-	}
 	if opts.Guard.configured() && !hasGuard {
 		mws = append(mws, WithGuard(opts.Guard))
 	}
-	p := Chain(backend, mws...)
+	p := chain(opts.Tracer, backend, mws...)
 	p.spec = spec
-	if obs.Enabled(opts.Tracer) {
-		if p.cache != nil {
-			p.cache.SetTracer(opts.Tracer)
-		}
-		if p.stats != nil {
-			p.stats.SetTracer(opts.Tracer)
-		}
-	}
 	return p, nil
 }
 

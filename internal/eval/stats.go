@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spotlight/internal/core"
 	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
@@ -29,7 +28,7 @@ import (
 // outermost it measures request traffic instead; both are valid, the
 // spec order chooses.
 type Stats struct {
-	inner core.Evaluator
+	inner layer
 
 	evals     atomic.Int64
 	ok        atomic.Int64
@@ -40,45 +39,52 @@ type Stats struct {
 	eventMu sync.Mutex
 	events  map[string]int64
 
-	tr obs.Tracer // forwards backend path events; nil disables
+	tr obs.Tracer // receives backend.path events; set by Chain
 }
 
 // WithStats returns the stats middleware.
 func WithStats() Middleware {
-	return func(inner core.Evaluator) core.Evaluator {
+	return func(inner layer) layer {
 		return &Stats{inner: inner, events: make(map[string]int64)}
 	}
 }
 
-// Name implements core.Evaluator. Stats never changes results, so it is
+// Name implements layer. Stats never changes results, so it is
 // transparent in the name (and the checkpoint fingerprint).
 func (st *Stats) Name() string { return st.inner.Name() }
 
-// Evaluate implements core.Evaluator, counting the call and its outcome.
-// Latency is an observability counter: it is reported, never fed back
-// into the search, and the wall-clock read goes through obs — the one
-// package sanctioned to touch the clock.
-func (st *Stats) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return st.EvaluateSpan(nil, a, s, l)
-}
-
-// EvaluateSpan implements core.SpanEvaluator. Stats itself emits no
-// events on the evaluate path — it only counts — so the span is purely
-// forwarded inward for the trace layer and backend to attribute.
-func (st *Stats) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+// evaluate implements layer: one latency sample covering the whole
+// call, per-item outcome counting, and len(ss) evals. Counters are
+// tallied locally and published with one atomic add each. Latency is an
+// observability counter: it is reported, never fed back into the
+// search, and the wall-clock read goes through obs — the one package
+// sanctioned to touch the clock. Stats emits no events on this path;
+// the span is forwarded inward for the layers below to attribute.
+func (st *Stats) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
 	start := obs.Now()
-	cost, err := core.EvaluateSpan(st.inner, sp, a, s, l)
+	st.inner.evaluate(sp, a, ss, l, costs, errs)
 	st.latencyNS.Add(int64(obs.Since(start)))
-	st.evals.Add(1)
-	switch Outcome(err) {
-	case OutcomeOK:
-		st.ok.Add(1)
-	case OutcomeInvalid:
-		st.invalid.Add(1)
-	default:
-		st.errs.Add(1)
+	st.evals.Add(int64(len(ss)))
+	var ok, invalid, failed int64
+	for _, err := range errs {
+		switch Outcome(err) {
+		case OutcomeOK:
+			ok++
+		case OutcomeInvalid:
+			invalid++
+		default:
+			failed++
+		}
 	}
-	return cost, err
+	if ok > 0 {
+		st.ok.Add(ok)
+	}
+	if invalid > 0 {
+		st.invalid.Add(invalid)
+	}
+	if failed > 0 {
+		st.errs.Add(failed)
+	}
 }
 
 // Event implements sim.EventSink: named backend events are tallied into
@@ -93,11 +99,6 @@ func (st *Stats) Event(name string) {
 		st.tr.Emit(obs.Event{Type: obs.BackendPath, Detail: name})
 	}
 }
-
-// SetTracer attaches a tracer that receives one backend.path event per
-// backend event. Call it before evaluation begins (FromSpec does); the
-// field is not synchronized against in-flight Evaluate calls.
-func (st *Stats) SetTracer(tr obs.Tracer) { st.tr = tr }
 
 // StatsSnapshot is a point-in-time view of the stats counters.
 type StatsSnapshot struct {

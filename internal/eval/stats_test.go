@@ -16,7 +16,7 @@ import (
 // tallies must come out exact, and the race detector vouches for the
 // lock discipline.
 func TestStatsEventConcurrent(t *testing.T) {
-	st := &Stats{inner: maestro.New(), events: make(map[string]int64)}
+	st := Chain(maestro.New(), WithStats()).Stats()
 	const workers, per = 8, 500
 	names := []string{"simulated", "fallback", "refit"}
 	var wg sync.WaitGroup

@@ -91,30 +91,26 @@ type Guard struct {
 // Name implements Evaluator.
 func (g *Guard) Name() string { return "guard(" + g.Eval.Name() + ")" }
 
-// spanEvaluator is the span-threading fast path of the evaluator
-// contract, declared structurally (like Evaluator above) so resilience
-// stays below core in the import graph; it matches
-// core.SpanEvaluator's method exactly.
-type spanEvaluator interface {
-	EvaluateSpan(*obs.Span, hw.Accel, sched.Schedule, workload.Layer) (maestro.Cost, error)
-}
-
-// Evaluate implements Evaluator with the guard policy applied.
+// Evaluate implements Evaluator with the guard policy applied to Eval.
 func (g *Guard) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return g.EvaluateSpan(nil, a, s, l)
+	return g.Do(nil, a, s, l, func() (maestro.Cost, error) { return g.Eval.Evaluate(a, s, l) })
 }
 
-// EvaluateSpan applies the same guard policy while threading the
-// caller's span inward (when the wrapped evaluator understands spans)
-// and parenting the guard's own retry/timeout events under it. With a
-// nil span it is exactly Evaluate.
-func (g *Guard) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+// Do applies the guard policy to call, one evaluation of (a, s, l):
+// call is panic-recovered, raced against the timeout, and retried on
+// transient faults with backoff jitter derived from (a, s, l). The
+// guard's retry/timeout events are parented under sp and follow its
+// sink; with a nil span they go to Tracer. Do never reads Eval, so a
+// Guard used only through Do (the eval pipeline's guard layer) leaves
+// it nil. A call abandoned on timeout is still running, so it must not
+// write to memory the caller reuses.
+func (g *Guard) Do(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer, call func() (maestro.Cost, error)) (maestro.Cost, error) {
 	transient := g.IsTransient
 	if transient == nil {
 		transient = func(err error) bool { return errors.Is(err, ErrTransient) }
 	}
 	for attempt := 0; ; attempt++ {
-		cost, err := g.attempt(sp, a, s, l)
+		cost, err := g.attempt(sp, call)
 		if err == nil || attempt >= g.Retries || !transient(err) {
 			return cost, err
 		}
@@ -127,9 +123,9 @@ func (g *Guard) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workl
 
 // attempt makes one guarded call: panic-recovered, and raced against the
 // timeout when one is configured.
-func (g *Guard) attempt(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+func (g *Guard) attempt(sp *obs.Span, call func() (maestro.Cost, error)) (maestro.Cost, error) {
 	if g.Timeout <= 0 {
-		return g.safeCall(sp, a, s, l)
+		return safeCall(call)
 	}
 	type outcome struct {
 		cost maestro.Cost
@@ -137,7 +133,7 @@ func (g *Guard) attempt(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.L
 	}
 	ch := make(chan outcome, 1) // buffered: a late finisher must not block forever
 	go func() {
-		c, err := g.safeCall(sp, a, s, l)
+		c, err := safeCall(call)
 		ch <- outcome{c, err}
 	}()
 	timer := time.NewTimer(g.Timeout)
@@ -154,21 +150,16 @@ func (g *Guard) attempt(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.L
 	}
 }
 
-// safeCall invokes the wrapped evaluator, converting a panic into an
-// error wrapping ErrPanic.
-func (g *Guard) safeCall(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (cost maestro.Cost, err error) {
+// safeCall invokes call, converting a panic into an error wrapping
+// ErrPanic.
+func safeCall(call func() (maestro.Cost, error)) (cost maestro.Cost, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			cost = maestro.Cost{}
 			err = fmt.Errorf("%w: %v", ErrPanic, r)
 		}
 	}()
-	if sp != nil {
-		if se, ok := g.Eval.(spanEvaluator); ok {
-			return se.EvaluateSpan(sp, a, s, l)
-		}
-	}
-	return g.Eval.Evaluate(a, s, l)
+	return call()
 }
 
 // backoff sleeps before retry `attempt`+1: exponential in the attempt

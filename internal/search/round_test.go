@@ -72,7 +72,7 @@ func TestBatchedRunsBitIdentical(t *testing.T) {
 }
 
 // TestRoundSizes pins each proposer's advertised round size to its
-// feedback structure, the contract runLayerSearchBatched relies on.
+// feedback structure, the contract the layer-search round loop relies on.
 func TestRoundSizes(t *testing.T) {
 	cfg := tinyConfig(1)
 	rng := rand.New(rand.NewSource(3))

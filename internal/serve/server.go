@@ -118,15 +118,25 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, body)
 }
 
+// maxSubmitBytes bounds a submitted job spec. Real specs are a few
+// hundred bytes; the bound keeps one request from making the server
+// buffer an arbitrarily large body.
+const maxSubmitBytes = 1 << 20
+
 // submit decodes a JobSpec strictly — unknown fields are a 400, catching
-// typos like "step" for "steps" before they silently change a run — and
-// enqueues it.
+// typos like "step" for "steps" before they silently change a run, and a
+// body over maxSubmitBytes is a 413 — and enqueues it.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec engine.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
 	job, err := s.runner.Submit(spec)

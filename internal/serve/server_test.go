@@ -108,6 +108,21 @@ func TestSubmitMalformedJSON(t *testing.T) {
 	}
 }
 
+// TestSubmitOversizedBody: a spec body over the 1 MiB bound is refused
+// with 413 and the JSON error envelope, and enqueues nothing.
+func TestSubmitOversizedBody(t *testing.T) {
+	s := newTestServer(t)
+	body := `{"kind":"experiment","models":["` + strings.Repeat("x", maxSubmitBytes) + `"]}`
+	rec := do(t, s, "POST", "/jobs", body)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("submit = %d, want 413\n%.200s", rec.Code, rec.Body)
+	}
+	decodeError(t, rec)
+	if jobs := s.runner.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized submit enqueued %d jobs", len(jobs))
+	}
+}
+
 // TestSubmitUnknownBackendListsRegistered: an unknown eval-spec token is
 // a 400 whose body names the backends that do exist — the
 // *eval.UnknownBackendError carried over the wire.
