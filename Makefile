@@ -1,6 +1,8 @@
-# Targets mirror .github/workflows/ci.yml one-for-one so a green
-# `make ci` locally means a green CI run. Keep the two in sync: if you
-# change a recipe here, change the matching workflow step.
+# .github/workflows/ci.yml runs these targets (`make lint`, `make race`,
+# `make tracesmoke`, ...), so every recipe lives only here and a green
+# `make ci` locally means a green CI run. CI adds only steps with no
+# target: the SARIF upload, the fuzz smoke, the BenchmarkDABOSuggest and
+# BenchmarkEvalCache smokes, and govulncheck.
 
 GO ?= go
 
@@ -48,7 +50,7 @@ perfbench:
 
 # tracesmoke proves the observe-only invariant end to end through the
 # CLI: a traced and an untraced fig6 run produce byte-identical CSVs,
-# and the trace passes schema validation. Mirrors the CI step.
+# and the trace passes schema validation. CI runs this target.
 tracesmoke:
 	$(GO) test -run=NONE -bench=BenchmarkTraceOverhead -benchtime=1x ./internal/eval/...
 	$(GO) build -o /tmp/experiments ./cmd/experiments
@@ -62,7 +64,7 @@ tracesmoke:
 # batchsmoke proves the batching invariant end to end through the CLI:
 # fig6 CSVs are byte-identical batched vs unbatched (-nobatch), at 1 and
 # 8 workers, traced or untraced, and the batched trace (which carries
-# eval.batch events) passes schema validation. Mirrors the CI step.
+# eval.batch events) passes schema validation. CI runs this target.
 batchsmoke:
 	$(GO) test -run=NONE -bench 'BenchmarkMaestroEvaluateBatch|BenchmarkTransformerLayerSearch' -benchtime=1x .
 	$(GO) build -o /tmp/experiments ./cmd/experiments
@@ -82,7 +84,7 @@ batchsmoke:
 # directory, and a run after the journal's tail is torn off (the
 # deterministic stand-in for a crash mid-append) all produce
 # byte-identical fig6 CSVs, and the warm trace carries cache.persist
-# events. Mirrors the CI step.
+# events. CI runs this target.
 crashsmoke:
 	$(GO) build -o /tmp/experiments ./cmd/experiments
 	$(GO) build -o /tmp/tracestat ./cmd/tracestat
@@ -103,7 +105,7 @@ crashsmoke:
 # cmd/experiments writes with the same spec, the SSE trace stream closes
 # with `event: end`, a duplicate submission is served from the shared
 # pipeline's cache (trace.cache.hit on /metrics), and SIGTERM drains to
-# a clean exit. Mirrors the CI step.
+# a clean exit. CI runs this target.
 servesmoke:
 	$(GO) build -o /tmp/experiments ./cmd/experiments
 	$(GO) build -o /tmp/spotlightd ./cmd/spotlightd
@@ -131,7 +133,7 @@ servesmoke:
 # parser behind cmd/promcheck), answers HEAD with the same Content-Type,
 # keeps JSON as the default representation, and publishes per-job
 # progress both as JSON (/jobs/{id}/progress) and as labeled per-job
-# gauges on the scrape. Mirrors the CI step.
+# gauges on the scrape. CI runs this target.
 metricssmoke:
 	$(GO) build -o /tmp/spotlightd ./cmd/spotlightd
 	$(GO) build -o /tmp/promcheck ./cmd/promcheck

@@ -95,9 +95,8 @@ func run() error {
 			Backoff: 50 * time.Millisecond,
 			Seed:    *seed,
 		},
-		EnsureStats: true,
-		Tracer:      tele.Tracer,
-		CacheDir:    *cacheDir,
+		Tracer:   tele.Tracer,
+		CacheDir: *cacheDir,
 	})
 	if err != nil {
 		// An unknown backend is a usage error: say what exists and how

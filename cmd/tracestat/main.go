@@ -205,8 +205,9 @@ func summarize(r io.Reader, w io.Writer) error {
 		counts[e.Type]++
 		// span.end durations are reported by the span section below;
 		// folding them into the flat phase table would double-count the
-		// leaf work they contain.
-		if e.DurMS > 0 && e.Type != obs.SpanEnd {
+		// leaf work they contain. pool.done is left out too: it carries
+		// the same layer-search interval as sw.end.
+		if e.DurMS > 0 && e.Type != obs.SpanEnd && e.Type != obs.PoolDone {
 			durTotal[e.Type] += e.DurMS
 			durCount[e.Type]++
 		}
@@ -258,7 +259,7 @@ func summarize(r io.Reader, w io.Writer) error {
 		fmt.Fprintf(w, "run: %s, %d hardware samples budgeted, %d completed\n", tool, budgeted, completed)
 	}
 
-	fmt.Fprintf(w, "\nphase time (sum of event durations):\n")
+	fmt.Fprintf(w, "\nphase time (sum of event durations; span.end and pool.done excluded):\n")
 	var typs []obs.EventType
 	var grand float64
 	for typ, total := range durTotal { //lint:allow maporder(sort.Slice below orders typs before anything is printed)

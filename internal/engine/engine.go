@@ -312,7 +312,6 @@ func (s JobSpec) ExpConfig(ev core.Evaluator, tr obs.Tracer) (exp.Config, error)
 		return cfg, err
 	}
 	cfg.Objective = obj
-	cfg.EvalSpec = s.Eval
 	cfg.Eval = ev
 	cfg.Tracer = tr
 	return cfg, nil

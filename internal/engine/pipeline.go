@@ -12,9 +12,10 @@ import (
 // Every consumer of the same spec — the two steps of one experiment job,
 // or two concurrent spotlightd jobs — gets the same *eval.Pipeline, so
 // the memo cache (and the persistent disk journal under it) deduplicates
-// evaluations across all of them. Sharing is sound because cache and
-// stats layers are trajectory-neutral by the eval package's contract:
-// a shared pipeline returns bit-identical results to a private one.
+// evaluations across all of them, and one set of counters records the
+// backend work they share. Sharing is sound because the cache layers are
+// trajectory-neutral by the eval package's contract: a shared pipeline
+// returns bit-identical results to a private one.
 type PipelineSet struct {
 	opts eval.SpecOptions
 
@@ -24,7 +25,7 @@ type PipelineSet struct {
 
 // NewPipelineSet returns an empty set. opts is the template every
 // pipeline is built with (tracer, cache directory, guard policy);
-// FromSpec's per-spec behavior — EnsureStats, diskcache insertion — is
+// FromSpec's per-spec behavior — diskcache and guard insertion — is
 // applied per Get.
 func NewPipelineSet(opts eval.SpecOptions) *PipelineSet {
 	return &PipelineSet{opts: opts, pipes: map[string]*eval.Pipeline{}}
@@ -50,7 +51,7 @@ func (ps *PipelineSet) Get(spec string) (*eval.Pipeline, error) {
 	return p, nil
 }
 
-// Report renders the stats/cache/disk counters of every pipeline in the
+// Report renders the backend/cache/disk counters of every pipeline in the
 // set, in spec order, for the CLIs' -eval-stats flag.
 func (ps *PipelineSet) Report() string {
 	ps.mu.Lock()

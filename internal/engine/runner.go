@@ -76,9 +76,8 @@ func NewRunner(cfg RunnerConfig) *Runner {
 	r := &Runner{
 		cfg: cfg,
 		pipes: NewPipelineSet(eval.SpecOptions{
-			EnsureStats: true,
-			Tracer:      cfg.Tracer,
-			CacheDir:    cfg.CacheDir,
+			Tracer:   cfg.Tracer,
+			CacheDir: cfg.CacheDir,
 		}),
 		jobs: map[string]*Job{},
 	}

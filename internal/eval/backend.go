@@ -11,9 +11,8 @@ import (
 	"spotlight/internal/workload"
 )
 
-// Outcome classifications shared by the backend adapter's trace events
-// and the stats layer, so "what counts as invalid" is defined exactly
-// once.
+// Outcome classifications shared by the backend adapter's counters and
+// trace events, so "what counts as invalid" is defined exactly once.
 const (
 	OutcomeOK      = "ok"      // evaluation succeeded
 	OutcomeInvalid = "invalid" // error wrapping maestro.ErrInvalid: infeasible point
@@ -41,28 +40,31 @@ func Outcome(err error) string {
 // which the batch contract makes bit-identical and which is the cheaper
 // call for a single item.
 //
-// It is also the pipeline's trace point. With a tracer it times the
-// backend call, so — like a stats layer directly above the backend — it
-// records true backend work that cache hits never reach. A batch of one
-// emits one eval.done carrying its duration; a larger batch emits one
-// eval.done per item (outcome only: per-item durations do not exist
-// inside a batch) and one eval.batch carrying the size and the
-// whole-batch duration. Events are parented under the caller's span and
-// follow its sink. Tracing is observe-only and name-transparent, and
-// without a tracer it costs one branch.
+// It is also the pipeline's one measurement point. Every backend call
+// reads the clock once and classifies each outcome once, and that one
+// reading feeds both the pipeline's Stats and, with a tracer, the
+// trace: cache hits never reach it, so both count true backend work. A
+// batch of one emits one eval.done carrying its duration; a larger
+// batch emits one eval.done per item (outcome only: per-item durations
+// do not exist inside a batch) and one eval.batch carrying the size and
+// the whole-batch duration. Events are parented under the caller's span
+// and follow its sink. Counting and tracing are observe-only and
+// name-transparent.
 type backendLayer struct {
 	ev    core.Evaluator
 	batch core.BatchEvaluator // ev's native batch path, or nil
 	tr    obs.Tracer          // nil unless tracing is enabled
+	stats Stats
 }
 
 // lift builds the backend adapter. tr is kept only when it is enabled,
-// so a disabled tracer takes the same one-branch path as none.
+// so a disabled tracer takes the same path as none.
 func lift(ev core.Evaluator, tr obs.Tracer) *backendLayer {
 	b := &backendLayer{ev: ev}
 	b.batch, _ = ev.(core.BatchEvaluator)
+	b.stats.backend = ev.Name()
 	if obs.Enabled(tr) {
-		b.tr = tr
+		b.tr, b.stats.tr = tr, tr
 	}
 	return b
 }
@@ -71,35 +73,41 @@ func lift(ev core.Evaluator, tr obs.Tracer) *backendLayer {
 func (b *backendLayer) Name() string { return b.ev.Name() }
 
 func (b *backendLayer) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
-	if b.tr == nil {
-		b.call(a, ss, l, costs, errs)
-		return
-	}
 	start := obs.Now()
-	b.call(a, ss, l, costs, errs)
-	dur := obs.MS(obs.Since(start))
-	scope := b.ev.Name()
-	if len(ss) == 1 {
-		sp.EmitTo(b.tr, obs.Event{Type: obs.EvalDone, Scope: scope, DurMS: dur, Detail: Outcome(errs[0])})
-		return
-	}
-	for _, err := range errs {
-		sp.EmitTo(b.tr, obs.Event{Type: obs.EvalDone, Scope: scope, Detail: Outcome(err)})
-	}
-	if len(ss) > 0 {
-		sp.EmitTo(b.tr, obs.Event{Type: obs.EvalBatch, Scope: scope, N: len(ss), DurMS: dur})
-	}
-}
-
-// call runs the backend on the batch, untimed.
-func (b *backendLayer) call(a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
 	if b.batch == nil || len(ss) == 1 {
 		for i := range ss {
 			costs[i], errs[i] = b.ev.Evaluate(a, ss[i], l)
 		}
+	} else {
+		cs, es := b.batch.EvaluateBatch(a, ss, l)
+		copy(costs, cs)
+		copy(errs, es)
+	}
+	elapsed := obs.Since(start)
+	scope := b.stats.backend
+	perItem := b.tr != nil && len(ss) > 1
+	var ok, invalid, failed int64
+	var outcome string
+	for _, err := range errs {
+		switch outcome = Outcome(err); outcome {
+		case OutcomeOK:
+			ok++
+		case OutcomeInvalid:
+			invalid++
+		default:
+			failed++
+		}
+		if perItem {
+			sp.EmitTo(b.tr, obs.Event{Type: obs.EvalDone, Scope: scope, Detail: outcome})
+		}
+	}
+	b.stats.record(len(ss), elapsed, ok, invalid, failed)
+	if b.tr == nil || len(ss) == 0 {
 		return
 	}
-	cs, es := b.batch.EvaluateBatch(a, ss, l)
-	copy(costs, cs)
-	copy(errs, es)
+	if len(ss) == 1 {
+		sp.EmitTo(b.tr, obs.Event{Type: obs.EvalDone, Scope: scope, DurMS: obs.MS(elapsed), Detail: outcome})
+		return
+	}
+	sp.EmitTo(b.tr, obs.Event{Type: obs.EvalBatch, Scope: scope, N: len(ss), DurMS: obs.MS(elapsed)})
 }

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
 	"spotlight/internal/sched"
+	"spotlight/internal/workload"
 )
 
 // batchFromTriples groups the triples by (accel, layer) — the shape
@@ -36,6 +39,23 @@ func groupTriples(trs []triple) []batchGroup {
 		}
 	}
 	return out
+}
+
+// countingEval is maestro with a count of the items that reach it, on
+// both its per-item and its batch path.
+type countingEval struct {
+	maestro.Model
+	items atomic.Int64
+}
+
+func (c *countingEval) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+	c.items.Add(1)
+	return c.Model.Evaluate(a, s, l)
+}
+
+func (c *countingEval) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
+	c.items.Add(int64(len(ss)))
+	return c.Model.EvaluateBatch(a, ss, l)
 }
 
 // result is one evaluation outcome, as the bare backend returns it.
@@ -68,9 +88,12 @@ func sameResult(cost maestro.Cost, err error, want result) error {
 // points, and every cost and error must be bit-identical to the bare
 // backend evaluated sequentially. The duplicated triples from
 // randomTriples land as in-batch duplicate keys and cross-worker races
-// on the same entries; the specs cover stats above and below the cache,
-// the persistent cache under a guard with a timeout (the guard's
-// abandoned-call path), and a backend without a native batch path.
+// on the same entries; the specs cover the stats token in both
+// positions, the persistent cache under a guard with a timeout (the
+// guard's abandoned-call path), a backend without a native batch path,
+// and a counting backend chained by hand. Whatever the shape, the
+// pipeline's Stats count exactly the evaluations that reached the
+// backend.
 func TestPipelineBatchMatchesBareBackend(t *testing.T) {
 	const workers, methods = 8, 4
 	journal := filepath.Join(t.TempDir(), "maestro.journal")
@@ -78,13 +101,14 @@ func TestPipelineBatchMatchesBareBackend(t *testing.T) {
 		name, spec, backend string
 		points              int // random design points; the simulator is slow, so sim gets fewer
 		guard               GuardOptions
-		statsSeesAll        bool // stats sits above the cache and counts every request
+		counted             bool // Chain(countingEval, WithCache()) instead of the spec
 	}{
-		{spec: "maestro,cache,stats", backend: "maestro", points: 48, statsSeesAll: true},
+		{spec: "maestro,cache,stats", backend: "maestro", points: 48},
 		{spec: "maestro,stats,cache", backend: "maestro", points: 48},
 		{name: "maestro,diskcache,cache,guard", spec: "maestro,diskcache(path=" + journal + "),cache,guard",
 			backend: "maestro", points: 48, guard: GuardOptions{Timeout: time.Minute}},
 		{spec: "sim,cache", backend: "sim", points: 12},
+		{name: "counting,cache", backend: "maestro", points: 48, counted: true},
 	}
 	for _, c := range cases {
 		if c.name == "" {
@@ -113,7 +137,14 @@ func TestPipelineBatchMatchesBareBackend(t *testing.T) {
 				if traced {
 					opts.Tracer = rec
 				}
-				p := MustFromSpec(c.spec, opts)
+				var counter *countingEval
+				var p *Pipeline
+				if c.counted {
+					counter = &countingEval{}
+					p = chain(opts.Tracer, counter, WithCache())
+				} else {
+					p = MustFromSpec(c.spec, opts)
+				}
 				defer p.Close()
 				var sp *obs.Span
 				if traced {
@@ -181,21 +212,23 @@ func TestPipelineBatchMatchesBareBackend(t *testing.T) {
 				if snap.Hits == 0 {
 					t.Fatal("no cache hits despite duplicate keys across 8 workers")
 				}
-				if st := p.Stats(); st != nil {
-					wantEvals := snap.Misses
-					if c.statsSeesAll {
-						wantEvals = requests
-					}
-					if got := st.Snapshot().Evals; got != wantEvals {
-						t.Fatalf("stats evals %d, want %d", got, wantEvals)
-					}
-				}
-				// Traced, every evaluation that reached the backend emitted
-				// one schema-valid eval.done; untraced, nothing did.
+				// The backend saw every memo miss the disk did not serve.
 				backendEvals := snap.Misses
 				if d := p.Disk(); d != nil {
 					backendEvals -= d.Store().Snapshot().Hits
 				}
+				if counter != nil {
+					backendEvals = counter.items.Load()
+				}
+				st := p.Stats().Snapshot()
+				if st.Evals != backendEvals {
+					t.Fatalf("stats evals %d, want %d backend evaluations", st.Evals, backendEvals)
+				}
+				if st.OK+st.Invalid+st.Errors != st.Evals {
+					t.Fatalf("stats ok(%d)+invalid(%d)+errors(%d) != evals(%d)", st.OK, st.Invalid, st.Errors, st.Evals)
+				}
+				// Traced, every evaluation that reached the backend emitted
+				// one schema-valid eval.done; untraced, nothing did.
 				var done int64
 				for _, e := range rec.events {
 					if e.Type != obs.EvalDone {
@@ -260,7 +293,7 @@ func TestBatchFallbackForNonBatchBackend(t *testing.T) {
 		}
 		return maestro.Cost{DelayCycles: float64(n)}, nil
 	}}
-	p := Chain(fake, WithStats())
+	p := Chain(fake)
 	trs := randomTriples(13, 4)
 	ss := make([]sched.Schedule, len(trs))
 	for i, tr := range trs {

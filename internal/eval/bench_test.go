@@ -110,7 +110,8 @@ func BenchmarkEvalCache(b *testing.B) {
 // BenchmarkTraceOverhead measures what tracing costs an evaluation
 // pipeline. "untraced" is the baseline: a pipeline without a tracer,
 // which every production run without -trace uses, and whose backend
-// adapter pays one branch for tracing. "nop" passes the disabled obs.Nop
+// adapter counts the call (one clock reading, shared with tracing) and
+// pays one branch for tracing. "nop" passes the disabled obs.Nop
 // sink, which the adapter treats exactly like no tracer, and "jsonl"
 // streams every event to an io.Discard-backed JSONL sink — the full cost
 // of -trace minus the disk. The acceptance bar is nop within noise of

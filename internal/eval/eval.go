@@ -17,9 +17,10 @@
 //     layers that each preserve the evaluator contract. The bundled
 //     middlewares are WithCache (a sharded, concurrency-safe memo cache
 //     with single-flight deduplication), WithDisk (a crash-safe
-//     persistent cache), WithStats (atomic per-backend
-//     eval/invalid/error/latency counters), and WithGuard (the
-//     resilience.Guard panic/timeout/retry policy).
+//     persistent cache), and WithGuard (the resilience.Guard
+//     panic/timeout/retry policy). The backend adapter itself keeps
+//     atomic eval/invalid/error/latency counters (Pipeline.Stats), so
+//     every pipeline counts the backend work it actually did.
 //   - A spec language: FromSpec("sim,cache,guard") builds the whole
 //     pipeline from one flag-friendly string, which is how the CLIs and
 //     the experiment harness configure evaluation.
@@ -132,32 +133,31 @@ type Middleware func(layer) layer
 // Pipeline is a backend composed with its middleware stack. It
 // implements core.Evaluator and its span and batch extensions, each a
 // thin adapter onto the outermost layer's one evaluation method, plus
-// Validate, which core.RunConfig checks before a run starts. Handles to
-// the cache, stats and disk layers, when present, are retained for
-// reporting.
+// Validate, which core.RunConfig checks before a run starts. The
+// backend adapter's counters, and the cache and disk layers when
+// present, are retained for reporting.
 type Pipeline struct {
 	backend core.Evaluator // the backend the chain was built on
 	outer   layer          // fully composed chain
 	cache   *Cache         // nil when the chain has no cache layer
-	stats   *Stats         // nil when the chain has no stats layer
+	stats   *Stats         // the backend adapter's counters; never nil
 	disk    *Disk          // nil when the chain has no persistent cache layer
-	spec    string         // the spec the pipeline was built from, if any
 }
 
 // Chain composes a backend with middlewares, innermost first: the first
 // middleware wraps the backend directly, the last sees every call first.
-// When the backend is sim's hybrid and the chain contains a stats layer,
-// the backend's path events (simulated/fallback) are wired into that
-// layer, so backend-specific counters live in the middleware rather
-// than the backend.
+// When the backend is sim's hybrid, its path events (simulated/fallback)
+// are wired into the pipeline's Stats, so backend-specific counters live
+// with the pipeline rather than the backend.
 func Chain(backend core.Evaluator, mw ...Middleware) *Pipeline {
 	return chain(nil, backend, mw...)
 }
 
-// chain is Chain with a tracer: the backend adapter reports eval.done
-// and eval.batch to it, and the cache and stats layers their own events.
+// chain is Chain with a tracer: the backend adapter reports eval.done,
+// eval.batch and backend.path to it, and the cache layer its own events.
 func chain(tr obs.Tracer, backend core.Evaluator, mw ...Middleware) *Pipeline {
-	p := &Pipeline{backend: backend, outer: lift(backend, tr)}
+	b := lift(backend, tr)
+	p := &Pipeline{backend: backend, outer: b, stats: &b.stats}
 	for _, m := range mw {
 		if m == nil {
 			continue
@@ -166,14 +166,12 @@ func chain(tr obs.Tracer, backend core.Evaluator, mw ...Middleware) *Pipeline {
 		switch v := p.outer.(type) {
 		case *Cache:
 			p.cache, v.tr = v, tr
-		case *Stats:
-			p.stats, v.tr = v, tr
 		case *Disk:
 			p.disk = v
 		}
 	}
-	if b, ok := backend.(*sim.Backend); ok && p.stats != nil {
-		b.Events = p.stats
+	if sb, ok := backend.(*sim.Backend); ok {
+		sb.Events = p.stats
 	}
 	return p
 }
@@ -222,10 +220,10 @@ func (p *Pipeline) EvaluateBatchSpan(sp *obs.Span, a hw.Accel, ss []sched.Schedu
 	return costs, errs
 }
 
-// Name implements core.Evaluator. Trajectory-neutral layers (cache,
-// stats) are name-transparent, so a pipeline's name — and with it the
-// checkpoint fingerprint — depends only on the layers that can change
-// what the search observes (the backend, and guard under faults).
+// Name implements core.Evaluator. Trajectory-neutral layers (the memo
+// and disk caches) are name-transparent, so a pipeline's name — and with
+// it the checkpoint fingerprint — depends only on the layers that can
+// change what the search observes (the backend, and guard under faults).
 func (p *Pipeline) Name() string { return p.outer.Name() }
 
 // Validate reports whether the pipeline is runnable: a backend must be
@@ -247,13 +245,10 @@ func (p *Pipeline) Validate() error {
 	return nil
 }
 
-// Backend returns the backend the pipeline was built on.
-func (p *Pipeline) Backend() core.Evaluator { return p.backend }
-
 // Cache returns the pipeline's cache layer, or nil.
 func (p *Pipeline) Cache() *Cache { return p.cache }
 
-// Stats returns the pipeline's stats layer, or nil.
+// Stats returns the counters of the backend work the pipeline did.
 func (p *Pipeline) Stats() *Stats { return p.stats }
 
 // Disk returns the pipeline's persistent cache layer, or nil.
@@ -270,22 +265,16 @@ func (p *Pipeline) Close() error {
 	return p.disk.Close()
 }
 
-// Spec returns the spec string the pipeline was built from (empty for
-// hand-assembled chains).
-func (p *Pipeline) Spec() string { return p.spec }
-
-// Report renders the pipeline's counters — per-backend stats first, then
-// the cache — as human-readable lines, for the CLIs to print after a
-// run. It returns "" when the pipeline has neither layer.
+// Report renders the pipeline's counters — backend work first, then the
+// memo and disk caches when present — as human-readable lines, for the
+// CLIs to print after a run.
 func (p *Pipeline) Report() string {
 	var b strings.Builder
-	if p.stats != nil {
-		s := p.stats.Snapshot()
-		fmt.Fprintf(&b, "eval stats [%s]: evals=%d ok=%d invalid=%d errors=%d avg=%s\n",
-			s.Backend, s.Evals, s.OK, s.Invalid, s.Errors, s.AvgLatency())
-		for _, ev := range s.EventNames() {
-			fmt.Fprintf(&b, "eval stats [%s]: %s=%d\n", s.Backend, ev, s.Events[ev])
-		}
+	s := p.stats.Snapshot()
+	fmt.Fprintf(&b, "eval stats [%s]: evals=%d ok=%d invalid=%d errors=%d avg=%s\n",
+		s.Backend, s.Evals, s.OK, s.Invalid, s.Errors, s.AvgLatency())
+	for _, ev := range s.EventNames() {
+		fmt.Fprintf(&b, "eval stats [%s]: %s=%d\n", s.Backend, ev, s.Events[ev])
 	}
 	if p.cache != nil {
 		c := p.cache.Snapshot()

@@ -135,7 +135,7 @@ func validTriple(t *testing.T, ev core.Evaluator) (hw.Accel, sched.Schedule, wor
 }
 
 func TestChainWiresSimEventsIntoStats(t *testing.T) {
-	p := MustFromSpec("sim,stats", SpecOptions{})
+	p := MustFromSpec("sim", SpecOptions{})
 	a, s, l := validTriple(t, maestro.New())
 	if _, err := p.Evaluate(a, s, l); err != nil {
 		t.Fatalf("Evaluate: %v", err)
@@ -154,7 +154,7 @@ func TestChainWiresSimEventsIntoStats(t *testing.T) {
 }
 
 func TestReport(t *testing.T) {
-	p := MustFromSpec("maestro,cache", SpecOptions{EnsureStats: true})
+	p := MustFromSpec("maestro,cache", SpecOptions{})
 	a, s, l := validTriple(t, maestro.New())
 	p.Evaluate(a, s, l)
 	p.Evaluate(a, s, l)
@@ -164,8 +164,21 @@ func TestReport(t *testing.T) {
 			t.Fatalf("report %q missing %q", rep, want)
 		}
 	}
-	if Chain(maestro.New()).Report() != "" {
-		t.Fatal("bare pipeline should report nothing")
+	// A bare chain still counts its backend work, and backend events
+	// follow the counters in sorted name order.
+	bare := Chain(maestro.New())
+	bare.Evaluate(a, s, l)
+	for _, name := range []string{"simulated", "fallback", "simulated"} {
+		bare.Stats().Event(name)
+	}
+	want := "eval stats [maestro]: evals=1 ok=1 invalid=0 errors=0 avg="
+	rep = bare.Report()
+	if !strings.HasPrefix(rep, want) {
+		t.Fatalf("bare report %q, want prefix %q", rep, want)
+	}
+	lines := strings.Split(rep, "\n")
+	if len(lines) != 4 || lines[1] != "eval stats [maestro]: fallback=1" || lines[2] != "eval stats [maestro]: simulated=2" {
+		t.Fatalf("bare report %q, want the counters then fallback=1, simulated=2", rep)
 	}
 }
 
@@ -196,7 +209,7 @@ func TestUncachedPipelineHistoryBitIdentical(t *testing.T) {
 	}
 	ref := run(maestro.New(), 1)
 	for _, workers := range []int{1, 3} {
-		got := run(MustFromSpec("maestro", SpecOptions{EnsureStats: true}), workers)
+		got := run(MustFromSpec("maestro", SpecOptions{}), workers)
 		if len(got.History) != len(ref.History) {
 			t.Fatalf("workers=%d: history length %d != %d", workers, len(got.History), len(ref.History))
 		}

@@ -205,7 +205,7 @@ func TestPersistentCacheHistoryBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		dir := t.TempDir()
 		mk := func() *Pipeline {
-			return MustFromSpec("maestro,cache", SpecOptions{EnsureStats: true, CacheDir: dir})
+			return MustFromSpec("maestro,cache", SpecOptions{CacheDir: dir})
 		}
 
 		cold := mk()
@@ -272,10 +272,9 @@ func TestPersistDegradationObserveOnly(t *testing.T) {
 	ref := smallRun(t, maestro.New(), 1)
 	rec := &recordingTracer{}
 	p := MustFromSpec("maestro,cache", SpecOptions{
-		EnsureStats: true,
-		CacheDir:    t.TempDir(),
-		DiskFault:   resilience.NewFileFault(512, errors.New("injected ENOSPC")),
-		Tracer:      rec,
+		CacheDir:  t.TempDir(),
+		DiskFault: resilience.NewFileFault(512, errors.New("injected ENOSPC")),
+		Tracer:    rec,
 	})
 	defer p.Close()
 	requireSameHistory(t, "degraded", ref, smallRun(t, p, 3))

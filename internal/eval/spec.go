@@ -66,7 +66,7 @@ type guardLayer struct {
 }
 
 // Name implements layer. The guard can change what the search observes
-// under faults, so — unlike cache and stats — it shows in the name and
+// under faults, so — unlike the caches — it shows in the name and
 // therefore in the checkpoint fingerprint.
 func (g *guardLayer) Name() string { return "guard(" + g.inner.Name() + ")" }
 
@@ -84,25 +84,21 @@ func (g *guardLayer) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l w
 	}
 }
 
-// SpecOptions parameterizes FromSpec: the guard layer's policy and
-// whether a stats layer is guaranteed.
+// SpecOptions parameterizes FromSpec: the guard layer's policy, tracing,
+// and the persistent cache.
 type SpecOptions struct {
 	// Guard configures any "guard" token in the spec. When Guard asks
 	// for a timeout or retries and the spec has no "guard" token, a
 	// guard layer is appended outermost — so a CLI's -eval-timeout
 	// keeps working whatever the -eval spec says.
 	Guard GuardOptions
-	// EnsureStats inserts a stats layer directly above the backend when
-	// the spec does not name one, so callers that report statistics
-	// always have a layer to read.
-	EnsureStats bool
 	// Tracer, when set, threads trace emission through the whole
-	// pipeline: the backend adapter times every backend call and emits
-	// eval.done/eval.batch (so, like stats, it sees true backend work —
-	// cache hits never reach it), the cache and stats layers report
-	// their events to it, and any guard layer reports retries and
-	// timeouts. Tracing is observe-only: a traced pipeline returns
-	// bit-identical results to an untraced one.
+	// pipeline: the backend adapter emits eval.done/eval.batch from the
+	// same clock reading that feeds Pipeline.Stats (so it sees true
+	// backend work — cache hits never reach it) and forwards backend
+	// path events, the cache layers report their events to it, and any
+	// guard layer reports retries and timeouts. Tracing is observe-only:
+	// a traced pipeline returns bit-identical results to an untraced one.
 	Tracer obs.Tracer
 	// CacheDir, when non-empty, enables the persistent disk cache: a
 	// diskcache layer is inserted directly above the backend (under any
@@ -125,7 +121,9 @@ type SpecOptions struct {
 // Middleware tokens: "cache" (memo cache with single-flight dedup),
 // "diskcache(path=FILE)" (crash-safe persistent cache journaling to
 // FILE; bare "diskcache" derives the path from SpecOptions.CacheDir),
-// "stats" (per-backend counters), "guard" (panic/timeout/retry policy).
+// "guard" (panic/timeout/retry policy), and "stats", which is accepted
+// for compatibility and adds no layer: every pipeline counts its backend
+// work (Pipeline.Stats).
 // An unknown backend name returns *UnknownBackendError; an unknown
 // middleware token returns a plain error naming the valid tokens.
 func FromSpec(spec string, opts SpecOptions) (*Pipeline, error) {
@@ -153,15 +151,14 @@ func FromSpec(spec string, opts SpecOptions) (*Pipeline, error) {
 	}
 
 	var mws []Middleware
-	hasStats, hasGuard, hasDisk := false, false, false
+	hasGuard, hasDisk := false, false
 	for _, tok := range parts[1:] {
 		tok = strings.TrimSpace(tok)
 		switch {
 		case tok == "cache":
 			mws = append(mws, WithCache())
 		case tok == "stats":
-			mws = append(mws, WithStats())
-			hasStats = true
+			// Every pipeline already counts its backend work.
 		case tok == "guard":
 			mws = append(mws, WithGuard(opts.Guard))
 			hasGuard = true
@@ -184,15 +181,10 @@ func FromSpec(spec string, opts SpecOptions) (*Pipeline, error) {
 	if opts.CacheDir != "" && !hasDisk {
 		mws = append([]Middleware{disk("")}, mws...)
 	}
-	if opts.EnsureStats && !hasStats {
-		mws = append([]Middleware{WithStats()}, mws...)
-	}
 	if opts.Guard.configured() && !hasGuard {
 		mws = append(mws, WithGuard(opts.Guard))
 	}
-	p := chain(opts.Tracer, backend, mws...)
-	p.spec = spec
-	return p, nil
+	return chain(opts.Tracer, backend, mws...), nil
 }
 
 // parseDiskToken extracts the optional path argument of a diskcache

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,26 +32,37 @@ func TestFromSpecLayerSelection(t *testing.T) {
 	if p.Cache() == nil {
 		t.Fatal("cache layer missing")
 	}
-	if p.Stats() != nil {
-		t.Fatal("stats layer present without EnsureStats or a stats token")
-	}
 	if got := p.Name(); got != "guard(sim-hybrid)" {
 		t.Fatalf("Name() = %q, want guard(sim-hybrid)", got)
 	}
-	if p.Spec() != "sim,cache,guard" {
-		t.Fatalf("Spec() = %q", p.Spec())
+	if got := p.Stats().Snapshot().Backend; got != "sim-hybrid" {
+		t.Fatalf("stats count %q, want the backend", got)
 	}
 }
 
-func TestFromSpecEnsureStats(t *testing.T) {
-	p := MustFromSpec("maestro,cache", SpecOptions{EnsureStats: true})
-	if p.Stats() == nil {
-		t.Fatal("EnsureStats did not add a stats layer")
+// TestFromSpecStatsToken: "stats" still parses but adds no layer, so a
+// spec with it and one without build the same pipeline — same name (and
+// checkpoint fingerprint), same backend-work counters after the same
+// calls, cache hits excluded either way.
+func TestFromSpecStatsToken(t *testing.T) {
+	with := MustFromSpec("maestro,cache,stats", SpecOptions{})
+	without := MustFromSpec("maestro,cache", SpecOptions{})
+	if with.Name() != without.Name() {
+		t.Fatalf("Name() %q with the stats token, %q without", with.Name(), without.Name())
 	}
-	// The implicit stats layer sits directly above the backend: it
-	// reports the backend's name, and cache hits never reach it.
-	if got := p.Stats().Snapshot().Backend; got != "maestro" {
-		t.Fatalf("stats wraps %q, want the backend", got)
+	trs := randomTriples(41, 24)
+	for _, p := range []*Pipeline{with, without} {
+		for _, tr := range trs {
+			p.Evaluate(tr.a, tr.s, tr.l)
+		}
+	}
+	a, b := with.Stats().Snapshot(), without.Stats().Snapshot()
+	a.Latency, b.Latency = 0, 0
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("counters differ:\nwith stats:    %+v\nwithout stats: %+v", a, b)
+	}
+	if misses := with.Cache().Snapshot().Misses; a.Evals != misses || misses == int64(len(trs)) {
+		t.Fatalf("stats counted %d evals, want the %d cache misses (of %d requests)", a.Evals, misses, len(trs))
 	}
 }
 

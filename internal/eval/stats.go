@@ -1,34 +1,25 @@
 package eval
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"spotlight/internal/hw"
-	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
-	"spotlight/internal/sched"
-	"spotlight/internal/workload"
 )
 
-// Stats counts what its inner evaluator does: evaluations, outcomes by
-// classification (ok / infeasible / other error), and cumulative
-// latency. All counters are atomic, so the layer adds no lock to the
-// hot path and is safe under any worker count. It also implements
-// sim.EventSink, absorbing backend-specific path events (the hybrid
-// backend's simulated/fallback decision) so backends keep no counters of
-// their own.
-//
-// Placed directly above the backend (where FromSpec puts it), Stats
-// measures true backend work — cache hits never reach it. Placed
-// outermost it measures request traffic instead; both are valid, the
-// spec order chooses.
+// Stats counts what a pipeline's backend actually did: evaluations,
+// outcomes by classification (ok / infeasible / other error), and
+// cumulative latency. Every pipeline has exactly one, owned by its
+// backend adapter, so cache hits never reach it and the count is the
+// same wherever middleware sits in the spec. All counters are atomic,
+// so counting adds no lock to the hot path and is safe under any worker
+// count. Stats also implements sim.EventSink, absorbing backend-specific
+// path events (the hybrid backend's simulated/fallback decision) so
+// backends keep no counters of their own.
 type Stats struct {
-	inner layer
+	backend string
 
 	evals     atomic.Int64
 	ok        atomic.Int64
@@ -39,43 +30,15 @@ type Stats struct {
 	eventMu sync.Mutex
 	events  map[string]int64
 
-	tr obs.Tracer // receives backend.path events; set by Chain
+	tr obs.Tracer // receives backend.path events; nil unless tracing is enabled
 }
 
-// WithStats returns the stats middleware.
-func WithStats() Middleware {
-	return func(inner layer) layer {
-		return &Stats{inner: inner, events: make(map[string]int64)}
-	}
-}
-
-// Name implements layer. Stats never changes results, so it is
-// transparent in the name (and the checkpoint fingerprint).
-func (st *Stats) Name() string { return st.inner.Name() }
-
-// evaluate implements layer: one latency sample covering the whole
-// call, per-item outcome counting, and len(ss) evals. Counters are
-// tallied locally and published with one atomic add each. Latency is an
-// observability counter: it is reported, never fed back into the
-// search, and the wall-clock read goes through obs — the one package
-// sanctioned to touch the clock. Stats emits no events on this path;
-// the span is forwarded inward for the layers below to attribute.
-func (st *Stats) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
-	start := obs.Now()
-	st.inner.evaluate(sp, a, ss, l, costs, errs)
-	st.latencyNS.Add(int64(obs.Since(start)))
-	st.evals.Add(int64(len(ss)))
-	var ok, invalid, failed int64
-	for _, err := range errs {
-		switch Outcome(err) {
-		case OutcomeOK:
-			ok++
-		case OutcomeInvalid:
-			invalid++
-		default:
-			failed++
-		}
-	}
+// record publishes one backend call: n items evaluated in elapsed, with
+// their per-outcome tallies. Latency is an observability counter: it is
+// reported, never fed back into the search.
+func (st *Stats) record(n int, elapsed time.Duration, ok, invalid, failed int64) {
+	st.evals.Add(int64(n))
+	st.latencyNS.Add(int64(elapsed))
 	if ok > 0 {
 		st.ok.Add(ok)
 	}
@@ -93,17 +56,20 @@ func (st *Stats) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workl
 // point, so the two can never disagree about what the backend did.
 func (st *Stats) Event(name string) {
 	st.eventMu.Lock()
+	if st.events == nil {
+		st.events = make(map[string]int64)
+	}
 	st.events[name]++
 	st.eventMu.Unlock()
-	if obs.Enabled(st.tr) {
+	if st.tr != nil {
 		st.tr.Emit(obs.Event{Type: obs.BackendPath, Detail: name})
 	}
 }
 
 // StatsSnapshot is a point-in-time view of the stats counters.
 type StatsSnapshot struct {
-	Backend string // name of the evaluator the layer wraps
-	Evals   int64  // calls that reached the inner evaluator
+	Backend string // name of the backend counted
+	Evals   int64  // evaluations the backend performed
 	OK      int64  // successful evaluations
 	Invalid int64  // errors wrapping maestro.ErrInvalid (infeasible points)
 	Errors  int64  // any other error (faults, timeouts)
@@ -130,22 +96,10 @@ func (s StatsSnapshot) EventNames() []string {
 	return names
 }
 
-// String renders the snapshot compactly, including any backend events in
-// sorted name order.
-func (s StatsSnapshot) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: evals=%d ok=%d invalid=%d errors=%d avg=%s",
-		s.Backend, s.Evals, s.OK, s.Invalid, s.Errors, s.AvgLatency())
-	for _, name := range s.EventNames() {
-		fmt.Fprintf(&b, " %s=%d", name, s.Events[name])
-	}
-	return b.String()
-}
-
 // Snapshot returns the current counters. The Events map is a copy.
 func (st *Stats) Snapshot() StatsSnapshot {
 	snap := StatsSnapshot{
-		Backend: st.inner.Name(),
+		Backend: st.backend,
 		Evals:   st.evals.Load(),
 		OK:      st.ok.Load(),
 		Invalid: st.invalid.Load(),

@@ -3,7 +3,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -16,7 +15,7 @@ import (
 // tallies must come out exact, and the race detector vouches for the
 // lock discipline.
 func TestStatsEventConcurrent(t *testing.T) {
-	st := Chain(maestro.New(), WithStats()).Stats()
+	st := Chain(maestro.New()).Stats()
 	const workers, per = 8, 500
 	names := []string{"simulated", "fallback", "refit"}
 	var wg sync.WaitGroup
@@ -40,23 +39,6 @@ func TestStatsEventConcurrent(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotStringIncludesEvents: the compact rendering must show
-// backend events, in sorted name order, after the counters.
-func TestStatsSnapshotStringIncludesEvents(t *testing.T) {
-	s := StatsSnapshot{
-		Backend: "sim", Evals: 3, OK: 2, Invalid: 1,
-		Events: map[string]int64{"simulated": 2, "fallback": 1},
-	}
-	got := s.String()
-	want := "sim: evals=3 ok=2 invalid=1 errors=0 avg=0s fallback=1 simulated=2"
-	if got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-	if plain := (StatsSnapshot{Backend: "sim"}).String(); strings.Contains(plain, "  ") {
-		t.Fatalf("event-free String() has stray spacing: %q", plain)
-	}
-}
-
 // TestOutcomeClassification pins the shared classifier that stats
 // counters and trace events both report through.
 func TestOutcomeClassification(t *testing.T) {
@@ -76,8 +58,8 @@ func TestOutcomeClassification(t *testing.T) {
 	}
 }
 
-// TestTraceTransparency is the property test for the trace layer: a
-// stats+trace pipeline is name-transparent (so checkpoint fingerprints
+// TestTraceTransparency is the property test for the backend adapter's
+// tracing: a traced pipeline is name-transparent (so checkpoint fingerprints
 // are unchanged) and returns bit-identical costs and errors to a bare
 // backend over a population of random design points — while the tracer
 // sees exactly one schema-valid eval.done event per call.
@@ -150,8 +132,8 @@ func (r *recordingTracer) Emit(e obs.Event) {
 }
 
 // TestFromSpecWiresTracerEverywhere: one SpecOptions.Tracer reaches the
-// cache and stats layers, so cache.hit / cache.miss / backend events all
-// land in the same stream.
+// cache layer and the backend adapter, so cache.hit / cache.miss /
+// backend events all land in the same stream.
 func TestFromSpecWiresTracerEverywhere(t *testing.T) {
 	rec := &recordingTracer{}
 	p, err := FromSpec("maestro,cache,stats", SpecOptions{Tracer: rec})

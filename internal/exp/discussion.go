@@ -27,10 +27,7 @@ type DiscussionRow struct {
 // uses ResNet-50): Spotlight-Opt against the three hand-designed
 // accelerators, all under the layerwise software optimizer.
 func Discussion(cfg Config, modelName string) ([]DiscussionRow, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
+	cfg = cfg.normalized()
 	m, err := workload.ByName(modelName)
 	if err != nil {
 		return nil, err

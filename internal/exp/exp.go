@@ -41,13 +41,11 @@ type Config struct {
 	Trials    int
 	Seed      int64
 	Models    []string // model names; empty means all five
-	// EvalSpec selects the cost-model pipeline as an eval.FromSpec
-	// string, e.g. "maestro", "sim,cache,guard". Used only when Eval is
-	// nil; empty means the primary analytical model. The built pipeline
-	// is shared by every trial and figure run under this Config, so its
-	// memo cache deduplicates across trials.
-	EvalSpec string
-	Eval     core.Evaluator // cost model backend; nil means EvalSpec (or the primary model)
+	// Eval is the cost model every trial and figure run under this
+	// Config shares (the engine passes its spec-built pipeline, so its
+	// memo cache deduplicates across trials); nil means a plain pipeline
+	// over the primary analytical model.
+	Eval core.Evaluator
 	// Parallel runs independent trials concurrently. Results are
 	// identical either way (each trial owns its seed); only wall-clock
 	// changes. The artifact appendix notes the paper's own runs were
@@ -58,9 +56,9 @@ type Config struct {
 	// bit-identical at every setting; 0 means GOMAXPROCS, 1 sequential.
 	Workers int
 	// Tracer receives structured trace events from every run this config
-	// drives (core.RunConfig.Tracer) and from the evaluation pipeline
-	// built from EvalSpec. Tracing is observe-only: every CSV is
-	// byte-identical with it on or off.
+	// drives (core.RunConfig.Tracer) and from the default evaluation
+	// pipeline built when Eval is nil. Tracing is observe-only: every CSV
+	// is byte-identical with it on or off.
 	Tracer obs.Tracer
 	// Span, when set, parents every run this config drives: each
 	// core.RunContext opens its "run" span as a child of Span (the
@@ -94,10 +92,9 @@ func Paper() Config {
 	return c
 }
 
-// normalized fills defaults and builds the evaluation pipeline from
-// EvalSpec when no evaluator was supplied directly. It errors on a
-// malformed spec (unknown backend or middleware token).
-func (c Config) normalized() (Config, error) {
+// normalized fills defaults, including a plain maestro pipeline carrying
+// the config's tracer when no evaluator was supplied.
+func (c Config) normalized() Config {
 	if c.Scale == "" {
 		c.Scale = "edge"
 	}
@@ -111,17 +108,9 @@ func (c Config) normalized() (Config, error) {
 		c.Trials = 3
 	}
 	if c.Eval == nil {
-		spec := c.EvalSpec
-		if spec == "" {
-			spec = "maestro"
-		}
-		p, err := eval.FromSpec(spec, eval.SpecOptions{EnsureStats: true, Tracer: c.Tracer})
-		if err != nil {
-			return c, err
-		}
-		c.Eval = p
+		c.Eval = eval.MustFromSpec("maestro", eval.SpecOptions{Tracer: c.Tracer})
 	}
-	return c, nil
+	return c
 }
 
 // models resolves the configured model list.

@@ -63,10 +63,7 @@ func AblationStrategies() []core.Strategy {
 // model, run every algorithm for cfg.Trials independent trials and record
 // its convergence history. The returned map is keyed by model name.
 func Fig10(cfg Config) (map[string][]Curve, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
+	cfg = cfg.normalized()
 	models, err := cfg.models()
 	if err != nil {
 		return nil, err

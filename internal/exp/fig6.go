@@ -16,10 +16,7 @@ import (
 //
 // One Row per (model, configuration); error bars are min/max of trials.
 func Fig6(cfg Config) ([]Row, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
+	cfg = cfg.normalized()
 	models, err := cfg.models()
 	if err != nil {
 		return nil, err

@@ -20,13 +20,11 @@ type Fig7Result struct {
 // experiments is the parameter ranges — the feature space and BO
 // configuration are untouched.
 func Fig7(cfg Config) (Fig7Result, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return Fig7Result{}, err
-	}
+	cfg = cfg.normalized()
 	cfg.Scale = "cloud"
 	var out Fig7Result
 	cfg.Objective = core.MinEDP
+	var err error
 	if out.EDP, err = fig7Half(cfg); err != nil {
 		return out, err
 	}

@@ -24,12 +24,10 @@ var generalDesignModels = []string{"VGG16", "ResNet-50", "MobileNetV2"}
 
 // Fig8 reproduces Figure 8.
 func Fig8(cfg Config) (Fig8Result, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return Fig8Result{}, err
-	}
+	cfg = cfg.normalized()
 	var out Fig8Result
 	cfg.Objective = core.MinEDP
+	var err error
 	if out.EDP, err = fig8Half(cfg); err != nil {
 		return out, err
 	}

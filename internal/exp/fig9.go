@@ -21,10 +21,7 @@ type Fig9Result struct {
 // surrogates trained while scheduling the winning accelerator's layers,
 // averaged across layers.
 func Fig9(cfg Config) (Fig9Result, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return Fig9Result{}, err
-	}
+	cfg = cfg.normalized()
 	models, err := cfg.models()
 	if err != nil {
 		return Fig9Result{}, err

@@ -20,10 +20,7 @@ type KernelSearchResult struct {
 // with the linear and the Matérn-5/2 kernels, over cfg.Trials trials
 // each.
 func KernelSearchComparison(cfg Config, modelName string) ([]KernelSearchResult, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
+	cfg = cfg.normalized()
 	m, err := workload.ByName(modelName)
 	if err != nil {
 		return nil, err

@@ -25,10 +25,7 @@ type SimCheckResult struct {
 
 // SimCheck runs the validation on random schedules of a small layer.
 func SimCheck(cfg Config, samples int) (SimCheckResult, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return SimCheckResult{}, err
-	}
+	cfg = cfg.normalized()
 	if samples <= 0 {
 		samples = 60
 	}

@@ -30,10 +30,7 @@ type SurrogateResult struct {
 // SurrogateAccuracy runs the experiment on `samples` random co-design
 // points of a mid ResNet-50 layer (train on 90%, test on 10%).
 func SurrogateAccuracy(cfg Config, samples int) ([]SurrogateResult, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
+	cfg = cfg.normalized()
 	if samples < 50 {
 		samples = 50
 	}

@@ -22,10 +22,7 @@ type CrossModelResult struct {
 
 // CrossModelAgreement runs the §VII-F experiment for one DL model.
 func CrossModelAgreement(cfg Config, modelName string, samplesPerLayer int) (CrossModelResult, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return CrossModelResult{}, err
-	}
+	cfg = cfg.normalized()
 	if samplesPerLayer < 20 {
 		samplesPerLayer = 20
 	}

@@ -40,10 +40,7 @@ type TopDesignResult struct {
 // the primary model, so re-tuning, not re-costing, is the meaningful
 // comparison).
 func TopDesignCrossCheck(cfg Config, modelName string) (TopDesignResult, error) {
-	cfg, err := cfg.normalized()
-	if err != nil {
-		return TopDesignResult{}, err
-	}
+	cfg = cfg.normalized()
 	m, err := workload.ByName(modelName)
 	if err != nil {
 		return TopDesignResult{}, err

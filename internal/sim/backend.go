@@ -17,8 +17,8 @@ const (
 )
 
 // EventSink receives named backend events. The evaluation pipeline's
-// stats middleware (internal/eval) implements it, so path counters live
-// with the rest of the per-backend statistics instead of inside the
+// backend counters (internal/eval's Stats) implement it, so path counters
+// live with the rest of the per-backend statistics instead of inside the
 // backend; a nil sink drops the events. Implementations must be safe for
 // concurrent use — Evaluate may be called from several layer workers at
 // once (core.RunConfig.Workers).
@@ -43,8 +43,8 @@ type Backend struct {
 
 	// Events, when non-nil, is told which path each evaluation took
 	// (EventSimulated or EventFallback). Set it before the first
-	// Evaluate call; the pipeline builder wires it to the stats
-	// middleware.
+	// Evaluate call; the pipeline builder wires it to the pipeline's
+	// backend counters.
 	Events EventSink
 }
 

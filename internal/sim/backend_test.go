@@ -16,7 +16,7 @@ import (
 var _ core.Evaluator = (*Backend)(nil)
 
 // recordingSink counts backend events, standing in for the pipeline's
-// stats middleware.
+// backend counters.
 type recordingSink struct {
 	mu     sync.Mutex
 	events map[string]int
