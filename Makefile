@@ -1,12 +1,13 @@
 # .github/workflows/ci.yml runs these targets (`make lint`, `make race`,
 # `make tracesmoke`, ...), so every recipe lives only here and a green
 # `make ci` locally means a green CI run. CI adds only steps with no
-# target: the SARIF upload, the fuzz smoke, the BenchmarkDABOSuggest and
-# BenchmarkEvalCache smokes, and govulncheck.
+# target: the SARIF upload, the fuzz smoke, the BenchmarkDABOSuggest,
+# BenchmarkSpotlightSWSuggest and BenchmarkEvalCache smokes, and
+# govulncheck. Performance is measured by `bash perfbench/run.sh`.
 
 GO ?= go
 
-.PHONY: all build test lint sarif vet fmt race chaos perfbench tracesmoke batchsmoke crashsmoke servesmoke metricssmoke bench ci
+.PHONY: all build test lint sarif vet fmt race chaos perfbench tracesmoke batchsmoke crashsmoke servesmoke metricssmoke ci
 
 all: build test lint
 
@@ -154,41 +155,5 @@ metricssmoke:
 	grep -q '^go_goroutines ' /tmp/scrape.prom; \
 	curl -sfI -H 'Accept: text/plain' http://127.0.0.1:7078/metrics | grep -qi 'content-type: text/plain; version=0.0.4'; \
 	kill -TERM $$SD; wait $$SD
-
-# bench runs the batching benchmarks at measurement length and records
-# them in BENCH_6.json next to the frozen pre-batching baseline (the
-# "before" block below was measured at the seed of the batching change
-# on the reference CI-class host).
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMaestroEvaluate$$|BenchmarkMaestroEvaluateBatch' -benchmem -benchtime=1s -count=1 . | tee /tmp/bench6.txt
-	awk 'BEGIN { batch_n = 64 } \
-	  /^BenchmarkMaestroEvaluate[-\t ]/                  { ev_ns = $$3 } \
-	  /^BenchmarkMaestroEvaluateBatch\/batch[-\t ]/      { b_ns = $$3; b_allocs = $$7 } \
-	  /^BenchmarkMaestroEvaluateBatch\/sequential[-\t ]/ { s_ns = $$3; s_allocs = $$7 } \
-	  END { \
-	    printf "{\n"; \
-	    printf "  \"issue\": 6,\n"; \
-	    printf "  \"title\": \"batched, allocation-free cost evaluation\",\n"; \
-	    printf "  \"batch_size\": %d,\n", batch_n; \
-	    printf "  \"before\": {\n"; \
-	    printf "    \"note\": \"pre-batching seed, measured on the same host class\",\n"; \
-	    printf "    \"maestro_evaluate_ns_per_op\": 402.4,\n"; \
-	    printf "    \"maestro_evaluate_allocs_per_op\": 0,\n"; \
-	    printf "    \"sequential_64_evals_ns\": 25754,\n"; \
-	    printf "    \"eval_cache_hit_ns_per_op\": 596.6,\n"; \
-	    printf "    \"eval_cache_hit_allocs_per_op\": 0\n"; \
-	    printf "  },\n"; \
-	    printf "  \"after\": {\n"; \
-	    printf "    \"maestro_evaluate_ns_per_op\": %s,\n", ev_ns; \
-	    printf "    \"batch_64_ns_per_op\": %s,\n", b_ns; \
-	    printf "    \"batch_64_allocs_per_op\": %s,\n", b_allocs; \
-	    printf "    \"sequential_64_ns_per_op\": %s,\n", s_ns; \
-	    printf "    \"sequential_64_allocs_per_op\": %s,\n", s_allocs; \
-	    printf "    \"throughput_ratio\": %.2f,\n", s_ns / b_ns; \
-	    printf "    \"allocs_ratio\": %.1f\n", (s_allocs + 0) / (b_allocs + 0); \
-	    printf "  }\n"; \
-	    printf "}\n"; \
-	  }' /tmp/bench6.txt > BENCH_6.json
-	cat BENCH_6.json
 
 ci: lint build test race chaos perfbench tracesmoke batchsmoke crashsmoke servesmoke metricssmoke

@@ -30,7 +30,10 @@ import (
 )
 
 // benchCfg is the reduced-scale configuration shared by the figure
-// benchmarks: one model, few samples, single trial.
+// benchmarks: one model, few samples, single trial. Every iteration
+// runs the same seed, so ns/op measures one fixed workload whatever b.N
+// the framework picks. Only the process-global divisor memo carries
+// across iterations, and it changes no result.
 func benchCfg(models ...string) exp.Config {
 	if len(models) == 0 {
 		models = []string{"Transformer"}
@@ -62,7 +65,6 @@ func tolerate(b *testing.B, err error) {
 func BenchmarkFig6EdgeSingleModel(b *testing.B) {
 	cfg := benchCfg("ResNet-50")
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		_, err := exp.Fig6(cfg)
 		tolerate(b, err)
 	}
@@ -73,7 +75,6 @@ func BenchmarkFig6EdgeSingleModel(b *testing.B) {
 func BenchmarkFig7CloudSingleModel(b *testing.B) {
 	cfg := benchCfg("Transformer")
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		_, err := exp.Fig7(cfg)
 		tolerate(b, err)
 	}
@@ -85,7 +86,6 @@ func BenchmarkFig7CloudSingleModel(b *testing.B) {
 func BenchmarkFig8MultiModel(b *testing.B) {
 	cfg := benchCfg("ResNet-50", "Transformer")
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		_, err := exp.Fig8(cfg)
 		tolerate(b, err)
 	}
@@ -96,7 +96,6 @@ func BenchmarkFig8MultiModel(b *testing.B) {
 func BenchmarkFig9FeatureImportance(b *testing.B) {
 	cfg := benchCfg("Transformer")
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		_, err := exp.Fig9(cfg)
 		tolerate(b, err)
 	}
@@ -107,7 +106,6 @@ func BenchmarkFig9FeatureImportance(b *testing.B) {
 func BenchmarkFig10Convergence(b *testing.B) {
 	cfg := benchCfg("ResNet-50")
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		_, err := exp.Fig10(cfg)
 		tolerate(b, err)
 	}
@@ -135,7 +133,6 @@ func BenchmarkFig11SampleCDF(b *testing.B) {
 func BenchmarkSurrogateAccuracy(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		if _, err := exp.SurrogateAccuracy(cfg, 400); err != nil {
 			b.Fatal(err)
 		}
@@ -147,7 +144,6 @@ func BenchmarkSurrogateAccuracy(b *testing.B) {
 func BenchmarkDiscussionThroughput(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		_, err := exp.Discussion(cfg, "Transformer")
 		tolerate(b, err)
 	}
@@ -158,7 +154,6 @@ func BenchmarkDiscussionThroughput(b *testing.B) {
 func BenchmarkTimeloopAgreement(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		if _, err := exp.CrossModelAgreement(cfg, "Transformer", 40); err != nil {
 			b.Fatal(err)
 		}
@@ -176,14 +171,13 @@ func BenchmarkAblationFeatureSets(b *testing.B) {
 	}
 	rc := core.RunConfig{
 		Models: []workload.Model{model}, Objective: core.MinDelay,
-		HWSamples: 6, SWSamples: 8, Eval: maestro.New(),
+		HWSamples: 6, SWSamples: 8, Seed: 1, Eval: maestro.New(),
 	}
 	for _, strat := range []*core.Spotlight{
 		core.NewSpotlight(), core.NewSpotlightV(), core.NewSpotlightA(),
 	} {
 		b.Run(strat.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rc.Seed = int64(i + 1)
 				_, err := core.Run(rc, strat)
 				tolerate(b, err)
 			}
@@ -235,7 +229,7 @@ func BenchmarkAblationSearchStrategies(b *testing.B) {
 	}
 	rc := core.RunConfig{
 		Models: []workload.Model{model}, Objective: core.MinDelay,
-		HWSamples: 6, SWSamples: 8, Eval: maestro.New(),
+		HWSamples: 6, SWSamples: 8, Seed: 1, Eval: maestro.New(),
 	}
 	for _, strat := range []core.Strategy{
 		core.NewSpotlight(), search.NewRandom(), search.NewGenetic(),
@@ -243,7 +237,6 @@ func BenchmarkAblationSearchStrategies(b *testing.B) {
 	} {
 		b.Run(strat.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rc.Seed = int64(i + 1)
 				// Tiny sample budgets legitimately strand restricted
 				// strategies on some seeds; that is a measured outcome,
 				// not a bench failure.
@@ -322,7 +315,6 @@ func BenchmarkTransformerLayerSearch(b *testing.B) {
 			cfg.SWSamples = 64
 			cfg.DisableBatch = nobatch
 			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
 				_, err := exp.Fig6(cfg)
 				tolerate(b, err)
 			}
@@ -345,15 +337,29 @@ func BenchmarkTimeloopEvaluate(b *testing.B) {
 }
 
 // BenchmarkScheduleSampling measures the candidate generator that feeds
-// every acquisition batch.
+// every acquisition batch: "sampler" draws from a per-layer
+// sched.Sampler built once, as the searches do; "oneshot" is
+// Constraint.Random, which builds the sampler's tables for every draw.
 func BenchmarkScheduleSampling(b *testing.B) {
 	l := workload.ResNet50().Layers[6]
-	rng := rand.New(rand.NewSource(1))
 	free := sched.Free()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = free.Random(rng, l, 512, 128<<10)
-	}
+	b.Run("sampler", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		sp := free.Sampler(l, 512, 128<<10)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = sp.Random(rng)
+		}
+	})
+	b.Run("oneshot", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = free.Random(rng, l, 512, 128<<10)
+		}
+	})
 }
 
 // BenchmarkFeatureTransform measures the Figure 4 feature computation.
@@ -408,12 +414,45 @@ func BenchmarkDABOSuggest(b *testing.B) {
 	}
 }
 
+// BenchmarkSpotlightSWSuggest measures one daBO_SW suggestion on a
+// ResNet-50 layer, the hot path of Spotlight's search: 64 schedules
+// drawn from the layer's precomputed sampler, then featurized and
+// ranked once the surrogate is trained. "warmup" is a proposer with no
+// observations, whose batch is drawn but never featurized; "scoring" is
+// one trained on 24 analytical-model observations. Both must report 0
+// allocs/op: the proposer allocates its buffers once, at construction.
+func BenchmarkSpotlightSWSuggest(b *testing.B) {
+	a := hw.EyerissEdge().Accel
+	l := workload.ResNet50().Layers[6]
+	m := maestro.New()
+	for _, bc := range []struct {
+		name    string
+		observe int
+	}{{"warmup", 0}, {"scoring", 24}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sw := core.NewSpotlight().NewSW(core.RunConfig{SWConstraint: sched.Free()},
+				rand.New(rand.NewSource(1)), a, l)
+			for i := 0; i < bc.observe; i++ {
+				s := sw.Suggest()
+				c, err := m.Evaluate(a, s, l)
+				sw.Observe(s, core.MinDelay.LayerCost(c), err)
+			}
+			// One untimed suggestion absorbs the surrogate's refit.
+			_ = sw.Suggest()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = sw.Suggest()
+			}
+		})
+	}
+}
+
 // BenchmarkTopDesignCrossCheck regenerates the §VII-F recommendation:
 // re-evaluate the search's top designs on the second analytical model.
 func BenchmarkTopDesignCrossCheck(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		_, err := exp.TopDesignCrossCheck(cfg, "Transformer")
 		tolerate(b, err)
 	}
@@ -423,7 +462,6 @@ func BenchmarkTopDesignCrossCheck(b *testing.B) {
 func BenchmarkSimValidation(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		if _, err := exp.SimCheck(cfg, 20); err != nil {
 			b.Fatal(err)
 		}
@@ -444,9 +482,9 @@ func BenchmarkNASJointSearch(b *testing.B) {
 		},
 		QualityFloor: 0.5,
 		ArchSamples:  4,
+		Seed:         1,
 	}
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i + 1)
 		_, err := nas.Search(cfg)
 		tolerate(b, err)
 	}

@@ -46,6 +46,11 @@ type DABO struct {
 	// Reusable batch-prediction buffers for SuggestIndex.
 	means, stds []float64
 
+	// decided caches ScoresCandidates' answer (scores) until the next
+	// SuggestIndex consumes it or an observation invalidates it, so a
+	// caller asking first never triggers a second fit attempt.
+	decided, scores bool
+
 	// tracer receives dabo.fit / dabo.degraded events tagged with scope
 	// ("hw" or "sw"); nil disables. Tracing never changes suggestions.
 	tracer obs.Tracer
@@ -134,6 +139,7 @@ func (d *DABO) Observe(features []float64, cost float64) {
 		return
 	}
 	logCost := math.Log(math.Max(cost, math.SmallestNonzeroFloat64))
+	d.decided = false
 	d.x = append(d.x, append([]float64(nil), features...))
 	d.y = append(d.y, logCost)
 	if d.primal != nil {
@@ -149,6 +155,7 @@ func (d *DABO) ObserveInvalid(features []float64) {
 	if !finiteVec(features) {
 		return
 	}
+	d.decided = false
 	d.invalid = append(d.invalid, append([]float64(nil), features...))
 	if d.primal != nil {
 		d.primal.AddPenalized(features)
@@ -166,20 +173,35 @@ func finiteVec(v []float64) bool {
 	return true
 }
 
+// ScoresCandidates reports whether the next SuggestIndex call will rank
+// its candidates on the surrogate. It is false during warmup, once the
+// optimizer has degraded, and when the surrogate cannot be fit; in those
+// cases SuggestIndex returns rng.Intn(n) without reading a single
+// feature, so callers may skip featurizing the batch and pass unfilled
+// rows. Asking fits the surrogate if it is stale; the answer is cached
+// until SuggestIndex consumes it or a new observation arrives.
+func (d *DABO) ScoresCandidates() bool {
+	if !d.decided {
+		d.scores = len(d.y) >= d.warmup && !d.Degraded() && d.ensureFit() == nil
+		d.decided = true
+	}
+	return d.scores
+}
+
 // SuggestIndex picks which of the candidate feature vectors to evaluate
 // next: uniformly at random during warmup (or if the surrogate cannot be
 // fit), otherwise the candidate minimizing the LCB acquisition.
 func (d *DABO) SuggestIndex(candidates [][]float64) int {
-	if len(candidates) == 0 {
+	n := len(candidates)
+	if n == 0 {
+		d.decided = false
 		return -1
 	}
-	if len(d.y) < d.warmup || d.Degraded() {
-		return d.rng.Intn(len(candidates))
+	scores := d.ScoresCandidates()
+	d.decided = false
+	if !scores {
+		return d.rng.Intn(n)
 	}
-	if err := d.ensureFit(); err != nil {
-		return d.rng.Intn(len(candidates))
-	}
-	n := len(candidates)
 	if cap(d.means) < n {
 		d.means = make([]float64, n)
 		d.stds = make([]float64, n)

@@ -370,3 +370,52 @@ func TestDABOFitFailureRecoveryResetsCounter(t *testing.T) {
 		t.Fatal("degraded despite a successful fit")
 	}
 }
+
+func TestDABOScoresCandidatesMatchesSuggestIndex(t *testing.T) {
+	d := NewDABO(gp.Linear{Bias: 1}, rand.New(rand.NewSource(6)), WithWarmup(3))
+	// Warmup: the predicate is false and SuggestIndex never reads the
+	// rows, so unfilled (nil) rows are fine.
+	unfilled := make([][]float64, 8)
+	for i := 0; i < 3; i++ {
+		if d.ScoresCandidates() {
+			t.Fatalf("scores during warmup after %d observations", i)
+		}
+		if idx := d.SuggestIndex(unfilled); idx < 0 || idx >= len(unfilled) {
+			t.Fatalf("warmup suggestion out of range: %d", idx)
+		}
+		d.Observe([]float64{float64(i)}, float64(1+i))
+	}
+	if !d.ScoresCandidates() {
+		t.Fatal("does not score after warmup with a fittable surrogate")
+	}
+	if idx := d.SuggestIndex(syntheticCandidates(rand.New(rand.NewSource(7)), 8)); idx < 0 || idx >= 8 {
+		t.Fatalf("scored suggestion out of range: %d", idx)
+	}
+}
+
+func TestDABOScoresCandidatesFitsOncePerSuggestion(t *testing.T) {
+	// Asking the predicate before SuggestIndex must not cost a second fit
+	// attempt: with a failing surrogate, each (ask, suggest) pair spends
+	// one attempt of the failure budget, exactly like a bare SuggestIndex.
+	newFailing := func() *DABO {
+		d := NewDABO(gp.RBF{LengthScale: 1, Variance: 1}, rand.New(rand.NewSource(8)),
+			WithWarmup(1), WithRefitEvery(1))
+		for i := 0; i < 4; i++ {
+			d.Observe([]float64{float64(i)}, float64(10+i))
+		}
+		d.y[0] = math.NaN()
+		return d
+	}
+	asked, bare := newFailing(), newFailing()
+	cands := [][]float64{{0}, {1}, {2}}
+	for i := 0; i < maxFitFailures+2; i++ {
+		if asked.ScoresCandidates() {
+			t.Fatal("predicts scoring with an unfittable surrogate")
+		}
+		a, b := asked.SuggestIndex(cands), bare.SuggestIndex(cands)
+		if a != b || asked.fitAttempts != bare.fitAttempts {
+			t.Fatalf("round %d: asked (idx %d, %d attempts) diverged from bare (idx %d, %d attempts)",
+				i, a, asked.fitAttempts, b, bare.fitAttempts)
+		}
+	}
+}

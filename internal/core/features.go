@@ -10,9 +10,12 @@ import (
 
 // Feature is one hand-designed transformation of a co-design point into a
 // real value, carrying the domain information of §IV-B.
+//
+// Fn reads the point through a pointer, so featurizing a candidate copies
+// neither its schedule nor its layer.
 type Feature struct {
 	Name string
-	Fn   func(Point) float64
+	Fn   func(*Point) float64
 }
 
 // FeatureMode selects which feature set a daBO instance trains its
@@ -53,43 +56,43 @@ func lg(v float64) float64 { return math.Log1p(v) }
 // domain information described in §IV-B2.
 func SoftwareFeatures() []Feature {
 	return []Feature{
-		{"simd_lanes", func(p Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{"onchip_bandwidth", func(p Point) float64 { return float64(p.Accel.NoCBW) }},
-		{"total_pes", func(p Point) float64 { return float64(p.Accel.PEs) }},
-		{"pe_array_width", func(p Point) float64 { return float64(p.Accel.Width) }},
-		{"total_onchip_sram", func(p Point) float64 {
+		{"simd_lanes", func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
+		{"onchip_bandwidth", func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
+		{"total_pes", func(p *Point) float64 { return float64(p.Accel.PEs) }},
+		{"pe_array_width", func(p *Point) float64 { return float64(p.Accel.Width) }},
+		{"total_onchip_sram", func(p *Point) float64 {
 			return float64(p.Accel.RFKB + p.Accel.L2KB)
 		}},
-		{"kernel_parallelism", func(p Point) float64 {
+		{"kernel_parallelism", func(p *Point) float64 {
 			// R₀ × S₀: the filter extent resident at the outer tile level.
 			return lg(float64(p.Sched.T2[workload.DimR] * p.Sched.T2[workload.DimS]))
 		}},
-		{"degree_of_unrolling", func(p Point) float64 {
+		{"degree_of_unrolling", func(p *Point) float64 {
 			// Outer unrolled loop extent × inner unrolled loop extent
 			// (both L2-level loops, distributed over rows and columns).
-			n1 := p.Sched.InnerTrips(p.Layer)
+			n1 := &p.terms().inner
 			if p.Sched.OuterUnroll == p.Sched.InnerUnroll {
 				return lg(float64(n1[p.Sched.OuterUnroll]))
 			}
 			return lg(float64(n1[p.Sched.OuterUnroll]) * float64(n1[p.Sched.InnerUnroll]))
 		}},
 		{"pe_utilization", peUtilization},
-		{"loop_iterations", func(p Point) float64 {
+		{"loop_iterations", func(p *Point) float64 {
 			return lg(loopIterations(p))
 		}},
-		{"dram_transfers", func(p Point) float64 {
+		{"dram_transfers", func(p *Point) float64 {
 			// (X₀/X₂) × (Y₀/Y₂) × (array width + array height).
-			n2 := p.Sched.OuterTrips(p.Layer)
+			n2 := &p.terms().outer
 			return lg(float64(n2[workload.DimX]) * float64(n2[workload.DimY]) *
 				float64(p.Accel.Width+p.Accel.Height()))
 		}},
-		{"common_unrolled_dims", func(p Point) float64 {
+		{"common_unrolled_dims", func(p *Point) float64 {
 			// Prime-basis linear combination spreading the few unique
 			// values of each tile parameter apart (§IV-B2).
-			s := p.Sched
+			s := &p.Sched
 			return lg(2*float64(s.T2[workload.DimX]) +
 				3*float64(s.T2[workload.DimY]) +
-				5*float64(p.Layer.Size(workload.DimK)) +
+				5*float64(p.terms().sizes[workload.DimK]) +
 				7*float64(s.T2[workload.DimK]) +
 				11*float64(s.T1[workload.DimK]))
 		}},
@@ -100,9 +103,9 @@ func SoftwareFeatures() []Feature {
 // array doing useful work after both spatial distributions (rows take
 // the outer-unrolled L2-level loop, columns the inner one), including
 // partial-tile (edge-case) waste.
-func peUtilization(p Point) float64 {
+func peUtilization(p *Point) float64 {
 	h, w := p.Accel.Height(), p.Accel.Width
-	n1 := p.Sched.InnerTrips(p.Layer)
+	n1 := &p.terms().inner
 	uo, ui := p.Sched.OuterUnroll, p.Sched.InnerUnroll
 	if uo == ui {
 		return float64(n1[uo]) / (float64(ceilDiv(n1[uo], h*w)) * float64(h*w))
@@ -114,10 +117,10 @@ func peUtilization(p Point) float64 {
 
 // loopIterations approximates the number of temporal iterations to
 // completion after spatial distribution.
-func loopIterations(p Point) float64 {
+func loopIterations(p *Point) float64 {
 	h, w := p.Accel.Height(), p.Accel.Width
-	n2 := p.Sched.OuterTrips(p.Layer)
-	n1 := p.Sched.InnerTrips(p.Layer)
+	t := p.terms()
+	n2, n1 := &t.outer, t.inner
 	uo, ui := p.Sched.OuterUnroll, p.Sched.InnerUnroll
 	if uo == ui {
 		n1[uo] = ceilDiv(n1[uo], h*w)
@@ -140,24 +143,24 @@ func loopIterations(p Point) float64 {
 // §IV-B1 describes.
 func VanillaSoftwareFeatures() []Feature {
 	fs := []Feature{
-		{"raw_pes", func(p Point) float64 { return float64(p.Accel.PEs) }},
-		{"raw_width", func(p Point) float64 { return float64(p.Accel.Width) }},
-		{"raw_simd", func(p Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{"raw_rf_kb", func(p Point) float64 { return float64(p.Accel.RFKB) }},
-		{"raw_l2_kb", func(p Point) float64 { return float64(p.Accel.L2KB) }},
-		{"raw_bw", func(p Point) float64 { return float64(p.Accel.NoCBW) }},
-		{"raw_outer_unroll", func(p Point) float64 { return float64(p.Sched.OuterUnroll) }},
-		{"raw_inner_unroll", func(p Point) float64 { return float64(p.Sched.InnerUnroll) }},
+		{"raw_pes", func(p *Point) float64 { return float64(p.Accel.PEs) }},
+		{"raw_width", func(p *Point) float64 { return float64(p.Accel.Width) }},
+		{"raw_simd", func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
+		{"raw_rf_kb", func(p *Point) float64 { return float64(p.Accel.RFKB) }},
+		{"raw_l2_kb", func(p *Point) float64 { return float64(p.Accel.L2KB) }},
+		{"raw_bw", func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
+		{"raw_outer_unroll", func(p *Point) float64 { return float64(p.Sched.OuterUnroll) }},
+		{"raw_inner_unroll", func(p *Point) float64 { return float64(p.Sched.InnerUnroll) }},
 	}
 	for i, d := range workload.AllDims {
 		i, d := i, d
 		fs = append(fs,
-			Feature{"raw_t2_" + d.String(), func(p Point) float64 { return float64(p.Sched.T2[i]) }},
-			Feature{"raw_t1_" + d.String(), func(p Point) float64 { return float64(p.Sched.T1[i]) }},
-			Feature{"raw_pos_outer_" + d.String(), func(p Point) float64 {
+			Feature{"raw_t2_" + d.String(), func(p *Point) float64 { return float64(p.Sched.T2[i]) }},
+			Feature{"raw_t1_" + d.String(), func(p *Point) float64 { return float64(p.Sched.T1[i]) }},
+			Feature{"raw_pos_outer_" + d.String(), func(p *Point) float64 {
 				return float64(orderPosition(p.Sched.OuterOrder, d))
 			}},
-			Feature{"raw_pos_inner_" + d.String(), func(p Point) float64 {
+			Feature{"raw_pos_inner_" + d.String(), func(p *Point) float64 {
 				return float64(orderPosition(p.Sched.InnerOrder, d))
 			}},
 		)
@@ -178,15 +181,15 @@ func orderPosition(order [workload.NumDims]workload.Dim, d workload.Dim) int {
 // only the accelerator (software is re-optimized per hardware sample).
 func HardwareFeatures() []Feature {
 	return []Feature{
-		{"simd_lanes", func(p Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{"onchip_bandwidth", func(p Point) float64 { return float64(p.Accel.NoCBW) }},
-		{"total_pes", func(p Point) float64 { return float64(p.Accel.PEs) }},
-		{"pe_array_width", func(p Point) float64 { return float64(p.Accel.Width) }},
-		{"pe_array_height", func(p Point) float64 { return float64(p.Accel.Height()) }},
-		{"total_onchip_sram", func(p Point) float64 { return float64(p.Accel.RFKB + p.Accel.L2KB) }},
-		{"peak_macs", func(p Point) float64 { return lg(float64(p.Accel.PEs * p.Accel.SIMDLanes)) }},
-		{"area", func(p Point) float64 { return p.Accel.AreaMM2() }},
-		{"peak_power", func(p Point) float64 { return p.Accel.PeakPowerMW() }},
+		{"simd_lanes", func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
+		{"onchip_bandwidth", func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
+		{"total_pes", func(p *Point) float64 { return float64(p.Accel.PEs) }},
+		{"pe_array_width", func(p *Point) float64 { return float64(p.Accel.Width) }},
+		{"pe_array_height", func(p *Point) float64 { return float64(p.Accel.Height()) }},
+		{"total_onchip_sram", func(p *Point) float64 { return float64(p.Accel.RFKB + p.Accel.L2KB) }},
+		{"peak_macs", func(p *Point) float64 { return lg(float64(p.Accel.PEs * p.Accel.SIMDLanes)) }},
+		{"area", func(p *Point) float64 { return p.Accel.AreaMM2() }},
+		{"peak_power", func(p *Point) float64 { return p.Accel.PeakPowerMW() }},
 	}
 }
 
@@ -218,13 +221,25 @@ func FeaturesFor(mode FeatureMode, hardware bool) []Feature {
 }
 
 // Transform applies the feature set to a point, producing the surrogate's
-// input vector.
+// input vector in a freshly allocated slice.
 func Transform(fs []Feature, p Point) []float64 {
 	out := make([]float64, len(fs))
-	for i, f := range fs {
-		out[i] = f.Fn(p)
-	}
+	TransformTo(out, fs, &p)
 	return out
+}
+
+// TransformTo writes the feature vector of p into dst, which must have
+// length len(fs). The point's derived terms (layer extents and trip
+// counts) are computed at most once for the whole feature set rather
+// than once per feature that reads them. They are cached in p for the
+// duration of the call, so one Point must not be featurized from two
+// goroutines at once.
+func TransformTo(dst []float64, fs []Feature, p *Point) {
+	p.memo, p.derived = true, false
+	for i, f := range fs {
+		dst[i] = f.Fn(p)
+	}
+	p.memo, p.derived = false, false
 }
 
 // Names returns the feature names in order.

@@ -41,7 +41,7 @@ func TestSoftwareFeaturesFiniteAndStable(t *testing.T) {
 func TestPEUtilizationRange(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		p := testPoint(seed)
-		u := peUtilization(p)
+		u := peUtilization(&p)
 		if u <= 0 || u > 1 {
 			t.Fatalf("utilization %v out of (0,1] at seed %d", u, seed)
 		}
@@ -65,7 +65,7 @@ func TestPEUtilizationPerfectCase(t *testing.T) {
 	s.InnerOrder = sched.CanonicalOrder()
 	s.OuterUnroll = workload.DimK
 	s.InnerUnroll = workload.DimC
-	u := peUtilization(Point{Accel: a, Sched: s, Layer: l})
+	u := peUtilization(&Point{Accel: a, Sched: s, Layer: l})
 	if math.Abs(u-1) > 1e-12 {
 		t.Fatalf("perfect mapping utilization = %v, want 1", u)
 	}
@@ -98,7 +98,7 @@ func TestFeaturesForModes(t *testing.T) {
 	// Hardware features must not touch the schedule (zero value is fine).
 	p := Point{Accel: hw.EyerissEdge().Accel}
 	for _, f := range hwF {
-		x := f.Fn(p)
+		x := f.Fn(&p)
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			t.Fatalf("hardware feature %s not schedule-independent", f.Name)
 		}
@@ -183,5 +183,36 @@ func TestObjectiveHelpers(t *testing.T) {
 	}
 	if AggregateObjective(MinEDP, 5, 10) != 50 {
 		t.Fatal("EDP aggregation wrong")
+	}
+}
+
+func TestTransformToMatchesTransform(t *testing.T) {
+	// One reused point and row, mutated between calls, must featurize
+	// exactly like a fresh allocating Transform of each point: the
+	// derived terms are never stale.
+	for _, mode := range []FeatureMode{FeatureSpotlight, FeatureVanilla, FeatureAll} {
+		fs := FeaturesFor(mode, false)
+		row := make([]float64, len(fs))
+		var reused Point
+		for seed := int64(0); seed < 20; seed++ {
+			p := testPoint(seed)
+			reused.Accel, reused.Sched, reused.Layer = p.Accel, p.Sched, p.Layer
+			TransformTo(row, fs, &reused)
+			want := Transform(fs, p)
+			for i := range want {
+				if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("mode %v seed %d: %s = %v via TransformTo, %v via Transform",
+						mode, seed, fs[i].Name, row[i], want[i])
+				}
+			}
+			// A feature called on its own after TransformTo sees the
+			// current schedule, not the terms cached for the last one.
+			reused.Sched = testPoint(seed + 100).Sched
+			got := peUtilization(&reused)
+			fresh := peUtilization(&Point{Accel: reused.Accel, Sched: reused.Sched, Layer: reused.Layer})
+			if math.Float64bits(got) != math.Float64bits(fresh) {
+				t.Fatalf("stale derived terms: %v, want %v", got, fresh)
+			}
+		}
 	}
 }

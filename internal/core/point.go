@@ -19,6 +19,45 @@ type Point struct {
 	Accel hw.Accel
 	Sched sched.Schedule
 	Layer workload.Layer
+
+	// memo is set by TransformTo for the duration of one featurization:
+	// the first feature reading the derived terms computes them into
+	// cached (derived), and the remaining features reuse them. Outside
+	// TransformTo every read derives afresh, so a caller mutating the
+	// point between calls never sees stale terms.
+	memo, derived bool
+	cached        pointTerms
+}
+
+// pointTerms are the quantities several features derive from a point:
+// the layer's extents and the schedule's DRAM-level (outer) and
+// L2-level (inner) trip counts.
+type pointTerms struct {
+	sizes, outer, inner [workload.NumDims]int
+}
+
+// derive fills t from the schedule and layer.
+func (t *pointTerms) derive(s *sched.Schedule, l *workload.Layer) {
+	t.sizes = l.Sizes()
+	for i := range t.sizes {
+		t.outer[i] = t.sizes[i] / s.T2[i]
+		t.inner[i] = s.T2[i] / s.T1[i]
+	}
+}
+
+// terms returns the point's derived terms, computing them at most once
+// per TransformTo.
+func (p *Point) terms() *pointTerms {
+	if p.derived {
+		return &p.cached
+	}
+	t := &p.cached
+	if !p.memo {
+		t = new(pointTerms)
+	}
+	t.derive(&p.Sched, &p.Layer)
+	p.derived = p.memo
+	return t
 }
 
 // Evaluator abstracts the analytical cost model backend so Spotlight can

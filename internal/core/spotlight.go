@@ -95,14 +95,36 @@ func (s *Spotlight) SWBudget(cfg RunConfig) int { return cfg.SWSamples }
 
 // NewHW implements Strategy.
 func (s *Spotlight) NewHW(cfg RunConfig, rng *rand.Rand) HWProposer {
-	return &spotlightHW{
+	h := &spotlightHW{
 		dabo:     NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "hw")),
 		features: FeaturesFor(s.Mode, true),
 		space:    cfg.Space,
 		budget:   cfg.Budget,
-		batch:    s.batch(),
 		rng:      rng,
 	}
+	h.cands.init(s.batch(), len(h.features))
+	return h
+}
+
+// candidateBatch is a proposer's reusable candidate batch: n
+// parameter-space points, one flat n×d feature buffer whose rows are
+// views handed to DABO.SuggestIndex, and a row for featurizing the
+// observed point (DABO copies observations). Allocated once per
+// proposer, reused by every Suggest and Observe.
+type candidateBatch[T any] struct {
+	points []T
+	rows   [][]float64
+	row    []float64
+}
+
+func (c *candidateBatch[T]) init(n, d int) {
+	c.points = make([]T, n)
+	c.rows = make([][]float64, n)
+	flat := make([]float64, (n+1)*d)
+	for i := range c.rows {
+		c.rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	c.row = flat[n*d:]
 }
 
 type spotlightHW struct {
@@ -110,8 +132,9 @@ type spotlightHW struct {
 	features []Feature
 	space    hw.Space
 	budget   hw.Budget
-	batch    int
 	rng      *rand.Rand
+	cands    candidateBatch[hw.Accel]
+	pt       Point
 }
 
 // Suggest ranks a batch of random candidates on the surrogate. The area
@@ -120,19 +143,23 @@ type spotlightHW struct {
 // the kind of domain information §IV-B1 calls for (the cloud space in
 // particular is >90% over budget). If the budget is unattainable within
 // the retry allowance, the raw sample is kept and the cost model will
-// reject it.
+// reject it. Candidates are featurized only when the surrogate will
+// read them (see DABO.ScoresCandidates).
 func (h *spotlightHW) Suggest() hw.Accel {
-	cands := make([]hw.Accel, h.batch)
-	feats := make([][]float64, h.batch)
+	cands := h.cands.points
 	for i := range cands {
 		cands[i] = h.space.Random(h.rng)
 		for retry := 0; retry < 16 && !h.budget.Fits(cands[i]); retry++ {
 			cands[i] = h.space.Random(h.rng)
 		}
-		feats[i] = Transform(h.features, Point{Accel: cands[i]})
 	}
-	idx := h.dabo.SuggestIndex(feats)
-	return cands[idx]
+	if h.dabo.ScoresCandidates() {
+		for i := range cands {
+			h.pt.Accel = cands[i]
+			TransformTo(h.cands.rows[i], h.features, &h.pt)
+		}
+	}
+	return cands[h.dabo.SuggestIndex(h.cands.rows)]
 }
 
 // SetSpan implements SpanCarrier by forwarding to the embedded daBO, so
@@ -140,7 +167,9 @@ func (h *spotlightHW) Suggest() hw.Accel {
 func (h *spotlightHW) SetSpan(sp *obs.Span) { h.dabo.SetSpan(sp) }
 
 func (h *spotlightHW) Observe(a hw.Accel, objective float64, err error) {
-	f := Transform(h.features, Point{Accel: a})
+	h.pt.Accel = a
+	f := h.cands.row
+	TransformTo(f, h.features, &h.pt)
 	if InvalidObservation(objective, err) {
 		h.dabo.ObserveInvalid(f)
 		return
@@ -148,7 +177,10 @@ func (h *spotlightHW) Observe(a hw.Accel, objective float64, err error) {
 	h.dabo.Observe(f, objective)
 }
 
-// NewSW implements Strategy.
+// NewSW implements Strategy. It builds the proposer's search context
+// for this (accelerator, layer) pair once: a schedule sampler per
+// constraint, with the layer's divisor tables and heuristic tiles
+// precomputed, and the reusable candidate batch.
 func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) SWProposer {
 	constraints := []sched.Constraint{cfg.SWConstraint}
 	if s.FixedDataflows {
@@ -158,14 +190,15 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 		}
 	}
 	sw := &spotlightSW{
-		dabo:        NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "sw")),
-		features:    FeaturesFor(s.Mode, false),
-		constraints: constraints,
-		accel:       a,
-		layer:       l,
-		batch:       s.batch(),
-		rng:         rng,
+		dabo:     NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "sw")),
+		features: FeaturesFor(s.Mode, false),
+		rng:      rng,
+		pt:       Point{Accel: a, Layer: l},
 	}
+	for _, c := range constraints {
+		sw.samplers = append(sw.samplers, c.Sampler(l, a.RFBytesPerPE(), a.L2Bytes()))
+	}
+	sw.cands.init(s.batch(), len(sw.features))
 	s.mu.Lock()
 	s.lastSW = sw
 	s.mu.Unlock()
@@ -173,25 +206,32 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 }
 
 type spotlightSW struct {
-	dabo        *DABO
-	features    []Feature
-	constraints []sched.Constraint
-	accel       hw.Accel
-	layer       workload.Layer
-	batch       int
-	rng         *rand.Rand
+	dabo     *DABO
+	features []Feature
+	samplers []*sched.Sampler
+	rng      *rand.Rand
+	cands    candidateBatch[sched.Schedule]
+	// pt carries the proposer's accelerator and layer; Suggest and
+	// Observe set only its schedule before featurizing.
+	pt Point
 }
 
+// Suggest draws a batch of random schedules and returns the one the
+// surrogate ranks best. The batch is featurized only when the surrogate
+// will read it (see DABO.ScoresCandidates); during warmup SuggestIndex
+// draws a uniform index without looking at the features.
 func (w *spotlightSW) Suggest() sched.Schedule {
-	cands := make([]sched.Schedule, w.batch)
-	feats := make([][]float64, w.batch)
+	cands := w.cands.points
 	for i := range cands {
-		c := w.constraints[w.rng.Intn(len(w.constraints))]
-		cands[i] = c.Random(w.rng, w.layer, w.accel.RFBytesPerPE(), w.accel.L2Bytes())
-		feats[i] = Transform(w.features, Point{Accel: w.accel, Sched: cands[i], Layer: w.layer})
+		cands[i] = w.samplers[w.rng.Intn(len(w.samplers))].Random(w.rng)
 	}
-	idx := w.dabo.SuggestIndex(feats)
-	return cands[idx]
+	if w.dabo.ScoresCandidates() {
+		for i := range cands {
+			w.pt.Sched = cands[i]
+			TransformTo(w.cands.rows[i], w.features, &w.pt)
+		}
+	}
+	return cands[w.dabo.SuggestIndex(w.cands.rows)]
 }
 
 // SetSpan implements SpanCarrier by forwarding to the embedded daBO, so
@@ -199,7 +239,9 @@ func (w *spotlightSW) Suggest() sched.Schedule {
 func (w *spotlightSW) SetSpan(sp *obs.Span) { w.dabo.SetSpan(sp) }
 
 func (w *spotlightSW) Observe(s sched.Schedule, objective float64, err error) {
-	f := Transform(w.features, Point{Accel: w.accel, Sched: s, Layer: w.layer})
+	w.pt.Sched = s
+	f := w.cands.row
+	TransformTo(f, w.features, &w.pt)
 	if InvalidObservation(objective, err) {
 		w.dabo.ObserveInvalid(f)
 		return

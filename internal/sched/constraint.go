@@ -164,28 +164,80 @@ func (c Constraint) tilable(d workload.Dim) bool {
 // hand-designed accelerators ship with working tilings. Searchable
 // dimensions draw independent divisor pairs, which may or may not fit —
 // those are the invalid regions the cost model rejects.
+//
+// Random builds a Sampler for the one draw; callers drawing many
+// schedules for the same layer and buffers should build the Sampler once.
 func (c Constraint) Random(rng *rand.Rand, l workload.Layer, rfBytesPerPE, l2Bytes int64) Schedule {
-	var s Schedule
-	s.OuterUnroll = c.outerChoices()[rng.Intn(len(c.outerChoices()))]
-	s.InnerUnroll = c.innerChoices()[rng.Intn(len(c.innerChoices()))]
-	s.OuterOrder = orderFrom(c.FixedOuterOrder, rng)
-	s.InnerOrder = orderFrom(c.FixedInnerOrder, rng)
+	return c.Sampler(l, rfBytesPerPE, l2Bytes).Random(rng)
+}
 
-	// Heuristically fit the non-searchable dimensions (none under Free),
-	// then resample the searchable ones uniformly over divisor pairs.
+// Sampler draws random schedules from one constraint for one layer and
+// one pair of buffer capacities. Everything that depends only on those
+// inputs — the unroll choices, the heuristic FitTiles tiles, each
+// searchable dimension's divisor list and the sub-divisor list of every
+// L2 tile choice — is computed once at construction, so a draw touches
+// no shared state. A Sampler is immutable after construction and safe
+// for concurrent use with distinct RNGs.
+type Sampler struct {
+	outer, inner           []workload.Dim
+	fixedOuter, fixedInner []workload.Dim
+	// t1, t2 are the starting tiles: FitTiles' heuristic tiles when
+	// some dimensions are not searched, zero otherwise (every dimension
+	// is then overwritten by a draw).
+	t1, t2 [workload.NumDims]int
+	tiles  []tileChoices
+}
+
+// tileChoices are one searchable dimension's tiling options: divs are
+// the divisors of its extent (the L2 tile choices) and sub[j] the
+// divisors of divs[j] (the RF tile choices under that L2 tile).
+type tileChoices struct {
+	dim  int
+	divs []int
+	sub  [][]int
+}
+
+// Sampler precomputes c's sampling tables for layer l under the given
+// per-PE register-file and L2 capacities.
+func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) *Sampler {
+	sp := &Sampler{
+		outer:      c.outerChoices(),
+		inner:      c.innerChoices(),
+		fixedOuter: c.FixedOuterOrder,
+		fixedInner: c.FixedInnerOrder,
+	}
 	if c.TilableDims != nil {
-		s.T1, s.T2 = FitTiles(l, rfBytesPerPE, l2Bytes)
+		sp.t1, sp.t2 = FitTiles(l, rfBytesPerPE, l2Bytes)
 	}
 	for i, d := range workload.AllDims {
 		if !c.tilable(d) {
 			continue
 		}
-		size := l.Size(d)
-		divs := Divisors(size)
-		t2v := divs[rng.Intn(len(divs))]
-		subDivs := Divisors(t2v)
-		t1v := subDivs[rng.Intn(len(subDivs))]
-		s.T2[i], s.T1[i] = t2v, t1v
+		tc := tileChoices{dim: i, divs: Divisors(l.Size(d))}
+		tc.sub = make([][]int, len(tc.divs))
+		for j, t2 := range tc.divs {
+			tc.sub[j] = Divisors(t2)
+		}
+		sp.tiles = append(sp.tiles, tc)
+	}
+	return sp
+}
+
+// Random draws one schedule. Its RNG calls — unroll choices, loop-order
+// shuffles, then an L2 and an RF tile draw per searchable dimension in
+// canonical dimension order — define the sampling stream every search
+// over this space consumes.
+func (sp *Sampler) Random(rng *rand.Rand) Schedule {
+	var s Schedule
+	s.OuterUnroll = sp.outer[rng.Intn(len(sp.outer))]
+	s.InnerUnroll = sp.inner[rng.Intn(len(sp.inner))]
+	s.OuterOrder = orderFrom(sp.fixedOuter, rng)
+	s.InnerOrder = orderFrom(sp.fixedInner, rng)
+	s.T1, s.T2 = sp.t1, sp.t2
+	for _, tc := range sp.tiles {
+		j := rng.Intn(len(tc.divs))
+		sub := tc.sub[j]
+		s.T2[tc.dim], s.T1[tc.dim] = tc.divs[j], sub[rng.Intn(len(sub))]
 	}
 	return s
 }

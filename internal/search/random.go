@@ -48,17 +48,13 @@ func (randomHW) Observe(hw.Accel, float64, error) {}
 
 // NewSW implements core.Strategy.
 func (*Random) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) core.SWProposer {
-	return randomSW{c: cfg.SWConstraint, rng: rng, accel: a, layer: l}
+	return randomSW{sampler: cfg.SWConstraint.Sampler(l, a.RFBytesPerPE(), a.L2Bytes()), rng: rng}
 }
 
 type randomSW struct {
-	c     sched.Constraint
-	rng   *rand.Rand
-	accel hw.Accel
-	layer workload.Layer
+	sampler *sched.Sampler
+	rng     *rand.Rand
 }
 
-func (r randomSW) Suggest() sched.Schedule {
-	return r.c.Random(r.rng, r.layer, r.accel.RFBytesPerPE(), r.accel.L2Bytes())
-}
+func (r randomSW) Suggest() sched.Schedule              { return r.sampler.Random(r.rng) }
 func (randomSW) Observe(sched.Schedule, float64, error) {}
