@@ -2,8 +2,9 @@
 # `make tracesmoke`, ...), so every recipe lives only here and a green
 # `make ci` locally means a green CI run. CI adds only steps with no
 # target: the SARIF upload, the fuzz smoke, the BenchmarkDABOSuggest,
-# BenchmarkSpotlightSWSuggest and BenchmarkEvalCache smokes, and
-# govulncheck. Performance is measured by `bash perfbench/run.sh`.
+# BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling and
+# BenchmarkEvalCache smokes, and govulncheck. Performance is measured
+# by `bash perfbench/run.sh`.
 
 GO ?= go
 

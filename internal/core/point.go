@@ -36,9 +36,11 @@ type pointTerms struct {
 	sizes, outer, inner [workload.NumDims]int
 }
 
-// derive fills t from the schedule and layer.
+// derive fills t from the schedule and layer. It reads the extents
+// through l (in workload.AllDims order, as Layer.Sizes returns them)
+// rather than copying the layer by value.
 func (t *pointTerms) derive(s *sched.Schedule, l *workload.Layer) {
-	t.sizes = l.Sizes()
+	t.sizes = [workload.NumDims]int{l.N, l.K, l.C, l.R, l.S, l.OutX(), l.OutY()}
 	for i := range t.sizes {
 		t.outer[i] = t.sizes[i] / s.T2[i]
 		t.inner[i] = s.T2[i] / s.T1[i]

@@ -223,7 +223,7 @@ type spotlightSW struct {
 func (w *spotlightSW) Suggest() sched.Schedule {
 	cands := w.cands.points
 	for i := range cands {
-		cands[i] = w.samplers[w.rng.Intn(len(w.samplers))].Random(w.rng)
+		w.samplers[w.rng.Intn(len(w.samplers))].RandomTo(w.rng, &cands[i])
 	}
 	if w.dabo.ScoresCandidates() {
 		for i := range cands {

@@ -237,7 +237,8 @@ type PrimalLinear struct {
 	phi, sol    []float64 // scratch: standardized point, triangular solve
 }
 
-// Predict implements Predictor.
+// Predict implements Predictor. It is the reference PredictBatch
+// reproduces bit for bit.
 func (p *PrimalLinear) Predict(x []float64) (mean, std float64, err error) {
 	if len(x) != len(p.xMean) {
 		return 0, 0, fmt.Errorf("gp: input has %d features, trained on %d", len(x), len(p.xMean))
@@ -249,28 +250,111 @@ func (p *PrimalLinear) Predict(x []float64) (mean, std float64, err error) {
 	mu := linalg.Dot(p.phi, p.w)
 	// φᵀA⁻¹φ = ‖L⁻¹φ‖² — the forward solve alone is enough.
 	p.chol.SolveLowerTo(p.sol, p.phi)
-	q := linalg.Dot(p.sol, p.sol)
+	mean, std = p.posterior(mu, linalg.Dot(p.sol, p.sol))
+	return mean, std, nil
+}
+
+// posterior maps the standardized mean φ̃·w and q = ‖L⁻¹φ̃‖² to the
+// predictive mean and standard deviation in target units.
+func (p *PrimalLinear) posterior(mu, q float64) (mean, std float64) {
 	if q < 0 {
 		q = 0
 	}
 	variance := p.noise * (1 + q)
-	return mu*p.yStd + p.yMean, math.Sqrt(variance) * p.yStd, nil
+	return mu*p.yStd + p.yMean, math.Sqrt(variance) * p.yStd
 }
 
-// PredictBatch implements Predictor.
+// interleaveDim bounds the basis dimension d+1 that PredictBatch's
+// four-way path handles; its forward-solve rows live on the stack.
+// Larger models (and batch remainders) go through Predict.
+const interleaveDim = 48
+
+// PredictBatch implements Predictor. Candidates are predicted four at a
+// time with their arithmetic interleaved, so four independent
+// forward-solve dependency chains overlap instead of running back to
+// back. Each candidate still sees exactly Predict's operation sequence
+// — the same standardizing divisions, the same left-to-right sums for
+// φ̃·w, each L⁻¹φ̃ row and ‖L⁻¹φ̃‖², the same division by the diagonal —
+// so every output is bit-identical to Predict's. Remainders, rows of the
+// wrong length and models wider than interleaveDim fall through to
+// Predict, which also reports the errors.
 func (p *PrimalLinear) PredictBatch(xs [][]float64, means, stds []float64) error {
 	if len(means) != len(xs) || len(stds) != len(xs) {
 		return fmt.Errorf("gp: batch size mismatch: %d inputs, %d/%d outputs",
 			len(xs), len(means), len(stds))
 	}
-	for i, x := range xs {
-		m, s, err := p.Predict(x)
+	d := len(p.xMean)
+	i := 0
+	if d+1 <= interleaveDim {
+		var sol [4][interleaveDim]float64
+		for ; i+4 <= len(xs); i += 4 {
+			x := xs[i : i+4 : i+4]
+			if len(x[0]) != d || len(x[1]) != d || len(x[2]) != d || len(x[3]) != d {
+				break
+			}
+			p.predict4(x, &sol, means[i:i+4:i+4], stds[i:i+4:i+4])
+		}
+	}
+	for ; i < len(xs); i++ {
+		m, s, err := p.Predict(xs[i])
 		if err != nil {
 			return err
 		}
 		means[i], stds[i] = m, s
 	}
 	return nil
+}
+
+// predict4 is Predict for four rows of the trained width, interleaved.
+// φ̃ᵢ is formed just before row i of the forward solve, its only other
+// reader being the φ̃·w sum, which it joins in the same order.
+func (p *PrimalLinear) predict4(x [][]float64, sol *[4][interleaveDim]float64, means, stds []float64) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	n := len(p.w)
+	l := p.chol.L.Data[: n*n : n*n]
+	s0, s1, s2, s3 := sol[0][:n], sol[1][:n], sol[2][:n], sol[3][:n]
+	var mu0, mu1, mu2, mu3, q0, q1, q2, q3 float64
+	for i := 0; i < n; i++ {
+		var f0, f1, f2, f3 float64
+		if i == 0 {
+			sb := math.Sqrt(p.bias)
+			f0, f1, f2, f3 = sb, sb, sb, sb
+		} else {
+			m, sd := p.xMean[i-1], p.xStd[i-1]
+			f0 = (x0[i-1] - m) / sd
+			f1 = (x1[i-1] - m) / sd
+			f2 = (x2[i-1] - m) / sd
+			f3 = (x3[i-1] - m) / sd
+		}
+		w := p.w[i]
+		mu0 += f0 * w
+		mu1 += f1 * w
+		mu2 += f2 * w
+		mu3 += f3 * w
+		row := l[i*n : i*n+n]
+		lk := row[:i]
+		a0, a1, a2, a3 := s0[:len(lk)], s1[:len(lk)], s2[:len(lk)], s3[:len(lk)]
+		for k, r := range lk {
+			f0 -= r * a0[k]
+			f1 -= r * a1[k]
+			f2 -= r * a2[k]
+			f3 -= r * a3[k]
+		}
+		diag := row[i]
+		f0 /= diag
+		f1 /= diag
+		f2 /= diag
+		f3 /= diag
+		s0[i], s1[i], s2[i], s3[i] = f0, f1, f2, f3
+		q0 += f0 * f0
+		q1 += f1 * f1
+		q2 += f2 * f2
+		q3 += f3 * f3
+	}
+	means[0], stds[0] = p.posterior(mu0, q0)
+	means[1], stds[1] = p.posterior(mu1, q1)
+	means[2], stds[2] = p.posterior(mu2, q2)
+	means[3], stds[3] = p.posterior(mu3, q3)
 }
 
 // FitPrimalLinear fits the primal linear surrogate on a whole dataset in

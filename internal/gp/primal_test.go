@@ -217,6 +217,74 @@ func TestPrimalPredictBatchAllocationFree(t *testing.T) {
 	}
 }
 
+// TestPredictBatchMatchesPredictBits pins PredictBatch to Predict bit
+// for bit: the four-way interleaved path, its remainders, and a model
+// too wide for it must all return exactly Predict's float64s, and a
+// row of the wrong length must fail with Predict's error after writing
+// exactly the rows before it.
+func TestPredictBatchMatchesPredictBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	// 1, 11 (Figure 4 software features) and 47 (the widest feature
+	// mode) take the interleaved path; 60 exceeds interleaveDim.
+	for _, d := range []int{1, 11, 47, 60} {
+		x, y := randomData(rng, 3*d+5, d)
+		s := NewPrimalStats(1, 1e-4)
+		for i := range x {
+			if i%4 == 3 {
+				s.AddPenalized(x[i])
+			} else {
+				s.Add(x[i], y[i])
+			}
+		}
+		m, err := s.Fit(40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65} {
+			cands, _ := randomData(rng, n, d)
+			means := make([]float64, n)
+			stds := make([]float64, n)
+			if err := m.PredictBatch(cands, means, stds); err != nil {
+				t.Fatalf("d=%d n=%d: %v", d, n, err)
+			}
+			for i, c := range cands {
+				wm, ws, err := m.Predict(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(means[i]) != math.Float64bits(wm) || math.Float64bits(stds[i]) != math.Float64bits(ws) {
+					t.Fatalf("d=%d n=%d row %d: batch (%v, %v), Predict (%v, %v)", d, n, i, means[i], stds[i], wm, ws)
+				}
+			}
+		}
+
+		cands, _ := randomData(rng, 9, d)
+		cands[5] = cands[5][:d-1]
+		means := make([]float64, len(cands))
+		stds := make([]float64, len(cands))
+		for i := range means {
+			means[i], stds[i] = math.NaN(), math.NaN()
+		}
+		_, _, wantErr := m.Predict(cands[5])
+		err = m.PredictBatch(cands, means, stds)
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("d=%d short row: err = %v, want %v", d, err, wantErr)
+		}
+		for i := range cands {
+			if i >= 5 {
+				if !math.IsNaN(means[i]) || !math.IsNaN(stds[i]) {
+					t.Fatalf("d=%d short row: row %d written after the error", d, i)
+				}
+				continue
+			}
+			wm, ws, _ := m.Predict(cands[i])
+			if math.Float64bits(means[i]) != math.Float64bits(wm) || math.Float64bits(stds[i]) != math.Float64bits(ws) {
+				t.Fatalf("d=%d short row: row %d = (%v, %v), Predict (%v, %v)", d, i, means[i], stds[i], wm, ws)
+			}
+		}
+	}
+}
+
 func TestPrimalFitRejectsNonFiniteMoments(t *testing.T) {
 	s := NewPrimalStats(1, 1e-6)
 	s.Add([]float64{1, 2}, 1)

@@ -175,11 +175,13 @@ func (c Constraint) Random(rng *rand.Rand, l workload.Layer, rfBytesPerPE, l2Byt
 // one pair of buffer capacities. Everything that depends only on those
 // inputs — the unroll choices, the heuristic FitTiles tiles, each
 // searchable dimension's divisor list and the sub-divisor list of every
-// L2 tile choice — is computed once at construction, so a draw touches
-// no shared state. A Sampler is immutable after construction and safe
-// for concurrent use with distinct RNGs.
+// L2 tile choice, and the rejection threshold of every list it draws
+// from — is computed once at construction, so a draw touches no shared
+// state. A Sampler is immutable after construction and safe for
+// concurrent use with distinct RNGs.
 type Sampler struct {
 	outer, inner           []workload.Dim
+	outerPick, innerPick   intn
 	fixedOuter, fixedInner []workload.Dim
 	// t1, t2 are the starting tiles: FitTiles' heuristic tiles when
 	// some dimensions are not searched, zero otherwise (every dimension
@@ -194,7 +196,14 @@ type Sampler struct {
 type tileChoices struct {
 	dim  int
 	divs []int
-	sub  [][]int
+	pick intn
+	sub  []subChoices
+}
+
+// subChoices are the RF tile choices under one L2 tile.
+type subChoices struct {
+	divs []int
+	pick intn
 }
 
 // Sampler precomputes c's sampling tables for layer l under the given
@@ -206,6 +215,7 @@ func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) *Samp
 		fixedOuter: c.FixedOuterOrder,
 		fixedInner: c.FixedInnerOrder,
 	}
+	sp.outerPick, sp.innerPick = newIntn(len(sp.outer)), newIntn(len(sp.inner))
 	if c.TilableDims != nil {
 		sp.t1, sp.t2 = FitTiles(l, rfBytesPerPE, l2Bytes)
 	}
@@ -214,44 +224,105 @@ func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) *Samp
 			continue
 		}
 		tc := tileChoices{dim: i, divs: Divisors(l.Size(d))}
-		tc.sub = make([][]int, len(tc.divs))
+		tc.pick = newIntn(len(tc.divs))
+		tc.sub = make([]subChoices, len(tc.divs))
 		for j, t2 := range tc.divs {
-			tc.sub[j] = Divisors(t2)
+			sub := Divisors(t2)
+			tc.sub[j] = subChoices{divs: sub, pick: newIntn(len(sub))}
 		}
 		sp.tiles = append(sp.tiles, tc)
 	}
 	return sp
 }
 
-// Random draws one schedule. Its RNG calls — unroll choices, loop-order
-// shuffles, then an L2 and an RF tile draw per searchable dimension in
-// canonical dimension order — define the sampling stream every search
-// over this space consumes.
+// Random draws one schedule; see RandomTo.
 func (sp *Sampler) Random(rng *rand.Rand) Schedule {
 	var s Schedule
-	s.OuterUnroll = sp.outer[rng.Intn(len(sp.outer))]
-	s.InnerUnroll = sp.inner[rng.Intn(len(sp.inner))]
-	s.OuterOrder = orderFrom(sp.fixedOuter, rng)
-	s.InnerOrder = orderFrom(sp.fixedInner, rng)
-	s.T1, s.T2 = sp.t1, sp.t2
-	for _, tc := range sp.tiles {
-		j := rng.Intn(len(tc.divs))
-		sub := tc.sub[j]
-		s.T2[tc.dim], s.T1[tc.dim] = tc.divs[j], sub[rng.Intn(len(sub))]
-	}
+	sp.RandomTo(rng, &s)
 	return s
 }
 
-// orderFrom returns the fixed order if given, else a random permutation.
-func orderFrom(fixed []workload.Dim, rng *rand.Rand) [workload.NumDims]workload.Dim {
-	var out [workload.NumDims]workload.Dim
+// RandomTo draws one schedule into s, overwriting every field. Its RNG
+// calls — unroll choices, loop-order shuffles, then an L2 and an RF tile
+// draw per searchable dimension in canonical dimension order — define
+// the sampling stream every search over this space consumes. Each call
+// consumes exactly the values rng.Intn and rng.Shuffle would (see intn
+// and shuffleDims).
+func (sp *Sampler) RandomTo(rng *rand.Rand, s *Schedule) {
+	s.OuterUnroll = sp.outer[sp.outerPick.draw(rng)]
+	s.InnerUnroll = sp.inner[sp.innerPick.draw(rng)]
+	orderTo(&s.OuterOrder, sp.fixedOuter, rng)
+	orderTo(&s.InnerOrder, sp.fixedInner, rng)
+	s.T1, s.T2 = sp.t1, sp.t2
+	for i := range sp.tiles {
+		tc := &sp.tiles[i]
+		j := tc.pick.draw(rng)
+		sub := &tc.sub[j]
+		s.T2[tc.dim], s.T1[tc.dim] = tc.divs[j], sub.divs[sub.pick.draw(rng)]
+	}
+}
+
+// intn draws uniformly from [0, n) for one fixed n, returning exactly
+// what rng.Intn(n) returns and consuming exactly the Int63 values it
+// consumes. For n < 1<<31, Intn is Int31n, whose value stream Go 1
+// compatibility freezes: a power of two masks one Int31 (n == 1 still
+// consumes a draw), any other n rejects Int31 values above
+// max = (1<<31)-1 - (1<<31)%n and reduces the first accepted one mod n.
+// Precomputing max moves Int31n's per-call division out of the draw.
+// An empty list (n == 0) takes the mask path, whose index then panics
+// at draw time, where rand.Intn(0) panicked.
+type intn struct {
+	n   int32
+	max int32 // rejection threshold; -1 selects the power-of-two mask
+}
+
+func newIntn(n int) intn {
+	if n&(n-1) == 0 {
+		return intn{n: int32(n), max: -1}
+	}
+	return intn{n: int32(n), max: int32((1 << 31) - 1 - (1<<31)%uint32(n))}
+}
+
+func (d intn) draw(rng *rand.Rand) int {
+	v := int32(rng.Int63() >> 32)
+	if d.max < 0 {
+		return int(v & (d.n - 1))
+	}
+	for v > d.max {
+		v = int32(rng.Int63() >> 32)
+	}
+	return int(v % d.n)
+}
+
+// orderTo writes the fixed order into out if given, else a random
+// permutation of the seven dimensions.
+func orderTo(out *[workload.NumDims]workload.Dim, fixed []workload.Dim, rng *rand.Rand) {
 	if len(fixed) == workload.NumDims {
 		copy(out[:], fixed)
-		return out
+		return
 	}
-	copy(out[:], workload.AllDims[:])
-	rng.Shuffle(workload.NumDims, func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	*out = workload.AllDims
+	shuffleDims(out, rng)
+}
+
+// shuffleDims permutes a in place exactly as rng.Shuffle(len(a), swap)
+// does: Fisher–Yates from the last index down, each swap partner drawn
+// by the stdlib's unexported int31n (Lemire's multiply-shift with a
+// rejection threshold). Inlining it removes Shuffle's per-swap closure
+// call; the values consumed and the permutation produced are the same.
+func shuffleDims(a *[workload.NumDims]workload.Dim, rng *rand.Rand) {
+	for i := uint32(workload.NumDims - 1); i > 0; i-- {
+		n := i + 1
+		prod := uint64(uint32(rng.Int63()>>31)) * uint64(n)
+		if uint32(prod) < n {
+			thresh := -n % n
+			for uint32(prod) < thresh {
+				prod = uint64(uint32(rng.Int63()>>31)) * uint64(n)
+			}
+		}
+		j := prod >> 32
+		a[i], a[j] = a[j], a[i]
+	}
 }
 
 // Neighbor returns a schedule one mutation away from s within the

@@ -60,23 +60,33 @@ const (
 	refL2Bytes      = 108 << 10
 )
 
+// templateSamplers returns one sampler per fixed dataflow for layer l,
+// tiled for the reference buffers.
+func templateSamplers(l workload.Layer) []*sched.Sampler {
+	flows := sched.FixedDataflows()
+	out := make([]*sched.Sampler, len(flows))
+	for i, c := range flows {
+		out[i] = c.Sampler(l, refRFBytesPerPE, refL2Bytes)
+	}
+	return out
+}
+
 // NewSW implements core.Strategy: enumerate the three dataflows with
 // template tiling, in order. No learning happens at this level.
 func (*ConfuciuX) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) core.SWProposer {
-	return &fixedDataflowSW{layer: l, rng: rng, flows: sched.FixedDataflows()}
+	return &fixedDataflowSW{rng: rng, flows: templateSamplers(l)}
 }
 
 type fixedDataflowSW struct {
-	layer workload.Layer
 	rng   *rand.Rand
-	flows []sched.Constraint
+	flows []*sched.Sampler
 	next  int
 }
 
 func (f *fixedDataflowSW) Suggest() sched.Schedule {
 	flow := f.flows[f.next%len(f.flows)]
 	f.next++
-	return flow.Random(f.rng, f.layer, refRFBytesPerPE, refL2Bytes)
+	return flow.Random(f.rng)
 }
 
 func (*fixedDataflowSW) Observe(sched.Schedule, float64, error) {}

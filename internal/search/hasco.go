@@ -105,12 +105,12 @@ func (h *hascoHW) Observe(a hw.Accel, objective float64, err error) {
 }
 
 // NewSW implements core.Strategy: an ε-greedy Q-learning agent over the
-// three schedule templates.
+// three schedule templates. Templates are tiled for reference buffers,
+// not the sampled hardware — HASCO does not co-design tiling (§VII-A) —
+// so each template's sampler is built once for the layer.
 func (h *HASCO) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) core.SWProposer {
-	flows := sched.FixedDataflows()
+	flows := templateSamplers(l)
 	return &hascoSW{
-		accel:   a,
-		layer:   l,
 		rng:     rng,
 		flows:   flows,
 		q:       make([]float64, len(flows)),
@@ -121,10 +121,8 @@ func (h *HASCO) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload
 }
 
 type hascoSW struct {
-	accel   hw.Accel
-	layer   workload.Layer
 	rng     *rand.Rand
-	flows   []sched.Constraint
+	flows   []*sched.Sampler
 	q       []float64
 	visits  []int
 	epsilon float64
@@ -148,9 +146,7 @@ func (w *hascoSW) Suggest() sched.Schedule {
 			w.last = argmax(w.q)
 		}
 	}
-	// Templates are tiled for reference buffers, not the sampled
-	// hardware — HASCO does not co-design tiling (§VII-A).
-	return w.flows[w.last].Random(w.rng, w.layer, refRFBytesPerPE, refL2Bytes)
+	return w.flows[w.last].Random(w.rng)
 }
 
 func (w *hascoSW) Observe(_ sched.Schedule, objective float64, err error) {
