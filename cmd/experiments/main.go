@@ -60,7 +60,7 @@ func run() error {
 		evalStats = flag.Bool("eval-stats", false, "print per-backend evaluation and cache statistics at exit")
 
 		traceFile   = flag.String("trace", "", "write structured JSONL trace events to this file (observe-only: every CSV is byte-identical with or without; inspect with tracestat)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (JSON) and /debug/pprof/* on this address while running, e.g. 127.0.0.1:6060 (\":0\" picks a port)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (JSON, or Prometheus text with ?format=prometheus or Accept: text/plain) and /debug/pprof/* on this address while running, e.g. 127.0.0.1:6060 (\":0\" picks a port)")
 	)
 	flag.Parse()
 

@@ -16,8 +16,9 @@
 //   - RunSearch / RunExperiments execute a spec. They are relocations of
 //     the CLI orchestration, not reimplementations: a fig6 CSV produced
 //     through RunExperiments is byte-identical to the one the
-//     pre-refactor CLI wrote, which is what lets spotlightd's smoke gate
-//     diff a served artifact against the CLI's file.
+//     pre-refactor CLI wrote, which is what lets the root package's
+//     TestEndToEndInvariants diff a served artifact against the CLI's
+//     file.
 //   - Runner is the job server core: a FIFO queue drained by a bounded
 //     worker pool, per-job cancellation via core.RunContext, in-memory
 //     checkpoint retention for resume, a per-job TraceBuffer feeding

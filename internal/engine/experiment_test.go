@@ -18,15 +18,16 @@ func tinySpec() JobSpec {
 		HWSamples: 2,
 		SWSamples: 4,
 		Trials:    1,
-		Eval:      "sim,cache",
+		Eval:      "maestro,cache",
 	}
 }
 
-// simcheckSpec is the cheapest experiment spec (~1s): use it in tests
-// that only exercise job-lifecycle structure, not artifact content.
-func simcheckSpec() JobSpec {
+// kernelsSpec is the cheapest experiment spec (a few milliseconds):
+// use it in tests that only exercise job-lifecycle structure, not
+// artifact content.
+func kernelsSpec() JobSpec {
 	s := tinySpec()
-	s.Steps = []string{"simcheck"}
+	s.Steps = []string{"kernels"}
 	return s
 }
 
@@ -47,8 +48,9 @@ func testPipeline(t *testing.T, spec string) *eval.Pipeline {
 // TestRunExperimentsFig6MatchesDirectHarness is the relocation proof at
 // unit scope: the engine's fig6 artifact must be byte-identical to
 // calling the exp harness directly with the same configuration — the
-// engine is the CLI orchestration moved, not reimplemented. (The CI
-// servesmoke gate proves the same end-to-end over HTTP.)
+// engine is the CLI orchestration moved, not reimplemented.
+// (TestEndToEndInvariants in the root package proves the same end to
+// end over HTTP.)
 func TestRunExperimentsFig6MatchesDirectHarness(t *testing.T) {
 	spec := tinySpec()
 	results, err := RunExperiments(context.Background(), spec, ExperimentOptions{
@@ -91,7 +93,7 @@ func TestRunExperimentsFig6MatchesDirectHarness(t *testing.T) {
 // intact.
 func TestRunExperimentsCanonicalOrder(t *testing.T) {
 	spec := tinySpec()
-	spec.Steps = []string{"simcheck", "fig6"} // reversed on purpose
+	spec.Steps = []string{"kernels", "fig6"} // reversed on purpose
 	var order []string
 	_, err := RunExperiments(context.Background(), spec, ExperimentOptions{
 		Eval:        testPipeline(t, spec.Eval),
@@ -100,14 +102,14 @@ func TestRunExperimentsCanonicalOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 2 || order[0] != "fig6" || order[1] != "simcheck" {
-		t.Fatalf("steps ran as %v, want [fig6 simcheck]", order)
+	if len(order) != 2 || order[0] != "fig6" || order[1] != "kernels" {
+		t.Fatalf("steps ran as %v, want [fig6 kernels]", order)
 	}
 }
 
 func TestRunExperimentsStopsOnCanceledContext(t *testing.T) {
 	spec := tinySpec()
-	spec.Steps = []string{"simcheck", "kernels"}
+	spec.Steps = []string{"kernels", "fig6"}
 	ctx, cancel := context.WithCancel(context.Background())
 	var done []string
 	results, err := RunExperiments(ctx, spec, ExperimentOptions{
@@ -121,8 +123,8 @@ func TestRunExperimentsStopsOnCanceledContext(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(done) != 1 || done[0] != "simcheck" {
-		t.Fatalf("completed steps %v, want [simcheck]", done)
+	if len(done) != 1 || done[0] != "fig6" {
+		t.Fatalf("completed steps %v, want [fig6]", done)
 	}
 	if len(results) != 1 {
 		t.Fatalf("got %d results, want the 1 completed before cancellation", len(results))

@@ -11,9 +11,9 @@ import (
 // throughput and cache figures sourced from the job's own registry, a
 // frozen elapsed time, and no ETA once terminal.
 func TestJobProgressSearch(t *testing.T) {
-	// Mirror spotlightd's wiring: a server-wide tracer puts the Trace
-	// middleware in the shared pipeline, so eval.done events exist to be
-	// routed into each job's own registry via span threading.
+	// Mirror spotlightd's wiring: with a server-wide tracer the shared
+	// pipeline's backend adapter emits eval.done events, which span
+	// threading routes into each job's own registry.
 	r := NewRunner(RunnerConfig{Concurrency: 1, Tracer: obs.NewMetricsTracer(obs.NewRegistry())})
 	defer shutdownRunner(t, r)
 	j, err := r.Submit(tinySearchSpec(2))

@@ -4,21 +4,73 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"spotlight/internal/core"
+	"spotlight/internal/eval"
+	"spotlight/internal/hw"
+	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
+	"spotlight/internal/sched"
+	"spotlight/internal/workload"
 )
 
-// tinySearchSpec is a fast search spec for runner tests; hw is sized so
-// a test can observe the job mid-flight and cancel it.
-func tinySearchSpec(hw int) JobSpec {
+// tinySearchSpec is a fast search spec for runner tests.
+func tinySearchSpec(samples int) JobSpec {
 	return JobSpec{
 		Kind:      KindSearch,
 		Models:    []string{"Transformer"},
-		HWSamples: hw,
+		HWSamples: samples,
 		SWSamples: 4,
-		Eval:      "sim,cache",
+		Eval:      "maestro,cache",
+	}
+}
+
+// The "gate" backend is maestro behind a switch the test holds. While a
+// test holds the gate, every evaluation waits for a pass from step, so
+// a job evaluating through it is provably mid-flight until release.
+// Outside a hold the gate is open.
+func init() {
+	open := make(chan struct{})
+	close(open)
+	heldGate.Store(&gate{pass: open})
+	eval.Register("gate", func() (core.Evaluator, error) { return gateBackend{maestro.New()}, nil })
+}
+
+type gateBackend struct{ core.Evaluator }
+
+func (b gateBackend) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+	<-heldGate.Load().pass
+	return b.Evaluator.Evaluate(a, s, l)
+}
+
+type gate struct {
+	pass    chan struct{} // each send passes one evaluation; closed, it passes all
+	release func()        // closes pass; idempotent
+}
+
+var heldGate atomic.Pointer[gate]
+
+// holdGate shuts the gate. Callers defer release after deferring the
+// runner's shutdown, so a failing test still lets its jobs finish.
+func holdGate() *gate {
+	g := &gate{pass: make(chan struct{})}
+	g.release = sync.OnceFunc(func() { close(g.pass) })
+	heldGate.Store(g)
+	return g
+}
+
+// step lets exactly one evaluation through and returns once one has
+// taken it: its job is running and inside the backend.
+func (g *gate) step(t *testing.T) {
+	t.Helper()
+	select {
+	case g.pass <- struct{}{}:
+	case <-time.After(60 * time.Second):
+		t.Fatal("no evaluation reached the gate")
 	}
 }
 
@@ -89,11 +141,16 @@ func TestRunnerFIFOIdenticalJobsIdenticalArtifacts(t *testing.T) {
 func TestRunnerCancelQueued(t *testing.T) {
 	r := NewRunner(RunnerConfig{Concurrency: 1})
 	defer shutdownRunner(t, r)
+	g := holdGate()
+	defer g.release()
 
-	blocker, err := r.Submit(tinySearchSpec(30))
+	blockerSpec := tinySearchSpec(2)
+	blockerSpec.Eval = "gate,cache"
+	blocker, err := r.Submit(blockerSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.step(t) // the blocker now holds the only worker
 	queued, err := r.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +174,10 @@ func TestRunnerCancelQueued(t *testing.T) {
 	if err := r.Cancel(blocker.ID()); err != nil {
 		t.Fatalf("Cancel(running): %v", err)
 	}
-	waitTerminal(t, blocker)
+	g.release()
+	if st := waitTerminal(t, blocker); st.State != StateCanceled {
+		t.Fatalf("blocker state = %s (%s), want canceled", st.State, st.Error)
+	}
 }
 
 // TestRunnerCancelRunningThenResume is the server-side checkpoint story:
@@ -127,31 +187,34 @@ func TestRunnerCancelQueued(t *testing.T) {
 // uninterrupted run — core's resume determinism carried through the
 // runner.
 func TestRunnerCancelRunningThenResume(t *testing.T) {
-	const hw = 12
+	const samples = 4
 	r := NewRunner(RunnerConfig{Concurrency: 1})
 	defer shutdownRunner(t, r)
+	g := holdGate()
+	defer g.release()
 
-	j, err := r.Submit(tinySearchSpec(hw))
+	spec := tinySearchSpec(samples)
+	spec.Eval = "gate,cache"
+	j, err := r.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the first checkpoint, then cancel mid-run.
-	deadline := time.Now().Add(120 * time.Second)
+	// Pass evaluations one at a time until the first checkpoint lands.
+	// Sample two's evaluations miss the cache, so it cannot finish while
+	// the gate is held and the cancel lands mid-run.
 	for j.Status().Samples == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("search never completed a hardware sample")
-		}
-		time.Sleep(5 * time.Millisecond)
+		g.step(t)
 	}
 	if err := r.Cancel(j.ID()); err != nil {
 		t.Fatalf("Cancel(running): %v", err)
 	}
+	g.release()
 	st := waitTerminal(t, j)
-	if st.State == StateDone {
-		t.Skip("search finished before the cancel landed; nothing to resume")
-	}
 	if st.State != StateCanceled {
 		t.Fatalf("state = %s (%s), want canceled", st.State, st.Error)
+	}
+	if st.Samples != 1 {
+		t.Fatalf("canceled job kept %d samples, want the 1 completed before the cancel", st.Samples)
 	}
 	if !st.Resumable {
 		t.Fatal("canceled search with a checkpoint is not resumable")
@@ -168,12 +231,12 @@ func TestRunnerCancelRunningThenResume(t *testing.T) {
 	if rst.ResumedFrom != j.ID() {
 		t.Fatalf("resumed job ancestry = %q, want %q", rst.ResumedFrom, j.ID())
 	}
-	if rst.Samples != hw {
-		t.Fatalf("resumed job completed %d samples, want %d", rst.Samples, hw)
+	if rst.Samples != samples {
+		t.Fatalf("resumed job completed %d samples, want %d", rst.Samples, samples)
 	}
 
 	// Reference: the same spec uninterrupted.
-	ref, err := r.Submit(tinySearchSpec(hw))
+	ref, err := r.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +261,7 @@ func TestRunnerResumeRejections(t *testing.T) {
 	if _, err := r.Resume("job-999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Resume(unknown) = %v, want ErrNotFound", err)
 	}
-	exp, err := r.Submit(simcheckSpec())
+	exp, err := r.Submit(kernelsSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +292,14 @@ func TestRunnerSubmitRejectsBadSpecs(t *testing.T) {
 }
 
 // TestRunnerShutdownDrains: shutdown lets the running job finish, kills
-// the queue, and refuses new work.
+// the queue, and refuses new work while it drains.
 func TestRunnerShutdownDrains(t *testing.T) {
 	r := NewRunner(RunnerConfig{Concurrency: 1})
-	running, err := r.Submit(tinySpec())
+	g := holdGate()
+	defer g.release()
+	spec := tinySpec()
+	spec.Eval = "gate,cache"
+	running, err := r.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,25 +307,31 @@ func TestRunnerShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the first job to be picked up, so the test exercises both
-	// the drain path (running) and the queue-kill path (queued).
-	deadline := time.Now().Add(60 * time.Second)
-	for running.Status().State == StateQueued {
-		if time.Now().After(deadline) {
-			t.Fatal("first job never started")
-		}
-		time.Sleep(2 * time.Millisecond)
+	// The first job is inside an evaluation and cannot finish until the
+	// gate opens, so shutdown must exercise both the drain path
+	// (running) and the queue-kill path (queued).
+	g.step(t)
+	shutdown := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		defer cancel()
+		shutdown <- r.Shutdown(ctx)
+	}()
+	if st := waitTerminal(t, queued); st.State != StateCanceled {
+		t.Fatalf("queued job state after shutdown = %s, want canceled", st.State)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	if err := r.Shutdown(ctx); err != nil {
+	if _, err := r.Submit(tinySpec()); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("Submit while draining = %v, want ErrShuttingDown", err)
+	}
+	if st := running.Status(); st.State != StateRunning {
+		t.Fatalf("running job is %s while shutdown drains, want running", st.State)
+	}
+	g.release()
+	if err := <-shutdown; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	if st := running.Status(); st.State != StateDone {
 		t.Fatalf("running job drained to %s (%s), want done", st.State, st.Error)
-	}
-	if st := queued.Status(); st.State != StateCanceled {
-		t.Fatalf("queued job state after shutdown = %s, want canceled", st.State)
 	}
 	if _, err := r.Submit(tinySpec()); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Submit after shutdown = %v, want ErrShuttingDown", err)

@@ -9,8 +9,8 @@ import (
 
 // TestFig6CSVIdenticalTracedUntraced is the figure-level determinism
 // proof: the Fig6 CSV is byte-identical whether or not a run is traced,
-// at one worker and at eight. This is the property the CI smoke job
-// checks end to end through the CLI; here it is pinned at the library
+// at one worker and at eight. TestEndToEndInvariants checks the same
+// property end to end through the CLI; here it is pinned at the library
 // level so a violation names the offending package, not the binary.
 func TestFig6CSVIdenticalTracedUntraced(t *testing.T) {
 	csvFor := func(tr obs.Tracer, workers int) []byte {

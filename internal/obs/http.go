@@ -103,7 +103,7 @@ func Mount(mux *http.ServeMux, reg *Registry) {
 }
 
 // wantsPrometheus decides the /metrics exposition format. JSON stays
-// the default (curl, the existing tests, and the servesmoke gate all
+// the default (curl, the existing tests, and TestEndToEndInvariants all
 // read it); the Prometheus text format is served when the client asks
 // for it — `?format=prometheus`, or an Accept header naming text/plain
 // or an openmetrics type, which is what real Prometheus scrapers send.

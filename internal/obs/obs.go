@@ -37,8 +37,9 @@ import (
 )
 
 // EventType names one kind of trace event. The set is closed: Validate
-// rejects unknown types, which is what lets the CI smoke run check every
-// JSONL line against the schema.
+// rejects unknown types, which is what lets `tracestat -check` (run on
+// real traces by TestEndToEndInvariants) check every JSONL line against
+// the schema.
 type EventType string
 
 // The event taxonomy, grouped by emitting layer. See DESIGN.md §11 for
@@ -90,8 +91,8 @@ type eventRule struct {
 }
 
 // schema is the closed event taxonomy. Adding an event type means adding
-// a row here; Validate (and with it `tracestat -check` and the CI traced
-// smoke run) rejects anything else.
+// a row here; Validate (and with it `tracestat -check` and
+// TestEndToEndInvariants) rejects anything else.
 var schema = map[EventType]eventRule{
 	RunStart:       {detail: true, n: true},
 	RunEnd:         {},

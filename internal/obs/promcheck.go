@@ -11,8 +11,8 @@ import (
 
 // ValidatePrometheus strictly parses a Prometheus text-format 0.0.4
 // exposition and reports the first violation. It is the check behind
-// the metricssmoke CI gate (via cmd/promcheck) and the exposition unit
-// tests: rather than trusting that WritePrometheus and a real scraper
+// cmd/promcheck, which TestEndToEndInvariants runs on a live
+// spotlightd scrape, and the exposition unit tests: rather than trusting that WritePrometheus and a real scraper
 // agree, the format contract is written down once and enforced on real
 // /metrics bodies.
 //

@@ -15,9 +15,9 @@ import (
 )
 
 // newMetricsServer stands up a server wired the way spotlightd wires
-// it: the server-wide MetricsTracer feeds the mounted registry AND
-// puts the Trace middleware in the shared eval pipeline, so per-job
-// registries see eval traffic via span routing.
+// it: the server-wide MetricsTracer feeds the mounted registry, and
+// with a tracer set the shared pipeline's backend adapter emits
+// eval.done events, which span routing delivers to per-job registries.
 func newMetricsServer(t *testing.T) (*Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -32,11 +32,11 @@ func newMetricsServer(t *testing.T) (*Server, *obs.Registry) {
 	return New(r, reg), reg
 }
 
-// tinySearchBody is the cheapest search submission (~1.5s). Unlike
-// simcheck — an analytical step that never touches the eval pipeline —
-// a search job generates eval and cache traffic, which is what the
-// progress and rollup assertions below are about.
-const tinySearchBody = `{"kind":"search","models":["Transformer"],"hw_samples":2,"sw_samples":4,"eval":"sim,cache"}`
+// tinySearchBody is the cheapest search submission (a few
+// milliseconds). A search job counts trials against its budget and
+// generates eval and cache traffic, which is what the progress and
+// rollup assertions below are about.
+const tinySearchBody = `{"kind":"search","models":["Transformer"],"hw_samples":2,"sw_samples":4,"eval":"maestro,cache"}`
 
 // TestProgressEndpoint: unknown jobs are 404; a finished job serves a
 // JSON progress snapshot whose throughput figures come from the job's

@@ -9,12 +9,65 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"spotlight/internal/core"
 	"spotlight/internal/engine"
+	"spotlight/internal/eval"
+	"spotlight/internal/hw"
+	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
+	"spotlight/internal/sched"
+	"spotlight/internal/workload"
 )
+
+// The "gate" backend is maestro behind a switch the test holds. While a
+// test holds the gate, every evaluation waits for a pass from step, so
+// a job evaluating through it is provably mid-flight until release.
+// Outside a hold the gate is open.
+func init() {
+	open := make(chan struct{})
+	close(open)
+	heldGate.Store(&gate{pass: open})
+	eval.Register("gate", func() (core.Evaluator, error) { return gateBackend{maestro.New()}, nil })
+}
+
+type gateBackend struct{ core.Evaluator }
+
+func (b gateBackend) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+	<-heldGate.Load().pass
+	return b.Evaluator.Evaluate(a, s, l)
+}
+
+type gate struct {
+	pass    chan struct{} // each send passes one evaluation; closed, it passes all
+	release func()        // closes pass; idempotent
+}
+
+var heldGate atomic.Pointer[gate]
+
+// holdGate shuts the gate. Callers defer release after deferring the
+// runner's shutdown, so a failing test still lets its jobs finish.
+func holdGate() *gate {
+	g := &gate{pass: make(chan struct{})}
+	g.release = sync.OnceFunc(func() { close(g.pass) })
+	heldGate.Store(g)
+	return g
+}
+
+// step lets exactly one evaluation through and returns once one has
+// taken it: its job is running and inside the backend.
+func (g *gate) step(t *testing.T) {
+	t.Helper()
+	select {
+	case g.pass <- struct{}{}:
+	case <-time.After(60 * time.Second):
+		t.Fatal("no evaluation reached the gate")
+	}
+}
 
 // newTestServer stands up a server over a fresh single-worker runner.
 func newTestServer(t *testing.T) *Server {
@@ -56,12 +109,19 @@ func decodeError(t *testing.T, rec *httptest.ResponseRecorder) errorBody {
 	return body
 }
 
-// simcheckBody is the cheapest valid experiment submission (~1s).
-const simcheckBody = `{"kind":"experiment","steps":["simcheck"],"models":["Transformer"],"hw_samples":2,"sw_samples":4,"trials":1,"eval":"sim,cache"}`
+// kernelsBody is the cheapest valid experiment submission (a few
+// milliseconds).
+const kernelsBody = `{"kind":"experiment","steps":["kernels"],"models":["Transformer"],"hw_samples":2,"sw_samples":4,"trials":1,"eval":"maestro,cache"}`
 
 // submitAndWait submits a job over HTTP and polls its status endpoint
 // until it reaches a terminal state.
 func submitAndWait(t *testing.T, s *Server, body string) engine.JobStatus {
+	t.Helper()
+	return waitDone(t, s, submit(t, s, body))
+}
+
+// submit posts a job and returns its ID.
+func submit(t *testing.T, s *Server, body string) string {
 	t.Helper()
 	rec := do(t, s, "POST", "/jobs", body)
 	if rec.Code != http.StatusCreated {
@@ -71,21 +131,35 @@ func submitAndWait(t *testing.T, s *Server, body string) engine.JobStatus {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
+	return st.ID
+}
+
+// status reads a job's status over HTTP.
+func status(t *testing.T, s *Server, id string) engine.JobStatus {
+	t.Helper()
+	rec := do(t, s, "GET", "/jobs/"+id, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d\n%s", rec.Code, rec.Body)
+	}
+	var st engine.JobStatus
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// waitDone polls a job's status until it reaches a terminal state.
+func waitDone(t *testing.T, s *Server, id string) engine.JobStatus {
+	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		rec = do(t, s, "GET", "/jobs/"+st.ID, "")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d\n%s", rec.Code, rec.Body)
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
-		}
+		st := status(t, s, id)
 		switch st.State {
 		case engine.StateDone, engine.StateFailed, engine.StateCanceled:
 			return st
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s never went terminal (still %s)", st.ID, st.State)
+			t.Fatalf("job %s never went terminal (still %s)", id, st.State)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -165,7 +239,7 @@ func TestCancelUnknownAndFinished(t *testing.T) {
 	if rec := do(t, s, "POST", "/jobs/job-999/cancel", ""); rec.Code != http.StatusNotFound {
 		t.Fatalf("cancel unknown = %d, want 404\n%s", rec.Code, rec.Body)
 	}
-	st := submitAndWait(t, s, simcheckBody)
+	st := submitAndWait(t, s, kernelsBody)
 	if st.State != engine.StateDone {
 		t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
 	}
@@ -182,7 +256,7 @@ func TestResumeRejections(t *testing.T) {
 		t.Fatalf("resume unknown = %d, want 404\n%s", rec.Code, rec.Body)
 	}
 	// Experiment jobs have no checkpoint: resume is a conflict.
-	st := submitAndWait(t, s, simcheckBody)
+	st := submitAndWait(t, s, kernelsBody)
 	rec := do(t, s, "POST", "/jobs/"+st.ID+"/resume", "")
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("resume experiment = %d, want 409\n%s", rec.Code, rec.Body)
@@ -198,14 +272,14 @@ func TestStatusAndArtifactNotFound(t *testing.T) {
 	if rec := do(t, s, "GET", "/jobs/job-999/artifacts/fig6.csv", ""); rec.Code != http.StatusNotFound {
 		t.Fatalf("artifact of unknown job = %d, want 404", rec.Code)
 	}
-	st := submitAndWait(t, s, simcheckBody)
+	st := submitAndWait(t, s, kernelsBody)
 	rec := do(t, s, "GET", "/jobs/"+st.ID+"/artifacts/nope.csv", "")
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown artifact = %d, want 404\n%s", rec.Code, rec.Body)
 	}
 	decodeError(t, rec)
 
-	rec = do(t, s, "GET", "/jobs/"+st.ID+"/artifacts/simcheck.csv", "")
+	rec = do(t, s, "GET", "/jobs/"+st.ID+"/artifacts/kernels.csv", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("artifact = %d, want 200 (artifacts: %v)", rec.Code, st.Artifacts)
 	}
@@ -222,7 +296,7 @@ func TestListAndHealthz(t *testing.T) {
 	if rec := do(t, s, "GET", "/healthz", ""); rec.Code != http.StatusOK {
 		t.Fatalf("healthz = %d, want 200", rec.Code)
 	}
-	submitAndWait(t, s, simcheckBody)
+	submitAndWait(t, s, kernelsBody)
 	rec := do(t, s, "GET", "/jobs", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("list = %d, want 200", rec.Code)
@@ -248,9 +322,9 @@ func TestTraceStreamIsJSONLTaxonomy(t *testing.T) {
 	if rec := do(t, s, "GET", "/jobs/job-999/trace", ""); rec.Code != http.StatusNotFound {
 		t.Fatalf("trace of unknown job = %d, want 404", rec.Code)
 	}
-	// fig6 rather than simcheck: the trace must actually carry search
+	// fig6 rather than kernels: the trace must actually carry search
 	// events for the schema check to mean anything.
-	submitAndWait(t, s, `{"kind":"experiment","steps":["fig6"],"models":["Transformer"],"hw_samples":2,"sw_samples":4,"trials":1,"eval":"sim,cache"}`)
+	submitAndWait(t, s, `{"kind":"experiment","steps":["fig6"],"models":["Transformer"],"hw_samples":2,"sw_samples":4,"trials":1,"eval":"maestro,cache"}`)
 	rec := do(t, s, "GET", "/jobs/job-1/trace", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("trace = %d, want 200", rec.Code)
@@ -299,27 +373,43 @@ func TestTraceStreamIsJSONLTaxonomy(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsAndRefusesSubmissions: after the runner starts
-// draining, submissions are 503 but finished jobs stay queryable.
+// TestShutdownDrainsAndRefusesSubmissions: while the runner drains a
+// running job, submissions are 503 and jobs stay queryable; the drained
+// job then finishes.
 func TestShutdownDrainsAndRefusesSubmissions(t *testing.T) {
 	r := engine.NewRunner(engine.RunnerConfig{Concurrency: 1})
 	s := New(r, nil)
-	st := submitAndWait(t, s, simcheckBody)
-	if st.State != engine.StateDone {
-		t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
+	g := holdGate()
+	defer g.release()
+	running := submit(t, s, `{"kind":"experiment","steps":["fig6"],"models":["Transformer"],"hw_samples":2,"sw_samples":4,"trials":1,"eval":"gate,cache"}`)
+	g.step(t) // the job is inside an evaluation and holds the worker
+	queued := submit(t, s, kernelsBody)
+
+	shutdown := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		shutdown <- r.Shutdown(ctx)
+	}()
+	// Shutdown cancels the queue first, so a canceled queued job means
+	// the runner is draining.
+	if got := waitDone(t, s, queued); got.State != engine.StateCanceled {
+		t.Fatalf("queued job state = %s, want canceled", got.State)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := r.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	rec := do(t, s, "POST", "/jobs", simcheckBody)
+	rec := do(t, s, "POST", "/jobs", kernelsBody)
 	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("submit after shutdown = %d, want 503\n%s", rec.Code, rec.Body)
+		t.Fatalf("submit while draining = %d, want 503\n%s", rec.Code, rec.Body)
 	}
 	decodeError(t, rec)
-	if rec := do(t, s, "GET", "/jobs/"+st.ID, ""); rec.Code != http.StatusOK {
-		t.Fatalf("status after shutdown = %d, want 200", rec.Code)
+	if got := status(t, s, running); got.State != engine.StateRunning {
+		t.Fatalf("draining job state = %s, want running", got.State)
+	}
+	g.release()
+	if err := <-shutdown; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if got := status(t, s, running); got.State != engine.StateDone {
+		t.Fatalf("drained job state = %s (%s), want done", got.State, got.Error)
 	}
 }
 
@@ -339,7 +429,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := submitAndWait(t, s, simcheckBody)
+	st := submitAndWait(t, s, kernelsBody)
 	if st.State != engine.StateDone {
 		t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
 	}
