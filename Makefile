@@ -9,7 +9,10 @@
 # BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling,
 # BenchmarkMaestroEvaluateBatch, BenchmarkTransformerLayerSearch,
 # BenchmarkEvalCache and BenchmarkTraceOverhead. Performance is
-# measured by `bash perfbench/run.sh`.
+# measured by `bash perfbench/run.sh`. The allocation gates on pooled
+# paths (testing.AllocsPerRun over sync.Pool scratch) skip themselves
+# under `make race`: the race detector makes sync.Pool drop items at
+# random. `make test` runs them.
 
 GO ?= go
 

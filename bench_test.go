@@ -419,8 +419,9 @@ func BenchmarkDABOSuggest(b *testing.B) {
 // drawn from the layer's precomputed sampler, then featurized and
 // ranked once the surrogate is trained. "warmup" is a proposer with no
 // observations, whose batch is drawn but never featurized; "scoring" is
-// one trained on 24 analytical-model observations. Both must report 0
-// allocs/op: the proposer allocates its buffers once, at construction.
+// one trained on 24 analytical-model observations. Both report 0
+// allocs/op: the candidate batch is borrowed from a pool per call, and
+// TestSpotlightSWSteadyStateAllocatesNothing (internal/core) gates it.
 func BenchmarkSpotlightSWSuggest(b *testing.B) {
 	a := hw.EyerissEdge().Accel
 	l := workload.ResNet50().Layers[6]

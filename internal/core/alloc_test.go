@@ -1,0 +1,91 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"spotlight/internal/gp"
+	"spotlight/internal/hw"
+	"spotlight/internal/maestro"
+	"spotlight/internal/sched"
+	"spotlight/internal/workload"
+)
+
+// The search allocates per search, not per call: these gates pin the
+// steady state of daBO_SW's Suggest and Observe and of a primal refit
+// at zero allocations. Their scratch is pooled, so they skip under
+// -race (see raceEnabled).
+
+func TestSpotlightSWSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	a := hw.EyerissEdge().Accel
+	l := workload.ResNet50().Layers[6]
+	m := maestro.New()
+	cfg := RunConfig{SWConstraint: sched.Free(), SWSamples: 1000}
+	// One valid observation to repeat.
+	probe := NewSpotlight().NewSW(cfg, rand.New(rand.NewSource(2)), a, l)
+	var s sched.Schedule
+	var obj float64
+	for obj == 0 {
+		s = probe.Suggest()
+		if c, err := m.Evaluate(a, s, l); err == nil {
+			obj = MinDelay.LayerCost(c)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		observe int
+		scores  bool
+	}{{"warmup", 0, false}, {"scoring", 24, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw := NewSpotlight().NewSW(cfg, rand.New(rand.NewSource(1)), a, l)
+			for i := 0; i < tc.observe; i++ {
+				s := sw.Suggest()
+				c, err := m.Evaluate(a, s, l)
+				sw.Observe(s, MinDelay.LayerCost(c), err)
+			}
+			if got := sw.(*spotlightSW).dabo.ScoresCandidates(); got != tc.scores {
+				t.Fatalf("surrogate scores candidates: %v, want %v", got, tc.scores)
+			}
+			_ = sw.Suggest() // absorbs a pending refit
+			if n := testing.AllocsPerRun(100, func() { _ = sw.Suggest() }); n != 0 {
+				t.Errorf("Suggest allocated %v objects per call, want 0", n)
+			}
+			// Observations fill the store the search sized for its budget.
+			if n := testing.AllocsPerRun(100, func() { sw.Observe(s, obj, nil) }); n != 0 {
+				t.Errorf("Observe allocated %v objects per call, want 0", n)
+			}
+		})
+	}
+}
+
+func TestDABOPrimalRefitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	rng := rand.New(rand.NewSource(3))
+	d := NewDABO(gp.Linear{Bias: 1}, rng, WithWarmup(0), WithRefitEvery(1), withCapacity(1000))
+	x := make([]float64, 11)
+	observe := func() {
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		d.Observe(x, 1+rng.Float64())
+	}
+	for i := 0; i < 20; i++ {
+		observe()
+	}
+	if err := d.ensureFit(); err != nil { // the first fit sizes the model
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		observe()
+		if err := d.ensureFit(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a refit after the first allocated %v objects, want 0", n)
+	}
+}

@@ -499,14 +499,16 @@ func OptimizeLayer(cfg RunConfig, strat Strategy, rng *rand.Rand, accel hw.Accel
 // The search runs in rounds: per round it draws the round's suggestions
 // into a scratch slice reused across rounds, evaluates them in one
 // EvaluateBatchSpan call, and delivers the Observe feedback in
-// suggestion order. A proposer that declares feedback-independent rounds
-// (RoundProposer) sets the round size, capped at the remaining budget;
-// any other proposer, or any run with cfg.DisableBatch, runs rounds of
-// one — strict Suggest/Observe interleaving. Because a round by
-// definition draws the same RNG stream whether or not Observe calls are
-// interleaved, and because a batch is bit-identical to per-item
-// evaluation, both round sizes produce the same LayerResult bit for bit;
-// cfg.DisableBatch exists to verify exactly that. Cancellation is
+// suggestion order. A proposer that declares feedback-independent
+// rounds (RoundProposer) sets the round size, capped at the remaining
+// budget; any other proposer, or any run with cfg.DisableBatch, runs
+// rounds of one — strict Suggest/Observe interleaving — which go through
+// EvaluateSpan into result scratch the search owns, so they allocate no
+// result slices. Because a round by definition draws the same RNG stream
+// whether or not Observe calls are interleaved, and because a batch is
+// bit-identical to per-item evaluation, both round sizes produce the
+// same LayerResult bit for bit; cfg.DisableBatch exists to verify
+// exactly that. Cancellation is
 // checked between rounds; a canceled layer search is discarded by the
 // caller either way.
 func runLayerSearch(ctx context.Context, cfg RunConfig, sw SWProposer, accel hw.Accel,
@@ -518,7 +520,11 @@ func runLayerSearch(ctx context.Context, cfg RunConfig, sw SWProposer, accel hw.
 	}
 	best := LayerResult{Layer: layer}
 	bestObj := math.Inf(1)
-	var ss []sched.Schedule
+	var (
+		ss    []sched.Schedule
+		cost1 [1]maestro.Cost // a round of one's result
+		err1  [1]error
+	)
 	for done := 0; done < budget; {
 		if ctx.Err() != nil {
 			break
@@ -532,7 +538,12 @@ func runLayerSearch(ctx context.Context, cfg RunConfig, sw SWProposer, accel hw.
 		for j := 0; j < n; j++ {
 			ss = append(ss, sw.Suggest())
 		}
-		costs, errs := EvaluateBatchSpan(cfg.Eval, sp, accel, ss, layer)
+		costs, errs := cost1[:], err1[:]
+		if n == 1 {
+			cost1[0], err1[0] = EvaluateSpan(cfg.Eval, sp, accel, ss[0], layer)
+		} else {
+			costs, errs = EvaluateBatchSpan(cfg.Eval, sp, accel, ss, layer)
+		}
 		for j, s := range ss {
 			cost, err := costs[j], errs[j]
 			obj := math.Inf(1)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -30,20 +31,28 @@ type DABO struct {
 	refitEvery int
 	rng        *rand.Rand
 
-	x       [][]float64
-	y       []float64 // log costs
-	invalid [][]float64
+	// Observations are stored flat, one dim-length row after another:
+	// x holds the valid feature rows, invalid the infeasible ones.
+	// capacity, when set, is the expected number of observations, which
+	// sizes x and y at the first one.
+	dim      int
+	capacity int
+	x        []float64
+	y        []float64 // log costs, one per row of x
+	invalid  []float64
 
 	// primal is the incremental sufficient-statistics accumulator used
 	// when the kernel is gp.Linear: fits cost O(d³) and predictions O(d)
 	// instead of the dense GP's O(n³)/O(n²). Other kernels have no finite
-	// feature map and fall back to the dense path.
+	// feature map and fall back to the dense path. The primal surrogate
+	// is refit in place into fit.
 	primal      *gp.PrimalStats
+	fit         gp.PrimalLinear
 	model       gp.Predictor
 	staleness   int
 	fitAttempts int
 
-	// Reusable batch-prediction buffers for SuggestIndex.
+	// Batch-prediction buffers for SuggestIndex.
 	means, stds []float64
 
 	// decided caches ScoresCandidates' answer (scores) until the next
@@ -80,6 +89,10 @@ func WithRefitEvery(n int) DABOOption { return func(d *DABO) { d.refitEvery = n 
 
 // WithNoise sets the surrogate's observation noise variance (default 1e-4).
 func WithNoise(v float64) DABOOption { return func(d *DABO) { d.noise = v } }
+
+// withCapacity sizes the observation store for n observations, so a
+// search that knows its budget allocates it once instead of growing it.
+func withCapacity(n int) DABOOption { return func(d *DABO) { d.capacity = n } }
 
 // WithTracer attaches a tracer that receives one dabo.fit event per
 // surrogate refit (duration, observation counts, and the fit outcome)
@@ -123,7 +136,34 @@ func NewDABO(kernel gp.Kernel, rng *rand.Rand, opts ...DABOOption) *DABO {
 
 // Observations returns the number of valid and invalid observations.
 func (d *DABO) Observations() (valid, invalid int) {
-	return len(d.y), len(d.invalid)
+	return len(d.y), d.invalidCount()
+}
+
+func (d *DABO) invalidCount() int {
+	if d.dim == 0 {
+		return 0
+	}
+	return len(d.invalid) / d.dim
+}
+
+// row returns row i of the flat observation store xs as a view.
+func (d *DABO) row(xs []float64, i int) []float64 {
+	return xs[i*d.dim : (i+1)*d.dim : (i+1)*d.dim]
+}
+
+// checkDim fixes the observation width on the first observation and
+// rejects any later row of another width.
+func (d *DABO) checkDim(features []float64) {
+	if len(d.y) == 0 && len(d.invalid) == 0 {
+		d.dim = len(features)
+		if d.capacity > 0 {
+			d.x = make([]float64, 0, d.capacity*d.dim)
+			d.y = make([]float64, 0, d.capacity)
+		}
+	}
+	if len(features) != d.dim {
+		panic(fmt.Sprintf("core: daBO observation has %d features, earlier ones had %d", len(features), d.dim))
+	}
 }
 
 // Observe records a valid design's feature vector and its (positive)
@@ -139,8 +179,9 @@ func (d *DABO) Observe(features []float64, cost float64) {
 		return
 	}
 	logCost := math.Log(math.Max(cost, math.SmallestNonzeroFloat64))
+	d.checkDim(features)
 	d.decided = false
-	d.x = append(d.x, append([]float64(nil), features...))
+	d.x = append(d.x, features...)
 	d.y = append(d.y, logCost)
 	if d.primal != nil {
 		d.primal.Add(features, logCost)
@@ -155,8 +196,9 @@ func (d *DABO) ObserveInvalid(features []float64) {
 	if !finiteVec(features) {
 		return
 	}
+	d.checkDim(features)
 	d.decided = false
-	d.invalid = append(d.invalid, append([]float64(nil), features...))
+	d.invalid = append(d.invalid, features...)
 	if d.primal != nil {
 		d.primal.AddPenalized(features)
 	}
@@ -192,6 +234,16 @@ func (d *DABO) ScoresCandidates() bool {
 // next: uniformly at random during warmup (or if the surrogate cannot be
 // fit), otherwise the candidate minimizing the LCB acquisition.
 func (d *DABO) SuggestIndex(candidates [][]float64) int {
+	if n := len(candidates); cap(d.means) < n {
+		d.means = make([]float64, n)
+		d.stds = make([]float64, n)
+	}
+	return d.suggestIndex(candidates, d.means, d.stds)
+}
+
+// suggestIndex is SuggestIndex with caller-owned prediction buffers of
+// at least len(candidates) values.
+func (d *DABO) suggestIndex(candidates [][]float64, means, stds []float64) int {
 	n := len(candidates)
 	if n == 0 {
 		d.decided = false
@@ -202,11 +254,7 @@ func (d *DABO) SuggestIndex(candidates [][]float64) int {
 	if !scores {
 		return d.rng.Intn(n)
 	}
-	if cap(d.means) < n {
-		d.means = make([]float64, n)
-		d.stds = make([]float64, n)
-	}
-	means, stds := d.means[:n], d.stds[:n]
+	means, stds = means[:n], stds[:n]
 	if err := d.model.PredictBatch(candidates, means, stds); err != nil {
 		return d.rng.Intn(n)
 	}
@@ -276,7 +324,7 @@ func (d *DABO) ensureFit() error {
 	if d.model != nil && d.staleness < d.refitEvery {
 		return nil
 	}
-	if len(d.x)+len(d.invalid) == 0 {
+	if len(d.y)+d.invalidCount() == 0 {
 		return gp.ErrNoData
 	}
 	traced := obs.Active(d.span, d.tracer)
@@ -288,7 +336,7 @@ func (d *DABO) ensureFit() error {
 	if traced {
 		e := obs.Event{Type: obs.DABOFit, Scope: d.scope, Detail: "ok",
 			DurMS: obs.MS(obs.Since(fitStart)),
-			N:     len(d.x) + len(d.invalid), Value: float64(len(d.invalid))}
+			N:     len(d.y) + d.invalidCount(), Value: float64(d.invalidCount())}
 		if err != nil {
 			e.Detail = err.Error()
 		}
@@ -308,23 +356,27 @@ func (d *DABO) ensureFit() error {
 
 var errDegraded = errors.New("core: surrogate degraded to random suggestion after repeated fit failures")
 
-// refit rebuilds the surrogate from the current observation set.
+// refit rebuilds the surrogate from the current observation set. The
+// primal path refits d.fit in place; a failed refit leaves it, and
+// d.model, as they were.
 func (d *DABO) refit() error {
 	penalty := d.invalidPenalty()
 	if d.primal != nil {
-		m, err := d.primal.Fit(penalty)
-		if err != nil {
+		if err := d.primal.FitInto(&d.fit, penalty); err != nil {
 			return err
 		}
-		d.model = m
+		d.model = &d.fit
 		return nil
 	}
-	x := make([][]float64, 0, len(d.x)+len(d.invalid))
-	y := make([]float64, 0, len(d.x)+len(d.invalid))
-	x = append(x, d.x...)
+	nv, ni := len(d.y), d.invalidCount()
+	x := make([][]float64, 0, nv+ni)
+	y := make([]float64, 0, nv+ni)
+	for i := 0; i < nv; i++ {
+		x = append(x, d.row(d.x, i))
+	}
 	y = append(y, d.y...)
-	for _, f := range d.invalid {
-		x = append(x, f)
+	for i := 0; i < ni; i++ {
+		x = append(x, d.row(d.invalid, i))
 		y = append(y, penalty)
 	}
 	m := gp.New(d.kernel, d.noise)
@@ -337,7 +389,8 @@ func (d *DABO) refit() error {
 
 // Surrogate returns the fitted surrogate (refitting if stale), for
 // analyses such as permutation importance. It returns nil when no model
-// can be fit yet.
+// can be fit yet. A linear-kernel surrogate is refit in place, so the
+// returned model follows later observations' refits.
 func (d *DABO) Surrogate() gp.Predictor {
 	if err := d.ensureFit(); err != nil {
 		return nil
@@ -348,9 +401,9 @@ func (d *DABO) Surrogate() gp.Predictor {
 // ValidObservations returns copies of the valid observations' feature
 // matrix, for feature-importance analysis.
 func (d *DABO) ValidObservations() [][]float64 {
-	out := make([][]float64, len(d.x))
-	for i, row := range d.x {
-		out[i] = append([]float64(nil), row...)
+	out := make([][]float64, len(d.y))
+	for i := range out {
+		out[i] = append([]float64(nil), d.row(d.x, i)...)
 	}
 	return out
 }

@@ -250,20 +250,30 @@ func TestDABORefitEveryBatchesWork(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d.Observe([]float64{float64(i)}, float64(i+1))
 	}
-	m1 := d.Surrogate()
-	if m1 == nil {
-		t.Fatal("no surrogate")
+	// The linear surrogate is refit in place, so a refit shows as a
+	// changed prediction rather than a new model.
+	predict := func() float64 {
+		m := d.Surrogate()
+		if m == nil {
+			t.Fatal("no surrogate")
+		}
+		mean, _, err := m.Predict([]float64{5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mean
 	}
+	m1 := predict()
 	// Two more observations stay under the refit threshold: same model.
 	d.Observe([]float64{10}, 11)
-	if d.Surrogate() != m1 {
+	if predict() != m1 {
 		t.Fatal("surrogate refit before the staleness threshold")
 	}
 	// Enough new observations force a refit.
 	for i := 0; i < 5; i++ {
 		d.Observe([]float64{float64(20 + i)}, float64(21+i))
 	}
-	if d.Surrogate() == m1 {
+	if predict() == m1 {
 		t.Fatal("surrogate not refit after the staleness threshold")
 	}
 }

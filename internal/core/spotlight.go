@@ -95,37 +95,60 @@ func (s *Spotlight) SWBudget(cfg RunConfig) int { return cfg.SWSamples }
 
 // NewHW implements Strategy.
 func (s *Spotlight) NewHW(cfg RunConfig, rng *rand.Rand) HWProposer {
-	h := &spotlightHW{
-		dabo:     NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "hw")),
-		features: FeaturesFor(s.Mode, true),
+	features := FeaturesFor(s.Mode, true)
+	return &spotlightHW{
+		dabo: NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "hw"),
+			withCapacity(cfg.HWSamples)),
+		features: features,
 		space:    cfg.Space,
 		budget:   cfg.Budget,
 		rng:      rng,
+		n:        s.batch(),
+		row:      make([]float64, len(features)),
 	}
-	h.cands.init(s.batch(), len(h.features))
-	return h
 }
 
-// candidateBatch is a proposer's reusable candidate batch: n
-// parameter-space points, one flat n×d feature buffer whose rows are
-// views handed to DABO.SuggestIndex, and a row for featurizing the
-// observed point (DABO copies observations). Allocated once per
-// proposer, reused by every Suggest and Observe.
+// candidateBatch is the working set of one Suggest: n parameter-space
+// points, one flat n×d feature buffer whose rows are views handed to
+// DABO.suggestIndex, and the surrogate's n predictions. Nothing in it
+// outlives the call, so Suggest borrows it from a batchPool and a
+// proposer keeps only its d-length observation row.
 type candidateBatch[T any] struct {
-	points []T
-	rows   [][]float64
-	row    []float64
+	points      []T
+	rows        [][]float64
+	means, stds []float64
 }
 
-func (c *candidateBatch[T]) init(n, d int) {
-	c.points = make([]T, n)
-	c.rows = make([][]float64, n)
-	flat := make([]float64, (n+1)*d)
-	for i := range c.rows {
-		c.rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
+// batchPool lends candidate batches to Suggest calls, so the searches a
+// process runs share a few batches instead of allocating one each.
+type batchPool[T any] struct{ p sync.Pool }
+
+var (
+	hwBatches batchPool[hw.Accel]
+	swBatches batchPool[sched.Schedule]
+)
+
+// get returns a batch of n points with d features each. Its contents
+// are whatever the previous borrower left: Suggest overwrites every
+// point, and every row it lets the surrogate read.
+func (bp *batchPool[T]) get(n, d int) *candidateBatch[T] {
+	c, _ := bp.p.Get().(*candidateBatch[T])
+	if c == nil || len(c.points) != n || len(c.rows[0]) != d {
+		c = &candidateBatch[T]{
+			points: make([]T, n),
+			rows:   make([][]float64, n),
+			means:  make([]float64, n),
+			stds:   make([]float64, n),
+		}
+		flat := make([]float64, n*d)
+		for i := range c.rows {
+			c.rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
+		}
 	}
-	c.row = flat[n*d:]
+	return c
 }
+
+func (bp *batchPool[T]) put(c *candidateBatch[T]) { bp.p.Put(c) }
 
 type spotlightHW struct {
 	dabo     *DABO
@@ -133,7 +156,8 @@ type spotlightHW struct {
 	space    hw.Space
 	budget   hw.Budget
 	rng      *rand.Rand
-	cands    candidateBatch[hw.Accel]
+	n        int       // candidates per Suggest
+	row      []float64 // the observed point's features (DABO copies them)
 	pt       Point
 }
 
@@ -146,7 +170,9 @@ type spotlightHW struct {
 // reject it. Candidates are featurized only when the surrogate will
 // read them (see DABO.ScoresCandidates).
 func (h *spotlightHW) Suggest() hw.Accel {
-	cands := h.cands.points
+	b := hwBatches.get(h.n, len(h.features))
+	defer hwBatches.put(b)
+	cands := b.points
 	for i := range cands {
 		cands[i] = h.space.Random(h.rng)
 		for retry := 0; retry < 16 && !h.budget.Fits(cands[i]); retry++ {
@@ -156,10 +182,10 @@ func (h *spotlightHW) Suggest() hw.Accel {
 	if h.dabo.ScoresCandidates() {
 		for i := range cands {
 			h.pt.Accel = cands[i]
-			TransformTo(h.cands.rows[i], h.features, &h.pt)
+			TransformTo(b.rows[i], h.features, &h.pt)
 		}
 	}
-	return cands[h.dabo.SuggestIndex(h.cands.rows)]
+	return cands[h.dabo.suggestIndex(b.rows, b.means, b.stds)]
 }
 
 // SetSpan implements SpanCarrier by forwarding to the embedded daBO, so
@@ -168,7 +194,7 @@ func (h *spotlightHW) SetSpan(sp *obs.Span) { h.dabo.SetSpan(sp) }
 
 func (h *spotlightHW) Observe(a hw.Accel, objective float64, err error) {
 	h.pt.Accel = a
-	f := h.cands.row
+	f := h.row
 	TransformTo(f, h.features, &h.pt)
 	if InvalidObservation(objective, err) {
 		h.dabo.ObserveInvalid(f)
@@ -180,7 +206,7 @@ func (h *spotlightHW) Observe(a hw.Accel, objective float64, err error) {
 // NewSW implements Strategy. It builds the proposer's search context
 // for this (accelerator, layer) pair once: a schedule sampler per
 // constraint, with the layer's divisor tables and heuristic tiles
-// precomputed, and the reusable candidate batch.
+// precomputed. The candidate batch is borrowed per Suggest, not owned.
 func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) SWProposer {
 	constraints := []sched.Constraint{cfg.SWConstraint}
 	if s.FixedDataflows {
@@ -189,16 +215,19 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 			constraints = append(constraints, sched.SpotlightF(df))
 		}
 	}
+	features := FeaturesFor(s.Mode, false)
 	sw := &spotlightSW{
-		dabo:     NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "sw")),
-		features: FeaturesFor(s.Mode, false),
+		dabo: NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "sw"),
+			withCapacity(s.SWBudget(cfg))),
+		features: features,
 		rng:      rng,
+		n:        s.batch(),
+		row:      make([]float64, len(features)),
 		pt:       Point{Accel: a, Layer: l},
 	}
 	for _, c := range constraints {
 		sw.samplers = append(sw.samplers, c.Sampler(l, a.RFBytesPerPE(), a.L2Bytes()))
 	}
-	sw.cands.init(s.batch(), len(sw.features))
 	s.mu.Lock()
 	s.lastSW = sw
 	s.mu.Unlock()
@@ -210,7 +239,8 @@ type spotlightSW struct {
 	features []Feature
 	samplers []*sched.Sampler
 	rng      *rand.Rand
-	cands    candidateBatch[sched.Schedule]
+	n        int       // candidates per Suggest
+	row      []float64 // the observed point's features (DABO copies them)
 	// pt carries the proposer's accelerator and layer; Suggest and
 	// Observe set only its schedule before featurizing.
 	pt Point
@@ -221,17 +251,19 @@ type spotlightSW struct {
 // will read it (see DABO.ScoresCandidates); during warmup SuggestIndex
 // draws a uniform index without looking at the features.
 func (w *spotlightSW) Suggest() sched.Schedule {
-	cands := w.cands.points
+	b := swBatches.get(w.n, len(w.features))
+	defer swBatches.put(b)
+	cands := b.points
 	for i := range cands {
 		w.samplers[w.rng.Intn(len(w.samplers))].RandomTo(w.rng, &cands[i])
 	}
 	if w.dabo.ScoresCandidates() {
 		for i := range cands {
 			w.pt.Sched = cands[i]
-			TransformTo(w.cands.rows[i], w.features, &w.pt)
+			TransformTo(b.rows[i], w.features, &w.pt)
 		}
 	}
-	return cands[w.dabo.SuggestIndex(w.cands.rows)]
+	return cands[w.dabo.suggestIndex(b.rows, b.means, b.stds)]
 }
 
 // SetSpan implements SpanCarrier by forwarding to the embedded daBO, so
@@ -240,7 +272,7 @@ func (w *spotlightSW) SetSpan(sp *obs.Span) { w.dabo.SetSpan(sp) }
 
 func (w *spotlightSW) Observe(s sched.Schedule, objective float64, err error) {
 	w.pt.Sched = s
-	f := w.cands.row
+	f := w.row
 	TransformTo(f, w.features, &w.pt)
 	if InvalidObservation(objective, err) {
 		w.dabo.ObserveInvalid(f)

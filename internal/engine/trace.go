@@ -22,15 +22,18 @@ import (
 type TraceBuffer struct {
 	start time.Time
 
-	mu      sync.Mutex
-	events  []obs.Event
-	done    bool
-	changed chan struct{} // closed and replaced on every append/End
+	mu     sync.Mutex
+	events []obs.Event
+	done   bool
+	// changed is the channel the last Since handed out, closed (and
+	// dropped) by the next append or End. It is made only when a
+	// subscriber asks, so appends nobody waits on allocate no channel.
+	changed chan struct{}
 }
 
 // NewTraceBuffer returns an empty buffer whose TMS clock starts now.
 func NewTraceBuffer() *TraceBuffer {
-	return &TraceBuffer{start: obs.Now(), changed: make(chan struct{})}
+	return &TraceBuffer{start: obs.Now()}
 }
 
 // Enabled reports true: a buffer exists to record.
@@ -62,15 +65,19 @@ func (b *TraceBuffer) End() {
 	b.notifyLocked()
 }
 
-// notifyLocked wakes blocked subscribers by closing the current change
-// channel and installing a fresh one. Callers hold b.mu.
+// notifyLocked wakes blocked subscribers by closing the change channel
+// handed out since the last change, if any; the next Since makes a
+// fresh one. Callers hold b.mu.
 func (b *TraceBuffer) notifyLocked() {
-	close(b.changed)
-	b.changed = make(chan struct{})
+	if b.changed != nil {
+		close(b.changed)
+		b.changed = nil
+	}
 }
 
 // Since returns the events at positions >= i, whether the stream has
-// ended, and a channel that closes on the next change. A subscriber
+// ended, and a channel that closes on the next change (never nil; after
+// End it never closes, since nothing changes any more). A subscriber
 // loop is:
 //
 //	for i := 0; ; {
@@ -91,6 +98,9 @@ func (b *TraceBuffer) Since(i int) (events []obs.Event, done bool, more <-chan s
 	}
 	if i > len(b.events) {
 		i = len(b.events)
+	}
+	if b.changed == nil {
+		b.changed = make(chan struct{})
 	}
 	return b.events[i:len(b.events):len(b.events)], b.done, b.changed
 }

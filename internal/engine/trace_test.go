@@ -80,3 +80,36 @@ func TestTraceBufferWakesSubscriberOnEmitAndEnd(t *testing.T) {
 		t.Fatalf("Emit after End grew the buffer to %d events", b.Len())
 	}
 }
+
+// TestTraceBufferMakesChannelsOnlyForSubscribers: an Emit nobody waits
+// on allocates no change channel; a subscriber's channel is closed by
+// the next change; and Since never hands out a nil channel, after End
+// included.
+func TestTraceBufferMakesChannelsOnlyForSubscribers(t *testing.T) {
+	b := NewTraceBuffer()
+	b.events = make([]obs.Event, 0, 1024) // the retained trace is not under test
+	emit := func() { b.Emit(obs.Event{Type: obs.CacheHit}) }
+	if n := testing.AllocsPerRun(100, emit); n != 0 {
+		t.Fatalf("Emit with no subscriber allocated %v objects, want 0", n)
+	}
+	_, _, more := b.Since(0)
+	if more == nil {
+		t.Fatal("Since returned a nil channel")
+	}
+	if _, _, again := b.Since(0); again != more {
+		t.Fatal("a second Since before any change made a new channel")
+	}
+	emit()
+	select {
+	case <-more:
+	default:
+		t.Fatal("Emit did not close the subscriber's channel")
+	}
+	if n := testing.AllocsPerRun(100, emit); n != 0 {
+		t.Fatalf("Emit after the subscriber woke allocated %v objects, want 0", n)
+	}
+	b.End()
+	if _, done, more := b.Since(0); !done || more == nil {
+		t.Fatalf("after End: done=%v, channel nil=%v; want true, false", done, more == nil)
+	}
+}

@@ -99,6 +99,8 @@ type Store struct {
 	degraded    bool
 	onDegrade   func(error)
 
+	rec []byte // the record being appended, reused by every Put
+
 	hits, misses, puts int64
 	recovered          int   // complete records loaded at open
 	droppedBytes       int64 // torn/corrupt tail truncated at open
@@ -311,12 +313,13 @@ func (s *Store) Get(key Key) ([]byte, bool) {
 	return v, ok
 }
 
-// Put appends a record and indexes it. In read-only or degraded mode
-// the index is still updated (so the running process keeps its result)
-// but nothing is written. Append errors never propagate: they degrade
-// the store — truncating any partial record so the on-disk journal
-// stays a clean prefix of complete records — and the evaluation that
-// produced the value continues unaffected.
+// Put appends a record and indexes it, keeping its own copy of value.
+// In read-only or degraded mode the index is still updated (so the
+// running process keeps its result) but nothing is written. Append
+// errors never propagate: they degrade the store — truncating any
+// partial record so the on-disk journal stays a clean prefix of
+// complete records — and the evaluation that produced the value
+// continues unaffected.
 func (s *Store) Put(key Key, value []byte) {
 	if len(value) > maxValueLen {
 		return
@@ -329,17 +332,17 @@ func (s *Store) Put(key Key, value []byte) {
 		// indexes in file order) would resurrect it on reopen.
 		return
 	}
-	s.index[key] = append([]byte(nil), value...)
+	s.index[key] = append([]byte(nil), value...) // the one retained copy
 	if s.readOnly || s.degraded {
 		return
 	}
 	payloadLen := 32 + len(value)
-	rec := make([]byte, 0, recordHdrLen+payloadLen)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(payloadLen))
+	rec := binary.LittleEndian.AppendUint32(s.rec[:0], uint32(payloadLen))
 	rec = append(rec, 0, 0, 0, 0) // checksum patched below
 	rec = append(rec, key[:]...)
 	rec = append(rec, value...)
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[recordHdrLen:], castagnoli))
+	s.rec = rec
 
 	if _, err := s.w.Write(rec); err != nil {
 		// A partial append may be on disk. Cut back to the last complete

@@ -118,22 +118,17 @@ func decodeCost(b []byte) maestro.Cost {
 	}
 }
 
-// encodeResult renders a persistable outcome, or nil for outcomes the
-// cache contract excludes (transient faults are never memoized, in
-// memory or on disk).
-func encodeResult(cost maestro.Cost, err error) []byte {
+// appendResult appends a persistable outcome's encoding to b. ok is
+// false, and b is returned unchanged, for outcomes the cache contract
+// excludes (transient faults are never memoized, in memory or on disk).
+func appendResult(b []byte, cost maestro.Cost, err error) (_ []byte, ok bool) {
 	switch Outcome(err) {
 	case OutcomeOK:
-		b := make([]byte, 0, 1+8*costFloats)
-		b = append(b, persistOK)
-		return encodeCost(b, cost)
+		return encodeCost(append(b, persistOK), cost), true
 	case OutcomeInvalid:
-		msg := err.Error()
-		b := make([]byte, 0, 1+len(msg))
-		b = append(b, persistInvalid)
-		return append(b, msg...)
+		return append(append(b, persistInvalid), err.Error()...), true
 	}
-	return nil
+	return b, false
 }
 
 // persistedInvalid is the decoded form of a stored infeasibility
@@ -240,10 +235,13 @@ func (d *Disk) Sync() {
 	}
 }
 
-// diskScratch is the reusable per-call working set of Disk.evaluate.
+// diskScratch is the reusable per-call working set of Disk.evaluate:
+// record keys, the miss subset, and the encoding of the value being
+// appended (the store keeps its own copy).
 type diskScratch struct {
 	keys []diskcache.Key
 	miss missSet
+	val  []byte
 }
 
 var diskScratchPool = sync.Pool{New: func() any { return new(diskScratch) }}
@@ -280,7 +278,9 @@ func (d *Disk) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workloa
 	}
 	sc.miss.run(d.inner, sp, a, ss, l, costs, errs)
 	for _, i := range sc.miss.idx {
-		if val := encodeResult(costs[i], errs[i]); val != nil {
+		val, ok := appendResult(sc.val[:0], costs[i], errs[i])
+		sc.val = val
+		if ok {
 			d.store.Put(sc.keys[i], val)
 			if obs.Active(sp, d.tr) {
 				sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "append"})

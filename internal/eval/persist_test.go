@@ -25,8 +25,8 @@ func TestPersistCodecRoundTrip(t *testing.T) {
 		AreaMM2:     -0.0,
 		Utilization: 0.87,
 	}
-	val := encodeResult(cost, nil)
-	if val == nil {
+	val, ok := appendResult(nil, cost, nil)
+	if !ok {
 		t.Fatal("ok result not persistable")
 	}
 	got, verdict, ok := decodeResult(val)
@@ -47,8 +47,8 @@ func TestPersistCodecRoundTrip(t *testing.T) {
 	// An infeasibility verdict keeps its exact wording and still
 	// classifies as invalid for every outcome-aware layer.
 	inv := fmt.Errorf("PE array underutilized: %w", maestro.ErrInvalid)
-	val = encodeResult(maestro.Cost{}, inv)
-	if val == nil {
+	val, ok = appendResult(nil, maestro.Cost{}, inv)
+	if !ok {
 		t.Fatal("invalid verdict not persistable")
 	}
 	_, verdict, ok = decodeResult(val)
@@ -63,7 +63,7 @@ func TestPersistCodecRoundTrip(t *testing.T) {
 	}
 
 	// Transient faults are never persisted — the cache contract.
-	if v := encodeResult(maestro.Cost{}, errors.New("timeout")); v != nil {
+	if v, ok := appendResult(nil, maestro.Cost{}, errors.New("timeout")); ok {
 		t.Fatalf("transient fault persisted as %x", v)
 	}
 }

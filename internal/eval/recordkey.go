@@ -29,10 +29,12 @@ const recordKeyPrefix = "spotlight/evalkey"
 // and releases. Pass a CanonicalKey-produced key so Layer.Repeat is
 // canonicalized exactly as the in-memory cache does.
 func RecordKey(backend, fingerprint string, k Key) [32]byte {
-	return sha256.Sum256(recordKeyBytes(backend, fingerprint, k))
+	var buf [512]byte // the serialization of any realistic key fits on the stack
+	return sha256.Sum256(appendRecordKey(buf[:0], backend, fingerprint, k))
 }
 
-// recordKeyBytes is the canonical serialization RecordKey hashes. Layout
+// appendRecordKey appends the canonical serialization RecordKey hashes
+// to b. Layout
 // (all integers little-endian uint64 unless noted):
 //
 //	"spotlight/evalkey" ‖ version byte ‖
@@ -41,8 +43,7 @@ func RecordKey(backend, fingerprint string, k Key) [32]byte {
 //	sched{T2[·],T1[·],OuterOrder[·],InnerOrder[·],OuterUnroll,InnerUnroll} ‖
 //	len(layer.Name) ‖ layer.Name ‖
 //	layer{Op,N,K,C,R,S,X,Y,StrideX,StrideY,Repeat}
-func recordKeyBytes(backend, fingerprint string, k Key) []byte {
-	b := make([]byte, 0, 512)
+func appendRecordKey(b []byte, backend, fingerprint string, k Key) []byte {
 	b = append(b, recordKeyPrefix...)
 	b = append(b, RecordKeyVersion)
 	b = appendString(b, backend)

@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 
 // goldenKey is a fixed evaluation input exercising every serialized
 // field with a distinct value, so any field dropped from or reordered in
-// recordKeyBytes changes the golden bytes.
+// appendRecordKey changes the golden bytes.
 func goldenKey() Key {
 	return Key{
 		Accel: hw.Accel{PEs: 1024, Width: 32, SIMDLanes: 4, RFKB: 128, L2KB: 2048, NoCBW: 256},
@@ -48,7 +48,7 @@ func goldenKey() Key {
 // point — their keys no longer describe the stored values), then
 // regenerate with: go test ./internal/eval -run RecordKeyGolden -update
 func TestRecordKeyGolden(t *testing.T) {
-	raw := recordKeyBytes("maestro", "maestro/cost-v1", goldenKey())
+	raw := appendRecordKey(nil, "maestro", "maestro/cost-v1", goldenKey())
 	sum := RecordKey("maestro", "maestro/cost-v1", goldenKey())
 	got := fmt.Sprintf("version: %d\nbytes: %s\nsha256: %s\n",
 		RecordKeyVersion, hex.EncodeToString(raw), hex.EncodeToString(sum[:]))

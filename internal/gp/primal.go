@@ -3,6 +3,7 @@ package gp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"spotlight/internal/linalg"
 )
@@ -152,53 +153,59 @@ func momentScale(n float64, sum, sumSq float64) (mean, std float64) {
 // when nothing has been absorbed. The accumulator is unchanged and can
 // keep absorbing observations for the next fit.
 func (p *PrimalStats) Fit(penalty float64) (*PrimalLinear, error) {
+	m := new(PrimalLinear)
+	if err := p.FitInto(m, penalty); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// FitInto is Fit into a caller-owned model: it refits m in place. The
+// system is assembled and solved in pooled scratch and copied into m
+// only once the factorization succeeds, so on error m is exactly the
+// model it was. In steady state only the first fit of m, which gives m
+// its buffers, allocates.
+func (p *PrimalStats) FitInto(m *PrimalLinear, penalty float64) error {
 	nt := p.n + p.pn
 	if nt == 0 {
-		return nil, ErrNoData
+		return ErrNoData
 	}
 	if math.IsNaN(penalty) || math.IsInf(penalty, 0) {
-		return nil, fmt.Errorf("%w: penalty %v", ErrNonFinite, penalty)
+		return fmt.Errorf("%w: penalty %v", ErrNonFinite, penalty)
 	}
 	if !p.finite() {
-		return nil, fmt.Errorf("%w: accumulated moments", ErrNonFinite)
+		return fmt.Errorf("%w: accumulated moments", ErrNonFinite)
 	}
 	d := p.dim
 	fn := float64(nt)
+	sc := getFitScratch(d)
+	defer fitScratches.Put(sc)
+	next := &sc.fit
+	next.bias, next.noise = p.bias, p.noise
 
-	// Combined raw moments over valid + penalized rows (upper triangle).
-	mc := linalg.NewMatrix(d+1, d+1)
-	for i := 0; i <= d; i++ {
-		for j := i; j <= d; j++ {
-			mc.Set(i, j, p.m.At(i, j)+p.pm.At(i, j))
-		}
-	}
-	// Combined target sums: penalized rows contribute penalty·u.
-	ty := make([]float64, d+1)
-	for j := 0; j <= d; j++ {
-		ty[j] = p.ty[j] + penalty*p.pm.At(0, j)
-	}
+	// Combined raw moments and target sums over valid + penalized rows:
+	// penalized rows contribute penalty·u to the target sums.
 	syy := p.syy + penalty*penalty*float64(p.pn)
-
-	xMean := make([]float64, d)
-	xStd := make([]float64, d)
+	xMean, xStd := next.xMean, next.xStd
 	for j := 0; j < d; j++ {
-		xMean[j], xStd[j] = momentScale(fn, mc.At(0, j+1), mc.At(j+1, j+1))
+		xMean[j], xStd[j] = momentScale(fn, p.moment(0, j+1), p.moment(j+1, j+1))
 	}
-	yMean, yStd := momentScale(fn, ty[0], syy)
+	yMean, yStd := momentScale(fn, p.target(0, penalty), syy)
+	next.yMean, next.yStd = yMean, yStd
 
-	// Standardized system A·w = b over the basis [√bias, x̃₁ … x̃d].
+	// Standardized system A·w = b over the basis [√bias, x̃₁ … x̃d]; b is
+	// built in w and solved in place.
 	sb := math.Sqrt(p.bias)
-	a := linalg.NewMatrix(d+1, d+1)
-	b := make([]float64, d+1)
+	a, b := sc.a, next.w
 	a.Set(0, 0, p.bias*fn+p.noise)
-	b[0] = sb * (ty[0] - fn*yMean) / yStd
+	b[0] = sb * (p.target(0, penalty) - fn*yMean) / yStd
 	for j := 0; j < d; j++ {
-		cross := sb * (mc.At(0, j+1) - fn*xMean[j]) / xStd[j]
+		cross := sb * (p.moment(0, j+1) - fn*xMean[j]) / xStd[j]
 		a.Set(0, j+1, cross)
 		a.Set(j+1, 0, cross)
-		b[j+1] = (ty[j+1] - fn*yMean*xMean[j]) / (yStd * xStd[j])
+		b[j+1] = (p.target(j+1, penalty) - fn*yMean*xMean[j]) / (yStd * xStd[j])
 		for k := j; k < d; k++ {
-			v := (mc.At(j+1, k+1) - fn*xMean[j]*xMean[k]) / (xStd[j] * xStd[k])
+			v := (p.moment(j+1, k+1) - fn*xMean[j]*xMean[k]) / (xStd[j] * xStd[k])
 			if k == j {
 				v += p.noise
 			}
@@ -206,27 +213,75 @@ func (p *PrimalStats) Fit(penalty float64) (*PrimalLinear, error) {
 			a.Set(k+1, j+1, v)
 		}
 	}
-	chol, err := linalg.NewCholesky(a)
-	if err != nil {
-		return nil, fmt.Errorf("gp: primal system factorization failed: %w", err)
+	if err := next.chol.Factor(a); err != nil {
+		return fmt.Errorf("gp: primal system factorization failed: %w", err)
 	}
-	return &PrimalLinear{
-		bias:  p.bias,
-		noise: p.noise,
-		xMean: xMean, xStd: xStd,
-		yMean: yMean, yStd: yStd,
-		w:    chol.SolveVec(b),
-		chol: chol,
-		phi:  make([]float64, d+1),
-		sol:  make([]float64, d+1),
-	}, nil
+	next.chol.SolveVecTo(b, b)
+	m.copyFrom(next)
+	return nil
+}
+
+// fitScratch is FitInto's working set: the standardized system and the
+// model it is solved into.
+type fitScratch struct {
+	a   *linalg.Matrix
+	fit PrimalLinear
+}
+
+// fitScratches lends FitInto its working set, so refits share a few
+// scratch systems instead of allocating one per call.
+var fitScratches sync.Pool
+
+// getFitScratch borrows scratch for a d-feature fit.
+func getFitScratch(d int) *fitScratch {
+	sc, _ := fitScratches.Get().(*fitScratch)
+	if sc == nil || sc.a.Rows != d+1 {
+		sc = &fitScratch{a: linalg.NewMatrix(d+1, d+1)}
+		sc.fit.size(d)
+	}
+	return sc
+}
+
+// moment is the combined raw second moment Σ uⱼ·uₖ over valid and
+// penalized rows (j <= k: only the upper triangle is accumulated).
+func (p *PrimalStats) moment(j, k int) float64 { return p.m.At(j, k) + p.pm.At(j, k) }
+
+// target is the combined target sum Σ y·uⱼ, penalized rows taking the
+// given penalty as their target.
+func (p *PrimalStats) target(j int, penalty float64) float64 {
+	return p.ty[j] + penalty*p.pm.At(0, j)
+}
+
+// size gives m buffers for a d-feature fit, keeping the ones it has.
+func (m *PrimalLinear) size(d int) {
+	if len(m.xMean) == d && m.chol != nil {
+		return
+	}
+	m.xMean = make([]float64, d)
+	m.xStd = make([]float64, d)
+	m.w = make([]float64, d+1)
+	m.phi = make([]float64, d+1)
+	m.sol = make([]float64, d+1)
+	m.chol = &linalg.Cholesky{L: linalg.NewMatrix(d+1, d+1)}
+}
+
+// copyFrom makes m a copy of the fitted model src, in m's own buffers.
+func (m *PrimalLinear) copyFrom(src *PrimalLinear) {
+	m.size(len(src.xMean))
+	m.bias, m.noise = src.bias, src.noise
+	m.yMean, m.yStd = src.yMean, src.yStd
+	copy(m.xMean, src.xMean)
+	copy(m.xStd, src.xStd)
+	copy(m.w, src.w)
+	copy(m.chol.L.Data, src.chol.L.Data)
 }
 
 // PrimalLinear is a fitted primal-form linear surrogate. Its posterior
 // matches the dual GP with kernel Linear{Bias: bias} and the same noise
 // on the same data (see TestPrimalMatchesDualGP). Fit once, predict
-// cheaply: O(d) mean, O(d²) standard deviation, no allocation. Like the
-// dense GP it reuses scratch buffers, so it must not be used from
+// cheaply: O(d) mean, O(d²) standard deviation, no allocation. A model
+// from Fit never changes; one passed to FitInto is refit in place. Like
+// the dense GP it reuses scratch buffers, so it must not be used from
 // multiple goroutines concurrently.
 type PrimalLinear struct {
 	bias, noise float64

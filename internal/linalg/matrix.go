@@ -130,35 +130,54 @@ type Cholesky struct {
 	L *Matrix
 }
 
-// NewCholesky factorizes the symmetric matrix a. If the factorization fails
-// it retries with exponentially increasing diagonal jitter up to maxJitter;
-// GP kernel matrices are frequently near-singular, and jitter is the
-// standard remedy. Returns ErrNotPD when no jitter in range succeeds.
+// NewCholesky factorizes the symmetric matrix a into a new factor; see
+// Factor.
 func NewCholesky(a *Matrix) (*Cholesky, error) {
+	c := new(Cholesky)
+	if err := c.Factor(a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Factor factorizes the symmetric matrix a into c, reusing c.L's storage
+// when it already has a's shape, so a hot loop that refactors into the
+// same Cholesky allocates nothing. If the factorization fails it retries
+// with exponentially increasing diagonal jitter up to maxJitter; GP
+// kernel matrices are frequently near-singular, and jitter is the
+// standard remedy. Returns ErrNotPD when no jitter in range succeeds, in
+// which case c.L holds no usable factor.
+func (c *Cholesky) Factor(a *Matrix) error {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("linalg: cholesky of non-square %dx%d", a.Rows, a.Cols))
 	}
+	n := a.Rows
+	if c.L == nil || c.L.Rows != n || c.L.Cols != n {
+		c.L = NewMatrix(n, n)
+	} else {
+		clear(c.L.Data) // the upper triangle of a factor reads as zero
+	}
 	const maxJitter = 1e-2
 	jitter := 0.0
-	for {
-		l, ok := tryCholesky(a, jitter)
-		if ok {
-			return &Cholesky{L: l}, nil
-		}
+	for !c.factor(a, jitter) {
 		if jitter == 0 {
 			jitter = 1e-10
 		} else {
 			jitter *= 10
 		}
 		if jitter > maxJitter {
-			return nil, ErrNotPD
+			return ErrNotPD
 		}
 	}
+	return nil
 }
 
-func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
+// factor attempts one factorization of a+jitter·I into c.L's lower
+// triangle. Every entry an attempt reads was written earlier in the same
+// attempt, so a retry may overwrite a failed attempt's partial factor.
+func (c *Cholesky) factor(a *Matrix, jitter float64) bool {
 	n := a.Rows
-	l := NewMatrix(n, n)
+	l := c.L
 	for j := 0; j < n; j++ {
 		var d float64
 		for k := 0; k < j; k++ {
@@ -166,7 +185,7 @@ func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
 		}
 		d = a.At(j, j) + jitter - d
 		if d <= 0 || math.IsNaN(d) {
-			return nil, false
+			return false
 		}
 		ljj := math.Sqrt(d)
 		l.Set(j, j, ljj)
@@ -178,7 +197,7 @@ func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
 			l.Set(i, j, (a.At(i, j)-s)/ljj)
 		}
 	}
-	return l, true
+	return true
 }
 
 // SolveVec solves A·x = b for x using the factorization (forward then

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"os"
 	"sync"
@@ -18,6 +17,7 @@ import (
 type JSONL struct {
 	mu    sync.Mutex
 	w     *bufio.Writer
+	enc   *Encoder  // writes into w
 	c     io.Closer // underlying file, when the sink owns one
 	start time.Time
 	seq   int64
@@ -27,7 +27,8 @@ type JSONL struct {
 // NewJSONL returns a JSONL sink over w. The caller owns w's lifetime;
 // call Close to flush buffered events before reading what was written.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: bufio.NewWriter(w), start: time.Now()}
+	bw := bufio.NewWriter(w)
+	return &JSONL{w: bw, enc: NewEncoder(bw), start: time.Now()}
 }
 
 // CreateJSONL creates (truncating) a trace file at path and returns a
@@ -55,12 +56,7 @@ func (j *JSONL) Emit(e Event) {
 	j.seq++
 	e.Seq = j.seq
 	e.TMS = MS(time.Since(j.start))
-	b, err := json.Marshal(e)
-	if err != nil {
-		j.err = err
-		return
-	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
+	if err := j.enc.Encode(e); err != nil {
 		j.err = err
 	}
 }

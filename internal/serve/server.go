@@ -27,9 +27,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -220,15 +222,12 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	buf := job.Trace()
+	sse := newSSEWriter(w)
 	for i := 0; ; {
 		events, done, more := buf.Since(i)
 		for _, e := range events {
-			line, err := json.Marshal(e)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", line); err != nil {
-				return // client went away
+			if err := sse.event(e); err != nil {
+				return // unencodable event, or the client went away
 			}
 		}
 		if len(events) > 0 {
@@ -248,6 +247,34 @@ func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+}
+
+// sseWriter writes trace events as SSE data messages, "data: <event>"
+// and a blank line, where <event> is the object the -trace file would
+// hold for it. It encodes each frame into one reused buffer and sends
+// it in one Write, so streaming an event allocates nothing.
+type sseWriter struct {
+	w     io.Writer
+	frame bytes.Buffer
+	enc   *obs.Encoder // writes into frame
+}
+
+func newSSEWriter(w io.Writer) *sseWriter {
+	s := &sseWriter{w: w}
+	s.enc = obs.NewEncoder(&s.frame)
+	return s
+}
+
+// event writes one event's frame.
+func (s *sseWriter) event(e obs.Event) error {
+	s.frame.Reset()
+	s.frame.WriteString("data: ")
+	if err := s.enc.Encode(e); err != nil { // the object and its newline
+		return err
+	}
+	s.frame.WriteByte('\n')
+	_, err := s.w.Write(s.frame.Bytes())
+	return err
 }
 
 // progress serves the job's live progress snapshot: incumbent so far,
