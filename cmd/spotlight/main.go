@@ -23,7 +23,6 @@ import (
 	"math"
 	"os"
 	"strings"
-	"time"
 
 	"spotlight/internal/core"
 	"spotlight/internal/engine"
@@ -48,8 +47,7 @@ func run() error {
 		swSamples  = flag.Int("sw", 100, "software samples per layer per hardware sample")
 		seed       = flag.Int64("seed", 1, "random seed")
 		strategy   = flag.String("strategy", "spotlight", "search strategy: spotlight, spotlight-v, spotlight-a, spotlight-f, random, ga, confuciux, hasco")
-		evalSpec   = flag.String("eval", "", "evaluation pipeline spec: backend[,middleware...], e.g. \"maestro\", \"sim,cache,guard\" (backends: "+strings.Join(eval.Backends(), ", ")+"; middlewares: cache, diskcache(path=FILE), guard, stats)")
-		backend    = flag.String("backend", "", "deprecated alias for -eval with a bare backend name; prefer -eval \"name[,middleware...]\"")
+		evalSpec   = flag.String("eval", "maestro", "evaluation pipeline spec: backend[,middleware...], e.g. \"maestro\", \"sim,cache,guard\" (backends: "+strings.Join(eval.Backends(), ", ")+"; middlewares: cache, diskcache(path=FILE), guard, stats)")
 		evalStats  = flag.Bool("eval-stats", false, "print per-backend evaluation and cache statistics after the run")
 		historyCSV = flag.String("history", "", "write the per-sample convergence history to this CSV file")
 		jsonOut    = flag.String("json", "", "write the winning design (accelerator + schedules) to this JSON file")
@@ -63,7 +61,6 @@ func run() error {
 		checkpoint  = flag.String("checkpoint", "", "write a resumable checkpoint to this file after every hardware sample (atomic replace)")
 		resumeFrom  = flag.String("resume", "", "resume from a checkpoint file; models, seed, strategy, and budgets must match the original run")
 		evalTimeout = flag.Duration("eval-timeout", 0, "abandon any single cost-model evaluation after this long (0 = none)")
-		evalRetries = flag.Int("eval-retries", 0, "retries for transient cost-model faults, with exponential backoff")
 		cacheDir    = flag.String("cache-dir", "", "persist evaluation results to a crash-safe journal in this directory and reuse them across runs (results are bit-identical warm or cold; disk faults degrade to in-memory evaluation)")
 
 		traceFile   = flag.String("trace", "", "write structured JSONL trace events to this file (observe-only: results are bit-identical with or without; inspect with tracestat)")
@@ -79,24 +76,12 @@ func run() error {
 
 	// The whole evaluation stack — backend, memo cache, fault guard,
 	// stats — is assembled by internal/eval from one spec string.
-	// -eval-timeout / -eval-retries configure the guard layer and force
-	// one into the chain if the spec named none.
-	spec := *evalSpec
-	if spec == "" {
-		spec = *backend // deprecated alias: bare backend name
-	}
-	if spec == "" {
-		spec = "maestro"
-	}
-	pipe, err := eval.FromSpec(spec, eval.SpecOptions{
-		Guard: eval.GuardOptions{
-			Timeout: *evalTimeout,
-			Retries: *evalRetries,
-			Backoff: 50 * time.Millisecond,
-			Seed:    *seed,
-		},
-		Tracer:   tele.Tracer,
-		CacheDir: *cacheDir,
+	// -eval-timeout configures the guard layer and forces one into the
+	// chain if the spec named none.
+	pipe, err := eval.FromSpec(*evalSpec, eval.SpecOptions{
+		GuardTimeout: *evalTimeout,
+		Tracer:       tele.Tracer,
+		CacheDir:     *cacheDir,
 	})
 	if err != nil {
 		// An unknown backend is a usage error: say what exists and how
@@ -148,7 +133,7 @@ func run() error {
 		HWSamples:    *hwSamples,
 		SWSamples:    *swSamples,
 		Seed:         *seed,
-		Eval:         spec,
+		Eval:         *evalSpec,
 		Workers:      *workers,
 		DisableBatch: *noBatch,
 	}

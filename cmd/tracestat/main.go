@@ -297,9 +297,8 @@ func summarize(r io.Reader, w io.Writer) error {
 	if len(persistCounts) > 0 {
 		fmt.Fprintf(w, "persistent cache: %s\n", formatCounts(persistCounts))
 	}
-	if counts[obs.GuardRetry]+counts[obs.GuardTimeout] > 0 {
-		fmt.Fprintf(w, "guard: retries=%d timeouts=%d\n",
-			counts[obs.GuardRetry], counts[obs.GuardTimeout])
+	if n := counts[obs.GuardTimeout]; n > 0 {
+		fmt.Fprintf(w, "guard: timeouts=%d\n", n)
 	}
 	if len(evalOutcomes) > 0 {
 		fmt.Fprintf(w, "evals: %s\n", formatCounts(evalOutcomes))

@@ -9,9 +9,9 @@ import (
 )
 
 // TestSummarizeGolden pins the full report for the checked-in miniature
-// trace. The fixture exercises every section of the report: phase
-// breakdown, convergence table, cache/guard/eval/backend summaries, and
-// the surrogate line. Regenerate with
+// trace. The fixture exercises every section of the report but the
+// guard line (TestSummarizeGuardTimeouts): phase breakdown, convergence
+// table, cache/eval/backend summaries, and the surrogate line. Regenerate with
 //
 //	go run ./cmd/tracestat cmd/tracestat/testdata/mini.jsonl > cmd/tracestat/testdata/mini.golden
 //
@@ -43,8 +43,22 @@ func TestCheckAcceptsGoldenTrace(t *testing.T) {
 	if err := checkTrace(bytes.NewReader(trace), &out); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	if got, want := out.String(), "68 events: schema OK (12 spans, all closed)\n"; got != want {
+	if got, want := out.String(), "67 events: schema OK (12 spans, all closed)\n"; got != want {
 		t.Errorf("check output = %q, want %q", got, want)
+	}
+}
+
+// TestSummarizeGuardTimeouts: guard.timeout events are counted on the
+// report's guard line.
+func TestSummarizeGuardTimeouts(t *testing.T) {
+	trace := `{"seq":1,"t_ms":0,"type":"guard.timeout","detail":"20ms","dur_ms":20}` + "\n" +
+		`{"seq":2,"t_ms":21,"type":"guard.timeout","detail":"20ms","dur_ms":20}` + "\n"
+	var out bytes.Buffer
+	if err := summarize(strings.NewReader(trace), &out); err != nil {
+		t.Fatalf("summarize: %v", err)
+	}
+	if !strings.Contains(out.String(), "\nguard: timeouts=2\n") {
+		t.Errorf("report lacks the guard line:\n%s", out.String())
 	}
 }
 

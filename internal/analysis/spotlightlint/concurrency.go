@@ -17,7 +17,7 @@ import (
 // goroutinePackages are the packages where every `go` statement must be
 // provably joined. They are the long-running layer: the job runner and
 // its workers, the HTTP/SSE server, the worker pool, observability's
-// background HTTP server, resilience's timeout racer — plus lintkit
+// background HTTP server, the eval guard's timeout racer — plus lintkit
 // itself, whose package-parallel driver is goroutine-managed (the
 // analyzers eat their own dogfood). A goroutine nobody joins outlives
 // its request, leaks under churn, and can write after shutdown.
@@ -26,7 +26,7 @@ var goroutinePackages = []string{
 	"spotlight/internal/serve",
 	"spotlight/internal/pool",
 	"spotlight/internal/obs",
-	"spotlight/internal/resilience",
+	"spotlight/internal/eval",
 	"spotlight/internal/analysis/lintkit",
 	"spotlight/cmd/spotlightd",
 }

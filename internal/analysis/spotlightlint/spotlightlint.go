@@ -13,8 +13,6 @@
 //     deterministic packages; inject a *rand.Rand instead.
 //   - maporder: no map iteration that appends, writes output, or feeds a
 //     hash in order-sensitive packages, unless the keys are sorted.
-//   - guardsite: resilience.Guard is constructed only in internal/eval's
-//     guard middleware (the PR-3 invariant).
 //   - floateq: no ==/!= on floating-point operands outside tests.
 //   - nonfinite: no math.NaN/math.Inf flowing into Cost fields or
 //     checkpoint encoding outside the sanctioned hygiene helpers.
@@ -120,7 +118,6 @@ func Analyzers() []*lintkit.Analyzer {
 	return []*lintkit.Analyzer{
 		NoWallClock,
 		MapOrder,
-		GuardSite,
 		FloatEq,
 		NonFinite,
 		CloseCheck,

@@ -36,9 +36,9 @@ func FuzzParseOrder(f *testing.F) {
 // scriptedFaultEval corrupts the real cost model's answers according to
 // a byte script: each evaluation consumes one opcode (cycling) choosing
 // between a clean answer, a backend error, an invalid-design error, and
-// NaN/±Inf cost corruption. It lives here rather than using
-// resilience.ChaosEvaluator because core's internal tests cannot import
-// a package that imports core.
+// NaN/±Inf cost corruption. It lives here rather than reusing the
+// ChaosEvaluator of internal/eval's chaos tests because that is test
+// code in a package that imports core.
 type scriptedFaultEval struct {
 	inner  Evaluator
 	script []byte

@@ -100,13 +100,13 @@ func TestPipelineBatchMatchesBareBackend(t *testing.T) {
 	cases := []struct {
 		name, spec, backend string
 		points              int // random design points; the simulator is slow, so sim gets fewer
-		guard               GuardOptions
+		guardTimeout        time.Duration
 		counted             bool // Chain(countingEval, WithCache()) instead of the spec
 	}{
 		{spec: "maestro,cache,stats", backend: "maestro", points: 48},
 		{spec: "maestro,stats,cache", backend: "maestro", points: 48},
 		{name: "maestro,diskcache,cache,guard", spec: "maestro,diskcache(path=" + journal + "),cache,guard",
-			backend: "maestro", points: 48, guard: GuardOptions{Timeout: time.Minute}},
+			backend: "maestro", points: 48, guardTimeout: time.Minute},
 		{spec: "sim,cache", backend: "sim", points: 12},
 		{name: "counting,cache", backend: "maestro", points: 48, counted: true},
 	}
@@ -133,7 +133,7 @@ func TestPipelineBatchMatchesBareBackend(t *testing.T) {
 		for _, traced := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/traced=%v", c.name, traced), func(t *testing.T) {
 				rec := &recordingTracer{}
-				opts := SpecOptions{Guard: c.guard}
+				opts := SpecOptions{GuardTimeout: c.guardTimeout}
 				if traced {
 					opts.Tracer = rec
 				}

@@ -17,8 +17,8 @@
 //     layers that each preserve the evaluator contract. The bundled
 //     middlewares are WithCache (a sharded, concurrency-safe memo cache
 //     with single-flight deduplication), WithDisk (a crash-safe
-//     persistent cache), and WithGuard (the resilience.Guard
-//     panic/timeout/retry policy). The backend adapter itself keeps
+//     persistent cache), and WithGuard (panic and timeout
+//     containment). The backend adapter itself keeps
 //     atomic eval/invalid/error/latency counters (Pipeline.Stats), so
 //     every pipeline counts the backend work it actually did.
 //   - A spec language: FromSpec("sim,cache,guard") builds the whole
@@ -154,7 +154,8 @@ func Chain(backend core.Evaluator, mw ...Middleware) *Pipeline {
 }
 
 // chain is Chain with a tracer: the backend adapter reports eval.done,
-// eval.batch and backend.path to it, and the cache layer its own events.
+// eval.batch and backend.path to it, and the cache and guard layers
+// their own events.
 func chain(tr obs.Tracer, backend core.Evaluator, mw ...Middleware) *Pipeline {
 	b := lift(backend, tr)
 	p := &Pipeline{backend: backend, outer: b, stats: &b.stats}
@@ -168,6 +169,8 @@ func chain(tr obs.Tracer, backend core.Evaluator, mw ...Middleware) *Pipeline {
 			p.cache, v.tr = v, tr
 		case *Disk:
 			p.disk = v
+		case *guardLayer:
+			v.tr = tr
 		}
 	}
 	if sb, ok := backend.(*sim.Backend); ok {

@@ -67,8 +67,8 @@ func TestFromSpecStatsToken(t *testing.T) {
 }
 
 func TestFromSpecGuardAutoAppend(t *testing.T) {
-	opts := SpecOptions{Guard: GuardOptions{Timeout: time.Second}}
-	// A configured guard policy is honored even when the spec omits it...
+	opts := SpecOptions{GuardTimeout: time.Second}
+	// A guard timeout is honored even when the spec omits the guard...
 	p := MustFromSpec("maestro", opts)
 	if got := p.Name(); got != "guard(maestro)" {
 		t.Fatalf("Name() = %q, want auto-appended guard", got)
@@ -78,10 +78,14 @@ func TestFromSpecGuardAutoAppend(t *testing.T) {
 	if got := p.Name(); got != "guard(maestro)" {
 		t.Fatalf("Name() = %q, guard appears doubled", got)
 	}
-	// An unconfigured policy adds nothing.
+	// No timeout adds nothing...
 	p = MustFromSpec("maestro", SpecOptions{})
 	if got := p.Name(); got != "maestro" {
 		t.Fatalf("Name() = %q, want bare backend", got)
+	}
+	// ...and a negative one is refused rather than read as "none".
+	if _, err := FromSpec("maestro,guard", SpecOptions{GuardTimeout: -time.Second}); err == nil {
+		t.Fatal("negative guard timeout accepted")
 	}
 }
 

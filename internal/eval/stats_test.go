@@ -8,7 +8,6 @@ import (
 
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
-	"spotlight/internal/resilience"
 )
 
 // TestStatsEventConcurrent hammers Stats.Event from racing workers: the
@@ -49,7 +48,7 @@ func TestOutcomeClassification(t *testing.T) {
 		{nil, OutcomeOK},
 		{fmt.Errorf("wrapped: %w", maestro.ErrInvalid), OutcomeInvalid},
 		{errors.New("boom"), OutcomeError},
-		{resilience.ErrTimeout, OutcomeError},
+		{ErrTimeout, OutcomeError},
 	}
 	for _, c := range cases {
 		if got := Outcome(c.err); got != c.want {

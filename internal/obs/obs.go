@@ -64,7 +64,7 @@ const (
 	PoolStart EventType = "pool.start" // N: task index
 	PoolDone  EventType = "pool.done"  // N: task index; DurMS
 
-	// Evaluation pipeline (internal/eval, internal/resilience).
+	// Evaluation pipeline (internal/eval).
 	EvalDone     EventType = "eval.done"         // DurMS; Detail: ok|invalid|error
 	EvalBatch    EventType = "eval.batch"        // N: batch size; DurMS: whole-batch duration
 	BackendPath  EventType = "backend.path"      // Detail: backend event name (e.g. sim's simulated/fallback)
@@ -72,7 +72,6 @@ const (
 	CacheMiss    EventType = "cache.miss"        //
 	CachePanic   EventType = "cache.leaderpanic" //
 	CachePersist EventType = "cache.persist"     // Detail: hit|append|recovered|readonly|invalidated|degraded; N: record count where relevant
-	GuardRetry   EventType = "guard.retry"       // N: attempt; Detail: fault class
 	GuardTimeout EventType = "guard.timeout"     // DurMS: configured bound; Detail: bound string
 
 	// Causal spans (any layer, via the Span API). Span carries the span's
@@ -114,7 +113,6 @@ var schema = map[EventType]eventRule{
 	CacheMiss:      {},
 	CachePanic:     {},
 	CachePersist:   {detail: true},
-	GuardRetry:     {detail: true},
 	GuardTimeout:   {detail: true},
 	SpanStart:      {detail: true, span: true},
 	SpanEnd:        {detail: true, span: true},

@@ -1,3 +1,7 @@
+// Package resilience holds the write-path fault model the persistence
+// code is tested against: FileFault, shared by the disk cache's crash
+// tests and core's torn-checkpoint tests. Evaluation faults (panics,
+// hangs) are contained by internal/eval's guard layer.
 package resilience
 
 import (
