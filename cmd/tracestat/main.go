@@ -202,7 +202,10 @@ func summarize(r io.Reader, w io.Writer) error {
 	}
 	var evals []evalRec
 	for _, e := range events {
-		counts[e.Type]++
+		// A span folds its counter-only events into one per kind with
+		// N = the count; Count weighs them back, so a folded trace and
+		// its one-line-per-evaluation expansion report the same totals.
+		counts[e.Type] += int(e.Count())
 		// span.end durations are reported by the span section below;
 		// folding them into the flat phase table would double-count the
 		// leaf work they contain. pool.done is left out too: it carries
@@ -232,7 +235,7 @@ func summarize(r io.Reader, w io.Writer) error {
 			// Detail is a kind, optionally with a message ("degraded: ...");
 			// aggregate by kind.
 			kind, _, _ := strings.Cut(e.Detail, ":")
-			persistCounts[kind]++
+			persistCounts[kind] += int(e.Count())
 		case obs.SpanStart:
 			if _, seen := spans[e.Span]; !seen {
 				spans[e.Span] = &spanRec{kind: e.Detail, parent: e.Parent, start: e.TMS}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spotlight/internal/obs"
 )
 
 // TestSummarizeGolden pins the full report for the checked-in miniature
@@ -59,6 +61,65 @@ func TestSummarizeGuardTimeouts(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "\nguard: timeouts=2\n") {
 		t.Errorf("report lacks the guard line:\n%s", out.String())
+	}
+}
+
+// TestSummarizeWeighsFoldedCacheEvents: a trace whose span folded its
+// cache events into one event per kind (N = the count) and the same
+// trace with one event per evaluation print identical cache lines.
+func TestSummarizeWeighsFoldedCacheEvents(t *testing.T) {
+	counts := []struct {
+		k     obs.Tally
+		e     obs.Event
+		times int
+	}{
+		{obs.TallyCacheHit, obs.Event{Type: obs.CacheHit}, 5},
+		{obs.TallyCacheMiss, obs.Event{Type: obs.CacheMiss}, 3},
+		{obs.TallyPersistHit, obs.Event{Type: obs.CachePersist, Detail: "hit"}, 2},
+		{obs.TallyPersistAppend, obs.Event{Type: obs.CachePersist, Detail: "append"}, 3},
+	}
+	render := func(folded bool) string {
+		var trace bytes.Buffer
+		sink := obs.NewJSONL(&trace)
+		sink.Emit(obs.Event{Type: obs.CachePersist, Detail: "recovered", N: 4})
+		sp := obs.StartSpan(sink, "sw.layer")
+		for _, c := range counts {
+			for i := 0; i < c.times; i++ {
+				if folded {
+					sp.CountTo(nil, c.k)
+				} else {
+					sp.Emit(c.e)
+				}
+			}
+		}
+		sp.End()
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := checkTrace(bytes.NewReader(trace.Bytes()), &out); err != nil {
+			t.Fatalf("folded=%v: check: %v", folded, err)
+		}
+		out.Reset()
+		if err := summarize(bytes.NewReader(trace.Bytes()), &out); err != nil {
+			t.Fatalf("folded=%v: summarize: %v", folded, err)
+		}
+		var lines []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "cache:") || strings.HasPrefix(line, "persistent cache:") {
+				lines = append(lines, line)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+	folded, expanded := render(true), render(false)
+	want := "cache: hits=5 misses=3 leader-panics=0 (62.5% hit rate)\n" +
+		"persistent cache: append=3 hit=2 recovered=1"
+	if expanded != want {
+		t.Fatalf("expanded trace cache lines:\n%s\nwant:\n%s", expanded, want)
+	}
+	if folded != expanded {
+		t.Errorf("folded trace cache lines:\n%s\nwant the expanded trace's:\n%s", folded, expanded)
 	}
 }
 

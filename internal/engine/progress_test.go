@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"spotlight/internal/obs"
@@ -134,5 +135,61 @@ func TestJobProgressPerJobIsolation(t *testing.T) {
 	}
 	if j1.Metrics() == j2.Metrics() {
 		t.Error("jobs share a metrics registry; progress would blur across jobs")
+	}
+}
+
+// TestJobCacheCountersStayExactWhenFolded: each layer search folds its
+// cache events into one event per kind, and the job's counters still
+// count every evaluation. On a fresh runner, one job's progress hits +
+// misses equal the shared memo cache's, and its folded journal appends
+// equal the journal's. The trace holds at most four cache events per
+// sw.layer span (one per kind), however many evaluations each search
+// makes.
+func TestJobCacheCountersStayExactWhenFolded(t *testing.T) {
+	run := func(swSamples int) (cacheEvents int) {
+		r := NewRunner(RunnerConfig{Concurrency: 1, CacheDir: t.TempDir()})
+		defer shutdownRunner(t, r)
+		spec := tinySearchSpec(2)
+		spec.SWSamples = swSamples
+		j, err := r.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j); st.State != StateDone {
+			t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
+		}
+		pipe, err := r.Pipelines().Get(spec.Eval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, c := j.Progress(), pipe.Cache().Snapshot()
+		if p.CacheHits+p.CacheMisses != c.Hits+c.Misses || p.CacheMisses != c.Misses {
+			t.Errorf("sw=%d: progress counts %d hits + %d misses, the cache %d + %d",
+				swSamples, p.CacheHits, p.CacheMisses, c.Hits, c.Misses)
+		}
+		var appends int64
+		layers := 0
+		events, _, _ := j.Trace().Since(0)
+		for _, e := range events {
+			switch {
+			case e.Type == obs.CachePersist && e.Detail == "append":
+				appends += e.Count()
+			case e.Type == obs.SpanStart && e.Detail == "sw.layer":
+				layers++
+			}
+			if strings.HasPrefix(string(e.Type), "cache.") {
+				cacheEvents++
+			}
+		}
+		if puts := pipe.Disk().Store().Snapshot().Puts; appends != int64(puts) || appends == 0 {
+			t.Errorf("sw=%d: trace folds %d journal appends, the journal took %d", swSamples, appends, puts)
+		}
+		if layers == 0 || cacheEvents > 4*layers {
+			t.Errorf("sw=%d: %d cache events for %d sw.layer spans, want at most 4 per span", swSamples, cacheEvents, layers)
+		}
+		return cacheEvents
+	}
+	if small, large := run(4), run(16); small != large {
+		t.Errorf("cache events grew with the evaluation budget: %d at 4 samples per layer, %d at 16", small, large)
 	}
 }

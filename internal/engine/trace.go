@@ -16,9 +16,10 @@ import (
 // format is the obs taxonomy verbatim, one JSON object per data line.
 //
 // Retention is unbounded by design: a job's trace is its run log, and
-// the quick-scale jobs spotlightd serves emit thousands of events, not
-// millions. Tracing stays observe-only — the buffer never feeds anything
-// back into the run.
+// spans fold the per-evaluation cache events into one count per layer
+// search, so a quick-scale spotlightd search job (2 hardware × 12
+// software samples) keeps about 700 events. Tracing stays observe-only
+// — the buffer never feeds anything back into the run.
 type TraceBuffer struct {
 	start time.Time
 

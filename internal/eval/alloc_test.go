@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spotlight/internal/maestro"
+	"spotlight/internal/obs"
 )
 
 // A miss allocates only what the pipeline retains. Both gates go
@@ -39,6 +40,34 @@ func TestEvaluateSpanMissAllocatesOnlyItsEntry(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, miss); n > 3 {
 		t.Errorf("a cache miss allocated %v objects, want <= 3 (the memo entry, its channel and its key)", n)
+	}
+}
+
+// TestEvaluateSpanHitUnderSpanAllocatesNothing pins the tally path: a
+// maestro,cache hit under a live span adds to the span's tally instead
+// of emitting an event, so it allocates nothing, and End reports every
+// hit in one event.
+func TestEvaluateSpanHitUnderSpanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	sink := &spanSink{}
+	pipe := MustFromSpec("maestro,cache", SpecOptions{Tracer: sink})
+	a, s, l := validTriple(t, maestro.New())
+	sp := obs.StartSpan(sink, "sw.layer")
+	defer sp.End()
+	hit := func() {
+		if _, err := pipe.EvaluateSpan(sp, a, s, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit() // the miss that fills the entry
+	if n := testing.AllocsPerRun(100, hit); n != 0 {
+		t.Errorf("a cache hit under a span allocated %v objects, want 0", n)
+	}
+	sp.End()
+	if hits := sink.byType(obs.CacheHit); len(hits) != 1 || hits[0].Count() != 101 {
+		t.Errorf("span folded its hits into %+v, want one cache.hit with n=101", hits)
 	}
 }
 

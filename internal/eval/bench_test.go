@@ -114,8 +114,11 @@ func BenchmarkEvalCache(b *testing.B) {
 // pays one branch for tracing. "nop" passes the disabled obs.Nop
 // sink, which the adapter treats exactly like no tracer, and "jsonl"
 // streams every event to an io.Discard-backed JSONL sink — the full cost
-// of -trace minus the disk. The acceptance bar is nop within noise of
-// untraced; CI runs this with -benchtime=1x as a smoke test.
+// of -trace minus the disk. "span" evaluates maestro,cache through a
+// span on that sink, as a layer search does: hits and misses go to the
+// span's tally, and only the backend's eval.done events are written.
+// The acceptance bar is nop within noise of untraced; CI runs this with
+// -benchtime=1x as a smoke test.
 func BenchmarkTraceOverhead(b *testing.B) {
 	const keys = 256
 	trs := randomTriples(9, keys)[:keys]
@@ -134,5 +137,16 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	})
 	b.Run("jsonl", func(b *testing.B) {
 		run(b, MustFromSpec("maestro", SpecOptions{Tracer: obs.NewJSONL(io.Discard)}))
+	})
+	b.Run("span", func(b *testing.B) {
+		sink := obs.NewJSONL(io.Discard)
+		pipe := MustFromSpec("maestro,cache", SpecOptions{Tracer: sink})
+		sp := obs.StartSpan(sink, "sw.layer")
+		defer sp.End()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tr := trs[i%keys]
+			pipe.EvaluateSpan(sp, tr.a, tr.s, tr.l)
+		}
 	})
 }

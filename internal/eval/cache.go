@@ -245,10 +245,12 @@ func (c *Cache) withdraw(k Key) {
 // smaller batch, becoming leaders or following whoever got there first.
 //
 // Memoization keeps successes and ErrInvalid verdicts and withdraws
-// faults. The cache.hit/miss/leaderpanic events are parented under sp
-// and delivered to its sink, so on a shared pipeline each job sees only
-// its own cache traffic. An in-batch duplicate counts as coalesced+hit,
-// because it genuinely waited on the in-flight leader.
+// faults. Under a span, hits and misses are counted in sp's tally,
+// which End emits as one cache.hit and one cache.miss event carrying
+// the counts; leader panics are emitted as they happen, parented under
+// sp. Either way they reach sp's sink, so on a shared pipeline each job
+// sees only its own cache traffic. An in-batch duplicate counts as
+// coalesced+hit, because it genuinely waited on the in-flight leader.
 func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
 	if len(ss) == 0 {
 		return
@@ -311,9 +313,7 @@ func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l worklo
 			c.withdraw(sc.keys[i])
 		}
 		c.misses.Add(1)
-		if obs.Active(sp, c.tr) {
-			sp.EmitTo(c.tr, obs.Event{Type: obs.CacheMiss})
-		}
+		sp.CountTo(c.tr, obs.TallyCacheMiss)
 		close(e.done)
 	}
 
@@ -334,9 +334,7 @@ func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l worklo
 			continue
 		}
 		c.hits.Add(1)
-		if obs.Active(sp, c.tr) {
-			sp.EmitTo(c.tr, obs.Event{Type: obs.CacheHit})
-		}
+		sp.CountTo(c.tr, obs.TallyCacheHit)
 		costs[i], errs[i] = e.cost, e.err
 	}
 	sc.miss.run(c, sp, a, ss, l, costs, errs)

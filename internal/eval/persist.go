@@ -249,8 +249,8 @@ var diskScratchPool = sync.Pool{New: func() any { return new(diskScratch) }}
 // evaluate implements layer: disk hits are answered from the index, and
 // the misses go to the inner layer in ONE call (preserving the batch
 // fast path), each persistable result appended as it is published. The
-// hit/append persistence events are parented under sp and follow its
-// sink.
+// hit/append persistence events follow sp's sink: under a span they
+// are counted in its tally (see obs.Span.CountTo).
 func (d *Disk) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
 	if d.store == nil {
 		d.inner.evaluate(sp, a, ss, l, costs, errs)
@@ -265,9 +265,7 @@ func (d *Disk) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workloa
 		sc.keys = append(sc.keys, key)
 		if val, ok := d.store.Get(key); ok {
 			if cost, verdict, ok := decodeResult(val); ok {
-				if obs.Active(sp, d.tr) {
-					sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "hit"})
-				}
+				sp.CountTo(d.tr, obs.TallyPersistHit)
 				costs[i], errs[i] = cost, verdict
 				continue
 			}
@@ -282,9 +280,7 @@ func (d *Disk) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workloa
 		sc.val = val
 		if ok {
 			d.store.Put(sc.keys[i], val)
-			if obs.Active(sp, d.tr) {
-				sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "append"})
-			}
+			sp.CountTo(d.tr, obs.TallyPersistAppend)
 		}
 	}
 }

@@ -1,12 +1,17 @@
 package eval
 
 import (
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"spotlight/internal/core"
+	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
+	"spotlight/internal/sched"
+	"spotlight/internal/workload"
 )
 
 // spanSink is an enabled tracer retaining every event, for asserting on
@@ -89,5 +94,69 @@ func TestSpanThreadingRoutesMiddlewareEvents(t *testing.T) {
 	// point however the events were routed.
 	if got := fake.calls.Load(); got != 2 {
 		t.Errorf("backend ran %d times, want 2", got)
+	}
+}
+
+// notifyLayer closes done when its one call into the layer below
+// returns.
+type notifyLayer struct {
+	inner layer
+	done  chan struct{}
+}
+
+func (n *notifyLayer) Name() string { return n.inner.Name() }
+
+func (n *notifyLayer) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
+	n.inner.evaluate(sp, a, ss, l, costs, errs)
+	close(n.done)
+}
+
+// TestSpanEndDropsTalliesOfAbandonedCalls: a guard abandons a call on
+// timeout, the span ends, and only then does the backend return. The
+// cache and journal layers below the guard finish the call on the
+// abandoned goroutine and tally their miss and append under the ended
+// span; nothing may follow span.end. Run under -race, this is also the
+// check that tallying from the guard's goroutine races nothing.
+func TestSpanEndDropsTalliesOfAbandonedCalls(t *testing.T) {
+	inner := &faultEval{release: make(chan struct{})}
+	returned := make(chan struct{})
+	notify := func(in layer) layer { return &notifyLayer{inner: in, done: returned} }
+	p := Chain(inner,
+		WithDisk(DiskOptions{Dir: t.TempDir(), Backend: "fault", Fingerprint: "fault/v1"}),
+		WithCache(), notify, WithGuard(time.Millisecond))
+	defer p.Close()
+	sink := &spanSink{}
+	sp := obs.StartSpan(sink, "sw.layer")
+	a, s, l := testPoint()
+	if _, err := p.EvaluateSpan(sp, a, s, l); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	sp.End()
+	close(inner.release)
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the abandoned call never returned")
+	}
+	if c := p.Cache().Snapshot(); c.Misses != 1 {
+		t.Fatalf("cache recorded %d misses, want the abandoned call's 1", c.Misses)
+	}
+	if puts := p.Disk().Store().Snapshot().Puts; puts != 1 {
+		t.Fatalf("journal took %d appends, want the abandoned call's 1", puts)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	var types []obs.EventType
+	for _, e := range sink.events {
+		types = append(types, e.Type)
+	}
+	want := []obs.EventType{obs.SpanStart, obs.GuardTimeout, obs.SpanEnd}
+	if len(types) != len(want) {
+		t.Fatalf("span sink saw %v, want %v", types, want)
+	}
+	for i := range want {
+		if types[i] != want[i] {
+			t.Fatalf("span sink saw %v, want %v", types, want)
+		}
 	}
 }

@@ -287,10 +287,11 @@ func WriteJSONSnapshot(w io.Writer, s RegistrySnapshot) error {
 }
 
 // MetricsTracer folds trace events into a registry: every event bumps a
-// per-type counter, events carrying a duration feed a per-type
-// histogram, and search-progress events keep live gauges current — which
-// is how `-metrics-addr` exposes a running search's state without a
-// second instrumentation path.
+// per-type counter by the occurrences it stands for (Event.Count),
+// events carrying a duration feed a per-type histogram, and
+// search-progress events keep live gauges current — which is how
+// `-metrics-addr` exposes a running search's state without a second
+// instrumentation path.
 type MetricsTracer struct{ reg *Registry }
 
 // NewMetricsTracer returns a tracer feeding reg.
@@ -301,7 +302,7 @@ func (m *MetricsTracer) Enabled() bool { return true }
 
 // Emit implements Tracer.
 func (m *MetricsTracer) Emit(e Event) {
-	m.reg.Counter("trace." + string(e.Type)).Add(1)
+	m.reg.Counter("trace." + string(e.Type)).Add(e.Count())
 	if e.DurMS > 0 {
 		name := "dur." + string(e.Type)
 		if e.Type == SpanEnd && e.Detail != "" {

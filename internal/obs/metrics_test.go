@@ -66,8 +66,8 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestMetricsTracer: events become counters, durations become
-// histograms, search progress becomes gauges.
+// TestMetricsTracer: events become counters weighted by Event.Count,
+// durations become histograms, search progress becomes gauges.
 func TestMetricsTracer(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewMetricsTracer(reg)
@@ -75,13 +75,17 @@ func TestMetricsTracer(t *testing.T) {
 		t.Fatal("MetricsTracer must be enabled")
 	}
 	tr.Emit(Event{Type: CacheHit})
-	tr.Emit(Event{Type: CacheHit})
+	tr.Emit(Event{Type: CacheHit, N: 3}) // folded by a span: three hits
+	tr.Emit(Event{Type: CachePersist, Detail: "recovered", N: 9})
 	tr.Emit(Event{Type: EvalDone, Detail: "ok", DurMS: 2})
 	tr.Emit(Event{Type: HWPropose, Sample: 7, Detail: "a"})
 	tr.Emit(Event{Type: Incumbent, Sample: 7, Value: 42.5})
 
-	if got := reg.Counter("trace.cache.hit").Value(); got != 2 {
-		t.Errorf("trace.cache.hit = %d, want 2", got)
+	if got := reg.Counter("trace.cache.hit").Value(); got != 4 {
+		t.Errorf("trace.cache.hit = %d, want 4", got)
+	}
+	if got := reg.Counter("trace.cache.persist").Value(); got != 1 {
+		t.Errorf("trace.cache.persist = %d, want 1 (N of a recovered event is a record count)", got)
 	}
 	if got := reg.Histogram("dur.eval.done").Count(); got != 1 {
 		t.Errorf("dur.eval.done count = %d, want 1", got)

@@ -68,10 +68,10 @@ const (
 	EvalDone     EventType = "eval.done"         // DurMS; Detail: ok|invalid|error
 	EvalBatch    EventType = "eval.batch"        // N: batch size; DurMS: whole-batch duration
 	BackendPath  EventType = "backend.path"      // Detail: backend event name (e.g. sim's simulated/fallback)
-	CacheHit     EventType = "cache.hit"         //
-	CacheMiss    EventType = "cache.miss"        //
+	CacheHit     EventType = "cache.hit"         // N: occurrences when folded by a span (see Count)
+	CacheMiss    EventType = "cache.miss"        // N: occurrences when folded by a span
 	CachePanic   EventType = "cache.leaderpanic" //
-	CachePersist EventType = "cache.persist"     // Detail: hit|append|recovered|readonly|invalidated|degraded; N: record count where relevant
+	CachePersist EventType = "cache.persist"     // Detail: hit|append|recovered|readonly|invalidated|degraded; N: occurrences (hit/append folded by a span) or record count
 	GuardTimeout EventType = "guard.timeout"     // DurMS: configured bound; Detail: bound string
 
 	// Causal spans (any layer, via the Span API). Span carries the span's
@@ -158,6 +158,19 @@ type Event struct {
 	Parent int64     `json:"parent,omitempty"` // enclosing span id; 0 = unparented/root
 }
 
+// Count returns how many occurrences e stands for. A span folds its
+// counter-only events (see Tally) into one event per kind with N = the
+// count, so a folded event with N > 1 stands for N; every other event,
+// and a counter-only event without N (one emitted per occurrence), for
+// one. Every consumer that counts events weighs them by Count, which is
+// what keeps folded and unfolded traces adding up to the same totals.
+func (e Event) Count() int64 {
+	if e.N > 1 && isTally(e) {
+		return int64(e.N)
+	}
+	return 1
+}
+
 // Validate checks an event against the schema: the type must be known,
 // the sink stamps must be present and sane, required fields must be set,
 // and no numeric field may be non-finite or negative where a magnitude
@@ -183,6 +196,9 @@ func (e Event) Validate() error {
 	}
 	if e.Span < 0 || e.Parent < 0 {
 		return fmt.Errorf("obs: %s event has negative span or parent id", e.Type)
+	}
+	if e.N < 0 { // n is a count, an index or a multiplicity: never negative
+		return fmt.Errorf("obs: %s event has negative n %d", e.Type, e.N)
 	}
 	if rule.span {
 		if e.Span == 0 {

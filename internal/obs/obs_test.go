@@ -103,6 +103,8 @@ func TestValidateRejects(t *testing.T) {
 		{"missing value", Event{Seq: 1, Type: Incumbent, Sample: 1}, "missing value"},
 		{"missing n", Event{Seq: 1, Type: PoolQueue}, "missing n"},
 		{"negative dur", Event{Seq: 1, Type: RunEnd, DurMS: -1}, "negative"},
+		{"negative n", Event{Seq: 1, Type: CacheHit, N: -3}, "negative n"},
+		{"negative n where n is required", Event{Seq: 1, Type: PoolQueue, N: -1}, "negative n"},
 	}
 	for _, c := range cases {
 		if err := c.ev.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {

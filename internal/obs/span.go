@@ -26,7 +26,8 @@ var spanIDs atomic.Int64
 // defense. A span is owned by the goroutine that started it — End and
 // Emit are not synchronized against each other — but distinct spans may
 // live on distinct goroutines freely, which is how the layer pool runs
-// one sw.layer span per worker.
+// one sw.layer span per worker. CountTo is the exception: it may be
+// called from any goroutine, before or after End.
 type Span struct {
 	tr     Tracer
 	id     int64
@@ -34,6 +35,41 @@ type Span struct {
 	kind   string
 	start  time.Time
 	ended  bool
+	tally  [numTallies]atomic.Int64 // counter-only events folded until End
+}
+
+// Tally names one counter-only event kind: an event whose every field
+// but its type (and detail) is empty, so that n of them carry no more
+// information than one event with N = n. The eval layers emit these once
+// per evaluation; under a span they are counted instead (CountTo) and
+// End emits one event per kind. The set is closed: a new kind needs a
+// row in tallyEvents.
+type Tally uint8
+
+const (
+	TallyCacheHit      Tally = iota // cache.hit
+	TallyCacheMiss                  // cache.miss
+	TallyPersistHit                 // cache.persist, detail "hit"
+	TallyPersistAppend              // cache.persist, detail "append"
+	numTallies
+)
+
+// tallyEvents is the event each Tally kind stands for.
+var tallyEvents = [numTallies]Event{
+	TallyCacheHit:      {Type: CacheHit},
+	TallyCacheMiss:     {Type: CacheMiss},
+	TallyPersistHit:    {Type: CachePersist, Detail: "hit"},
+	TallyPersistAppend: {Type: CachePersist, Detail: "append"},
+}
+
+// isTally reports whether e is one of the counter-only kinds.
+func isTally(e Event) bool {
+	for _, t := range tallyEvents {
+		if e.Type == t.Type && e.Detail == t.Detail {
+			return true
+		}
+	}
+	return false
 }
 
 // StartSpan opens a root span of the given kind on tr, emitting
@@ -89,13 +125,24 @@ func ChildOrRoot(parent *Span, tr Tracer, kind string) *Span {
 	return StartSpan(tr, kind)
 }
 
-// End closes the span, emitting span.end with the measured duration.
-// Nil-safe and idempotent: only the first End on a non-nil span emits.
+// End closes the span: it emits one event per non-zero tally kind,
+// parented to the span with N = the count, then span.end with the
+// measured duration. Nil-safe and idempotent: only the first End on a
+// non-nil span emits. Tallies counted after End are never read, so an
+// evaluation a guard abandoned under this span changes nothing once the
+// span has closed.
 func (s *Span) End() {
 	if s == nil || s.ended {
 		return
 	}
 	s.ended = true
+	for k := range s.tally {
+		if n := s.tally[k].Load(); n > 0 {
+			e := tallyEvents[k]
+			e.Parent, e.N = s.id, int(n)
+			s.tr.Emit(e)
+		}
+	}
 	s.tr.Emit(Event{Type: SpanEnd, Span: s.id, Parent: s.parent, Detail: s.kind, DurMS: MS(Since(s.start))})
 }
 
@@ -142,6 +189,21 @@ func (s *Span) EmitTo(tr Tracer, e Event) {
 	}
 	if Enabled(tr) {
 		tr.Emit(e)
+	}
+}
+
+// CountTo records one occurrence of the counter-only kind k: under the
+// span when one is present, as one more unit of its tally (an atomic
+// add, no allocation, safe from any goroutine), and otherwise as its own
+// event on tr (unparented, only if enabled). It is EmitTo for events
+// that carry nothing but their kind.
+func (s *Span) CountTo(tr Tracer, k Tally) {
+	if s != nil {
+		s.tally[k].Add(1)
+		return
+	}
+	if Enabled(tr) {
+		tr.Emit(tallyEvents[k])
 	}
 }
 

@@ -184,3 +184,93 @@ func TestEmitTo(t *testing.T) {
 	none.EmitTo(Nop, Event{Type: CacheMiss}) // disabled fallback: dropped, no panic
 	none.EmitTo(nil, Event{Type: CacheMiss}) // nil fallback: dropped, no panic
 }
+
+// TestCountToFoldsIntoOneEventPerKind proves the tally protocol: under a
+// span, CountTo from any goroutine emits nothing until End, which emits
+// one event per non-zero kind (parented, N = the count) just before
+// span.end; tallies after End are dropped. Without a span, each CountTo
+// is its own unparented event on the fallback tracer.
+func TestCountToFoldsIntoOneEventPerKind(t *testing.T) {
+	c, fallback := &collector{}, &collector{}
+	sp := StartSpan(c, "sw.layer")
+	counts := map[Tally]int{TallyCacheHit: 5, TallyCacheMiss: 3, TallyPersistAppend: 3}
+	var wg sync.WaitGroup
+	for k, n := range counts {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sp.CountTo(fallback, k)
+			}()
+		}
+	}
+	wg.Wait()
+	if len(c.events) != 1 || len(fallback.events) != 0 {
+		t.Fatalf("CountTo emitted before End: span sink %+v, fallback %+v", c.events, fallback.events)
+	}
+	sp.End()
+	sp.CountTo(fallback, TallyCacheHit) // after End: dropped
+	sp.End()
+
+	want := []Event{
+		{Type: CacheHit, N: 5},
+		{Type: CacheMiss, N: 3},
+		{Type: CachePersist, Detail: "append", N: 3},
+	}
+	if len(c.events) != len(want)+2 {
+		t.Fatalf("got %d events, want span.start, %d tallies, span.end: %+v", len(c.events), len(want), c.events)
+	}
+	for i, w := range want {
+		e := c.events[1+i]
+		if e.Type != w.Type || e.Detail != w.Detail || e.N != w.N || e.Parent != sp.ID() {
+			t.Errorf("tally event %d = %+v, want %+v parented to %d", i, e, w, sp.ID())
+		}
+		if e.Count() != int64(w.N) {
+			t.Errorf("tally event %d counts %d, want %d", i, e.Count(), w.N)
+		}
+		e.Seq = 1
+		if err := e.Validate(); err != nil {
+			t.Errorf("tally event %d fails validation: %v", i, err)
+		}
+	}
+	if last := c.events[len(c.events)-1]; last.Type != SpanEnd {
+		t.Errorf("last event = %s, want span.end", last.Type)
+	}
+	if len(fallback.events) != 0 {
+		t.Errorf("span tallies leaked to the fallback: %+v", fallback.events)
+	}
+
+	var none *Span
+	none.CountTo(fallback, TallyPersistHit)
+	none.CountTo(Nop, TallyCacheHit) // disabled fallback: dropped
+	none.CountTo(nil, TallyCacheHit) // nil fallback: dropped
+	if len(fallback.events) != 1 || fallback.events[0] != (Event{Type: CachePersist, Detail: "hit"}) {
+		t.Fatalf("CountTo without a span = %+v, want one unparented cache.persist hit", fallback.events)
+	}
+}
+
+// TestEventCount pins what one event stands for: N occurrences for a
+// folded counter-only event, one for anything else, including events
+// whose N is a record count or an index.
+func TestEventCount(t *testing.T) {
+	cases := []struct {
+		ev   Event
+		want int64
+	}{
+		{Event{Type: CacheHit}, 1},
+		{Event{Type: CacheHit, N: 1}, 1},
+		{Event{Type: CacheMiss, N: 7}, 7},
+		{Event{Type: CachePersist, Detail: "hit", N: 4}, 4},
+		{Event{Type: CachePersist, Detail: "append", N: 2}, 2},
+		{Event{Type: CachePersist, Detail: "recovered", N: 9}, 1},
+		{Event{Type: CachePersist, Detail: "readonly", N: 9}, 1},
+		{Event{Type: CachePanic, N: 3}, 1},
+		{Event{Type: PoolQueue, N: 12}, 1},
+		{Event{Type: EvalBatch, N: 64}, 1},
+	}
+	for _, c := range cases {
+		if got := c.ev.Count(); got != c.want {
+			t.Errorf("%+v.Count() = %d, want %d", c.ev, got, c.want)
+		}
+	}
+}
