@@ -208,9 +208,8 @@ func summarize(r io.Reader, w io.Writer) error {
 		counts[e.Type] += int(e.Count())
 		// span.end durations are reported by the span section below;
 		// folding them into the flat phase table would double-count the
-		// leaf work they contain. pool.done is left out too: it carries
-		// the same layer-search interval as sw.end.
-		if e.DurMS > 0 && e.Type != obs.SpanEnd && e.Type != obs.PoolDone {
+		// leaf work they contain.
+		if e.DurMS > 0 && e.Type != obs.SpanEnd {
 			durTotal[e.Type] += e.DurMS
 			durCount[e.Type]++
 		}
@@ -262,7 +261,7 @@ func summarize(r io.Reader, w io.Writer) error {
 		fmt.Fprintf(w, "run: %s, %d hardware samples budgeted, %d completed\n", tool, budgeted, completed)
 	}
 
-	fmt.Fprintf(w, "\nphase time (sum of event durations; span.end and pool.done excluded):\n")
+	fmt.Fprintf(w, "\nphase time (sum of event durations; span.end excluded):\n")
 	var typs []obs.EventType
 	var grand float64
 	for typ, total := range durTotal { //lint:allow maporder(sort.Slice below orders typs before anything is printed)

@@ -45,7 +45,7 @@ func TestCheckAcceptsGoldenTrace(t *testing.T) {
 	if err := checkTrace(bytes.NewReader(trace), &out); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	if got, want := out.String(), "67 events: schema OK (12 spans, all closed)\n"; got != want {
+	if got, want := out.String(), "49 events: schema OK (12 spans, all closed)\n"; got != want {
 		t.Errorf("check output = %q, want %q", got, want)
 	}
 }
@@ -170,8 +170,8 @@ func TestCheckRejectsBadTraces(t *testing.T) {
 		},
 		{
 			name:    "missing required field",
-			trace:   `{"seq":1,"t_ms":0,"type":"sw.start"}` + "\n",
-			wantErr: "missing layer",
+			trace:   `{"seq":1,"t_ms":0,"type":"hw.propose","detail":"pe=64"}` + "\n",
+			wantErr: "missing sample",
 		},
 		{
 			name: "gap in sequence numbers",

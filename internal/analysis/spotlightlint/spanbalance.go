@@ -24,7 +24,7 @@ import (
 //     not ended, not deferred, not stored, not passed, not returned.
 //
 // Any genuine reference counts as handled: a span that escapes (stored
-// in a RunConfig, returned to the caller, passed to pool.RunCtxSpan) is
+// in a RunConfig, returned to the caller, passed to runLayerSearch) is
 // some other code's responsibility, and engine's job span — opened in
 // RunSearch, threaded through core.RunContext — shows why that must
 // stay legal. `_ = sp` does NOT count — it is the compiler-silencer

@@ -423,30 +423,19 @@ func evaluateHardware(ctx context.Context, cfg RunConfig, strat Strategy, accel 
 		sws[i] = strat.NewSW(cfg, rng, accel, ml.layer)
 	}
 	design.Layers = make([]LayerResult, len(layers))
-	if err := pool.RunCtxSpan(ctx, len(layers), cfg.Workers, cfg.Tracer, trialSpan, func(i int) {
-		name := layers[i].model + "/" + layers[i].layer.Name
-		// One sw.layer span per layer search; each lives entirely on its
-		// worker goroutine. The sw.start/sw.end events (and everything the
-		// eval stack emits below) hang off it.
-		layerSpan := trialSpan.ChildLabel("sw.layer", name)
-		setSpan(sws[i], layerSpan)
-		var swStart time.Time
-		if layerSpan != nil {
-			layerSpan.Emit(obs.Event{Type: obs.SWStart, Sample: sample, Layer: name})
-			swStart = obs.Now()
+	if err := pool.RunCtx(ctx, len(layers), cfg.Workers, func(i int) {
+		// One sw.layer span per layer search, the only record of it in a
+		// trace; each lives entirely on its worker goroutine, and
+		// everything the eval stack emits below hangs off it. The
+		// model/layer label is built only when there is a span to carry it.
+		var layerSpan *obs.Span
+		if trialSpan != nil {
+			layerSpan = trialSpan.ChildLabel("sw.layer", layers[i].model+"/"+layers[i].layer.Name)
 		}
+		setSpan(sws[i], layerSpan)
 		lr := runLayerSearch(ctx, cfg, sws[i], accel, layers[i].layer, swBudget, layerSpan)
 		lr.Model = layers[i].model
 		design.Layers[i] = lr
-		if layerSpan != nil {
-			e := obs.Event{Type: obs.SWEnd, Sample: sample, Layer: name,
-				Detail: "invalid", DurMS: obs.MS(obs.Since(swStart))}
-			if lr.Valid {
-				e.Detail = "valid"
-				e.Value = cfg.Objective.LayerCost(lr.Cost)
-			}
-			layerSpan.Emit(e)
-		}
 		setSpan(sws[i], nil)
 		layerSpan.End()
 	}); err != nil {

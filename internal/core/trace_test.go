@@ -40,17 +40,19 @@ func TestTracedRunHistoryBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: traced best %v != untraced %v",
 				workers, got.Best.Objective, ref.Best.Objective)
 		}
-		checkTraceStream(t, &buf, len(ref.History))
+		checkTraceStream(t, &buf, len(ref.History), len(tinyModel().Layers))
 	}
 }
 
 // checkTraceStream validates every line of a run's trace against the
 // event schema and checks the stream's structural invariants: dense
-// sequence numbers, one run.start and one run.end, and exactly one
-// hw.propose per history point.
-func checkTraceStream(t *testing.T, buf *bytes.Buffer, samples int) {
+// sequence numbers, one run.start and one run.end, exactly one
+// hw.propose per history point, and one balanced sw.layer span per
+// layer search (samples × layers).
+func checkTraceStream(t *testing.T, buf *bytes.Buffer, samples, layers int) {
 	t.Helper()
 	byType := map[obs.EventType]int{}
+	layerSpans := map[obs.EventType]int{} // span.start/span.end of kind sw.layer
 	var seq int64
 	sc := bufio.NewScanner(buf)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -64,6 +66,9 @@ func checkTraceStream(t *testing.T, buf *bytes.Buffer, samples int) {
 		}
 		seq = e.Seq
 		byType[e.Type]++
+		if (e.Type == obs.SpanStart || e.Type == obs.SpanEnd) && e.Detail == "sw.layer" {
+			layerSpans[e.Type]++
+		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatalf("scan: %v", err)
@@ -75,9 +80,10 @@ func checkTraceStream(t *testing.T, buf *bytes.Buffer, samples int) {
 	if byType[obs.HWPropose] != samples {
 		t.Fatalf("hw.propose count = %d, want %d", byType[obs.HWPropose], samples)
 	}
-	if byType[obs.SWStart] == 0 || byType[obs.SWStart] != byType[obs.SWEnd] {
-		t.Fatalf("sw.start/sw.end counts = %d/%d, want equal and positive",
-			byType[obs.SWStart], byType[obs.SWEnd])
+	starts, ends := layerSpans[obs.SpanStart], layerSpans[obs.SpanEnd]
+	if starts == 0 || starts != ends || starts != samples*layers {
+		t.Fatalf("sw.layer span start/end counts = %d/%d, want both %d (%d samples × %d layers)",
+			starts, ends, samples*layers, samples, layers)
 	}
 	if byType[obs.Incumbent] == 0 {
 		t.Fatal("no incumbent events; a feasible run must improve at least once")

@@ -193,3 +193,45 @@ func TestJobCacheCountersStayExactWhenFolded(t *testing.T) {
 		t.Errorf("cache events grew with the evaluation budget: %d at 4 samples per layer, %d at 16", small, large)
 	}
 }
+
+// TestLayerSearchTracedAsOneSpan: a layer search is recorded by its
+// sw.layer span alone, with no lifecycle events restating its interval,
+// and a job's trace stays proportional to its layer searches. Apart from
+// dabo.fit, which grows with the software budget by design (one per
+// refit), a job emits at most six events per sw.layer span at either
+// budget.
+func TestLayerSearchTracedAsOneSpan(t *testing.T) {
+	removed := map[obs.EventType]bool{
+		"sw.start": true, "sw.end": true, "pool.queue": true, "pool.start": true, "pool.done": true,
+	}
+	for _, swSamples := range []int{4, 16} {
+		r := NewRunner(RunnerConfig{Concurrency: 1, CacheDir: t.TempDir()})
+		spec := tinySearchSpec(2)
+		spec.SWSamples = swSamples
+		j, err := r.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, j); st.State != StateDone {
+			t.Fatalf("sw=%d: job state = %s (%s), want done", swSamples, st.State, st.Error)
+		}
+		shutdownRunner(t, r)
+		layers, others := 0, 0
+		events, _, _ := j.Trace().Since(0)
+		for _, e := range events {
+			if removed[e.Type] {
+				t.Fatalf("sw=%d: trace holds a %s event; the sw.layer span is the only record of a layer search", swSamples, e.Type)
+			}
+			if e.Type == obs.SpanStart && e.Detail == "sw.layer" {
+				layers++
+			}
+			if e.Type != obs.DABOFit {
+				others++
+			}
+		}
+		if layers == 0 || others > 6*layers {
+			t.Errorf("sw=%d: %d events besides dabo.fit for %d sw.layer spans (%.2f per span), want at most 6 per span",
+				swSamples, others, layers, float64(others)/float64(max(layers, 1)))
+		}
+	}
+}

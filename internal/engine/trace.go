@@ -15,10 +15,11 @@ import (
 // milliseconds since the buffer (i.e. the job) started — so the SSE wire
 // format is the obs taxonomy verbatim, one JSON object per data line.
 //
-// Retention is unbounded by design: a job's trace is its run log, and
-// spans fold the per-evaluation cache events into one count per layer
-// search, so a quick-scale spotlightd search job (2 hardware × 12
-// software samples) keeps about 700 events. Tracing stays observe-only
+// Retention is unbounded by design: a job's trace is its run log, a
+// layer search is recorded by its sw.layer span alone, and spans fold
+// the per-evaluation cache events into one count per layer search, so a
+// quick-scale spotlightd search job (2 hardware × 12 software samples)
+// keeps 300 to 500 events. Tracing stays observe-only
 // — the buffer never feeds anything back into the run.
 type TraceBuffer struct {
 	start time.Time

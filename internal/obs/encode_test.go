@@ -22,11 +22,11 @@ func encodingCorpus() []Event {
 	return append(evs,
 		Event{Seq: 100, TMS: 1e-9, Type: RunStart, Layer: "conv1/ü→∞ 日本語",
 			Detail: `<b>"quoted" & 'single' \ back</b>`, Scope: "  \x01\t\xff"},
-		Event{Seq: 101, TMS: math.MaxFloat64, Type: SWEnd, DurMS: 5e-324, Value: 1e21,
+		Event{Seq: 101, TMS: math.MaxFloat64, Type: DABOFit, DurMS: 5e-324, Value: 1e21,
 			N: -3, Span: 1 << 62, Parent: 9},
 		Event{Seq: 102, TMS: 123456.789, Type: DABOFit, DurMS: 0.1, Value: 1e-7, Sample: 7},
 		Event{Seq: 103, TMS: 1e20, Type: CacheHit, Value: math.Copysign(0, -1), DurMS: 1e-6},
-		Event{Seq: math.MaxInt64, TMS: 0.30000000000000004, Type: SWEnd, Value: -1.5e-300, N: math.MaxInt},
+		Event{Seq: math.MaxInt64, TMS: 0.30000000000000004, Type: Incumbent, Value: -1.5e-300, N: math.MaxInt},
 	)
 }
 

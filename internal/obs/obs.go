@@ -10,7 +10,7 @@
 // those signals out of the run without perturbing it:
 //
 //   - Tracer is the event sink contract. Instrumented sites in core,
-//     eval, pool, and resilience emit typed Events; JSONL writes them as
+//     eval and engine emit typed Events; JSONL writes them as
 //     one JSON object per line, MetricsTracer folds them into a
 //     Registry, Tee fans one stream into several sinks, and a nil (or
 //     Nop) tracer drops everything at the cost of one branch.
@@ -50,19 +50,12 @@ const (
 	RunEnd         EventType = "run.end"         // N: completed hardware samples
 	HWPropose      EventType = "hw.propose"      // Sample; Detail: proposed accelerator
 	Incumbent      EventType = "incumbent"       // Sample; Value: new best objective
-	SWStart        EventType = "sw.start"        // Sample; Layer: model/layer
-	SWEnd          EventType = "sw.end"          // Sample; Layer; DurMS; Detail: valid|invalid; Value: best layer objective
 	CheckpointSave EventType = "checkpoint.save" // Sample; DurMS
 	CheckpointLoad EventType = "checkpoint.load" // N: samples restored
 
 	// Surrogate (internal/core DABO).
 	DABOFit      EventType = "dabo.fit"      // Scope: hw|sw; DurMS; N: observations; Value: invalid observations; Detail: ok|error
 	DABODegraded EventType = "dabo.degraded" // Scope; N: consecutive fit failures
-
-	// Worker pool (internal/pool).
-	PoolQueue EventType = "pool.queue" // N: tasks queued
-	PoolStart EventType = "pool.start" // N: task index
-	PoolDone  EventType = "pool.done"  // N: task index; DurMS
 
 	// Evaluation pipeline (internal/eval).
 	EvalDone     EventType = "eval.done"         // DurMS; Detail: ok|invalid|error
@@ -82,11 +75,11 @@ const (
 )
 
 // eventRule is the schema of one event type: which otherwise-optional
-// fields must be present. Fields whose zero value is legitimate (a pool
-// task index of 0, a sub-millisecond duration) are never required.
+// fields must be present. Fields whose zero value is legitimate (a
+// sub-millisecond duration) are never required.
 type eventRule struct {
-	sample, layer, scope, detail, value, n bool
-	span                                   bool // the Span field is required (and only legal) here
+	sample, scope, detail, value, n bool
+	span                            bool // the Span field is required (and only legal) here
 }
 
 // schema is the closed event taxonomy. Adding an event type means adding
@@ -97,15 +90,10 @@ var schema = map[EventType]eventRule{
 	RunEnd:         {},
 	HWPropose:      {sample: true, detail: true},
 	Incumbent:      {sample: true, value: true},
-	SWStart:        {layer: true},
-	SWEnd:          {layer: true, detail: true},
 	CheckpointSave: {sample: true},
 	CheckpointLoad: {},
 	DABOFit:        {scope: true, detail: true},
 	DABODegraded:   {scope: true},
-	PoolQueue:      {n: true},
-	PoolStart:      {},
-	PoolDone:       {},
 	EvalDone:       {detail: true},
 	EvalBatch:      {n: true},
 	BackendPath:    {detail: true},
@@ -210,8 +198,6 @@ func (e Event) Validate() error {
 	switch {
 	case rule.sample && e.Sample <= 0:
 		return fmt.Errorf("obs: %s event missing sample", e.Type)
-	case rule.layer && e.Layer == "":
-		return fmt.Errorf("obs: %s event missing layer", e.Type)
 	case rule.scope && e.Scope == "":
 		return fmt.Errorf("obs: %s event missing scope", e.Type)
 	case rule.detail && e.Detail == "":

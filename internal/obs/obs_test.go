@@ -17,7 +17,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	j := NewJSONL(&buf)
 	j.Emit(Event{Type: RunStart, Detail: "Spotlight", N: 4})
 	j.Emit(Event{Type: HWPropose, Sample: 1, Detail: "pe=64"})
-	j.Emit(Event{Type: SWEnd, Sample: 1, Layer: "ResNet-50/conv1", Detail: "valid", DurMS: 1.25, Value: 3.5})
+	j.Emit(Event{Type: EvalDone, Scope: "maestro", Detail: "ok", DurMS: 1.25})
 	j.Emit(Event{Type: Incumbent, Sample: 1, Value: 3.5})
 	j.Emit(Event{Type: RunEnd, N: 4})
 	if err := j.Close(); err != nil {
@@ -97,14 +97,13 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown type", Event{Seq: 1, Type: "nope"}, "unknown event type"},
 		{"missing seq", Event{Type: RunEnd}, "seq"},
 		{"missing sample", Event{Seq: 1, Type: HWPropose, Detail: "a"}, "missing sample"},
-		{"missing layer", Event{Seq: 1, Type: SWStart}, "missing layer"},
 		{"missing scope", Event{Seq: 1, Type: DABODegraded}, "missing scope"},
 		{"missing detail", Event{Seq: 1, Type: EvalDone}, "missing detail"},
 		{"missing value", Event{Seq: 1, Type: Incumbent, Sample: 1}, "missing value"},
-		{"missing n", Event{Seq: 1, Type: PoolQueue}, "missing n"},
+		{"missing n", Event{Seq: 1, Type: EvalBatch}, "missing n"},
 		{"negative dur", Event{Seq: 1, Type: RunEnd, DurMS: -1}, "negative"},
 		{"negative n", Event{Seq: 1, Type: CacheHit, N: -3}, "negative n"},
-		{"negative n where n is required", Event{Seq: 1, Type: PoolQueue, N: -1}, "negative n"},
+		{"negative n where n is required", Event{Seq: 1, Type: EvalBatch, N: -1}, "negative n"},
 	}
 	for _, c := range cases {
 		if err := c.ev.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {

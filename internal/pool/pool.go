@@ -8,11 +8,12 @@
 // Granularity: each index is a whole unit of work, not a single
 // evaluation. The layer search hands the pool one index per layer, and
 // inside fn(i) the driver evaluates that layer's candidate rounds
-// through core.EvaluateBatch — so a worker amortizes per-layer setup
-// across its round's candidates in one call instead of paying it per
-// candidate. The pool needs no batch awareness of its own; keeping the
-// fan-out boundary at the layer is what lets the batched and sequential
-// paths produce bit-identical results at any worker count.
+// through core.EvaluateSpan/EvaluateBatchSpan under the layer's sw.layer
+// span — so a worker amortizes per-layer setup across its round's
+// candidates in one call instead of paying it per candidate. The pool
+// needs no batch awareness of its own; keeping the fan-out boundary at
+// the layer is what lets the batched and sequential paths produce
+// bit-identical results at any worker count.
 //
 // Fault containment: a panic inside fn does not take down sibling
 // workers or leak goroutines. The pool stops handing out new indices,
@@ -30,8 +31,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"spotlight/internal/obs"
 )
 
 // WorkerPanic is the value re-raised by Run/RunCtx on the calling
@@ -128,43 +127,16 @@ func RunCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	return nil
 }
 
-// RunCtxTraced is RunCtx with trace emission: one pool.queue event for
-// the batch, and a pool.start / pool.done pair (the latter carrying the
-// invocation's duration) around every fn(i). With a nil or disabled
-// tracer it is exactly RunCtx — one branch, no wrapping — so callers
-// thread their tracer through unconditionally. Tracing is observe-only:
-// it never changes which indices run or what fn observes.
-func RunCtxTraced(ctx context.Context, n, workers int, tr obs.Tracer, fn func(i int)) error {
-	return RunCtxSpan(ctx, n, workers, tr, nil, fn)
-}
-
-// RunCtxSpan is RunCtxTraced with causal attribution: when sp is
-// non-nil, the pool events carry Parent = sp's id and are routed to the
-// span's sink (in core, sp is the enclosing trial span). The span
-// merely parents the events — the pool never opens sub-spans of its
-// own, since the interesting nested spans (sw.layer) are fn's to make.
-// With a nil span and a nil or disabled tracer it is exactly RunCtx.
-func RunCtxSpan(ctx context.Context, n, workers int, tr obs.Tracer, sp *obs.Span, fn func(i int)) error {
-	if !obs.Active(sp, tr) {
-		return RunCtx(ctx, n, workers, fn)
-	}
-	sp.EmitTo(tr, obs.Event{Type: obs.PoolQueue, N: n})
-	return RunCtx(ctx, n, workers, func(i int) {
-		sp.EmitTo(tr, obs.Event{Type: obs.PoolStart, N: i})
-		start := obs.Now()
-		fn(i)
-		sp.EmitTo(tr, obs.Event{Type: obs.PoolDone, N: i, DurMS: obs.MS(obs.Since(start))})
-	})
-}
-
 // invoke runs fn(i) with panic containment, recording the first panic
 // and poisoning the dispenser so siblings wind down. It reports whether
 // fn completed normally.
 func invoke(fn func(int), i int, stop *atomic.Bool, panicked *atomic.Pointer[WorkerPanic]) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicked.CompareAndSwap(nil, &WorkerPanic{Value: r, Stack: debug.Stack()})
+			// Poison first: capturing the stack takes long enough for a
+			// sibling to run thousands of cheap indices meanwhile.
 			stop.Store(true)
+			panicked.CompareAndSwap(nil, &WorkerPanic{Value: r, Stack: debug.Stack()})
 		}
 	}()
 	fn(i)

@@ -22,7 +22,7 @@ func TestSSEFramesMatchMarshal(t *testing.T) {
 	corpus = append(corpus,
 		obs.Event{Seq: 100, TMS: 1e-9, Type: obs.RunStart, Layer: "conv1/ü→∞ 日本語",
 			Detail: `<b>"quoted" & 'single' \ back</b>`, Scope: "  \x01\xff"},
-		obs.Event{Seq: 101, TMS: math.MaxFloat64, Type: obs.SWEnd, DurMS: 5e-324, Value: 1e21,
+		obs.Event{Seq: 101, TMS: math.MaxFloat64, Type: obs.DABOFit, DurMS: 5e-324, Value: 1e21,
 			N: -3, Span: 1 << 62, Parent: 9},
 		obs.Event{Seq: 102, TMS: 123456.789, Type: obs.DABOFit, DurMS: 0.1, Value: 1e-7, Sample: 7},
 		obs.Event{Seq: 103, TMS: 1e20, Type: obs.CacheHit, Value: math.Copysign(0, -1), DurMS: 1e-6},
