@@ -1,9 +1,10 @@
 # .github/workflows/ci.yml runs these targets (`make lint`, `make race`,
 # ...), so every recipe lives only here and a green `make ci` locally
 # means a green CI run. The end-to-end determinism invariants (fig6
-# CSVs traced or untraced, batched or not, at 1 or 8 workers, over a
-# cold, warm or torn cache, from the CLI or spotlightd) are the Go test
-# TestEndToEndInvariants, so `make test` and `make race` run them. CI
+# CSVs traced or untraced, at 1 or 8 workers, over a cold, warm or torn
+# cache, from the CLI or spotlightd) are the Go test
+# TestEndToEndInvariants, so `make test` and `make race` run them;
+# batched against unbatched rounds is search.TestBatchedRunsBitIdentical. CI
 # adds only steps with no target: the SARIF upload, the fuzz smoke,
 # govulncheck, and -benchtime=1x smokes of BenchmarkDABOSuggest,
 # BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling,

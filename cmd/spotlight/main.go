@@ -56,7 +56,6 @@ func run() error {
 		reevaluate = flag.String("reevaluate", "", "skip the search: load a design JSON (from -json) and re-cost it on the -eval pipeline")
 
 		workers     = flag.Int("workers", 0, "concurrent layer searches per hardware sample (0 = one per core); results are identical at any setting")
-		noBatch     = flag.Bool("nobatch", false, "disable the batched candidate-evaluation fast path (results are bit-identical either way; for A/B verification and bisecting)")
 		timeout     = flag.Duration("timeout", 0, "overall search deadline (e.g. 30m); on expiry the partial result is reported (0 = none)")
 		checkpoint  = flag.String("checkpoint", "", "write a resumable checkpoint to this file after every hardware sample (atomic replace)")
 		resumeFrom  = flag.String("resume", "", "resume from a checkpoint file; models, seed, strategy, and budgets must match the original run")
@@ -125,17 +124,16 @@ func run() error {
 	}
 
 	jobSpec := engine.JobSpec{
-		Kind:         engine.KindSearch,
-		Models:       strings.Split(*modelsFlag, ","),
-		Scale:        *scale,
-		Objective:    *objective,
-		Strategy:     *strategy,
-		HWSamples:    *hwSamples,
-		SWSamples:    *swSamples,
-		Seed:         *seed,
-		Eval:         *evalSpec,
-		Workers:      *workers,
-		DisableBatch: *noBatch,
+		Kind:      engine.KindSearch,
+		Models:    strings.Split(*modelsFlag, ","),
+		Scale:     *scale,
+		Objective: *objective,
+		Strategy:  *strategy,
+		HWSamples: *hwSamples,
+		SWSamples: *swSamples,
+		Seed:      *seed,
+		Eval:      *evalSpec,
+		Workers:   *workers,
 	}
 	opts := engine.SearchOptions{Eval: pipe, Tracer: tele.Tracer}
 	if *resumeFrom != "" {

@@ -1,9 +1,9 @@
 package spotlight
 
 // The end-to-end determinism contract, through the real binaries: the
-// Figure 6 CSV is byte-identical traced or untraced, batched or not, at
-// 1 or 8 workers, with a cold, warm or torn persistent cache, and from
-// cmd/experiments or from spotlightd. The commands run as child
+// Figure 6 CSV is byte-identical traced or untraced, at 1 or 8 workers,
+// with a cold, warm or torn persistent cache, and from cmd/experiments
+// or from spotlightd. The commands run as child
 // processes, so flag parsing, signal handling and os.Exit are the ones
 // users get, and under -race the children stay uninstrumented.
 
@@ -50,23 +50,17 @@ func TestEndToEndInvariants(t *testing.T) {
 	tool := func(name string) string { return filepath.Join(bin, name) }
 
 	// maestro, the default backend: the whole {untraced, traced} ×
-	// {batch, nobatch} × {1, 8 workers} cube.
+	// {1, 8 workers} square. Batched against unbatched rounds is proven
+	// in Go by search.TestBatchedRunsBitIdentical.
 	var runs []e2eRun
 	for _, trace := range []bool{false, true} {
-		for _, nobatch := range []bool{false, true} {
-			for _, workers := range []string{"1", "8"} {
-				r := e2eRun{eval: "maestro", flags: []string{"-workers", workers}, trace: trace}
-				r.name = "maestro/untraced"
-				if trace {
-					r.name = "maestro/traced"
-				}
-				if nobatch {
-					r.flags = append(r.flags, "-nobatch")
-					r.name += "/nobatch"
-				}
-				r.name += "/workers=" + workers
-				runs = append(runs, r)
+		for _, workers := range []string{"1", "8"} {
+			r := e2eRun{eval: "maestro", flags: []string{"-workers", workers}, trace: trace}
+			r.name = "maestro/untraced/workers=" + workers
+			if trace {
+				r.name = "maestro/traced/workers=" + workers
 			}
+			runs = append(runs, r)
 		}
 	}
 	// The simulator, through the memo cache. The cold persistent-cache

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"spotlight/internal/hw"
@@ -96,16 +97,21 @@ func TestBatchedRoundClamping(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesSequentialDriver: the batched and DisableBatch
-// drivers produce identical LayerResults and identical proposer call
-// logs for round size 3 against the scripted evaluator.
+// TestBatchedMatchesSequentialDriver: driving a round-size-3 proposer
+// directly and through a wrapper that hides RoundSize (so the driver
+// runs rounds of one) produces identical LayerResults and identical
+// proposer call counts against the scripted evaluator.
 func TestBatchedMatchesSequentialDriver(t *testing.T) {
 	const budget = 8
-	run := func(disable bool) (LayerResult, []string) {
-		cfg := RunConfig{Eval: &scriptEval{}, Objective: MinDelay, DisableBatch: disable}
-		sw := &roundRecorder{round: 3}
+	run := func(hide bool) (LayerResult, []string) {
+		cfg := RunConfig{Eval: &scriptEval{}, Objective: MinDelay}
+		rec := &roundRecorder{round: 3}
+		var sw SWProposer = rec
+		if hide {
+			sw = struct{ SWProposer }{rec}
+		}
 		res := runLayerSearch(context.Background(), cfg, sw, hw.Accel{}, workload.Layer{Name: "x"}, budget, nil)
-		return res, sw.log
+		return res, rec.log
 	}
 	batched, blog := run(false)
 	sequential, slog := run(true)
@@ -114,5 +120,8 @@ func TestBatchedMatchesSequentialDriver(t *testing.T) {
 	}
 	if len(blog) != len(slog) || len(blog) != 2*budget {
 		t.Fatalf("call logs have %d and %d entries, want %d", len(blog), len(slog), 2*budget)
+	}
+	if slices.Equal(blog, slog) {
+		t.Fatal("the wrapper did not change the interleaving; rounds of one were never driven")
 	}
 }

@@ -52,16 +52,6 @@ type RunConfig struct {
 	// analytical models and the sim backend all are).
 	Workers int
 
-	// DisableBatch runs the per-layer software search in rounds of one
-	// (strict Suggest/Evaluate/Observe interleaving) even when the
-	// proposer declares larger rounds (RoundProposer). Both round sizes
-	// produce bit-identical Histories by contract, so this switch exists
-	// for A/B verification of that invariant (and for bisecting
-	// regressions), not for correctness.
-	// Like Workers and Tracer, it is excluded from the checkpoint
-	// fingerprint: batched and unbatched runs share checkpoints.
-	DisableBatch bool
-
 	// Tracer, when non-nil, receives structured trace events for every
 	// phase of the nested search: run start/end, hardware proposals,
 	// incumbent improvements, per-layer software searches, and
@@ -486,27 +476,23 @@ func OptimizeLayer(cfg RunConfig, strat Strategy, rng *rand.Rand, accel hw.Accel
 // allowed to poison the proposer's statistics or become a NaN "best".
 //
 // The search runs in rounds: per round it draws the round's suggestions
-// into a scratch slice reused across rounds, evaluates them in one
-// EvaluateBatchSpan call, and delivers the Observe feedback in
-// suggestion order. A proposer that declares feedback-independent
-// rounds (RoundProposer) sets the round size, capped at the remaining
-// budget; any other proposer, or any run with cfg.DisableBatch, runs
-// rounds of one — strict Suggest/Observe interleaving — which go through
-// EvaluateSpan into result scratch the search owns, so they allocate no
+// into a scratch slice reused across rounds, evaluates them, and
+// delivers the Observe feedback in suggestion order. A proposer that
+// declares feedback-independent rounds (RoundProposer) sets the round
+// size, capped at the remaining budget; any other proposer runs rounds
+// of one — strict Suggest/Observe interleaving. A larger round goes
+// through one EvaluateBatchSpan call; a round of one goes through
+// EvaluateSpan into result scratch the search owns, so it allocates no
 // result slices. Because a round by definition draws the same RNG stream
 // whether or not Observe calls are interleaved, and because a batch is
 // bit-identical to per-item evaluation, both round sizes produce the
-// same LayerResult bit for bit; cfg.DisableBatch exists to verify
-// exactly that. Cancellation is
-// checked between rounds; a canceled layer search is discarded by the
-// caller either way.
+// same LayerResult bit for bit (the search and core tests prove it by
+// hiding RoundSize behind a wrapper). Cancellation is checked between
+// rounds; a canceled layer search is discarded by the caller either way.
 func runLayerSearch(ctx context.Context, cfg RunConfig, sw SWProposer, accel hw.Accel,
 	layer workload.Layer, budget int, sp *obs.Span) LayerResult {
 
 	rp, _ := sw.(RoundProposer)
-	if cfg.DisableBatch {
-		rp = nil
-	}
 	best := LayerResult{Layer: layer}
 	bestObj := math.Inf(1)
 	var (

@@ -11,6 +11,9 @@ import (
 	"spotlight/internal/obs"
 )
 
+// daboNoise is the surrogate's observation noise variance.
+const daboNoise = 1e-4
+
 // DABO is the domain-aware Bayesian optimizer of §V. It is agnostic to
 // what is being searched: callers sample candidate design points in
 // parameter space, transform them into feature vectors, and DABO ranks
@@ -25,7 +28,6 @@ import (
 // uses of domain information called out in §IV-B1.
 type DABO struct {
 	kernel     gp.Kernel
-	noise      float64
 	kappa      float64
 	warmup     int
 	refitEvery int
@@ -87,9 +89,6 @@ func WithWarmup(n int) DABOOption { return func(d *DABO) { d.warmup = n } }
 // materially changing behavior.
 func WithRefitEvery(n int) DABOOption { return func(d *DABO) { d.refitEvery = n } }
 
-// WithNoise sets the surrogate's observation noise variance (default 1e-4).
-func WithNoise(v float64) DABOOption { return func(d *DABO) { d.noise = v } }
-
 // withCapacity sizes the observation store for n observations, so a
 // search that knows its budget allocates it once instead of growing it.
 func withCapacity(n int) DABOOption { return func(d *DABO) { d.capacity = n } }
@@ -119,7 +118,6 @@ func (d *DABO) SetSpan(sp *obs.Span) { d.span = sp }
 func NewDABO(kernel gp.Kernel, rng *rand.Rand, opts ...DABOOption) *DABO {
 	d := &DABO{
 		kernel:     kernel,
-		noise:      1e-4,
 		kappa:      1.5,
 		warmup:     8,
 		refitEvery: 4,
@@ -129,7 +127,7 @@ func NewDABO(kernel gp.Kernel, rng *rand.Rand, opts ...DABOOption) *DABO {
 		o(d)
 	}
 	if lin, ok := kernel.(gp.Linear); ok {
-		d.primal = gp.NewPrimalStats(lin.Bias, d.noise)
+		d.primal = gp.NewPrimalStats(lin.Bias, daboNoise)
 	}
 	return d
 }
@@ -379,7 +377,7 @@ func (d *DABO) refit() error {
 		x = append(x, d.row(d.invalid, i))
 		y = append(y, penalty)
 	}
-	m := gp.New(d.kernel, d.noise)
+	m := gp.New(d.kernel, daboNoise)
 	if err := m.Fit(x, y); err != nil {
 		return err
 	}

@@ -26,11 +26,6 @@ type Spotlight struct {
 	// FixedDataflows restricts the software space to the three
 	// ConfuciuX dataflows with K/C tiling only (Spotlight-F).
 	FixedDataflows bool
-	// CandidateBatch is the number of random parameter-space candidates
-	// ranked by the acquisition function per suggestion (default 64).
-	CandidateBatch int
-	// Kappa is the LCB exploration weight (default 1.5).
-	Kappa float64
 
 	// lastSW retains the most recent software searcher for
 	// feature-importance analysis (Figure 9); mu makes a single strategy
@@ -75,19 +70,13 @@ func (s *Spotlight) kernel() gp.Kernel {
 	return gp.Linear{Bias: 1}
 }
 
-func (s *Spotlight) batch() int {
-	if s.CandidateBatch > 0 {
-		return s.CandidateBatch
-	}
-	return 64
-}
-
-func (s *Spotlight) kappa() float64 {
-	if s.Kappa > 0 {
-		return s.Kappa
-	}
-	return 1.5
-}
+// The acquisition settings of §V: each suggestion ranks spotlightBatch
+// random parameter-space candidates by LCB with exploration weight
+// spotlightKappa.
+const (
+	spotlightBatch = 64
+	spotlightKappa = 1.5
+)
 
 // SWBudget implements Strategy: Spotlight spends the full configured
 // software budget.
@@ -97,13 +86,12 @@ func (s *Spotlight) SWBudget(cfg RunConfig) int { return cfg.SWSamples }
 func (s *Spotlight) NewHW(cfg RunConfig, rng *rand.Rand) HWProposer {
 	features := FeaturesFor(s.Mode, true)
 	return &spotlightHW{
-		dabo: NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "hw"),
+		dabo: NewDABO(s.kernel(), rng, WithKappa(spotlightKappa), WithTracer(cfg.Tracer, "hw"),
 			withCapacity(cfg.HWSamples)),
 		features: features,
 		space:    cfg.Space,
 		budget:   cfg.Budget,
 		rng:      rng,
-		n:        s.batch(),
 		row:      make([]float64, len(features)),
 	}
 }
@@ -156,7 +144,6 @@ type spotlightHW struct {
 	space    hw.Space
 	budget   hw.Budget
 	rng      *rand.Rand
-	n        int       // candidates per Suggest
 	row      []float64 // the observed point's features (DABO copies them)
 	pt       Point
 }
@@ -170,7 +157,7 @@ type spotlightHW struct {
 // reject it. Candidates are featurized only when the surrogate will
 // read them (see DABO.ScoresCandidates).
 func (h *spotlightHW) Suggest() hw.Accel {
-	b := hwBatches.get(h.n, len(h.features))
+	b := hwBatches.get(spotlightBatch, len(h.features))
 	defer hwBatches.put(b)
 	cands := b.points
 	for i := range cands {
@@ -217,11 +204,10 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 	}
 	features := FeaturesFor(s.Mode, false)
 	sw := &spotlightSW{
-		dabo: NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "sw"),
+		dabo: NewDABO(s.kernel(), rng, WithKappa(spotlightKappa), WithTracer(cfg.Tracer, "sw"),
 			withCapacity(s.SWBudget(cfg))),
 		features: features,
 		rng:      rng,
-		n:        s.batch(),
 		row:      make([]float64, len(features)),
 		pt:       Point{Accel: a, Layer: l},
 	}
@@ -239,7 +225,6 @@ type spotlightSW struct {
 	features []Feature
 	samplers []*sched.Sampler
 	rng      *rand.Rand
-	n        int       // candidates per Suggest
 	row      []float64 // the observed point's features (DABO copies them)
 	// pt carries the proposer's accelerator and layer; Suggest and
 	// Observe set only its schedule before featurizing.
@@ -251,7 +236,7 @@ type spotlightSW struct {
 // will read it (see DABO.ScoresCandidates); during warmup SuggestIndex
 // draws a uniform index without looking at the features.
 func (w *spotlightSW) Suggest() sched.Schedule {
-	b := swBatches.get(w.n, len(w.features))
+	b := swBatches.get(spotlightBatch, len(w.features))
 	defer swBatches.put(b)
 	cands := b.points
 	for i := range cands {

@@ -89,9 +89,6 @@ type JobSpec struct {
 	// Workers bounds concurrent layer searches per hardware sample
 	// (0 = GOMAXPROCS). Results are bit-identical at any setting.
 	Workers int `json:"workers,omitempty"`
-	// DisableBatch forces the unbatched evaluation path (bit-identical;
-	// for A/B verification).
-	DisableBatch bool `json:"nobatch,omitempty"`
 	// Parallel runs independent experiment trials concurrently.
 	Parallel bool `json:"parallel,omitempty"`
 	// Steps are the experiment step keys to run (see StepKeys); they
@@ -267,17 +264,16 @@ func (s JobSpec) SearchConfig(ev core.Evaluator, tr obs.Tracer) (core.RunConfig,
 		return core.RunConfig{}, nil, err
 	}
 	return core.RunConfig{
-		Models:       models,
-		Space:        space,
-		Budget:       budget,
-		Objective:    obj,
-		HWSamples:    s.HWSamples,
-		SWSamples:    s.SWSamples,
-		Seed:         s.Seed,
-		Eval:         ev,
-		Workers:      s.Workers,
-		Tracer:       tr,
-		DisableBatch: s.DisableBatch,
+		Models:    models,
+		Space:     space,
+		Budget:    budget,
+		Objective: obj,
+		HWSamples: s.HWSamples,
+		SWSamples: s.SWSamples,
+		Seed:      s.Seed,
+		Eval:      ev,
+		Workers:   s.Workers,
+		Tracer:    tr,
 	}, strat, nil
 }
 
@@ -304,7 +300,6 @@ func (s JobSpec) ExpConfig(ev core.Evaluator, tr obs.Tracer) (exp.Config, error)
 	}
 	cfg.Parallel = s.Parallel
 	cfg.Workers = s.Workers
-	cfg.DisableBatch = s.DisableBatch
 	for _, m := range s.Models {
 		cfg.Models = append(cfg.Models, strings.TrimSpace(m))
 	}

@@ -271,11 +271,14 @@ func TestPersistentCacheHistoryBitIdentical(t *testing.T) {
 func TestPersistDegradationObserveOnly(t *testing.T) {
 	ref := smallRun(t, maestro.New(), 1)
 	rec := &recordingTracer{}
-	p := MustFromSpec("maestro,cache", SpecOptions{
-		CacheDir:  t.TempDir(),
-		DiskFault: resilience.NewFileFault(512, errors.New("injected ENOSPC")),
-		Tracer:    rec,
-	})
+	m := maestro.New()
+	p := chain(rec, m, WithDisk(DiskOptions{
+		Dir:         t.TempDir(),
+		Backend:     m.Name(),
+		Fingerprint: BackendFingerprint(m),
+		Tracer:      rec,
+		Fault:       resilience.NewFileFault(512, errors.New("injected ENOSPC")),
+	}), WithCache())
 	defer p.Close()
 	requireSameHistory(t, "degraded", ref, smallRun(t, p, 3))
 	if snap := p.Disk().Store().Snapshot(); !snap.Degraded {

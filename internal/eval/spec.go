@@ -8,7 +8,6 @@ import (
 	"spotlight/internal/core"
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
-	"spotlight/internal/resilience"
 	"spotlight/internal/sim"
 	"spotlight/internal/timeloop"
 )
@@ -45,9 +44,6 @@ type SpecOptions struct {
 	// flag works whatever the -eval spec says. A "diskcache(path=...)"
 	// token in the spec overrides the derived location.
 	CacheDir string
-	// DiskFault injects write faults into the persistent cache journal
-	// (test instrumentation; see resilience.FileFault).
-	DiskFault *resilience.FileFault
 }
 
 // FromSpec builds a pipeline from a comma-separated spec string: the
@@ -84,7 +80,6 @@ func FromSpec(spec string, opts SpecOptions) (*Pipeline, error) {
 			Backend:     backend.Name(),
 			Fingerprint: BackendFingerprint(backend),
 			Tracer:      opts.Tracer,
-			Fault:       opts.DiskFault,
 		})
 	}
 

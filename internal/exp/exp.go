@@ -64,11 +64,6 @@ type Config struct {
 	// core.RunContext opens its "run" span as a child of Span (the
 	// engine's per-step exp.step span). Observe-only, like Tracer.
 	Span *obs.Span
-	// DisableBatch forces the per-layer searches onto the sequential
-	// one-candidate-at-a-time path (core.RunConfig.DisableBatch). Results
-	// are bit-identical either way; the switch exists to verify that
-	// invariant end to end and to bisect batching regressions.
-	DisableBatch bool
 }
 
 // Default returns the scaled-down configuration used by tests and the
@@ -147,18 +142,17 @@ func (c Config) runConfig(models []workload.Model, trial int) (core.RunConfig, e
 		return core.RunConfig{}, err
 	}
 	return core.RunConfig{
-		Models:       models,
-		Space:        space,
-		Budget:       budget,
-		Objective:    c.Objective,
-		HWSamples:    c.HWSamples,
-		SWSamples:    c.SWSamples,
-		Seed:         c.Seed + int64(trial)*7919, // distinct, reproducible per trial
-		Eval:         c.Eval,
-		Workers:      c.Workers,
-		Tracer:       c.Tracer,
-		Span:         c.Span,
-		DisableBatch: c.DisableBatch,
+		Models:    models,
+		Space:     space,
+		Budget:    budget,
+		Objective: c.Objective,
+		HWSamples: c.HWSamples,
+		SWSamples: c.SWSamples,
+		Seed:      c.Seed + int64(trial)*7919, // distinct, reproducible per trial
+		Eval:      c.Eval,
+		Workers:   c.Workers,
+		Tracer:    c.Tracer,
+		Span:      c.Span,
 	}, nil
 }
 

@@ -20,10 +20,12 @@ type SearchConfig struct {
 	// ArchSamples is how many architectures the outer daBO evaluates
 	// (default 12; each costs one full co-design run).
 	ArchSamples int
-	// CandidateBatch is the acquisition batch size (default 32).
-	CandidateBatch int
-	Seed           int64
+	Seed        int64
 }
+
+// archBatch is the number of random architectures ranked by the
+// acquisition function per outer-search suggestion.
+const archBatch = 32
 
 // Candidate is one evaluated architecture with its co-designed hardware.
 type Candidate struct {
@@ -74,16 +76,13 @@ func Search(cfg SearchConfig) (SearchResult, error) {
 	if cfg.ArchSamples <= 0 {
 		cfg.ArchSamples = 12
 	}
-	if cfg.CandidateBatch <= 0 {
-		cfg.CandidateBatch = 32
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	dabo := core.NewDABO(gp.Linear{Bias: 1}, rng, core.WithWarmup(4))
 
 	res := SearchResult{}
 	res.Best.Objective = math.Inf(1)
 	for t := 0; t < cfg.ArchSamples; t++ {
-		arch, feats := suggestArch(dabo, rng, cfg.CandidateBatch)
+		arch, feats := suggestArch(dabo, rng)
 
 		quality, err := QualityProxy(arch)
 		if err != nil {
@@ -129,10 +128,10 @@ func Search(cfg SearchConfig) (SearchResult, error) {
 }
 
 // suggestArch samples a candidate batch and lets the outer daBO pick.
-func suggestArch(dabo *core.DABO, rng *rand.Rand, batch int) (Arch, []float64) {
-	archs := make([]Arch, 0, batch)
-	feats := make([][]float64, 0, batch)
-	for len(archs) < batch {
+func suggestArch(dabo *core.DABO, rng *rand.Rand) (Arch, []float64) {
+	archs := make([]Arch, 0, archBatch)
+	feats := make([][]float64, 0, archBatch)
+	for len(archs) < archBatch {
 		a := RandomArch(rng)
 		f, err := archFeatures(a)
 		if err != nil {

@@ -19,13 +19,15 @@ import (
 // rigid dataflows (Eyeriss-like, NVDLA-like, ShiDianNao-like) with
 // heuristic tiling — it searches neither tile sizes nor loop orders,
 // which §VII-A identifies as the root of its inefficiency.
-type ConfuciuX struct {
-	// RLFraction is the fraction of the hardware budget spent in the
-	// REINFORCE phase before switching to GA refinement (default 0.7).
-	RLFraction float64
-	// LearningRate for the policy gradient (default 0.15).
-	LearningRate float64
-}
+type ConfuciuX struct{}
+
+// The two-phase hardware search: the fraction of the hardware budget
+// spent in the REINFORCE phase before switching to GA refinement, and
+// the policy-gradient learning rate.
+const (
+	rlPhaseShare = 0.7
+	policyLR     = 0.15
+)
 
 // NewConfuciuX returns the ConfuciuX-like strategy.
 func NewConfuciuX() *ConfuciuX { return &ConfuciuX{} }
@@ -35,20 +37,6 @@ func (*ConfuciuX) Name() string { return "ConfuciuX" }
 
 // SWBudget implements core.Strategy: one evaluation per fixed dataflow.
 func (*ConfuciuX) SWBudget(core.RunConfig) int { return len(sched.FixedDataflows()) }
-
-func (c *ConfuciuX) rlFraction() float64 {
-	if c.RLFraction > 0 {
-		return c.RLFraction
-	}
-	return 0.7
-}
-
-func (c *ConfuciuX) learningRate() float64 {
-	if c.LearningRate > 0 {
-		return c.LearningRate
-	}
-	return 0.15
-}
 
 // Reference buffer sizes the prior tools' schedule templates are tiled
 // for (an Eyeriss-class part: 512 B per-PE register file, 108 KB
@@ -96,12 +84,11 @@ func (*fixedDataflowSW) Observe(sched.Schedule, float64, error) {}
 const policyBuckets = 8
 
 // NewHW implements core.Strategy.
-func (c *ConfuciuX) NewHW(cfg core.RunConfig, rng *rand.Rand) core.HWProposer {
+func (*ConfuciuX) NewHW(cfg core.RunConfig, rng *rand.Rand) core.HWProposer {
 	return &confuciuxHW{
 		space:    cfg.Space,
 		rng:      rng,
-		lr:       c.learningRate(),
-		rlPhase:  int(c.rlFraction() * float64(cfg.HWSamples)),
+		rlPhase:  int(rlPhaseShare * float64(cfg.HWSamples)),
 		logits:   make([][]float64, 3), // PEs, RF, L2 — the resources ConfuciuX assigns
 		ga:       population[hw.Accel]{capacity: 10, rng: rng},
 		topK:     8,
@@ -112,7 +99,6 @@ func (c *ConfuciuX) NewHW(cfg core.RunConfig, rng *rand.Rand) core.HWProposer {
 type confuciuxHW struct {
 	space hw.Space
 	rng   *rand.Rand
-	lr    float64
 
 	rlPhase int // samples spent in the RL phase
 	samples int
@@ -281,7 +267,7 @@ func (h *confuciuxHW) Observe(a hw.Accel, objective float64, err error) {
 			if b == chosen {
 				grad += 1
 			}
-			h.logits[p][b] += h.lr * adv * grad
+			h.logits[p][b] += policyLR * adv * grad
 		}
 	}
 	h.lastChoice = nil

@@ -11,21 +11,22 @@ import (
 )
 
 // Genetic is the Spotlight-GA baseline: a steady-state genetic algorithm
-// over both the hardware and software spaces. The first popSize samples
-// seed the population randomly; afterwards each suggestion is the
-// mutated crossover of two tournament-selected parents, and observations
-// replace the worst member when they improve on it. Infeasible designs
+// over both the hardware and software spaces. The first gaPopulation
+// samples seed the population randomly; afterwards each suggestion is
+// the mutated crossover of two tournament-selected parents, and
+// observations replace the worst member when they improve on it. Infeasible designs
 // receive +Inf fitness, so selection pressure steers around the invalid
 // regions without any model of them.
-type Genetic struct {
-	// PopSize is the population size (default 12).
-	PopSize int
-	// MutationRate is the probability of an extra mutation after
-	// crossover (default 0.4).
-	MutationRate float64
-}
+type Genetic struct{}
 
-// NewGenetic returns the GA strategy with default settings.
+// The population size and the probability of an extra mutation after
+// crossover.
+const (
+	gaPopulation    = 12
+	gaExtraMutation = 0.4
+)
+
+// NewGenetic returns the GA strategy.
 func NewGenetic() *Genetic { return &Genetic{} }
 
 // Name implements core.Strategy.
@@ -33,20 +34,6 @@ func (*Genetic) Name() string { return "Spotlight-GA" }
 
 // SWBudget implements core.Strategy.
 func (*Genetic) SWBudget(cfg core.RunConfig) int { return cfg.SWSamples }
-
-func (g *Genetic) popSize() int {
-	if g.PopSize > 0 {
-		return g.PopSize
-	}
-	return 12
-}
-
-func (g *Genetic) mutationRate() float64 {
-	if g.MutationRate > 0 {
-		return g.MutationRate
-	}
-	return 0.4
-}
 
 // member is one individual with its observed fitness.
 type member[T any] struct {
@@ -92,20 +79,18 @@ func (p *population[T]) insert(genome T, fitness float64) {
 }
 
 // NewHW implements core.Strategy.
-func (g *Genetic) NewHW(cfg core.RunConfig, rng *rand.Rand) core.HWProposer {
+func (*Genetic) NewHW(cfg core.RunConfig, rng *rand.Rand) core.HWProposer {
 	return &gaHW{
-		pop:      population[hw.Accel]{capacity: g.popSize(), rng: rng},
-		space:    cfg.Space,
-		rng:      rng,
-		mutation: g.mutationRate(),
+		pop:   population[hw.Accel]{capacity: gaPopulation, rng: rng},
+		space: cfg.Space,
+		rng:   rng,
 	}
 }
 
 type gaHW struct {
-	pop      population[hw.Accel]
-	space    hw.Space
-	rng      *rand.Rand
-	mutation float64
+	pop   population[hw.Accel]
+	space hw.Space
+	rng   *rand.Rand
 }
 
 func (h *gaHW) Suggest() hw.Accel {
@@ -115,7 +100,7 @@ func (h *gaHW) Suggest() hw.Accel {
 	}
 	child := hw.Crossover(h.rng, h.pop.tournament(), h.pop.tournament())
 	child = h.space.Neighbor(h.rng, child)
-	if h.rng.Float64() < h.mutation {
+	if h.rng.Float64() < gaExtraMutation {
 		child = h.space.Neighbor(h.rng, child)
 	}
 	h.pop.pending = child
@@ -130,24 +115,22 @@ func (h *gaHW) Observe(a hw.Accel, objective float64, err error) {
 }
 
 // NewSW implements core.Strategy.
-func (g *Genetic) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) core.SWProposer {
+func (*Genetic) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) core.SWProposer {
 	return &gaSW{
-		pop:      population[sched.Schedule]{capacity: g.popSize(), rng: rng},
-		c:        cfg.SWConstraint,
-		sampler:  cfg.SWConstraint.Sampler(l, a.RFBytesPerPE(), a.L2Bytes()),
-		rng:      rng,
-		layer:    l,
-		mutation: g.mutationRate(),
+		pop:     population[sched.Schedule]{capacity: gaPopulation, rng: rng},
+		c:       cfg.SWConstraint,
+		sampler: cfg.SWConstraint.Sampler(l, a.RFBytesPerPE(), a.L2Bytes()),
+		rng:     rng,
+		layer:   l,
 	}
 }
 
 type gaSW struct {
-	pop      population[sched.Schedule]
-	c        sched.Constraint
-	sampler  *sched.Sampler
-	rng      *rand.Rand
-	layer    workload.Layer
-	mutation float64
+	pop     population[sched.Schedule]
+	c       sched.Constraint
+	sampler *sched.Sampler
+	rng     *rand.Rand
+	layer   workload.Layer
 }
 
 func (w *gaSW) Suggest() sched.Schedule {
@@ -156,7 +139,7 @@ func (w *gaSW) Suggest() sched.Schedule {
 	}
 	child := sched.Crossover(w.rng, w.pop.tournament(), w.pop.tournament())
 	child = w.c.Neighbor(w.rng, child, w.layer)
-	if w.rng.Float64() < w.mutation {
+	if w.rng.Float64() < gaExtraMutation {
 		child = w.c.Neighbor(w.rng, child, w.layer)
 	}
 	return child

@@ -17,12 +17,13 @@ import (
 // a Matérn kernel) combined with a Q-learning agent that picks among a
 // small set of fixed software schedule templates. Like ConfuciuX, it
 // searches neither tile sizes nor loop orders.
-type HASCO struct {
-	// Epsilon is the Q-learning exploration rate (default 0.3).
-	Epsilon float64
-	// Alpha is the Q-learning step size (default 0.5).
-	Alpha float64
-}
+type HASCO struct{}
+
+// The Q-learning agent's exploration rate ε and step size α.
+const (
+	qExplore = 0.3
+	qStep    = 0.5
+)
 
 // NewHASCO returns the HASCO-like strategy.
 func NewHASCO() *HASCO { return &HASCO{} }
@@ -33,20 +34,6 @@ func (*HASCO) Name() string { return "HASCO" }
 // SWBudget implements core.Strategy: a handful of template evaluations
 // per layer, enough for the Q-agent to rank the three templates.
 func (*HASCO) SWBudget(core.RunConfig) int { return 4 }
-
-func (h *HASCO) epsilon() float64 {
-	if h.Epsilon > 0 {
-		return h.Epsilon
-	}
-	return 0.3
-}
-
-func (h *HASCO) alpha() float64 {
-	if h.Alpha > 0 {
-		return h.Alpha
-	}
-	return 0.5
-}
 
 // NewHW implements core.Strategy: vanilla BO over raw hardware
 // parameters with a Matérn kernel — the off-the-shelf configuration the
@@ -108,26 +95,22 @@ func (h *hascoHW) Observe(a hw.Accel, objective float64, err error) {
 // three schedule templates. Templates are tiled for reference buffers,
 // not the sampled hardware — HASCO does not co-design tiling (§VII-A) —
 // so each template's sampler is built once for the layer.
-func (h *HASCO) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) core.SWProposer {
+func (*HASCO) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) core.SWProposer {
 	flows := templateSamplers(l)
 	return &hascoSW{
-		rng:     rng,
-		flows:   flows,
-		q:       make([]float64, len(flows)),
-		visits:  make([]int, len(flows)),
-		epsilon: h.epsilon(),
-		alpha:   h.alpha(),
+		rng:    rng,
+		flows:  flows,
+		q:      make([]float64, len(flows)),
+		visits: make([]int, len(flows)),
 	}
 }
 
 type hascoSW struct {
-	rng     *rand.Rand
-	flows   []*sched.Sampler
-	q       []float64
-	visits  []int
-	epsilon float64
-	alpha   float64
-	last    int
+	rng    *rand.Rand
+	flows  []*sched.Sampler
+	q      []float64
+	visits []int
+	last   int
 }
 
 func (w *hascoSW) Suggest() sched.Schedule {
@@ -140,7 +123,7 @@ func (w *hascoSW) Suggest() sched.Schedule {
 		}
 	}
 	if w.last == -1 {
-		if w.rng.Float64() < w.epsilon {
+		if w.rng.Float64() < qExplore {
 			w.last = w.rng.Intn(len(w.flows))
 		} else {
 			w.last = argmax(w.q)
@@ -155,7 +138,7 @@ func (w *hascoSW) Observe(_ sched.Schedule, objective float64, err error) {
 		reward = -math.Log(math.Max(objective, math.SmallestNonzeroFloat64))
 	}
 	w.visits[w.last]++
-	w.q[w.last] += w.alpha * (reward - w.q[w.last])
+	w.q[w.last] += qStep * (reward - w.q[w.last])
 }
 
 func argmax(v []float64) int {

@@ -3,10 +3,13 @@ package search
 // This file declares which software proposers support round batching
 // (core.RoundProposer): a proposer advertises how many upcoming Suggest
 // calls are independent of intervening Observe feedback, and the nested
-// driver evaluates that many candidates in one core.EvaluateBatch call.
-// The contract is strict — a round must draw exactly the same RNG
-// stream whether or not Observe calls are interleaved — which is what
-// keeps batched and unbatched Histories bit-identical.
+// driver evaluates a round of that many candidates in one
+// core.EvaluateBatchSpan call. The contract is strict — a round must
+// draw exactly the same RNG stream whether or not Observe calls are
+// interleaved — which is what keeps batched and unbatched Histories
+// bit-identical. HASCO's Q-agent is not a RoundProposer: its Suggest
+// reads the visit counts and Q-values that Observe updates, so the
+// driver runs it in rounds of one.
 
 // feedbackFreeRound is the round size advertised by proposers whose
 // suggestions never depend on feedback; the driver caps each round at
@@ -34,10 +37,3 @@ func (w *gaSW) RoundSize() int {
 	}
 	return 1
 }
-
-// RoundSize implements core.RoundProposer for HASCO's Q-agent: Suggest
-// reads the visit counts and Q-values that Observe updates, so every
-// suggestion depends on the previous observation and rounds are always
-// single evaluations (they still flow through the batch path, keeping
-// the evaluation stack uniform across strategies).
-func (*hascoSW) RoundSize() int { return 1 }
