@@ -63,7 +63,7 @@ func run() error {
 		cacheDir    = flag.String("cache-dir", "", "persist evaluation results to a crash-safe journal in this directory and reuse them across runs (results are bit-identical warm or cold; disk faults degrade to in-memory evaluation)")
 
 		traceFile   = flag.String("trace", "", "write structured JSONL trace events to this file (observe-only: results are bit-identical with or without; inspect with tracestat)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (JSON, or Prometheus text with ?format=prometheus or Accept: text/plain) and /debug/pprof/* on this address while running, e.g. 127.0.0.1:6060 (\":0\" picks a port)")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text 0.0.4) and /debug/pprof/* on this address while running, e.g. 127.0.0.1:6060 (\":0\" picks a port)")
 	)
 	flag.Parse()
 

@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -145,10 +146,6 @@ func TestEndToEndInvariants(t *testing.T) {
 		if p := d.get(t, "/jobs/job-1/progress", ""); !strings.Contains(p, `"trials_done"`) {
 			t.Fatalf("progress lacks trials_done:\n%s", p)
 		}
-		// The duplicate job is served from the shared memo cache.
-		if m := d.get(t, "/metrics", ""); !strings.Contains(m, "trace.cache.hit") {
-			t.Fatalf("JSON /metrics lacks trace.cache.hit:\n%s", m)
-		}
 		scrape := d.get(t, "/metrics", "text/plain")
 		scrapePath := filepath.Join(t.TempDir(), "scrape.prom")
 		if err := os.WriteFile(scrapePath, []byte(scrape), 0o644); err != nil {
@@ -161,12 +158,29 @@ func TestEndToEndInvariants(t *testing.T) {
 		if !strings.Contains("\n"+scrape, "\ngo_goroutines ") {
 			t.Fatalf("scrape lacks a go_goroutines sample:\n%s", scrape)
 		}
+		// The duplicate job is served from the shared memo cache.
+		if hits := sampleValue(scrape, "trace_cache_hit"); hits <= 0 {
+			t.Fatalf("scrape's trace_cache_hit sample = %v, want > 0:\n%s", hits, scrape)
+		}
 		head, _ := d.call(t, "HEAD", "/metrics", "text/plain", "", http.StatusOK)
 		if ct := head.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 			t.Fatalf("HEAD /metrics Content-Type = %q, want text/plain; version=0.0.4", ct)
 		}
 		d.drain(t)
 	})
+}
+
+// sampleValue returns the value of the unlabeled sample name in a text
+// exposition, or -1 when there is none.
+func sampleValue(exposition, name string) float64 {
+	for _, line := range strings.Split(exposition, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				return f
+			}
+		}
+	}
+	return -1
 }
 
 // runCmd runs a command to completion, failing the test on a nonzero

@@ -9,12 +9,12 @@ import (
 
 // TestJobProgressSearch runs a small search job to completion and checks
 // the progress snapshot: trial accounting against the spec's budget,
-// throughput and cache figures sourced from the job's own registry, a
-// frozen elapsed time, and no ETA once terminal.
+// throughput and cache figures equal to the Count-weighted totals of the
+// job's own trace, a frozen elapsed time, and no ETA once terminal.
 func TestJobProgressSearch(t *testing.T) {
 	// Mirror spotlightd's wiring: with a server-wide tracer the shared
 	// pipeline's backend adapter emits eval.done events, which span
-	// threading routes into each job's own registry.
+	// threading routes into each job's own trace buffer.
 	r := NewRunner(RunnerConfig{Concurrency: 1, Tracer: obs.NewMetricsTracer(obs.NewRegistry())})
 	defer shutdownRunner(t, r)
 	j, err := r.Submit(tinySearchSpec(2))
@@ -55,6 +55,16 @@ func TestJobProgressSearch(t *testing.T) {
 	if p.Events != j.Trace().Len() || p.Events == 0 {
 		t.Errorf("events = %d, want the trace buffer's %d (> 0)", p.Events, j.Trace().Len())
 	}
+	occurrences := map[obs.EventType]int64{}
+	events, _, _ := j.Trace().Since(0)
+	for _, e := range events {
+		occurrences[e.Type] += e.Count()
+	}
+	if p.Evals != occurrences[obs.EvalDone] || p.CacheHits != occurrences[obs.CacheHit] || p.CacheMisses != occurrences[obs.CacheMiss] {
+		t.Errorf("progress evals/hits/misses = %d/%d/%d, the trace holds %d/%d/%d",
+			p.Evals, p.CacheHits, p.CacheMisses,
+			occurrences[obs.EvalDone], occurrences[obs.CacheHit], occurrences[obs.CacheMiss])
+	}
 
 	// Elapsed froze at the terminal timestamp: two snapshots agree.
 	if q := j.Progress(); q.ElapsedS != p.ElapsedS { //lint:allow floateq(frozen timestamps must yield the identical value, not a nearby one)
@@ -64,8 +74,7 @@ func TestJobProgressSearch(t *testing.T) {
 
 // TestJobTraceCarriesBalancedSpans proves every server job's trace is a
 // well-formed span tree: a job root span plus trial spans, each closed
-// exactly once, and the per-kind duration histograms land in the job's
-// own registry.
+// exactly once, and the buffer's own count of span.start agrees.
 func TestJobTraceCarriesBalancedSpans(t *testing.T) {
 	r := NewRunner(RunnerConfig{Concurrency: 1, Tracer: obs.NewMetricsTracer(obs.NewRegistry())})
 	defer shutdownRunner(t, r)
@@ -101,17 +110,15 @@ func TestJobTraceCarriesBalancedSpans(t *testing.T) {
 	if starts != ends || len(open) != 0 {
 		t.Fatalf("unbalanced spans: %d starts, %d ends, %d left open", starts, ends, len(open))
 	}
-	if n := j.Metrics().Counter("trace.span.start").Value(); int(n) != starts {
-		t.Errorf("registry counted %d span.start, trace holds %d", n, starts)
-	}
-	if h := j.Metrics().Histogram("dur.span.trial"); h.Count() != 2 {
-		t.Errorf("dur.span.trial observed %d durations, want 2", h.Count())
+	if n := j.Trace().Count(obs.SpanStart); int(n) != starts {
+		t.Errorf("buffer counted %d span.start, trace holds %d", n, starts)
 	}
 }
 
 // TestJobProgressPerJobIsolation: two identical jobs each account their
-// own evaluation traffic in their own registry — the second job, served
-// largely from the shared memo cache, sees its hits, not the first's.
+// own evaluation traffic in their own trace buffer — the second job,
+// served largely from the shared memo cache, sees its hits, not the
+// first's.
 func TestJobProgressPerJobIsolation(t *testing.T) {
 	r := NewRunner(RunnerConfig{Concurrency: 1, Tracer: obs.NewMetricsTracer(obs.NewRegistry())})
 	defer shutdownRunner(t, r)
@@ -131,10 +138,10 @@ func TestJobProgressPerJobIsolation(t *testing.T) {
 		t.Fatalf("jobs carry no events: %d, %d", p1.Events, p2.Events)
 	}
 	if p2.CacheHits == 0 {
-		t.Error("second identical job recorded no cache hits in its own registry")
+		t.Error("second identical job recorded no cache hits in its own trace")
 	}
-	if j1.Metrics() == j2.Metrics() {
-		t.Error("jobs share a metrics registry; progress would blur across jobs")
+	if j1.Trace() == j2.Trace() {
+		t.Error("jobs share a trace buffer; progress would blur across jobs")
 	}
 }
 

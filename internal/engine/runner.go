@@ -98,7 +98,6 @@ type Job struct {
 	id          string
 	spec        JobSpec // normalized at submission
 	trace       *TraceBuffer
-	reg         *obs.Registry // per-job metrics, fed by the job's own MetricsTracer
 	done        chan struct{}
 	resumedFrom string
 	resume      *core.Checkpoint // checkpoint to restart from, for resumed jobs
@@ -175,16 +174,14 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// Metrics returns the job's private metrics registry — every trace
-// event the job emits is folded into it, so counters like
-// trace.eval.done and trace.cache.hit are per-job, not server-wide.
-func (j *Job) Metrics() *obs.Registry { return j.reg }
-
 // JobProgress is the live search-progress view served at
 // GET /jobs/{id}/progress: how far the job is, how fast evaluations are
 // going, how much the cache is absorbing, and a naive linear ETA.
-// Throughput and cache figures come from the job's own metrics registry,
-// so concurrent jobs never blur into each other.
+// Throughput and cache figures are counted from the job's own trace
+// buffer, so concurrent jobs never blur into each other. Evals counts the
+// backend evaluations a traced pipeline reports (its eval.done events);
+// on a Runner without a Tracer the shared pipelines emit none, and it
+// reads 0.
 type JobProgress struct {
 	ID            string   `json:"id"`
 	Kind          string   `json:"kind"`
@@ -226,9 +223,9 @@ func (j *Job) Progress() JobProgress {
 	j.mu.Unlock()
 
 	p.Events = j.trace.Len()
-	p.Evals = j.reg.Counter("trace.eval.done").Value()
-	p.CacheHits = j.reg.Counter("trace.cache.hit").Value()
-	p.CacheMisses = j.reg.Counter("trace.cache.miss").Value()
+	p.Evals = j.trace.Count(obs.EvalDone)
+	p.CacheHits = j.trace.Count(obs.CacheHit)
+	p.CacheMisses = j.trace.Count(obs.CacheMiss)
 	if total := p.CacheHits + p.CacheMisses; total > 0 {
 		p.CacheHitRate = float64(p.CacheHits) / float64(total)
 	}
@@ -332,7 +329,6 @@ func (r *Runner) submit(spec JobSpec, resume *core.Checkpoint, resumedFrom strin
 		id:          fmt.Sprintf("job-%d", r.nextID),
 		spec:        spec,
 		trace:       NewTraceBuffer(),
-		reg:         obs.NewRegistry(),
 		done:        make(chan struct{}),
 		state:       StateQueued,
 		best:        math.Inf(1),
@@ -506,12 +502,12 @@ func (r *Runner) runJob(j *Job) {
 		j.finish(StateFailed, err)
 		return
 	}
-	// The job's events go to its own buffer (for SSE subscribers), its
-	// per-job metrics registry (for /jobs/{id}/progress and the labeled
-	// per-job gauges on /metrics), and the server-wide sink (for the
-	// aggregate counters). Tracing is observe-only, so the fan-out cannot
-	// perturb results.
-	tracer := obs.Tee(j.trace, obs.NewMetricsTracer(j.reg), r.cfg.Tracer)
+	// The job's events go to its own buffer (for SSE subscribers, and
+	// counted there for /jobs/{id}/progress and the labeled per-job
+	// gauges on /metrics) and to the server-wide sink (for the aggregate
+	// counters). Tracing is observe-only, so the fan-out cannot perturb
+	// results.
+	tracer := obs.Tee(j.trace, r.cfg.Tracer)
 
 	switch j.spec.Kind {
 	case KindExperiment:

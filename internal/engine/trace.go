@@ -26,6 +26,7 @@ type TraceBuffer struct {
 
 	mu     sync.Mutex
 	events []obs.Event
+	counts map[obs.EventType]int64 // occurrences per type, weighted by Event.Count
 	done   bool
 	// changed is the channel the last Since handed out, closed (and
 	// dropped) by the next append or End. It is made only when a
@@ -41,8 +42,9 @@ func NewTraceBuffer() *TraceBuffer {
 // Enabled reports true: a buffer exists to record.
 func (b *TraceBuffer) Enabled() bool { return true }
 
-// Emit stamps and appends one event. Safe for concurrent use; events
-// after End are dropped (the job is already terminal and subscribers
+// Emit stamps and appends one event and adds the occurrences it stands
+// for to its type's count. Safe for concurrent use; events after End are
+// dropped and not counted (the job is already terminal and subscribers
 // have been released).
 func (b *TraceBuffer) Emit(e obs.Event) {
 	b.mu.Lock()
@@ -53,7 +55,20 @@ func (b *TraceBuffer) Emit(e obs.Event) {
 	e.Seq = int64(len(b.events) + 1)
 	e.TMS = obs.MS(obs.Since(b.start))
 	b.events = append(b.events, e)
+	if b.counts == nil {
+		b.counts = make(map[obs.EventType]int64)
+	}
+	b.counts[e.Type] += e.Count()
 	b.notifyLocked()
+}
+
+// Count returns how many occurrences of typ the buffer has recorded: the
+// sum of Event.Count over its events of that type, so a span's folded
+// cache.hit with n=3 counts three.
+func (b *TraceBuffer) Count(typ obs.EventType) int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.counts[typ]
 }
 
 // End marks the stream complete, waking every subscriber. Idempotent.

@@ -113,3 +113,27 @@ func TestTraceBufferMakesChannelsOnlyForSubscribers(t *testing.T) {
 		t.Fatalf("after End: done=%v, channel nil=%v; want true, false", done, more == nil)
 	}
 }
+
+// TestTraceBufferCountsOccurrences: the per-type count weighs each event
+// by Event.Count, so a folded cache.hit with n=3 counts three, and
+// events after End are neither kept nor counted.
+func TestTraceBufferCountsOccurrences(t *testing.T) {
+	b := NewTraceBuffer()
+	b.Emit(obs.Event{Type: obs.CacheHit})
+	b.Emit(obs.Event{Type: obs.CacheHit, N: 3})
+	b.Emit(obs.Event{Type: obs.CacheMiss})
+	b.Emit(obs.Event{Type: obs.EvalBatch, N: 8}) // n is a batch size, not a fold
+	b.End()
+	b.Emit(obs.Event{Type: obs.CacheHit, N: 5})
+	b.Emit(obs.Event{Type: obs.CacheMiss})
+	for typ, want := range map[obs.EventType]int64{
+		obs.CacheHit: 4, obs.CacheMiss: 1, obs.EvalBatch: 1, obs.EvalDone: 0,
+	} {
+		if got := b.Count(typ); got != want {
+			t.Errorf("Count(%s) = %d, want %d", typ, got, want)
+		}
+	}
+	if b.Len() != 4 {
+		t.Errorf("Len = %d after End, want 4", b.Len())
+	}
+}

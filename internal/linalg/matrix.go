@@ -247,15 +247,6 @@ func (c *Cholesky) backwardSolve(y []float64) {
 	}
 }
 
-// LogDet returns log(det(A)) = 2·Σ log(L[i][i]) of the factorized matrix.
-func (c *Cholesky) LogDet() float64 {
-	var s float64
-	for i := 0; i < c.L.Rows; i++ {
-		s += math.Log(c.L.At(i, i))
-	}
-	return 2 * s
-}
-
 // Mean returns the arithmetic mean of v, or 0 for an empty slice.
 func Mean(v []float64) float64 {
 	if len(v) == 0 {

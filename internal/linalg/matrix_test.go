@@ -190,17 +190,6 @@ func TestCholeskyJitterRecoversSingular(t *testing.T) {
 	}
 }
 
-func TestLogDet(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{4, 0}, {0, 9}})
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(ch.LogDet(), math.Log(36), 1e-9) {
-		t.Fatalf("logdet = %v, want %v", ch.LogDet(), math.Log(36))
-	}
-}
-
 func TestMeanStdDev(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("mean of empty should be 0")

@@ -86,15 +86,6 @@ func (c Cost) Finite() bool {
 	return true
 }
 
-// ThroughputPerJoule returns useful MACs per nJ, used by the §VII-C
-// throughput-per-Joule comparison.
-func (c Cost) ThroughputPerJoule(macs int64) float64 {
-	if c.EnergyNJ == 0 {
-		return 0
-	}
-	return float64(macs) / c.EnergyNJ
-}
-
 // ErrInvalid is wrapped by all validity errors returned from Evaluate, so
 // searchers can distinguish "this design point is outside the feasible
 // region" from programming errors.

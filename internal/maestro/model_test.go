@@ -324,16 +324,10 @@ func TestCombinedLanes(t *testing.T) {
 	}
 }
 
-func TestEDPAndThroughput(t *testing.T) {
+func TestEDP(t *testing.T) {
 	c := Cost{DelayCycles: 10, EnergyNJ: 5}
 	if c.EDP() != 50 {
 		t.Fatalf("EDP = %v, want 50", c.EDP())
-	}
-	if tp := c.ThroughputPerJoule(100); tp != 20 {
-		t.Fatalf("throughput = %v, want 20", tp)
-	}
-	if (Cost{}).ThroughputPerJoule(100) != 0 {
-		t.Fatal("zero-energy throughput should be 0")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -22,7 +21,7 @@ type Server struct {
 
 // Serve binds addr and serves, in a background goroutine:
 //
-//	/metrics        the registry snapshot as indented JSON
+//	/metrics        the registry in Prometheus text format 0.0.4
 //	/debug/pprof/*  the standard Go profiling handlers
 //
 // The handlers are mounted on a private mux — nothing is registered on
@@ -57,8 +56,9 @@ func (s *Server) Close() error {
 
 // Mount registers the introspection handlers on mux:
 //
-//	/metrics        the registry snapshot — indented JSON by default,
-//	                Prometheus text format 0.0.4 when negotiated
+//	/metrics        the registry in Prometheus text format 0.0.4, the
+//	                one body for every GET and HEAD whatever the query
+//	                or Accept header
 //	/debug/pprof/*  the standard Go profiling handlers
 //
 // Serve uses it on a private mux; spotlightd mounts the same endpoints
@@ -75,20 +75,14 @@ func Mount(mux *http.ServeMux, reg *Registry) {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		snap := reg.Scrape()
 		// The body is buffered so HEAD can answer with the same headers
 		// (Content-Type, Content-Length) a GET would carry; an encode
 		// error cannot happen into a bytes.Buffer, and a write error on
 		// the response means the client hung up, which is its problem,
 		// not the run's.
 		var buf bytes.Buffer
-		if wantsPrometheus(r) {
-			w.Header().Set("Content-Type", PromContentType)
-			_ = WritePrometheus(&buf, snap)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			_ = WriteJSONSnapshot(&buf, snap)
-		}
+		_ = WritePrometheus(&buf, reg.Scrape())
+		w.Header().Set("Content-Type", PromContentType)
 		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 		if r.Method == http.MethodHead {
 			return
@@ -100,22 +94,4 @@ func Mount(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// wantsPrometheus decides the /metrics exposition format. JSON stays
-// the default (curl, the existing tests, and TestEndToEndInvariants all
-// read it); the Prometheus text format is served when the client asks
-// for it — `?format=prometheus`, or an Accept header naming text/plain
-// or an openmetrics type, which is what real Prometheus scrapers send.
-// Browsers also accept text/* via */*-less Accept lists, but a browser
-// poking /metrics gets JSON unless text/plain is named explicitly.
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus", "prom":
-		return true
-	case "json":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") || strings.Contains(accept, "openmetrics")
 }

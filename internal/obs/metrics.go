@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"math/bits"
 	"sync"
@@ -54,28 +52,19 @@ func (g *Gauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
 // Value returns the last value set (0 before any Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
 
-// histBuckets is the number of power-of-two latency buckets: bucket i
-// counts durations whose microsecond count has bit-length i, i.e.
-// [2^(i-1), 2^i) µs, which spans sub-microsecond calls to ~9 hours.
+// histBuckets is the number of power-of-two latency buckets: bucket 0
+// counts durations up to 1 µs and bucket i > 0 those in (2^(i-1), 2^i]
+// µs, upper bound inclusive like the exposition's `le`, which spans
+// sub-microsecond calls to ~9 hours.
 const histBuckets = 45
 
-// Histogram accumulates durations into log₂ microsecond buckets with
-// atomic count/sum/min/max, so Observe is lock-free and safe from any
-// number of workers.
+// Histogram accumulates durations into log₂ microsecond buckets with an
+// atomic count and sum, so Observe is lock-free and safe from any number
+// of workers. The zero Histogram is ready to use.
 type Histogram struct {
 	count   atomic.Int64
 	sumNS   atomic.Int64
-	minNS   atomic.Int64
-	maxNS   atomic.Int64
 	buckets [histBuckets]atomic.Int64
-}
-
-// newHistogram returns a histogram whose min tracker starts above any
-// observable value.
-func newHistogram() *Histogram {
-	h := &Histogram{}
-	h.minNS.Store(math.MaxInt64)
-	return h
 }
 
 // Observe records one duration.
@@ -85,25 +74,12 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.count.Add(1)
 	h.sumNS.Add(int64(d))
-	for {
-		cur := h.minNS.Load()
-		if cur <= int64(d) {
-			break
-		}
-		if h.minNS.CompareAndSwap(cur, int64(d)) {
-			break
-		}
+	// Bucket by d rounded up to whole µs: ⌈d/µs⌉−1 = ⌊(d−1)/µs⌋ has
+	// bit-length i exactly when ⌈d/µs⌉ lies in (2^(i-1), 2^i].
+	i := 0
+	if d > 0 {
+		i = bits.Len64(uint64((d - 1) / time.Microsecond))
 	}
-	for {
-		cur := h.maxNS.Load()
-		if cur >= int64(d) {
-			break
-		}
-		if h.maxNS.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
-	i := bits.Len64(uint64(d / time.Microsecond))
 	if i >= histBuckets {
 		i = histBuckets - 1
 	}
@@ -164,27 +140,24 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = newHistogram()
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
 }
 
 // BucketCount is one non-empty histogram bucket: Count durations fell in
-// (UpperUS/2, UpperUS] microseconds.
+// (UpperUS/2, UpperUS] microseconds ([0, 1] for the first bucket).
 type BucketCount struct {
-	UpperUS int64 `json:"upper_us"`
-	Count   int64 `json:"count"`
+	UpperUS int64
+	Count   int64
 }
 
 // HistogramSnapshot is a point-in-time view of one histogram.
 type HistogramSnapshot struct {
-	Count   int64         `json:"count"`
-	SumMS   float64       `json:"sum_ms"`
-	AvgMS   float64       `json:"avg_ms"`
-	MinMS   float64       `json:"min_ms"`
-	MaxMS   float64       `json:"max_ms"`
-	Buckets []BucketCount `json:"buckets,omitempty"`
+	Count   int64
+	Sum     time.Duration
+	Buckets []BucketCount
 }
 
 // Snapshot returns the histogram's current totals and non-empty buckets
@@ -201,22 +174,16 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		}
 	}
 	s.Count = h.count.Load()
-	s.SumMS = MS(time.Duration(h.sumNS.Load()))
-	s.MaxMS = MS(time.Duration(h.maxNS.Load()))
-	if s.Count > 0 {
-		s.MinMS = MS(time.Duration(h.minNS.Load()))
-		s.AvgMS = s.SumMS / float64(s.Count)
-	}
+	s.Sum = time.Duration(h.sumNS.Load())
 	return s
 }
 
 // RegistrySnapshot is a point-in-time copy of every metric, as exported
-// at /metrics. encoding/json marshals map keys sorted, so the JSON form
-// is deterministic however the metrics were created.
+// at /metrics by WritePrometheus.
 type RegistrySnapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64
+	Gauges     map[string]float64
+	Histograms map[string]HistogramSnapshot
 }
 
 // Snapshot copies the registry's current values.
@@ -262,7 +229,7 @@ func (r *Registry) OnScrape(fn func()) {
 }
 
 // Scrape runs the OnScrape hooks, then snapshots: the read path behind
-// /metrics in both exposition formats.
+// /metrics.
 func (r *Registry) Scrape() RegistrySnapshot {
 	r.hookMu.Lock()
 	hooks := make([]func(), len(r.hooks))
@@ -272,18 +239,6 @@ func (r *Registry) Scrape() RegistrySnapshot {
 		fn()
 	}
 	return r.Snapshot()
-}
-
-// WriteJSON writes the snapshot as indented JSON (the /metrics body).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return WriteJSONSnapshot(w, r.Snapshot())
-}
-
-// WriteJSONSnapshot writes an already-taken snapshot as indented JSON.
-func WriteJSONSnapshot(w io.Writer, s RegistrySnapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // MetricsTracer folds trace events into a registry: every event bumps a

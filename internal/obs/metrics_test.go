@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -29,7 +29,7 @@ func TestRegistryBasics(t *testing.T) {
 	h.Observe(2 * time.Millisecond)
 	h.Observe(4 * time.Millisecond)
 	s := h.Snapshot()
-	if s.Count != 2 || s.SumMS != 6 || s.MinMS != 2 || s.MaxMS != 4 || s.AvgMS != 3 {
+	if s.Count != 2 || s.Sum != 6*time.Millisecond {
 		t.Fatalf("histogram snapshot = %+v", s)
 	}
 	var total int64
@@ -44,7 +44,7 @@ func TestRegistryBasics(t *testing.T) {
 // TestHistogramConcurrent hammers one histogram from many goroutines;
 // the totals must come out exact (the race detector checks the rest).
 func TestHistogramConcurrent(t *testing.T) {
-	h := newHistogram()
+	var h Histogram
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -61,8 +61,12 @@ func TestHistogramConcurrent(t *testing.T) {
 	if s.Count != workers*per {
 		t.Fatalf("count = %d, want %d", s.Count, workers*per)
 	}
-	if s.MinMS != 0.001 || s.MaxMS != 0.008 {
-		t.Fatalf("min/max = %v/%v ms, want 0.001/0.008", s.MinMS, s.MaxMS)
+	var inBuckets int64
+	for _, b := range s.Buckets {
+		inBuckets += b.Count
+	}
+	if inBuckets != s.Count {
+		t.Fatalf("buckets hold %d observations, count is %d", inBuckets, s.Count)
 	}
 }
 
@@ -98,16 +102,19 @@ func TestMetricsTracer(t *testing.T) {
 	}
 }
 
-// TestRegistryJSONDeterministic: two identical registries export
-// byte-identical JSON (map keys are sorted by the encoder).
-func TestRegistryJSONDeterministic(t *testing.T) {
+// TestRegistryPrometheusDeterministic: two registries holding the same
+// metrics render byte-identical expositions, whatever order the metrics
+// were created in.
+func TestRegistryPrometheusDeterministic(t *testing.T) {
 	build := func(order []string) string {
 		r := NewRegistry()
 		for _, name := range order {
-			r.Counter(name).Add(1)
+			r.Counter("c." + name).Add(1)
+			r.Gauge(Labeled("g", "job", name)).Set(2)
+			r.Histogram("h." + name).Observe(time.Millisecond)
 		}
-		var b strings.Builder
-		if err := r.WriteJSON(&b); err != nil {
+		var b bytes.Buffer
+		if err := WritePrometheus(&b, r.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -115,7 +122,7 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 	a := build([]string{"a", "b", "c", "d"})
 	b := build([]string{"d", "c", "b", "a"})
 	if a != b {
-		t.Fatalf("JSON export depends on creation order:\n%s\nvs\n%s", a, b)
+		t.Fatalf("exposition depends on creation order:\n%s\nvs\n%s", a, b)
 	}
 }
 
@@ -147,12 +154,12 @@ func TestServeMetricsAndPprof(t *testing.T) {
 		return body
 	}
 
-	var snap RegistrySnapshot
-	if err := json.Unmarshal(get("/metrics"), &snap); err != nil {
-		t.Fatalf("/metrics is not JSON: %v", err)
+	body := get("/metrics")
+	if err := ValidatePrometheus(body); err != nil {
+		t.Fatalf("/metrics is not a valid exposition: %v\n%s", err, body)
 	}
-	if snap.Counters["trace.eval.done"] != 3 {
-		t.Fatalf("/metrics counters = %+v, want trace.eval.done=3", snap.Counters)
+	if !strings.Contains(string(body), "\ntrace_eval_done 3\n") {
+		t.Fatalf("/metrics lacks trace_eval_done 3:\n%s", body)
 	}
 	if body := get("/debug/pprof/"); !strings.Contains(string(body), "profile") {
 		t.Fatalf("/debug/pprof/ index looks wrong: %.80s", body)

@@ -15,8 +15,9 @@
 //     Registry, Tee fans one stream into several sinks, and a nil (or
 //     Nop) tracer drops everything at the cost of one branch.
 //   - Registry is a concurrent metrics table (counters, gauges,
-//     duration histograms) with an atomic hot path, exported as
-//     expvar-style JSON by Serve alongside the pprof handlers.
+//     duration histograms) with an atomic hot path, exported in the
+//     Prometheus text format 0.0.4 by Serve alongside the pprof
+//     handlers.
 //   - Now/Since are the sanctioned wall-clock reads for deterministic
 //     packages: latency is measured here, never fed back into the
 //     search.
@@ -32,6 +33,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"time"
 )
@@ -110,21 +112,11 @@ var schema = map[EventType]eventRule{
 // and tools.
 func EventTypes() []EventType {
 	out := make([]EventType, 0, len(schema))
-	for t := range schema { //lint:allow maporder(sortTypes orders the result before it is returned)
+	for t := range schema { //lint:allow maporder(sorted before it is returned)
 		out = append(out, t)
 	}
-	sortTypes(out)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// sortTypes sorts event types lexically (a local insertion sort keeps
-// the package dependency-free beyond the stdlib it already uses).
-func sortTypes(ts []EventType) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 // Event is one structured trace record. Seq and TMS are stamped by the

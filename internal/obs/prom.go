@@ -19,8 +19,7 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 // `job.trials.done{job="job-1"}`. Pairs are sorted by key and values are
 // escaped, so equal label sets always produce the same name (and with
 // it the same registry entry). WritePrometheus splits the block back
-// out into exposition labels; the JSON snapshot carries the full string
-// as the metric key. Panics on an odd number of kv arguments — label
+// out into exposition labels. Panics on an odd number of kv arguments — label
 // sets are static at call sites.
 func Labeled(name string, kv ...string) string {
 	if len(kv) == 0 {
@@ -195,7 +194,7 @@ func WritePrometheus(w io.Writer, s RegistrySnapshot) error {
 		}
 		f.series = append(f.series,
 			promSeries{labels: joinLabels(labels, `le="+Inf"`), value: strconv.FormatInt(h.Count, 10), isLE: true},
-			promSeries{labels: labels, value: formatFloat(h.SumMS / 1e3), suffix: "_sum"},
+			promSeries{labels: labels, value: formatFloat(h.Sum.Seconds()), suffix: "_sum"},
 			promSeries{labels: labels, value: strconv.FormatInt(h.Count, 10), suffix: "_count"},
 		)
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -58,10 +59,55 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExpositionGolden pins the whole /metrics body byte for byte for
+// one fixed registry: counters, negative and labeled gauges (label
+// values holding a backslash, a quote and a newline, and a label set
+// given out of key order), a name that needs sanitising and starts
+// with a digit, an empty histogram, and a histogram with observations
+// on exact powers of two µs, which land in the bucket they bound. The
+// golden file is written by hand; the same bytes must pass the strict
+// validator.
+func TestExpositionGolden(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("trace.eval.done").Add(41)
+	reg.Counter(Labeled("job.evals", "job", "job-1")).Add(7)
+	reg.Counter("2x.speed-up").Add(2)
+	reg.Gauge("search.best_objective").Set(-12.75)
+	reg.Gauge(Labeled("job.trials.done", "job", "a\\b\"c\nd")).Set(3)
+	reg.Gauge(Labeled("job.trials.done", "job", "job-2")).Set(1)
+	reg.Gauge(Labeled("job.cache.hit.rate", "model", "ResNet-50", "job", "job-1")).Set(0.25)
+	reg.Histogram("dur.empty")
+	h := reg.Histogram("dur.span.trial")
+	for _, d := range []time.Duration{
+		0, 500 * time.Nanosecond, time.Microsecond, 1500 * time.Nanosecond,
+		2 * time.Microsecond, 3 * time.Microsecond, 4 * time.Microsecond,
+		1024 * time.Microsecond, 2 * time.Millisecond, 40 * time.Millisecond,
+	} {
+		h.Observe(d)
+	}
+
+	var got bytes.Buffer
+	if err := WritePrometheus(&got, reg.Snapshot()); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	want, err := os.ReadFile("testdata/exposition.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("exposition differs from testdata/exposition.golden\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+	if err := ValidatePrometheus(got.Bytes()); err != nil {
+		t.Errorf("golden exposition rejected by validator: %v", err)
+	}
+}
+
 // TestWritePrometheusHistogramEdges pins the histogram edge cases: a
 // created-but-never-observed histogram still renders a valid family
-// (just the +Inf bucket, zero _sum/_count), and a single observation
-// yields one cumulative bucket that agrees with +Inf and _count.
+// (just the +Inf bucket, zero _sum/_count), a single observation
+// yields one cumulative bucket that agrees with +Inf and _count, and an
+// observation of exactly a bucket's bound counts under that bound's
+// `le`, which is inclusive.
 func TestWritePrometheusHistogramEdges(t *testing.T) {
 	t.Run("zero observations", func(t *testing.T) {
 		reg := NewRegistry()
@@ -97,6 +143,24 @@ func TestWritePrometheusHistogramEdges(t *testing.T) {
 			`dur_one_seconds_bucket{le="4e-06"} 1` + "\n",
 			`dur_one_seconds_bucket{le="+Inf"} 1` + "\n",
 			"dur_one_seconds_count 1\n",
+		} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("exposition missing %q:\n%s", want, buf.String())
+			}
+		}
+	})
+	t.Run("inclusive upper bound", func(t *testing.T) {
+		reg := NewRegistry()
+		h := reg.Histogram("dur.edge")
+		h.Observe(1500 * time.Nanosecond)
+		h.Observe(2 * time.Microsecond) // exactly the (1, 2] µs bucket's bound
+		var buf bytes.Buffer
+		if err := WritePrometheus(&buf, reg.Scrape()); err != nil {
+			t.Fatalf("WritePrometheus: %v", err)
+		}
+		for _, want := range []string{
+			`dur_edge_seconds_bucket{le="2e-06"} 2` + "\n",
+			`dur_edge_seconds_bucket{le="+Inf"} 2` + "\n",
 		} {
 			if !strings.Contains(buf.String(), want) {
 				t.Errorf("exposition missing %q:\n%s", want, buf.String())

@@ -438,7 +438,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	// endpoint reads only snapshots — none of them may start anything
 	// that would survive the joins below.
 	for _, path := range []string{
-		"/metrics", "/metrics?format=prometheus", "/jobs/" + st.ID + "/progress",
+		"/metrics", "/jobs/" + st.ID + "/progress",
 	} {
 		if rec := do(t, s, "GET", path, ""); rec.Code != http.StatusOK {
 			t.Fatalf("GET %s = %d\n%s", path, rec.Code, rec.Body)

@@ -71,15 +71,6 @@ type Trace struct {
 // DRAMBytes is the total off-chip traffic.
 func (t Trace) DRAMBytes() float64 { return t.DRAMReadBytes + t.DRAMWriteBytes }
 
-// HitRate returns the scratchpad hit rate for one tensor.
-func (t Trace) HitRate(tensor Tensor) float64 {
-	total := t.Fetches[tensor] + t.Hits[tensor]
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Hits[tensor]) / float64(total)
-}
-
 // ErrTooLarge reports an outer loop nest beyond Options.MaxIterations.
 var ErrTooLarge = errors.New("sim: loop nest too large to walk")
 

@@ -129,31 +129,6 @@ func TestCompulsoryTraffic(t *testing.T) {
 	}
 }
 
-func TestHitRate(t *testing.T) {
-	a := testAccel()
-	l := testLayer()
-	tr, err := Simulate(a, l2Friendly(l), l, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tensor := range []Tensor{TensorInput, TensorWeight, TensorOutput} {
-		hr := tr.HitRate(tensor)
-		if hr < 0 || hr > 1 {
-			t.Fatalf("%v hit rate %v out of range", tensor, hr)
-		}
-	}
-	if (Trace{}).HitRate(TensorInput) != 0 {
-		t.Fatal("empty trace hit rate should be 0")
-	}
-}
-
-// l2Friendly makes small weight tiles so several fit in L2 and hits occur.
-func l2Friendly(l workload.Layer) sched.Schedule {
-	s := smallSchedule(l)
-	s.T2[workload.DimK] = 1
-	return s
-}
-
 func TestRejectsHugeNest(t *testing.T) {
 	l := workload.Conv("big", 1, 512, 512, 3, 3, 226, 226)
 	var s sched.Schedule

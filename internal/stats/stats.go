@@ -258,22 +258,6 @@ func bestK(v []float64, k int) []bool {
 	return mark
 }
 
-// GeoMean returns the geometric mean of strictly positive values; used to
-// aggregate speedups across models. Panics if any value is non-positive.
-func GeoMean(v []float64) float64 {
-	if len(v) == 0 {
-		panic("stats: geomean of empty slice")
-	}
-	var s float64
-	for _, x := range v {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: geomean of non-positive value %v", x))
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(v)))
-}
-
 // Normalize divides each element of v by the maximum of v, as done for the
 // per-model feature importances in Figure 9. A zero or empty input is
 // returned unchanged (as a copy).

@@ -181,12 +181,6 @@ func TestBottomQuantileOverlap(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); !near(g, 10, 1e-9) {
-		t.Fatalf("geomean = %v, want 10", g)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	out := Normalize([]float64{2, 4, 8})
 	want := []float64{0.25, 0.5, 1}
