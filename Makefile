@@ -50,8 +50,11 @@ fmt:
 race:
 	$(GO) test -race -count=1 ./...
 
+# chaos also runs the memo cache's single-flight, leader-panic and
+# duplicate-key tests: the lazy wait channel is a concurrency protocol
+# that only -race and repetition exercise.
 chaos:
-	$(GO) test -race -run 'Chaos|Checkpoint|Cancel' -count=2 ./...
+	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight' -count=2 ./...
 
 # perfbench vets and tests the benchmark harness, a nested module that
 # builds against this one: a change to the evaluator contract that

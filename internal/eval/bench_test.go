@@ -7,13 +7,18 @@ import (
 
 	"spotlight/internal/obs"
 	"spotlight/internal/sched"
+	"spotlight/internal/workload"
 )
 
 // BenchmarkEvalCache measures the memo cache against the bare analytical
 // backend: "bare" is the uncached cost of one evaluation, "miss" adds
-// the cache's bookkeeping on the cold path, "hit" and "concurrent" are
-// the warm path serially and under parallel load. CI runs this with
-// -benchtime=1x as a smoke test; see DESIGN.md for recorded numbers.
+// the cache's bookkeeping on the cold path for a new schedule in a known
+// context (the common case: a layer search costs many schedules against
+// one accelerator and layer), "miss-newctx" a miss whose context is new
+// too, "hit" and "concurrent" are the warm path serially and under
+// parallel load, and "batch-hit" a warm search-round-shaped batch. CI
+// runs this with -benchtime=1x as a smoke test; see DESIGN.md for
+// recorded numbers.
 func BenchmarkEvalCache(b *testing.B) {
 	const keys = 256
 	trs := randomTriples(9, keys)[:keys]
@@ -32,11 +37,28 @@ func BenchmarkEvalCache(b *testing.B) {
 
 	b.Run("miss", func(b *testing.B) {
 		pipe := MustFromSpec("maestro,cache", SpecOptions{})
+		a, s, l := validTriple(b, pipe)
+		// Loop orders do not change a point's validity: each pair of
+		// permutations is a new key on a valid point.
+		perms := make([][workload.NumDims]workload.Dim, 5040)
+		for i := range perms {
+			perms[i] = nthPermutation(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.OuterOrder, s.InnerOrder = perms[i%len(perms)], perms[i/len(perms)%len(perms)]
+			pipe.Evaluate(a, s, l)
+		}
+	})
+
+	b.Run("miss-newctx", func(b *testing.B) {
+		pipe := MustFromSpec("maestro,cache", SpecOptions{})
 		base := trs[0]
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			l := base.l
-			l.N = i + 1 // unique batch size per iteration: every call is cold
+			l.N = i + 1 // unique batch size per iteration: every call is a new context
 			pipe.Evaluate(base.a, base.s, l)
 		}
 	})
@@ -46,9 +68,9 @@ func BenchmarkEvalCache(b *testing.B) {
 		for _, tr := range trs {
 			pipe.Evaluate(tr.a, tr.s, tr.l)
 		}
-		// The warm path is pinned allocation-free: CanonicalKey builds
-		// the key as a value (no serialization buffer to allocate) and a
-		// hit touches nothing but the shard map.
+		// The warm path is pinned allocation-free: the packed key is a
+		// value (no serialization buffer to allocate) and a hit touches
+		// nothing but the shard's two maps.
 		tr := trs[0]
 		if avg := testing.AllocsPerRun(100, func() {
 			pipe.Evaluate(tr.a, tr.s, tr.l)
@@ -75,8 +97,8 @@ func BenchmarkEvalCache(b *testing.B) {
 		}
 		pipe.EvaluateBatch(grp.a.a, grp.ss, grp.a.l)
 		// A warm batch allocates only the two result slices the
-		// interface hands back; keys, entry pointers, and flags live in
-		// the pooled scratch.
+		// interface hands back; packed keys, entry pointers, and flags
+		// live in the pooled scratch.
 		if avg := testing.AllocsPerRun(100, func() {
 			pipe.EvaluateBatch(grp.a.a, grp.ss, grp.a.l)
 		}); avg > 2 {

@@ -12,85 +12,122 @@ import (
 	"spotlight/internal/workload"
 )
 
-// cacheShards is the number of independently locked segments of the memo
-// cache. A power of two so shard selection is a mask; 64 keeps lock
-// contention negligible at any realistic worker count while costing only
-// a few KB of fixed overhead.
-const cacheShards = 64
+// cacheShardBits sizes the memo table at 1<<cacheShardBits independently
+// locked segments; 64 keeps lock contention negligible at any realistic
+// worker count while costing only a few KB of fixed overhead.
+const (
+	cacheShardBits = 6
+	cacheShards    = 1 << cacheShardBits
+)
 
-// Key is the canonical cache identity of one evaluation. The three
-// inputs are plain value types (ints, int arrays, and the layer name),
-// so Go's struct equality is exact — two keys are equal iff the backend
-// would see identical inputs — and the key is directly usable as a map
-// key with no serialization. The only canonicalization applied is to
-// Layer.Repeat, which is zeroed: Repeat weights a layer's cost in
-// model-level aggregates but never reaches the backend's per-evaluation
-// math, so shapes that differ only in repeat count share one entry.
-type Key struct {
-	Accel hw.Accel
-	Sched sched.Schedule
-	Layer workload.Layer
+// slabChunkMax caps the entry chunk a shard allocates at once (see
+// cacheShard.newEntry).
+const slabChunkMax = 64
+
+// cacheCtx is the part of an evaluation's identity that every item of a
+// batch shares: the accelerator and the layer, with Layer.Repeat zeroed
+// as CanonicalKey does. A shard interns each context to a small id once
+// per batch, so the per-item key carries only the id and the schedule.
+type cacheCtx struct {
+	a hw.Accel
+	l workload.Layer
 }
 
-// CanonicalKey builds the cache key for one evaluation, applying the
-// canonicalization described on Key.
-func CanonicalKey(a hw.Accel, s sched.Schedule, l workload.Layer) Key {
-	l.Repeat = 0
-	return Key{Accel: a, Sched: s, Layer: l}
+// shard picks the segment that owns the context: an FNV-1a fold of every
+// field, finished with a multiply-xorshift so the top bits mix all of
+// them. The choice only spreads lock contention; identity is the full
+// context value.
+func (x *cacheCtx) shard() uint64 {
+	const prime = 0x100000001b3
+	h := uint64(0xcbf29ce484222325)
+	for i := 0; i < len(x.l.Name); i++ {
+		h = (h ^ uint64(x.l.Name[i])) * prime
+	}
+	for _, v := range [...]int{x.a.PEs, x.a.Width, x.a.SIMDLanes, x.a.RFKB, x.a.L2KB, x.a.NoCBW,
+		int(x.l.Op), x.l.N, x.l.K, x.l.C, x.l.R, x.l.S, x.l.X, x.l.Y, x.l.StrideX, x.l.StrideY} {
+		h = (h ^ uint64(v)) * prime
+	}
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15
+	return h >> (64 - cacheShardBits)
 }
 
-// Fingerprint folds a key into 64 bits with a splitmix64-style mixer.
-// The cache uses it only to pick a shard — entry identity is the full
-// Key, so fingerprint collisions cost contention, never correctness.
-func Fingerprint(k Key) uint64 {
-	z := uint64(0x5307159b0a575e11)
-	for _, v := range [...]int{k.Accel.PEs, k.Accel.Width, k.Accel.SIMDLanes,
-		k.Accel.RFKB, k.Accel.L2KB, k.Accel.NoCBW} {
-		z = fpMix(z, uint64(v))
-	}
-	for i := 0; i < workload.NumDims; i++ {
-		z = fpMix(z, uint64(k.Sched.T2[i]))
-		z = fpMix(z, uint64(k.Sched.T1[i]))
-		z = fpMix(z, uint64(k.Sched.OuterOrder[i]))
-		z = fpMix(z, uint64(k.Sched.InnerOrder[i]))
-	}
-	z = fpMix(z, uint64(k.Sched.OuterUnroll))
-	z = fpMix(z, uint64(k.Sched.InnerUnroll))
-	for _, c := range k.Layer.Name {
-		z = fpMix(z, uint64(c))
-	}
-	for _, v := range [...]int{int(k.Layer.Op), k.Layer.N, k.Layer.K, k.Layer.C,
-		k.Layer.R, k.Layer.S, k.Layer.X, k.Layer.Y,
-		k.Layer.StrideX, k.Layer.StrideY, k.Layer.Repeat} {
-		z = fpMix(z, uint64(v))
-	}
-	return z
+// cacheKey is the memo table's key: a shard-local context id and the
+// schedule packed into narrow fields. At 76 bytes it is small enough for
+// a Go map to store inline, so an entry allocates no key and a lookup
+// hashes 76 bytes instead of a ~400-byte Key.
+type cacheKey struct {
+	ctx                      uint32
+	t2, t1                   [workload.NumDims]int32
+	outerOrder, innerOrder   [workload.NumDims]uint8
+	outerUnroll, innerUnroll uint8
 }
 
-// fpMix is a splitmix64-style finalizer folding s into state z, the same
-// construction core and resilience use for seed derivation.
-func fpMix(z, s uint64) uint64 {
-	z ^= s + 0x9e3779b97f4a7c15 + (z << 6) + (z >> 2)
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+// packKey packs s under context id ctx. ok is false when a tile does
+// not fit int32 or a dimension does not fit uint8; the cache then passes
+// the item through uncached, so packing never makes two distinct
+// schedules share an entry.
+func packKey(ctx uint32, s *sched.Schedule) (k cacheKey, ok bool) {
+	k.ctx = ctx
+	for i := range s.T2 {
+		k.t2[i], k.t1[i] = int32(s.T2[i]), int32(s.T1[i])
+		k.outerOrder[i], k.innerOrder[i] = uint8(s.OuterOrder[i]), uint8(s.InnerOrder[i])
+		if int(k.t2[i]) != s.T2[i] || int(k.t1[i]) != s.T1[i] ||
+			workload.Dim(k.outerOrder[i]) != s.OuterOrder[i] || workload.Dim(k.innerOrder[i]) != s.InnerOrder[i] {
+			return k, false
+		}
+	}
+	k.outerUnroll, k.innerUnroll = uint8(s.OuterUnroll), uint8(s.InnerUnroll)
+	return k, workload.Dim(k.outerUnroll) == s.OuterUnroll && workload.Dim(k.innerUnroll) == s.InnerUnroll
 }
 
-// cacheEntry is one memoized (or in-flight) evaluation. done is closed
-// when cost/err are final; keep reports whether the outcome was
-// memoizable (followers of a non-kept entry re-evaluate themselves).
+// cacheEntry is one memoized (or in-flight) evaluation. Its fields are
+// guarded by the owning shard's lock: the leader sets cost, err, keep
+// and done together under it and then closes wait, which exists only if
+// a follower found the entry in flight and needed to block. After done
+// the entry never changes, so a follower that received from wait reads
+// it without the lock. keep reports whether the outcome was memoizable
+// (followers of a non-kept entry re-evaluate themselves).
 type cacheEntry struct {
-	done chan struct{}
 	cost maestro.Cost
 	err  error
+	wait chan struct{}
+	done bool
 	keep bool
 }
 
-// cacheShard is one locked segment of the memo table.
+// cacheShard is one locked segment of the memo table: its interned
+// contexts, its entries, and the slab the entries come from.
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[Key]*cacheEntry
+	mu   sync.Mutex
+	ctxs map[cacheCtx]uint32
+	m    map[cacheKey]*cacheEntry
+	slab []cacheEntry // unused tail of the current entry chunk
+}
+
+// intern returns x's context id, assigning the next one on first sight.
+// Ids are dense per shard; a shard would need 2^32 contexts — terabytes
+// of interned layers — to wrap.
+func (s *cacheShard) intern(x *cacheCtx) uint32 {
+	id, ok := s.ctxs[*x]
+	if !ok {
+		id = uint32(len(s.ctxs))
+		s.ctxs[*x] = id
+	}
+	return id
+}
+
+// newEntry hands out the next slot of the shard's entry slab. A new
+// chunk is sized to the table so far (8 up to slabChunkMax entries), so
+// a small cache holds little spare and a large one allocates once per
+// slabChunkMax misses.
+func (s *cacheShard) newEntry() *cacheEntry {
+	if len(s.slab) == 0 {
+		s.slab = make([]cacheEntry, min(max(len(s.m), 8), slabChunkMax))
+	}
+	e := &s.slab[0]
+	s.slab = s.slab[1:]
+	return e
 }
 
 // Cache memoizes evaluations of its inner evaluator, keyed on the
@@ -101,6 +138,13 @@ type cacheShard struct {
 // configurations. The table is sharded for concurrency and deduplicates
 // in-flight work single-flight style: when several workers ask for the
 // same key at once, one evaluates and the rest wait for its result.
+//
+// A batch shares one accelerator and one layer, its context, so the
+// table is split the same way: the context picks the shard and is
+// interned there to a small id, once per batch under one lock, and each
+// item is keyed by that id and its packed schedule (cacheKey). A
+// schedule with no packed form is evaluated every time and never
+// memoized.
 //
 // Memoization preserves the evaluator contract bit-exactly: a hit
 // returns the identical maestro.Cost value and the identical error the
@@ -130,7 +174,8 @@ func WithCache() Middleware {
 	return func(inner layer) layer {
 		c := &Cache{inner: inner}
 		for i := range c.shards {
-			c.shards[i].m = make(map[Key]*cacheEntry)
+			c.shards[i].ctxs = make(map[cacheCtx]uint32)
+			c.shards[i].m = make(map[cacheKey]*cacheEntry)
 		}
 		return c
 	}
@@ -187,26 +232,29 @@ func (m *missSet) run(inner layer, sp *obs.Span, a hw.Accel, ss []sched.Schedule
 }
 
 // cacheScratch is the reusable per-call working set of Cache.evaluate:
-// canonical keys, per-item entry pointers and role flags, and the miss
+// packed keys, per-item entry pointers and role flags, and the miss
 // subset. Pooled so steady-state evaluation allocates nothing here.
 type cacheScratch struct {
-	keys  []Key
+	keys  []cacheKey
 	ents  []*cacheEntry
 	flags []uint8
 	miss  missSet
 }
 
-// role flags for cacheScratch.flags.
+// role flags for cacheScratch.flags. An item with no flag is in the
+// miss set: a leader, which owns its entry and must publish it, or an
+// unpackable item, which has no entry.
 const (
-	flagLeader   uint8 = 1 << iota // this call owns the entry and must publish it
+	flagHit      uint8 = 1 << iota // the entry was published when registered; costs/errs hold it
 	flagInFlight                   // follower found the entry unresolved (counts as coalesced)
+	flagWait                       // in-flight follower that must receive from the entry's wait
 )
 
 var cacheScratchPool = sync.Pool{New: func() any { return new(cacheScratch) }}
 
 func (b *cacheScratch) reset(n int) {
 	if cap(b.keys) < n {
-		b.keys = make([]Key, n)
+		b.keys = make([]cacheKey, n)
 		b.ents = make([]*cacheEntry, n)
 		b.flags = make([]uint8, n)
 	}
@@ -220,81 +268,58 @@ func (b *cacheScratch) reset(n int) {
 	b.miss.reset()
 }
 
-// shard returns the table segment that owns k.
-func (c *Cache) shard(k Key) *cacheShard { return &c.shards[Fingerprint(k)&(cacheShards-1)] }
-
-// withdraw removes k's entry from the table, so the next caller for k
-// evaluates it afresh.
-func (c *Cache) withdraw(k Key) {
-	shard := c.shard(k)
-	shard.mu.Lock()
-	delete(shard.m, k)
-	shard.mu.Unlock()
-}
-
 // evaluate implements layer with memoization and single-flight
-// deduplication. The batch is partitioned into memoized hits, a miss
-// set this call leads, and followers of in-flight entries (other
-// callers' or this very batch's leaders, for duplicate keys). The
-// misses go to the inner layer in ONE call; followers are resolved only
-// after the leaders publish, which is what makes in-batch duplicates
-// safe — a follower of its own batch's leader would otherwise deadlock
-// waiting on work that has not been submitted yet. A follower whose
-// leader withdrew its entry (a non-memoizable outcome, or a panic)
-// retries: the withdrawn followers go through the cache again as a
-// smaller batch, becoming leaders or following whoever got there first.
+// deduplication. The batch's context picks one shard, and each phase
+// that touches the table takes its lock once for the whole batch:
 //
-// Memoization keeps successes and ErrInvalid verdicts and withdraws
-// faults. Under a span, hits and misses are counted in sp's tally,
-// which End emits as one cache.hit and one cache.miss event carrying
-// the counts; leader panics are emitted as they happen, parented under
-// sp. Either way they reach sp's sink, so on a shared pipeline each job
-// sees only its own cache traffic. An in-batch duplicate counts as
-// coalesced+hit, because it genuinely waited on the in-flight leader.
+//  1. register: intern the context; answer every published entry as a
+//     hit, follow every in-flight one, and lead a new entry for every
+//     other packable item. Leaders and unpackable items form the miss
+//     set.
+//  2. evaluate the miss set in ONE inner call.
+//  3. publish the leaders' results, withdrawing the non-memoizable.
+//  4. resolve the followers: those whose entry is still in flight get
+//     its wait channel, created here on first need, and block on it.
+//
+// Followers are resolved only after the leaders publish, which is what
+// makes in-batch duplicates safe — a follower of its own batch's leader
+// would otherwise wait on work that has not been submitted yet, and by
+// phase 4 such an entry is done, so it needs no channel. A follower
+// whose leader withdrew its entry (a non-memoizable outcome, or a
+// panic) retries: the withdrawn followers go through the cache again as
+// a smaller batch, becoming leaders or following whoever got there
+// first.
+//
+// Under a span, hits and misses are counted in sp's tally, which End
+// emits as one cache.hit and one cache.miss event carrying the counts;
+// leader panics are emitted as they happen, parented under sp. Either
+// way they reach sp's sink, so on a shared pipeline each job sees only
+// its own cache traffic. An in-batch duplicate counts as coalesced+hit,
+// because it genuinely waited on the in-flight leader.
 func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
 	if len(ss) == 0 {
 		return
 	}
+	x := cacheCtx{a: a, l: l}
+	x.l.Repeat = 0
+	shard := &c.shards[x.shard()]
 	sc := cacheScratchPool.Get().(*cacheScratch)
 	defer cacheScratchPool.Put(sc)
 	sc.reset(len(ss))
 
-	// Phase 1: register every item, becoming leader or follower per key.
-	for i := range ss {
-		sc.keys[i] = CanonicalKey(a, ss[i], l)
-		shard := c.shard(sc.keys[i])
-		shard.mu.Lock()
-		if e, ok := shard.m[sc.keys[i]]; ok {
-			shard.mu.Unlock()
-			sc.ents[i] = e
-			select {
-			case <-e.done:
-			default:
-				sc.flags[i] |= flagInFlight
-			}
-			continue
-		}
-		e := &cacheEntry{done: make(chan struct{})}
-		shard.m[sc.keys[i]] = e
-		shard.mu.Unlock()
-		sc.ents[i] = e
-		sc.flags[i] |= flagLeader
-		sc.miss.add(i, ss[i])
-	}
+	leaders, followers := shard.register(&x, ss, sc, costs, errs)
 
-	// Phase 2: one inner call for all misses. If the inner layer panics
-	// (no guard below the cache), every unpublished leader entry is
-	// withdrawn and released before the panic propagates, so followers
-	// retry instead of blocking forever.
+	// If the inner layer panics (no guard below the cache), every
+	// unpublished leader entry is withdrawn and released before the
+	// panic propagates, so followers retry instead of blocking forever.
 	innerReturned := false
 	defer func() {
 		if innerReturned {
 			return
 		}
-		for _, i := range sc.miss.idx {
-			c.withdraw(sc.keys[i])
-			close(sc.ents[i].done)
-			if obs.Active(sp, c.tr) {
+		shard.abandon(sc)
+		if obs.Active(sp, c.tr) {
+			for i := 0; i < leaders; i++ {
 				sp.EmitTo(c.tr, obs.Event{Type: obs.CachePanic})
 			}
 		}
@@ -302,42 +327,138 @@ func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l worklo
 	sc.miss.run(c.inner, sp, a, ss, l, costs, errs)
 	innerReturned = true
 
-	// Phase 3: publish the leaders' results.
-	for _, i := range sc.miss.idx {
-		e := sc.ents[i]
-		e.cost, e.err = costs[i], errs[i]
-		e.keep = e.err == nil || errors.Is(e.err, maestro.ErrInvalid)
-		if e.keep {
-			c.entries.Add(1)
-		} else {
-			c.withdraw(sc.keys[i])
-		}
-		c.misses.Add(1)
+	if leaders > 0 {
+		c.entries.Add(shard.publish(sc, costs, errs))
+	}
+	c.misses.Add(int64(len(sc.miss.idx)))
+	for range sc.miss.idx {
 		sp.CountTo(c.tr, obs.TallyCacheMiss)
-		close(e.done)
+	}
+	if followers > 0 {
+		shard.await(sc)
+		c.coalesced.Add(int64(followers))
 	}
 
-	// Phase 4: resolve followers, now that every leader in this batch
-	// has published; collect the ones whose entry was withdrawn.
+	// Every non-leader is now resolved: a hit, or a retry if its entry
+	// was withdrawn.
 	sc.miss.reset()
+	hits := int64(0)
+	for i, f := range sc.flags {
+		if f&flagInFlight != 0 {
+			e := sc.ents[i]
+			if !e.keep {
+				sc.miss.add(i, ss[i])
+				continue
+			}
+			costs[i], errs[i] = e.cost, e.err
+		} else if f&flagHit == 0 {
+			continue // a leader or unpackable item: the inner call answered it
+		}
+		hits++
+		sp.CountTo(c.tr, obs.TallyCacheHit)
+	}
+	c.hits.Add(hits)
+	sc.miss.run(c, sp, a, ss, l, costs, errs)
+}
+
+// register is phase 1 of Cache.evaluate, under one hold of the lock. It
+// returns the number of entries the batch leads and of in-flight
+// entries it follows.
+func (s *cacheShard) register(x *cacheCtx, ss []sched.Schedule, sc *cacheScratch, costs []maestro.Cost, errs []error) (leaders, followers int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ctx := s.intern(x)
 	for i := range ss {
-		if sc.flags[i]&flagLeader != 0 {
-			continue
-		}
-		e := sc.ents[i]
-		<-e.done
-		if sc.flags[i]&flagInFlight != 0 {
-			c.coalesced.Add(1)
-		}
-		if !e.keep {
+		k, ok := packKey(ctx, &ss[i])
+		if !ok {
 			sc.miss.add(i, ss[i])
 			continue
 		}
-		c.hits.Add(1)
-		sp.CountTo(c.tr, obs.TallyCacheHit)
-		costs[i], errs[i] = e.cost, e.err
+		sc.keys[i] = k
+		if e, ok := s.m[k]; ok {
+			sc.ents[i] = e
+			if e.done {
+				sc.flags[i] = flagHit
+				costs[i], errs[i] = e.cost, e.err
+			} else {
+				sc.flags[i] = flagInFlight
+				followers++
+			}
+			continue
+		}
+		e := s.newEntry()
+		s.m[k] = e
+		sc.ents[i] = e
+		sc.miss.add(i, ss[i])
+		leaders++
 	}
-	sc.miss.run(c, sp, a, ss, l, costs, errs)
+	return leaders, followers
+}
+
+// publish is phase 3: it settles every entry the batch leads with its
+// result, withdraws the ones that must not be memoized, and wakes their
+// waiting followers. It returns the number of entries kept.
+func (s *cacheShard) publish(sc *cacheScratch, costs []maestro.Cost, errs []error) (kept int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, i := range sc.miss.idx {
+		e := sc.ents[i]
+		if e == nil { // unpackable: evaluated, never memoized
+			continue
+		}
+		e.cost, e.err = costs[i], errs[i]
+		e.keep = e.err == nil || errors.Is(e.err, maestro.ErrInvalid)
+		if e.keep {
+			kept++
+		} else {
+			delete(s.m, sc.keys[i])
+		}
+		e.settle()
+	}
+	return kept
+}
+
+// abandon withdraws every entry the batch leads, unpublished because
+// the inner layer panicked; their followers see keep false and retry.
+func (s *cacheShard) abandon(sc *cacheScratch) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, i := range sc.miss.idx {
+		if e := sc.ents[i]; e != nil {
+			delete(s.m, sc.keys[i])
+			e.settle()
+		}
+	}
+}
+
+// settle marks e done and wakes its followers. The caller holds the
+// owning shard's lock.
+func (e *cacheEntry) settle() {
+	e.done = true
+	if e.wait != nil {
+		close(e.wait)
+	}
+}
+
+// await is phase 4: every in-flight entry the batch follows that is
+// still unsettled gets a wait channel (the first follower creates it),
+// and the batch blocks on each until its leader settles it.
+func (s *cacheShard) await(sc *cacheScratch) {
+	s.mu.Lock()
+	for i, f := range sc.flags {
+		if e := sc.ents[i]; f&flagInFlight != 0 && !e.done {
+			if e.wait == nil {
+				e.wait = make(chan struct{})
+			}
+			sc.flags[i] |= flagWait
+		}
+	}
+	s.mu.Unlock()
+	for i, f := range sc.flags {
+		if f&flagWait != 0 {
+			<-sc.ents[i].wait
+		}
+	}
 }
 
 // CacheSnapshot is a point-in-time view of the cache counters.

@@ -6,9 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
@@ -277,20 +280,212 @@ func TestCanonicalKeyIgnoresRepeat(t *testing.T) {
 	}
 }
 
-func TestFingerprintIsDeterministic(t *testing.T) {
-	trs := randomTriples(6, 20)
-	for _, tr := range trs {
-		k := CanonicalKey(tr.a, tr.s, tr.l)
-		if Fingerprint(k) != Fingerprint(k) {
-			t.Fatal("fingerprint not deterministic")
+// TestUnpackableScheduleBypassesCache: a schedule whose tiles do not fit
+// int32 or whose dimensions do not fit uint8 has no packed key, so the
+// cache passes it to the backend every time, counts it as a miss and
+// never memoizes it — alone or mixed into a batch with packable items.
+func TestUnpackableScheduleBypassesCache(t *testing.T) {
+	a, s, l := validTriple(t, maestro.New())
+	bigT2, smallT1, dim300, negDim, unroll := s, s, s, s, s
+	bigT2.T2[0] = math.MaxInt32 + 1
+	smallT1.T1[3] = math.MinInt32 - 1
+	dim300.OuterOrder[2] = 300
+	negDim.InnerOrder[5] = -1
+	unroll.InnerUnroll = 256
+	odd := []sched.Schedule{bigT2, smallT1, dim300, negDim, unroll}
+
+	bare := maestro.New()
+	counter := &countingEval{}
+	pipe := Chain(counter, WithCache())
+	for round := 0; round < 2; round++ {
+		for i, u := range odd {
+			var want result
+			want.cost, want.err = bare.Evaluate(a, u, l)
+			cost, err := pipe.Evaluate(a, u, l)
+			if err := sameResult(cost, err, want); err != nil {
+				t.Fatalf("round %d, schedule %d: %v", round, i, err)
+			}
+		}
+		// The same schedules beside a packable one, in one batch.
+		batch := append([]sched.Schedule{s}, odd...)
+		costs, errs := pipe.EvaluateBatch(a, batch, l)
+		for i, u := range batch {
+			var want result
+			want.cost, want.err = bare.Evaluate(a, u, l)
+			if err := sameResult(costs[i], errs[i], want); err != nil {
+				t.Fatalf("round %d, batch item %d: %v", round, i, err)
+			}
 		}
 	}
-	// Not a collision-freedom guarantee — just a sanity check that the
-	// mixer actually differentiates nearby keys.
-	k1 := CanonicalKey(trs[0].a, trs[0].s, trs[0].l)
-	k2 := k1
-	k2.Layer.K++
-	if Fingerprint(k1) == Fingerprint(k2) {
-		t.Fatal("adjacent keys share a fingerprint")
+	// 2 rounds × 2 passes × 5 unpackable items, plus the packable one's
+	// single miss; its second round is a hit.
+	if got := counter.items.Load(); got != 21 {
+		t.Fatalf("backend evaluated %d items, want 21", got)
+	}
+	if snap := pipe.Cache().Snapshot(); snap.Misses != 21 || snap.Hits != 1 || snap.Entries != 1 {
+		t.Fatalf("snapshot %+v, want 21 misses, 1 hit, 1 entry", snap)
+	}
+}
+
+// TestContextIdentityIsExact: the context is the full accelerator and
+// layer, so layers that differ only in Name and accelerators that differ
+// in any one field get entries of their own, while Repeat-only variants
+// share one. Every answer matches the bare backend.
+func TestContextIdentityIsExact(t *testing.T) {
+	a, s, l := validTriple(t, maestro.New())
+	renamed := l
+	renamed.Name += "-twin"
+	repeated := l
+	repeated.Repeat += 7
+	type point struct {
+		a hw.Accel
+		l workload.Layer
+	}
+	points := []point{{a, l}, {a, renamed}}
+	for f := 0; f < reflect.TypeOf(a).NumField(); f++ {
+		b := a
+		v := reflect.ValueOf(&b).Elem().Field(f)
+		v.SetInt(v.Int() * 2)
+		points = append(points, point{b, l})
+	}
+	distinct := int64(len(points))
+	points = append(points, point{a, repeated}) // shares {a, l}'s entry
+
+	bare := maestro.New()
+	counter := &countingEval{}
+	pipe := Chain(counter, WithCache())
+	for round := 0; round < 2; round++ {
+		for i, p := range points {
+			var want result
+			want.cost, want.err = bare.Evaluate(p.a, s, p.l)
+			cost, err := pipe.Evaluate(p.a, s, p.l)
+			if err := sameResult(cost, err, want); err != nil {
+				t.Fatalf("round %d, point %d: %v", round, i, err)
+			}
+		}
+	}
+	if got := counter.items.Load(); got != distinct {
+		t.Fatalf("backend evaluated %d items, want %d (one per distinct context)", got, distinct)
+	}
+	if snap := pipe.Cache().Snapshot(); snap.Misses != distinct || snap.Entries != distinct {
+		t.Fatalf("snapshot %+v, want %d misses and entries", snap, distinct)
+	}
+}
+
+// gatedEval blocks its first evaluation until the gate opens and then
+// ends it with outcome; every later evaluation returns the same cost at
+// once. entered is closed when the first evaluation starts.
+type gatedEval struct {
+	calls   atomic.Int64
+	entered chan struct{}
+	gate    chan struct{}
+	outcome func() (maestro.Cost, error)
+}
+
+func (g *gatedEval) Name() string { return "gated" }
+
+func (g *gatedEval) Evaluate(hw.Accel, sched.Schedule, workload.Layer) (maestro.Cost, error) {
+	if g.calls.Add(1) == 1 {
+		close(g.entered)
+		<-g.gate
+		return g.outcome()
+	}
+	return maestro.Cost{DelayCycles: 9}, nil
+}
+
+// waitingFollowers counts the unsettled entries a follower is blocked
+// on: those whose wait channel exists.
+func waitingFollowers(c *Cache) int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for _, e := range s.m {
+			if e.wait != nil && !e.done {
+				n++
+			}
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// TestFollowerOfInFlightLeader drives the lazy wait channel through each
+// way a leader can end: a follower in another goroutine arrives while
+// the leader is inside the backend, and only then does the leader
+// publish, return a transient error, or panic. The follower never
+// blocks past that: it shares a published result, and retries as a
+// leader itself after a fault or a panic withdrew the entry. Inner call
+// and counter totals are exact.
+func TestFollowerOfInFlightLeader(t *testing.T) {
+	cases := []struct {
+		name                      string
+		outcome                   func() (maestro.Cost, error)
+		leaderOK, leaderPanics    bool
+		calls, hits, misses, kept int64
+	}{
+		{name: "publish", outcome: func() (maestro.Cost, error) { return maestro.Cost{DelayCycles: 9}, nil },
+			leaderOK: true, calls: 1, hits: 1, misses: 1, kept: 1},
+		{name: "transient", outcome: func() (maestro.Cost, error) { return maestro.Cost{}, errors.New("transient fault") },
+			calls: 2, misses: 2, kept: 1},
+		{name: "panic", outcome: func() (maestro.Cost, error) { panic("backend crash") },
+			leaderPanics: true, calls: 2, misses: 1, kept: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &gatedEval{entered: make(chan struct{}), gate: make(chan struct{}), outcome: tc.outcome}
+			pipe := Chain(g, WithCache())
+			c := pipe.Cache()
+			tr := randomTriples(31, 1)[0]
+
+			leader := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						leader <- fmt.Errorf("panic: %v", r)
+					}
+				}()
+				_, err := pipe.Evaluate(tr.a, tr.s, tr.l)
+				leader <- err
+			}()
+			<-g.entered
+
+			type outcome struct {
+				cost maestro.Cost
+				err  error
+			}
+			follower := make(chan outcome, 1)
+			go func() {
+				cost, err := pipe.Evaluate(tr.a, tr.s, tr.l)
+				follower <- outcome{cost, err}
+			}()
+			for waitingFollowers(c) == 0 {
+				runtime.Gosched()
+			}
+			close(g.gate)
+
+			lerr := <-leader
+			if got := lerr != nil && strings.HasPrefix(lerr.Error(), "panic:"); got != tc.leaderPanics {
+				t.Fatalf("leader ended with %v, panic expected: %v", lerr, tc.leaderPanics)
+			}
+			if (lerr == nil) != tc.leaderOK {
+				t.Fatalf("leader error %v, success expected: %v", lerr, tc.leaderOK)
+			}
+			select {
+			case f := <-follower:
+				if f.err != nil || f.cost.DelayCycles != 9 {
+					t.Fatalf("follower got (%+v, %v), want the memoizable cost", f.cost, f.err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("follower still blocked after the leader ended")
+			}
+			if got := g.calls.Load(); got != tc.calls {
+				t.Fatalf("backend called %d times, want %d", got, tc.calls)
+			}
+			want := CacheSnapshot{Hits: tc.hits, Misses: tc.misses, Coalesced: 1, Entries: tc.kept}
+			if snap := c.Snapshot(); snap != want {
+				t.Fatalf("snapshot %+v, want %+v", snap, want)
+			}
+		})
 	}
 }

@@ -64,7 +64,7 @@ func (c *ChaosEvaluator) draw(h, kind uint64) float64 {
 
 func (c *ChaosEvaluator) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
 	c.calls.Add(1)
-	h := eval.Fingerprint(eval.CanonicalKey(a, s, l))
+	h := pointHash(eval.CanonicalKey(a, s, l))
 	if c.draw(h, 1) < c.LatencyRate {
 		c.latencies.Add(1)
 		time.Sleep(c.Latency)
@@ -93,6 +93,43 @@ func (c *ChaosEvaluator) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer
 		cost.DelayCycles, cost.EnergyNJ = math.Inf(sign), math.Inf(sign)
 	}
 	return cost, nil
+}
+
+// pointHash folds an evaluation's canonical key into 64 bits with a
+// splitmix64-style mixer. It is the chaos evaluator's point identity
+// only, so its exact bits fix which points the tests' seeds fault.
+func pointHash(k eval.Key) uint64 {
+	z := uint64(0x5307159b0a575e11)
+	for _, v := range [...]int{k.Accel.PEs, k.Accel.Width, k.Accel.SIMDLanes,
+		k.Accel.RFKB, k.Accel.L2KB, k.Accel.NoCBW} {
+		z = pointMix(z, uint64(v))
+	}
+	for i := 0; i < workload.NumDims; i++ {
+		z = pointMix(z, uint64(k.Sched.T2[i]))
+		z = pointMix(z, uint64(k.Sched.T1[i]))
+		z = pointMix(z, uint64(k.Sched.OuterOrder[i]))
+		z = pointMix(z, uint64(k.Sched.InnerOrder[i]))
+	}
+	z = pointMix(z, uint64(k.Sched.OuterUnroll))
+	z = pointMix(z, uint64(k.Sched.InnerUnroll))
+	for _, c := range k.Layer.Name {
+		z = pointMix(z, uint64(c))
+	}
+	for _, v := range [...]int{int(k.Layer.Op), k.Layer.N, k.Layer.K, k.Layer.C,
+		k.Layer.R, k.Layer.S, k.Layer.X, k.Layer.Y,
+		k.Layer.StrideX, k.Layer.StrideY, k.Layer.Repeat} {
+		z = pointMix(z, uint64(v))
+	}
+	return z
+}
+
+// pointMix is a splitmix64-style finalizer folding s into state z.
+func pointMix(z, s uint64) uint64 {
+	z ^= s + 0x9e3779b97f4a7c15 + (z << 6) + (z >> 2)
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // constEval returns one fixed cost for every point.

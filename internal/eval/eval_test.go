@@ -114,7 +114,7 @@ func TestValidate(t *testing.T) {
 }
 
 // validTriple searches randomly for a design point the backend accepts.
-func validTriple(t *testing.T, ev core.Evaluator) (hw.Accel, sched.Schedule, workload.Layer) {
+func validTriple(t testing.TB, ev core.Evaluator) (hw.Accel, sched.Schedule, workload.Layer) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	space, free := hw.EdgeSpace(), sched.Free()

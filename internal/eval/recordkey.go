@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 
 	"spotlight/internal/core"
+	"spotlight/internal/hw"
+	"spotlight/internal/sched"
 	"spotlight/internal/workload"
 )
 
@@ -19,12 +21,33 @@ const RecordKeyVersion = 1
 // recordKeyPrefix domain-separates the hash from any other SHA-256 use.
 const recordKeyPrefix = "spotlight/evalkey"
 
+// Key is the canonical identity of one evaluation, the input RecordKey
+// hashes. The three inputs are plain value types (ints, int arrays, and
+// the layer name), so Go's struct equality is exact — two keys are equal
+// iff the backend would see identical inputs. The only canonicalization
+// applied is to Layer.Repeat, which is zeroed: Repeat weights a layer's
+// cost in model-level aggregates but never reaches the backend's
+// per-evaluation math, so shapes that differ only in repeat count share
+// one record. The memo cache keys the same identity, split into the
+// batch's context and a packed schedule (see Cache).
+type Key struct {
+	Accel hw.Accel
+	Sched sched.Schedule
+	Layer workload.Layer
+}
+
+// CanonicalKey builds the key for one evaluation, applying the
+// canonicalization described on Key.
+func CanonicalKey(a hw.Accel, s sched.Schedule, l workload.Layer) Key {
+	l.Repeat = 0
+	return Key{Accel: a, Sched: s, Layer: l}
+}
+
 // RecordKey is the canonical content address of one evaluation in the
 // persistent disk cache: the SHA-256 of a fixed, explicitly-serialized
 // encoding of (backend name, backend cost-model fingerprint, canonical
-// evaluation key). Unlike Fingerprint — a 64-bit shard selector whose
-// collisions are harmless — RecordKey IS the stored identity, so it
-// hashes an unambiguous byte layout (every variable-length field is
+// evaluation key). It IS the stored identity, so it hashes an
+// unambiguous byte layout (every variable-length field is
 // length-prefixed) and must be stable across processes, architectures,
 // and releases. Pass a CanonicalKey-produced key so Layer.Repeat is
 // canonicalized exactly as the in-memory cache does.

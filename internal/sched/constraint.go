@@ -37,12 +37,9 @@ func Free() Constraint {
 	return Constraint{Name: "free"}
 }
 
-// allDimsSlice returns the seven dims as a slice.
-func allDimsSlice() []workload.Dim {
-	out := make([]workload.Dim, workload.NumDims)
-	copy(out, workload.AllDims[:])
-	return out
-}
+// allDims is the unroll choice list of an unconstrained level, shared by
+// every Sampler and Neighbor call; like the Sampler, it is read-only.
+var allDims = workload.AllDims[:]
 
 // EyerissLike returns the rigid row-stationary-style dataflow attributed
 // to Eyeriss in the paper: X/Y spatial unrolling with a weight-stationary
@@ -128,18 +125,20 @@ func (c Constraint) WithTilingSearch() Constraint {
 	return c
 }
 
-// outerChoices returns the effective outer-unroll choices.
+// outerChoices returns the effective outer-unroll choices. The result
+// is shared, never copied: callers only read it.
 func (c Constraint) outerChoices() []workload.Dim {
 	if len(c.OuterUnrollChoices) == 0 {
-		return allDimsSlice()
+		return allDims
 	}
 	return c.OuterUnrollChoices
 }
 
-// innerChoices returns the effective inner-unroll choices.
+// innerChoices returns the effective inner-unroll choices, shared like
+// outerChoices'.
 func (c Constraint) innerChoices() []workload.Dim {
 	if len(c.InnerUnrollChoices) == 0 {
-		return allDimsSlice()
+		return allDims
 	}
 	return c.InnerUnrollChoices
 }

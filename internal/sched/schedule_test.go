@@ -57,6 +57,23 @@ func TestDivisorsSortedProperty(t *testing.T) {
 	}
 }
 
+// TestFreeUnrollChoicesAreShared: an unconstrained level's unroll
+// choices are one shared read-only list of the seven dims, so building
+// a Sampler or taking a Neighbor step copies nothing for them.
+func TestFreeUnrollChoicesAreShared(t *testing.T) {
+	c := Free()
+	for _, ch := range [][]workload.Dim{c.outerChoices(), c.innerChoices()} {
+		if len(ch) != workload.NumDims || [workload.NumDims]workload.Dim(ch) != workload.AllDims {
+			t.Fatalf("free unroll choices %v, want %v", ch, workload.AllDims)
+		}
+	}
+	var sink []workload.Dim
+	if n := testing.AllocsPerRun(10, func() { sink, sink = c.outerChoices(), c.innerChoices() }); n != 0 {
+		t.Errorf("free unroll choices allocated %v objects, want 0", n)
+	}
+	_ = sink
+}
+
 func TestRandomSchedulesValidate(t *testing.T) {
 	l := testLayer()
 	rng := rand.New(rand.NewSource(7))
