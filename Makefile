@@ -8,16 +8,20 @@
 # adds only steps with no target: the SARIF upload, the fuzz smoke,
 # govulncheck, and -benchtime=1x smokes of BenchmarkDABOSuggest,
 # BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling,
-# BenchmarkMaestroEvaluateBatch, BenchmarkTransformerLayerSearch,
-# BenchmarkEvalCache and BenchmarkTraceOverhead. Performance is
+# BenchmarkFeatureTransform, BenchmarkMaestroEvaluateBatch,
+# BenchmarkTransformerLayerSearch, BenchmarkEvalCache and
+# BenchmarkTraceOverhead. Performance is
 # measured by `bash perfbench/run.sh`. The allocation gates on pooled
 # paths (testing.AllocsPerRun over sync.Pool scratch) skip themselves
 # under `make race`: the race detector makes sync.Pool drop items at
-# random. `make test` runs them.
+# random. `make test` runs them. `make repeat` runs the packages with
+# process-wide state (the sched divisor and tiling-table memos, the
+# eval backend registry) twice in one process, so state one run leaves
+# behind cannot break the next.
 
 GO ?= go
 
-.PHONY: all build test lint sarif vet fmt race chaos perfbench ci
+.PHONY: all build test lint sarif vet fmt race chaos repeat perfbench ci
 
 all: build test lint
 
@@ -56,10 +60,13 @@ race:
 chaos:
 	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight' -count=2 ./...
 
+repeat:
+	$(GO) test -count=2 ./internal/core/ ./internal/sched/ ./internal/eval/
+
 # perfbench vets and tests the benchmark harness, a nested module that
 # builds against this one: a change to the evaluator contract that
 # breaks it fails here rather than at benchmark time.
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: lint build test race chaos perfbench
+ci: lint build test race chaos repeat perfbench

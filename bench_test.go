@@ -332,7 +332,9 @@ func BenchmarkTimeloopEvaluate(b *testing.B) {
 // BenchmarkScheduleSampling measures the candidate generator that feeds
 // every acquisition batch: "sampler" draws from a per-layer
 // sched.Sampler built once, as the searches do; "oneshot" is
-// Constraint.Random, which builds the sampler's tables for every draw.
+// Constraint.Random, which builds a Sampler (and its FitTiles tiles,
+// for constraints that have them) for every draw. The tiling tables
+// are shared per extent, so neither rebuilds them.
 func BenchmarkScheduleSampling(b *testing.B) {
 	l := workload.ResNet50().Layers[6]
 	free := sched.Free()
@@ -353,20 +355,6 @@ func BenchmarkScheduleSampling(b *testing.B) {
 			_ = free.Random(rng, l, 512, 128<<10)
 		}
 	})
-}
-
-// BenchmarkFeatureTransform measures the Figure 4 feature computation.
-func BenchmarkFeatureTransform(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := hw.EdgeSpace().Random(rng)
-	l := workload.ResNet50().Layers[6]
-	s := sched.Free().Random(rng, l, a.RFBytesPerPE(), a.L2Bytes())
-	p := core.Point{Accel: a, Sched: s, Layer: l}
-	fs := core.SoftwareFeatures()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.Transform(fs, p)
-	}
 }
 
 // BenchmarkDABOSuggest measures one acquisition step at the paper's

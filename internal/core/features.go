@@ -48,8 +48,38 @@ func (m FeatureMode) String() string {
 
 // lg compresses wide-dynamic-range feature values; the surrogate's linear
 // kernel then sees approximately linear trends, per feature-selection
-// guideline (3) of §IV-B2.
-func lg(v float64) float64 { return math.Log1p(v) }
+// guideline (3) of §IV-B2. It returns math.Log1p(v), through p's memo
+// when one is set.
+func (p *Point) lg(v float64) float64 {
+	if p.logs != nil {
+		return p.logs.log1p(v)
+	}
+	return math.Log1p(v)
+}
+
+// log1pBits sizes the log1p memo: 2^log1pBits slots of 16 bytes.
+const log1pBits = 10
+
+// log1pMemo is a direct-mapped memo of math.Log1p keyed by the
+// argument's float64 bits. A hit returns the float64 math.Log1p
+// returned for the same bits, so it is exact; a miss overwrites its
+// slot. A zero slot holds log1p(+0) = +0, so the zero memo is already
+// correct and no entry ever needs invalidating. Every lg argument of
+// the Figure 4 features is an integer built from a layer's tile
+// tables, so a search repeats a few thousand of them.
+type log1pMemo [1 << log1pBits]struct {
+	key uint64
+	val float64
+}
+
+func (m *log1pMemo) log1p(v float64) float64 {
+	k := math.Float64bits(v)
+	e := &m[(k*0x9E3779B97F4A7C15)>>(64-log1pBits)]
+	if e.key != k {
+		e.key, e.val = k, math.Log1p(v)
+	}
+	return e.val
+}
 
 // SoftwareFeatures returns the Figure 4 feature set used by daBO_SW. The
 // first four entries are the raw cardinal parameters; the rest encode the
@@ -65,32 +95,32 @@ func SoftwareFeatures() []Feature {
 		}},
 		{"kernel_parallelism", func(p *Point) float64 {
 			// R₀ × S₀: the filter extent resident at the outer tile level.
-			return lg(float64(p.Sched.T2[workload.DimR] * p.Sched.T2[workload.DimS]))
+			return p.lg(float64(p.Sched.T2[workload.DimR] * p.Sched.T2[workload.DimS]))
 		}},
 		{"degree_of_unrolling", func(p *Point) float64 {
 			// Outer unrolled loop extent × inner unrolled loop extent
 			// (both L2-level loops, distributed over rows and columns).
 			n1 := &p.terms().inner
 			if p.Sched.OuterUnroll == p.Sched.InnerUnroll {
-				return lg(float64(n1[p.Sched.OuterUnroll]))
+				return p.lg(float64(n1[p.Sched.OuterUnroll]))
 			}
-			return lg(float64(n1[p.Sched.OuterUnroll]) * float64(n1[p.Sched.InnerUnroll]))
+			return p.lg(float64(n1[p.Sched.OuterUnroll]) * float64(n1[p.Sched.InnerUnroll]))
 		}},
 		{"pe_utilization", peUtilization},
 		{"loop_iterations", func(p *Point) float64 {
-			return lg(loopIterations(p))
+			return p.lg(loopIterations(p))
 		}},
 		{"dram_transfers", func(p *Point) float64 {
 			// (X₀/X₂) × (Y₀/Y₂) × (array width + array height).
 			n2 := &p.terms().outer
-			return lg(float64(n2[workload.DimX]) * float64(n2[workload.DimY]) *
+			return p.lg(float64(n2[workload.DimX]) * float64(n2[workload.DimY]) *
 				float64(p.Accel.Width+p.Accel.Height()))
 		}},
 		{"common_unrolled_dims", func(p *Point) float64 {
 			// Prime-basis linear combination spreading the few unique
 			// values of each tile parameter apart (§IV-B2).
 			s := &p.Sched
-			return lg(2*float64(s.T2[workload.DimX]) +
+			return p.lg(2*float64(s.T2[workload.DimX]) +
 				3*float64(s.T2[workload.DimY]) +
 				5*float64(p.terms().sizes[workload.DimK]) +
 				7*float64(s.T2[workload.DimK]) +
@@ -187,7 +217,7 @@ func HardwareFeatures() []Feature {
 		{"pe_array_width", func(p *Point) float64 { return float64(p.Accel.Width) }},
 		{"pe_array_height", func(p *Point) float64 { return float64(p.Accel.Height()) }},
 		{"total_onchip_sram", func(p *Point) float64 { return float64(p.Accel.RFKB + p.Accel.L2KB) }},
-		{"peak_macs", func(p *Point) float64 { return lg(float64(p.Accel.PEs * p.Accel.SIMDLanes)) }},
+		{"peak_macs", func(p *Point) float64 { return p.lg(float64(p.Accel.PEs * p.Accel.SIMDLanes)) }},
 		{"area", func(p *Point) float64 { return p.Accel.AreaMM2() }},
 		{"peak_power", func(p *Point) float64 { return p.Accel.PeakPowerMW() }},
 	}
@@ -234,8 +264,15 @@ func Transform(fs []Feature, p Point) []float64 {
 // than once per feature that reads them. They are cached in p for the
 // duration of the call, so one Point must not be featurized from two
 // goroutines at once.
-func TransformTo(dst []float64, fs []Feature, p *Point) {
-	p.memo, p.derived = true, false
+func TransformTo(dst []float64, fs []Feature, p *Point) { p.transform(dst, fs, false) }
+
+// transform is TransformTo. drawn reports that the caller has already
+// written p's terms to p.cached: the layer's extents, and the trip
+// counts its sampler drew with p.Sched (sched.Sampler.RandomTripsTo).
+// The features then read those instead of deriving them, and the row is
+// bit-identical to TransformTo's.
+func (p *Point) transform(dst []float64, fs []Feature, drawn bool) {
+	p.memo, p.derived = true, drawn
 	for i, f := range fs {
 		dst[i] = f.Fn(p)
 	}

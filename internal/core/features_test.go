@@ -216,3 +216,112 @@ func TestTransformToMatchesTransform(t *testing.T) {
 		}
 	}
 }
+
+// drawnPoints draws n candidates per layer the way spotlightSW.Suggest
+// does: each point carries the layer's extents and the trip counts its
+// sampler drew with the schedule.
+func drawnPoints(rng *rand.Rand, a hw.Accel, c sched.Constraint, layers []workload.Layer, n int) []Point {
+	var pts []Point
+	for _, l := range layers {
+		sp := c.Sampler(l, a.RFBytesPerPE(), a.L2Bytes())
+		for i := 0; i < n; i++ {
+			p := Point{Accel: a, Layer: l}
+			p.cached.sizes = l.Sizes()
+			sp.RandomTripsTo(rng, &p.Sched, &p.cached.outer, &p.cached.inner)
+			pts = append(pts, p)
+		}
+	}
+	return pts
+}
+
+// TestDrawnFeaturesMatchTransform: featurizing from the sampler's trip
+// counts through the log1p memo gives TransformTo's row bit for bit,
+// over random edge and cloud accelerators, the layers of three models
+// and every software constraint, in every feature mode.
+func TestDrawnFeaturesMatchTransform(t *testing.T) {
+	var layers []workload.Layer
+	for _, m := range []workload.Model{workload.ResNet50(), workload.MobileNetV2(), workload.Transformer()} {
+		layers = append(layers, m.Layers...)
+	}
+	constraints := []sched.Constraint{sched.Free(), sched.EyerissLike(), sched.NVDLALike(),
+		sched.ShiDianNaoLike(), sched.MAERILike()}
+	for _, df := range sched.FixedDataflows() {
+		constraints = append(constraints, sched.SpotlightF(df))
+	}
+	rng := rand.New(rand.NewSource(11))
+	var logs log1pMemo // shared by every row, as a pooled batch's is
+	for _, space := range []hw.Space{hw.EdgeSpace(), hw.CloudSpace()} {
+		for trial := 0; trial < 3; trial++ {
+			a := space.Random(rng)
+			for _, c := range constraints {
+				for _, p := range drawnPoints(rng, a, c, layers, 4) {
+					for _, mode := range []FeatureMode{FeatureSpotlight, FeatureVanilla, FeatureAll} {
+						fs := FeaturesFor(mode, false)
+						want, got := make([]float64, len(fs)), make([]float64, len(fs))
+						plain := Point{Accel: p.Accel, Sched: p.Sched, Layer: p.Layer}
+						TransformTo(want, fs, &plain)
+						p.logs = &logs
+						p.transform(got, fs, true)
+						for i := range fs {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s on %s, %s: %s = %v from the tables, %v from TransformTo",
+									c.Name, p.Layer.Name, a, fs[i].Name, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLog1pMemoExactOnCollisions: keys that share a slot evict each
+// other, and every lookup still returns math.Log1p's bits, including
+// the zero memo's own slot (+0) and its signed twin (-0).
+func TestLog1pMemoExactOnCollisions(t *testing.T) {
+	slot := func(v float64) uint64 { return (math.Float64bits(v) * 0x9E3779B97F4A7C15) >> (64 - log1pBits) }
+	keys := []float64{0, math.Copysign(0, -1)}
+	for v := 1.0; len(keys) < 6; v++ {
+		if slot(v) == slot(0) {
+			keys = append(keys, v)
+		}
+	}
+	var m log1pMemo
+	for round := 0; round < 3; round++ {
+		for i := range keys {
+			v := keys[(i*(round+1))%len(keys)]
+			if got, want := m.log1p(v), math.Log1p(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("memo log1p(%v) = %v (bits %x), want %v (bits %x)",
+					v, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// BenchmarkFeatureTransform measures one candidate's Figure 4 feature
+// row over ResNet-50 layers: "generic" is TransformTo, which derives
+// the trip counts and calls math.Log1p; "drawn" is how Suggest
+// featurizes, from the trip counts the sampler drew and through a
+// batch's log1p memo.
+func BenchmarkFeatureTransform(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := hw.EdgeSpace().Random(rng)
+	pts := drawnPoints(rng, a, sched.Free(), workload.ResNet50().Layers, spotlightBatch)
+	fs := SoftwareFeatures()
+	row := make([]float64, len(fs))
+	b.Run("generic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			TransformTo(row, fs, &pts[i%len(pts)])
+		}
+	})
+	b.Run("drawn", func(b *testing.B) {
+		var logs log1pMemo
+		for i := range pts {
+			pts[i].logs = &logs
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pts[i%len(pts)].transform(row, fs, true)
+		}
+	})
+}

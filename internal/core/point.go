@@ -27,6 +27,9 @@ type Point struct {
 	// point between calls never sees stale terms.
 	memo, derived bool
 	cached        pointTerms
+	// logs, when set, memoizes lg; Suggest sets it to its borrowed
+	// batch's memo while it featurizes the batch.
+	logs *log1pMemo
 }
 
 // pointTerms are the quantities several features derive from a point:
@@ -48,7 +51,8 @@ func (t *pointTerms) derive(s *sched.Schedule, l *workload.Layer) {
 }
 
 // terms returns the point's derived terms, computing them at most once
-// per TransformTo.
+// per TransformTo. A table-fed featurization (transform with drawn
+// set) supplies them instead, so no feature derives them.
 func (p *Point) terms() *pointTerms {
 	if p.derived {
 		return &p.cached

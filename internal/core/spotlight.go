@@ -98,13 +98,16 @@ func (s *Spotlight) NewHW(cfg RunConfig, rng *rand.Rand) HWProposer {
 
 // candidateBatch is the working set of one Suggest: n parameter-space
 // points, one flat n×d feature buffer whose rows are views handed to
-// DABO.suggestIndex, and the surrogate's n predictions. Nothing in it
-// outlives the call, so Suggest borrows it from a batchPool and a
-// proposer keeps only its d-length observation row.
+// DABO.suggestIndex, the surrogate's n predictions, and the memo lg
+// reads while a software batch is featurized. Nothing in it outlives
+// the call, so Suggest borrows it from a batchPool and a proposer keeps
+// only its d-length observation row. The memo is exact whatever earlier
+// borrowers stored in it.
 type candidateBatch[T any] struct {
 	points      []T
 	rows        [][]float64
 	means, stds []float64
+	logs        *log1pMemo // allocated by the first Suggest that scores the batch
 }
 
 // batchPool lends candidate batches to Suggest calls, so the searches a
@@ -192,8 +195,9 @@ func (h *spotlightHW) Observe(a hw.Accel, objective float64, err error) {
 
 // NewSW implements Strategy. It builds the proposer's search context
 // for this (accelerator, layer) pair once: a schedule sampler per
-// constraint, with the layer's divisor tables and heuristic tiles
-// precomputed. The candidate batch is borrowed per Suggest, not owned.
+// constraint, holding the layer's tiling tables and heuristic tiles,
+// and the layer's extents for featurization. The candidate batch is
+// borrowed per Suggest, not owned.
 func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) SWProposer {
 	constraints := []sched.Constraint{cfg.SWConstraint}
 	if s.FixedDataflows {
@@ -211,6 +215,7 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 		row:      make([]float64, len(features)),
 		pt:       Point{Accel: a, Layer: l},
 	}
+	sw.pt.cached.sizes = l.Sizes()
 	for _, c := range constraints {
 		sw.samplers = append(sw.samplers, c.Sampler(l, a.RFBytesPerPE(), a.L2Bytes()))
 	}
@@ -226,28 +231,40 @@ type spotlightSW struct {
 	samplers []*sched.Sampler
 	rng      *rand.Rand
 	row      []float64 // the observed point's features (DABO copies them)
-	// pt carries the proposer's accelerator and layer; Suggest and
-	// Observe set only its schedule before featurizing.
+	// pt carries the proposer's accelerator and layer, and the layer's
+	// extents in pt.cached.sizes. Suggest and Observe set only its
+	// schedule (and Suggest its trip counts) before featurizing.
 	pt Point
 }
 
 // Suggest draws a batch of random schedules and returns the one the
 // surrogate ranks best. The batch is featurized only when the surrogate
 // will read it (see DABO.ScoresCandidates); during warmup SuggestIndex
-// draws a uniform index without looking at the features.
+// draws a uniform index without looking at the features. A scored
+// candidate is featurized as it is drawn, from the trip counts its
+// sampler read off the tiling tables. Neither asking ScoresCandidates
+// first nor featurizing between draws consumes a random number, so the
+// draws are exactly those of an unscored batch.
 func (w *spotlightSW) Suggest() sched.Schedule {
 	b := swBatches.get(spotlightBatch, len(w.features))
 	defer swBatches.put(b)
-	cands := b.points
-	for i := range cands {
-		w.samplers[w.rng.Intn(len(w.samplers))].RandomTo(w.rng, &cands[i])
+	cands, p := b.points, &w.pt
+	scores := w.dabo.ScoresCandidates()
+	var n2, n1 *[workload.NumDims]int
+	if scores {
+		if b.logs == nil {
+			b.logs = new(log1pMemo)
+		}
+		n2, n1, p.logs = &p.cached.outer, &p.cached.inner, b.logs
 	}
-	if w.dabo.ScoresCandidates() {
-		for i := range cands {
-			w.pt.Sched = cands[i]
-			TransformTo(b.rows[i], w.features, &w.pt)
+	for i := range cands {
+		w.samplers[w.rng.Intn(len(w.samplers))].RandomTripsTo(w.rng, &cands[i], n2, n1)
+		if scores {
+			p.Sched = cands[i]
+			p.transform(b.rows[i], w.features, true)
 		}
 	}
+	p.logs = nil
 	return cands[w.dabo.suggestIndex(b.rows, b.means, b.stds)]
 }
 

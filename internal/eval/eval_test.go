@@ -72,6 +72,14 @@ func TestRegisterRejectsBadRegistrations(t *testing.T) {
 	mustPanic("empty name", func() { Register("", factory) })
 	mustPanic("nil factory", func() { Register("test-nil-factory", nil) })
 	Register("test-dup", factory)
+	// The registry is process-wide: without this, a second run of the
+	// test in the same process (go test -count=2) panics at the first
+	// Register.
+	t.Cleanup(func() {
+		registryMu.Lock()
+		delete(registry, "test-dup")
+		registryMu.Unlock()
+	})
 	mustPanic("duplicate", func() { Register("test-dup", factory) })
 }
 

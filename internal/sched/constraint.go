@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"sync"
 
 	"spotlight/internal/workload"
 )
@@ -172,41 +173,74 @@ func (c Constraint) Random(rng *rand.Rand, l workload.Layer, rfBytesPerPE, l2Byt
 
 // Sampler draws random schedules from one constraint for one layer and
 // one pair of buffer capacities. Everything that depends only on those
-// inputs — the unroll choices, the heuristic FitTiles tiles, each
-// searchable dimension's divisor list and the sub-divisor list of every
-// L2 tile choice, and the rejection threshold of every list it draws
-// from — is computed once at construction, so a draw touches no shared
-// state. A Sampler is immutable after construction and safe for
-// concurrent use with distinct RNGs.
+// inputs — the unroll choices, the heuristic FitTiles tiles and their
+// trip counts, and the tiling table of each searchable dimension's
+// extent — is fixed at construction, so a draw takes no lock and
+// writes nothing shared. A Sampler is immutable after construction and
+// safe for concurrent use with distinct RNGs.
 type Sampler struct {
 	outer, inner           []workload.Dim
 	outerPick, innerPick   intn
 	fixedOuter, fixedInner []workload.Dim
-	// t1, t2 are the starting tiles: FitTiles' heuristic tiles when
-	// some dimensions are not searched, zero otherwise (every dimension
-	// is then overwritten by a draw).
-	t1, t2 [workload.NumDims]int
-	tiles  []tileChoices
+	// t1, t2 are the starting tiles and n1, n2 their trip counts:
+	// FitTiles' heuristic tiles when some dimensions are not searched,
+	// zero otherwise (every dimension is then overwritten by a draw).
+	t1, t2, n1, n2 [workload.NumDims]int
+	// tiles[d] is the tiling table of dimension d's extent, nil when d
+	// is not searched.
+	tiles [workload.NumDims]*tileTable
 }
 
-// tileChoices are one searchable dimension's tiling options: divs are
-// the divisors of its extent (the L2 tile choices) and sub[j] the
-// divisors of divs[j] (the RF tile choices under that L2 tile).
-type tileChoices struct {
-	dim  int
-	divs []int
-	pick intn
-	sub  []subChoices
+// tileTable is the tiling table of one extent n: one choice per
+// divisor of n, in increasing order, and the rejection threshold over
+// them.
+type tileTable struct {
+	pick    intn
+	choices []tileChoice
 }
 
-// subChoices are the RF tile choices under one L2 tile.
-type subChoices struct {
-	divs []int
-	pick intn
+// tileChoice is one tile of a tileTable's extent n: the divisor tile,
+// its trip count n/tile, and the table of tile itself, whose choices
+// are the RF tiles under L2 tile tile.
+type tileChoice struct {
+	tile, trips int
+	sub         *tileTable
 }
+
+// tileTableOf returns the tiling table of extent n. Tables depend only
+// on n, so they are memoized process-wide like Divisors and shared by
+// every Sampler; callers only read them. Only Sampler construction
+// looks them up, so one plain mutex serves.
+func tileTableOf(n int) *tileTable {
+	tileMu.Lock()
+	defer tileMu.Unlock()
+	return tileTableLocked(n)
+}
+
+// tileTableLocked is tileTableOf with tileMu held. It publishes n's
+// table before filling its choices, so the last choice's table is the
+// table itself.
+func tileTableLocked(n int) *tileTable {
+	if t, ok := tileTables[n]; ok {
+		return t
+	}
+	divs := divisors(n)
+	t := &tileTable{pick: newIntn(len(divs)), choices: make([]tileChoice, len(divs))}
+	tileTables[n] = t
+	for j, d := range divs {
+		t.choices[j] = tileChoice{tile: d, trips: n / d, sub: tileTableLocked(d)}
+	}
+	return t
+}
+
+var (
+	tileMu     sync.Mutex
+	tileTables = map[int]*tileTable{}
+)
 
 // Sampler precomputes c's sampling tables for layer l under the given
-// per-PE register-file and L2 capacities.
+// per-PE register-file and L2 capacities. Once l's extents have been
+// tabled, it allocates only the Sampler itself.
 func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) *Sampler {
 	sp := &Sampler{
 		outer:      c.outerChoices(),
@@ -217,19 +251,14 @@ func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) *Samp
 	sp.outerPick, sp.innerPick = newIntn(len(sp.outer)), newIntn(len(sp.inner))
 	if c.TilableDims != nil {
 		sp.t1, sp.t2 = FitTiles(l, rfBytesPerPE, l2Bytes)
+		for i, d := range workload.AllDims {
+			sp.n2[i], sp.n1[i] = l.Size(d)/sp.t2[i], sp.t2[i]/sp.t1[i]
+		}
 	}
 	for i, d := range workload.AllDims {
-		if !c.tilable(d) {
-			continue
+		if c.tilable(d) {
+			sp.tiles[i] = tileTableOf(l.Size(d))
 		}
-		tc := tileChoices{dim: i, divs: Divisors(l.Size(d))}
-		tc.pick = newIntn(len(tc.divs))
-		tc.sub = make([]subChoices, len(tc.divs))
-		for j, t2 := range tc.divs {
-			sub := Divisors(t2)
-			tc.sub[j] = subChoices{divs: sub, pick: newIntn(len(sub))}
-		}
-		sp.tiles = append(sp.tiles, tc)
 	}
 	return sp
 }
@@ -247,17 +276,32 @@ func (sp *Sampler) Random(rng *rand.Rand) Schedule {
 // the sampling stream every search over this space consumes. Each call
 // consumes exactly the values rng.Intn and rng.Shuffle would (see intn
 // and shuffleDims).
-func (sp *Sampler) RandomTo(rng *rand.Rand, s *Schedule) {
+func (sp *Sampler) RandomTo(rng *rand.Rand, s *Schedule) { sp.RandomTripsTo(rng, s, nil, nil) }
+
+// RandomTripsTo is RandomTo that also writes the drawn schedule's trip
+// counts, n2[d] = Size(d)/T2[d] and n1[d] = T2[d]/T1[d] (what
+// TripCounts returns for it), read from the tables the tiles were drawn
+// from rather than divided. With nil n2 and n1 it is RandomTo.
+func (sp *Sampler) RandomTripsTo(rng *rand.Rand, s *Schedule, n2, n1 *[workload.NumDims]int) {
 	s.OuterUnroll = sp.outer[sp.outerPick.draw(rng)]
 	s.InnerUnroll = sp.inner[sp.innerPick.draw(rng)]
 	orderTo(&s.OuterOrder, sp.fixedOuter, rng)
 	orderTo(&s.InnerOrder, sp.fixedInner, rng)
 	s.T1, s.T2 = sp.t1, sp.t2
-	for i := range sp.tiles {
-		tc := &sp.tiles[i]
-		j := tc.pick.draw(rng)
-		sub := &tc.sub[j]
-		s.T2[tc.dim], s.T1[tc.dim] = tc.divs[j], sub.divs[sub.pick.draw(rng)]
+	trips := n2 != nil
+	if trips {
+		*n1, *n2 = sp.n1, sp.n2
+	}
+	for i, t := range &sp.tiles {
+		if t == nil {
+			continue
+		}
+		l2 := &t.choices[t.pick.draw(rng)]
+		rf := &l2.sub.choices[l2.sub.pick.draw(rng)]
+		s.T2[i], s.T1[i] = l2.tile, rf.tile
+		if trips {
+			n2[i], n1[i] = l2.trips, rf.trips
+		}
 	}
 }
 

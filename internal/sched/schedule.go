@@ -150,6 +150,16 @@ func Divisors(n int) []int {
 	if ok {
 		return cached
 	}
+	divs := divisors(n)
+	divisorMu.Lock()
+	divisorCache[n] = divs
+	divisorMu.Unlock()
+	return divs
+}
+
+// divisors is Divisors without the memo: the tiling tables, which are
+// a memo of their own, build from it.
+func divisors(n int) []int {
 	var small, large []int
 	for d := 1; d*d <= n; d++ {
 		if n%d == 0 {
@@ -162,9 +172,6 @@ func Divisors(n int) []int {
 	for i := len(large) - 1; i >= 0; i-- {
 		small = append(small, large[i])
 	}
-	divisorMu.Lock()
-	divisorCache[n] = small
-	divisorMu.Unlock()
 	return small
 }
 
