@@ -5,7 +5,8 @@
 # cache, from the CLI or spotlightd) are the Go test
 # TestEndToEndInvariants, so `make test` and `make race` run them;
 # batched against unbatched rounds is search.TestBatchedRunsBitIdentical. CI
-# adds only steps with no target: the SARIF upload, the fuzz smoke,
+# adds only steps with no target: the SARIF upload, the fuzz smoke
+# (FuzzLayerSearchFaultSequences in core, FuzzEvaluateBatch in maestro),
 # govulncheck, and -benchtime=1x smokes of BenchmarkDABOSuggest,
 # BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling,
 # BenchmarkFeatureTransform, BenchmarkMaestroEvaluateBatch,

@@ -262,12 +262,13 @@ func BenchmarkMaestroEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkMaestroEvaluateBatch compares the batched fast path against
-// per-call Evaluate at a search-round-shaped batch size: the same 64
-// candidate schedules for one (accelerator, layer) pair, either through
-// one EvaluateBatch call (per-layer setup amortized, errors built
-// lazily) or 64 Evaluate calls. Run with -benchmem; the acceptance bar
-// (BENCH_6.json) is ≥2× items/sec and ≥5× fewer allocs/op batched.
+// BenchmarkMaestroEvaluateBatch compares one EvaluateTo call over a
+// search-round-shaped batch against per-call Evaluate: the same 64
+// candidate schedules for one (accelerator, layer) pair, either in one
+// call (per-layer validation and setup amortized) or 64 Evaluate calls,
+// each a batch of one. Run with -benchmem. Both paths format an invalid
+// verdict only when it is read, so they differ in setup work, not in
+// error allocations.
 func BenchmarkMaestroEvaluateBatch(b *testing.B) {
 	m := maestro.New()
 	a := hw.EyerissEdge().Accel
@@ -278,14 +279,16 @@ func BenchmarkMaestroEvaluateBatch(b *testing.B) {
 	ss := make([]sched.Schedule, batch)
 	for i := range ss {
 		ss[i] = free.Random(rng, l, a.RFBytesPerPE(), a.L2Bytes())
-		if i%7 == 3 { // salt with capacity-invalid candidates, as real rounds have
+		if i%7 == 3 { // salt with structurally invalid candidates (T2 does not divide K)
 			ss[i].T2[workload.DimK] = l.K + 1
 		}
 	}
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = m.EvaluateBatch(a, ss, l)
+			costs := make([]maestro.Cost, len(ss))
+			errs := make([]error, len(ss))
+			m.EvaluateTo(a, ss, l, costs, errs)
 		}
 	})
 	b.Run("sequential", func(b *testing.B) {

@@ -7,10 +7,11 @@ import (
 	"spotlight/internal/workload"
 )
 
-// BatchEvaluator is the optional fast path of Evaluator: backends and
-// middleware that can evaluate many candidate schedules against one
-// (accelerator, layer) pair in a single call implement it. The batch
-// contract (see DESIGN.md §12):
+// BatchEvaluator is the optional fast path of Evaluator: an evaluator
+// that can evaluate many candidate schedules against one (accelerator,
+// layer) pair in a single call implements it. eval.Pipeline implements
+// it; backends do not, and get batches through the pipeline's backend
+// adapter (maestro's EvaluateTo). The batch contract (see DESIGN.md §12):
 //
 //   - Results are positional: costs[i]/errs[i] correspond to ss[i], with
 //     len(costs) == len(errs) == len(ss).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -131,22 +132,12 @@ func ModelObjectiveLines(obj core.Objective, d core.Design) []string {
 	for m := range objs { //lint:allow maporder(sorted before rendering, three lines down)
 		models = append(models, m)
 	}
-	sortStrings(models)
+	slices.Sort(models)
 	lines := make([]string, 0, len(models))
 	for _, m := range models {
 		lines = append(lines, fmt.Sprintf("  %-14s %s = %.6g\n", m, obj, objs[m]))
 	}
 	return lines
-}
-
-// sortStrings sorts in place (insertion sort; the inputs are model-name
-// lists, a handful of entries).
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
 }
 
 // HistoryCSV renders the per-sample convergence history as CSV, the

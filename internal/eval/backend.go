@@ -33,12 +33,10 @@ func Outcome(err error) string {
 }
 
 // backendLayer lifts a backend into the layer contract; it is the
-// innermost layer of every pipeline. A backend with a native batch path
-// (core.BatchEvaluator, e.g. maestro) receives each multi-item batch in
-// one EvaluateBatch call. A batch of one, and every batch for a backend
-// without that path (sim, timeloop), goes through per-item Evaluate,
-// which the batch contract makes bit-identical and which is the cheaper
-// call for a single item.
+// innermost layer of every pipeline. A backend that fills caller-owned
+// result slices (filler, e.g. maestro) receives every batch, of any
+// size, in one EvaluateTo call; any other backend (sim, timeloop) gets
+// per-item Evaluate calls.
 //
 // It is also the pipeline's one measurement point. Every backend call
 // reads the clock once and classifies each outcome once, and that one
@@ -52,16 +50,22 @@ func Outcome(err error) string {
 // name-transparent.
 type backendLayer struct {
 	ev    core.Evaluator
-	batch core.BatchEvaluator // ev's native batch path, or nil
-	tr    obs.Tracer          // nil unless tracing is enabled
+	fill  filler     // ev's batch path, or nil
+	tr    obs.Tracer // nil unless tracing is enabled
 	stats Stats
+}
+
+// filler is a backend's batch path: results for ss[i] go to costs[i] and
+// errs[i], bit-identical to Evaluate(a, ss[i], l).
+type filler interface {
+	EvaluateTo(a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error)
 }
 
 // lift builds the backend adapter. tr is kept only when it is enabled,
 // so a disabled tracer takes the same path as none.
 func lift(ev core.Evaluator, tr obs.Tracer) *backendLayer {
 	b := &backendLayer{ev: ev}
-	b.batch, _ = ev.(core.BatchEvaluator)
+	b.fill, _ = ev.(filler)
 	b.stats.backend = ev.Name()
 	if obs.Enabled(tr) {
 		b.tr, b.stats.tr = tr, tr
@@ -74,14 +78,12 @@ func (b *backendLayer) Name() string { return b.ev.Name() }
 
 func (b *backendLayer) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
 	start := obs.Now()
-	if b.batch == nil || len(ss) == 1 {
+	if b.fill != nil {
+		b.fill.EvaluateTo(a, ss, l, costs, errs)
+	} else {
 		for i := range ss {
 			costs[i], errs[i] = b.ev.Evaluate(a, ss[i], l)
 		}
-	} else {
-		cs, es := b.batch.EvaluateBatch(a, ss, l)
-		copy(costs, cs)
-		copy(errs, es)
 	}
 	elapsed := obs.Since(start)
 	scope := b.stats.backend

@@ -41,21 +41,18 @@ func groupTriples(trs []triple) []batchGroup {
 	return out
 }
 
-// countingEval is maestro with a count of the items that reach it, on
-// both its per-item and its batch path.
+// countingEval is maestro with a count of the items that reach it. The
+// backend adapter calls only EvaluateTo on it, for every batch size, so
+// that is the one method it must shadow: the embedded model's would
+// otherwise be promoted and bypass the count.
 type countingEval struct {
 	maestro.Model
 	items atomic.Int64
 }
 
-func (c *countingEval) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	c.items.Add(1)
-	return c.Model.Evaluate(a, s, l)
-}
-
-func (c *countingEval) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
+func (c *countingEval) EvaluateTo(a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
 	c.items.Add(int64(len(ss)))
-	return c.Model.EvaluateBatch(a, ss, l)
+	c.Model.EvaluateTo(a, ss, l, costs, errs)
 }
 
 // result is one evaluation outcome, as the bare backend returns it.
@@ -281,7 +278,7 @@ func TestBatchTraceEvents(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackForNonBatchBackend: a backend without EvaluateBatch
+// TestBatchFallbackForNonBatchBackend: a backend without EvaluateTo
 // (the scriptable fake) still serves batches through the per-item
 // fallback loop, preserving order and per-item outcomes.
 func TestBatchFallbackForNonBatchBackend(t *testing.T) {

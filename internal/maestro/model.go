@@ -146,47 +146,100 @@ func dimSet(ds ...workload.Dim) [workload.NumDims]bool {
 	return s
 }
 
-// Evaluate runs the analytical model. It returns an error wrapping
-// ErrInvalid when the schedule's tiles overflow the register file or
-// scratchpad, or when inputs are structurally invalid.
+// Evaluate runs the analytical model on one schedule: EvaluateTo over a
+// batch of one.
 func (m *Model) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (Cost, error) {
-	if err := a.Validate(); err != nil {
-		return Cost{}, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if err := l.Validate(); err != nil {
-		return Cost{}, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	if err := s.Validate(l); err != nil {
-		return Cost{}, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
+	ss := [1]sched.Schedule{s}
+	var costs [1]Cost
+	var errs [1]error
+	m.EvaluateTo(a, ss[:], l, costs[:], errs[:])
+	return costs[0], errs[0]
+}
 
-	// --- Capacity validity -------------------------------------------------
-	// Each PE's register file holds one T1 tile working set; the global
-	// scratchpad holds one T2 tile working set (both spatial unrolls
-	// distribute L2-level loops, so the rows and columns all consume from
-	// the same resident T2 tile).
-	rfNeed := sched.TileFootprint(l, s.T1)
-	if rfNeed > a.RFBytesPerPE() {
-		return Cost{}, fmt.Errorf("%w: RF tile needs %d B, PE register file holds %d B",
-			ErrInvalid, rfNeed, a.RFBytesPerPE())
+// EvaluateTo evaluates the schedules ss against one (accelerator, layer)
+// pair, writing costs[i] and errs[i] for ss[i]; both slices must be at
+// least len(ss) long. An invalid point gets a zero cost and an error
+// wrapping ErrInvalid. The checks run in a fixed order: accelerator and
+// layer (once per call, one error shared by every item), then per
+// schedule its structure, the RF tile against the per-PE register file,
+// and the L2 tile against the scratchpad (both spatial unrolls distribute
+// L2-level loops, so every PE consumes from the same resident T2 tile).
+// A valid item allocates nothing and an invalid one allocates only its
+// error, whose message is formatted when Error is called.
+func (*Model) EvaluateTo(a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []Cost, errs []error) {
+	err := a.Validate()
+	if err == nil {
+		err = l.Validate()
 	}
-	l2Need := sched.TileFootprint(l, s.T2)
-	if l2Need > a.L2Bytes() {
-		return Cost{}, fmt.Errorf("%w: L2 working set needs %d B, scratchpad holds %d B",
-			ErrInvalid, l2Need, a.L2Bytes())
+	if err != nil {
+		shared := fmt.Errorf("%w: %v", ErrInvalid, err)
+		for i := range ss {
+			costs[i], errs[i] = Cost{}, shared
+		}
+		return
 	}
-
 	ctx := newLayerCtx(a, l)
-	return ctx.costOf(&s, s.OuterTrips(l), s.InnerTrips(l)), nil
+	for i := range ss {
+		s := &ss[i]
+		n2, n1, ok := s.TripCounts(ctx.sizes)
+		if !ok {
+			costs[i], errs[i] = Cost{}, &structuralError{s: *s, l: l}
+			continue
+		}
+		if need := sched.TileFootprint(l, s.T1); need > ctx.rfCap {
+			costs[i], errs[i] = Cost{}, &capacityError{need: need, have: ctx.rfCap}
+			continue
+		}
+		if need := sched.TileFootprint(l, s.T2); need > ctx.l2Cap {
+			costs[i], errs[i] = Cost{}, &capacityError{l2: true, need: need, have: ctx.l2Cap}
+			continue
+		}
+		costs[i], errs[i] = ctx.costOf(s, n2, n1), nil
+	}
+}
+
+// capacityError reports a tile that overflows the register file (l2
+// false) or the scratchpad (l2 true). Invalid points are common during
+// search (§IV of the paper) and most verdicts are never printed, so the
+// message is formatted only when read.
+type capacityError struct {
+	l2         bool
+	need, have int64 // bytes the tile needs, bytes the buffer holds
+}
+
+// Unwrap returns ErrInvalid, the only error in the chain.
+func (e *capacityError) Unwrap() error { return ErrInvalid }
+
+func (e *capacityError) Error() string {
+	if e.l2 {
+		return fmt.Sprintf("%v: L2 working set needs %d B, scratchpad holds %d B", ErrInvalid, e.need, e.have)
+	}
+	return fmt.Sprintf("%v: RF tile needs %d B, PE register file holds %d B", ErrInvalid, e.need, e.have)
+}
+
+// structuralError reports a schedule that fails sched.Schedule.Validate.
+// TripCounts only says that it fails, so Error re-runs Validate for the
+// reason. The samplers never draw such a schedule.
+type structuralError struct {
+	s sched.Schedule
+	l workload.Layer
+}
+
+// Unwrap returns ErrInvalid, the only error in the chain: the
+// validation error is part of the message, not of the chain.
+func (e *structuralError) Unwrap() error { return ErrInvalid }
+
+func (e *structuralError) Error() string {
+	if err := e.s.Validate(e.l); err != nil {
+		return fmt.Sprintf("%v: %v", ErrInvalid, err)
+	}
+	return ErrInvalid.Error()
 }
 
 // layerCtx caches every model input that depends only on the
 // (accelerator, layer) pair, so a batch of candidate schedules for the
-// same pair pays for validation, byte-size scalars, and the two sqrt
-// coefficients exactly once. Each cached scalar is a whole value the
-// sequential path computes with the identical expression — never a
-// refactored sub-product — which keeps costOf bit-identical to the
-// pre-batch Evaluate for every schedule.
+// same pair pays for the byte-size scalars and the two sqrt
+// coefficients exactly once.
 type layerCtx struct {
 	l     workload.Layer
 	h, w  int
@@ -225,8 +278,8 @@ func newLayerCtx(a hw.Accel, l workload.Layer) layerCtx {
 }
 
 // costOf evaluates one already-validated schedule against the cached
-// context. n2 and n1 are the DRAM- and L2-level trip counts (from
-// OuterTrips/InnerTrips or the fused TripCounts). It allocates nothing.
+// context. n2 and n1 are its DRAM- and L2-level trip counts from
+// TripCounts. It allocates nothing.
 func (c *layerCtx) costOf(s *sched.Schedule, n2, n1 [workload.NumDims]int) Cost {
 	h, w := c.h, c.w
 	uo, ui := s.OuterUnroll, s.InnerUnroll
