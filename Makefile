@@ -15,10 +15,12 @@
 # measured by `bash perfbench/run.sh`. The allocation gates on pooled
 # paths (testing.AllocsPerRun over sync.Pool scratch) skip themselves
 # under `make race`: the race detector makes sync.Pool drop items at
-# random. `make test` runs them. `make repeat` runs the packages with
-# process-wide state (the sched divisor and tiling-table memos, the
-# eval backend registry) twice in one process, so state one run leaves
-# behind cannot break the next.
+# random. `make test` runs them; the layer-slot gate touches no pool and
+# runs under both. `make chaos` repeats the cancellation, checkpoint,
+# memo-cache single-flight and layer-slot tests under -race. `make
+# repeat` runs the packages with process-wide state (the sched divisor
+# and tiling-table memos, the eval backend registry) twice in one
+# process, so state one run leaves behind cannot break the next.
 
 GO ?= go
 
@@ -57,9 +59,12 @@ race:
 
 # chaos also runs the memo cache's single-flight, leader-panic and
 # duplicate-key tests: the lazy wait channel is a concurrency protocol
-# that only -race and repetition exercise.
+# that only -race and repetition exercise. The core LayerSlot tests run
+# here too: a layer slot passes from the driver goroutine, which resets
+# it in NewSW, to the worker that searches its layer, every hardware
+# sample.
 chaos:
-	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight' -count=2 ./...
+	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight|LayerSlot' -count=2 ./...
 
 repeat:
 	$(GO) test -count=2 ./internal/core/ ./internal/sched/ ./internal/eval/

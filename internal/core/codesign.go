@@ -82,6 +82,37 @@ type RunConfig struct {
 	// which Resume can continue. The snapshot shares no memory with the
 	// live run. A non-nil return aborts the run with the partial Result.
 	OnCheckpoint func(*Checkpoint) error
+
+	// slot is the layer slot of the layer whose NewSW receives this
+	// config. evaluateHardware sets it on a per-layer copy; the run's
+	// own config never carries one, so Result.Config, Fingerprint and
+	// checkpoints never see it.
+	slot *layerSlot
+}
+
+// layerSlot is one layer's search state for the length of a run: the
+// RNG its searches draw from and the Spotlight proposer built for it.
+// For every hardware sample the driver reseeds the RNG and passes the
+// slot to Strategy.NewSW, which may reset the slot's proposer in place
+// rather than build another. A slot is written by the driver goroutine
+// in NewSW, then by the one worker that searches its layer; the next
+// NewSW runs only after the worker pool has returned.
+type layerSlot struct {
+	rng *rand.Rand
+	sw  *spotlightSW
+}
+
+// reseed returns the slot's RNG seeded with seed. (*rand.Rand).Seed
+// re-initializes the whole source and the read position, so the RNG
+// draws exactly what rand.New(rand.NewSource(seed)) would; only the
+// slot's first reseed allocates.
+func (sl *layerSlot) reseed(seed int64) *rand.Rand {
+	if sl.rng == nil {
+		sl.rng = rand.New(rand.NewSource(seed))
+	} else {
+		sl.rng.Seed(seed)
+	}
+	return sl.rng
 }
 
 // normalized fills defaults and validates.
@@ -188,10 +219,13 @@ type SWProposer interface {
 // Concurrency contract: NewSW is always invoked sequentially, in layer
 // order, but the returned proposer's Suggest/Observe loop may run on a
 // worker goroutine concurrently with other layers' proposers. A proposer
-// must therefore confine its mutable state (including the rng it was
-// given, which is owned by that one proposer) to itself; only the
-// Strategy value itself needs internal locking for any cross-layer
-// bookkeeping.
+// must therefore confine its mutable state to itself; only the Strategy
+// value itself needs internal locking for any cross-layer bookkeeping.
+// The rng belongs to the proposer for its layer search, and the driver
+// reseeds it for the same layer's search in the next hardware sample,
+// so a proposer must not use it once its search is over. NewSW may
+// reuse the proposer it built for the same layer in the previous
+// hardware sample: that search is over by the time NewSW runs again.
 type Strategy interface {
 	Name() string
 	NewHW(cfg RunConfig, rng *rand.Rand) HWProposer
@@ -235,6 +269,7 @@ func RunContext(ctx context.Context, cfg RunConfig, strat Strategy) (Result, err
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	hwSearch := strat.NewHW(cfg, rng)
 	layers := collectLayers(cfg.Models)
+	slots := make([]layerSlot, len(layers))
 	swBudget := strat.SWBudget(cfg)
 
 	res := Result{Tool: strat.Name(), Config: cfg}
@@ -293,7 +328,7 @@ func RunContext(ctx context.Context, cfg RunConfig, strat Strategy) (Result, err
 		if trialSpan != nil {
 			trialSpan.Emit(obs.Event{Type: obs.HWPropose, Sample: t, Detail: accel.String()})
 		}
-		design, derr := evaluateHardware(ctx, cfg, strat, accel, layers, swBudget, t, trialSpan)
+		design, derr := evaluateHardware(ctx, cfg, strat, accel, layers, slots, swBudget, t, trialSpan)
 		if err := ctx.Err(); err != nil {
 			// This sample's software search was cut short; its
 			// half-optimized design would not match an uninterrupted
@@ -388,12 +423,13 @@ func deriveSeed(seed int64, streams ...int64) int64 {
 // independent given the fixed accelerator, so they run on a bounded
 // worker pool (cfg.Workers wide); every layer owns an RNG seeded from
 // (Seed, sample, layer), which makes the outcome identical whether the
-// layers run sequentially or in parallel. It returns an error wrapping
-// maestro.ErrInvalid when the hardware is out of budget, structurally
-// invalid, or has a layer with no feasible schedule (the lowest-index
-// infeasible layer is reported, for determinism).
+// layers run sequentially or in parallel. slots holds one layer slot
+// per layer, kept by the caller across hardware samples. It returns an
+// error wrapping maestro.ErrInvalid when the hardware is out of budget,
+// structurally invalid, or has a layer with no feasible schedule (the
+// lowest-index infeasible layer is reported, for determinism).
 func evaluateHardware(ctx context.Context, cfg RunConfig, strat Strategy, accel hw.Accel,
-	layers []modelLayer, swBudget, sample int, trialSpan *obs.Span) (Design, error) {
+	layers []modelLayer, slots []layerSlot, swBudget, sample int, trialSpan *obs.Span) (Design, error) {
 
 	design := Design{Accel: accel, Objective: math.Inf(1)}
 	if err := accel.Validate(); err != nil {
@@ -408,9 +444,11 @@ func evaluateHardware(ctx context.Context, cfg RunConfig, strat Strategy, accel 
 	// software searcher for Figure 9) behave identically at every worker
 	// count; only the sampling loops run concurrently.
 	sws := make([]SWProposer, len(layers))
+	lcfg := cfg
 	for i, ml := range layers {
-		rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, int64(sample), int64(i))))
-		sws[i] = strat.NewSW(cfg, rng, accel, ml.layer)
+		lcfg.slot = &slots[i]
+		rng := lcfg.slot.reseed(deriveSeed(cfg.Seed, int64(sample), int64(i)))
+		sws[i] = strat.NewSW(lcfg, rng, accel, ml.layer)
 	}
 	design.Layers = make([]LayerResult, len(layers))
 	if err := pool.RunCtx(ctx, len(layers), cfg.Workers, func(i int) {
@@ -558,8 +596,9 @@ func OptimizeSoftware(cfg RunConfig, strat Strategy, accel hw.Accel) (Design, er
 	}
 	sp := obs.ChildOrRoot(cfg.Span, cfg.Tracer, "run")
 	defer sp.End()
+	layers := collectLayers(cfg.Models)
 	design, derr := evaluateHardware(context.Background(), cfg, strat, accel,
-		collectLayers(cfg.Models), strat.SWBudget(cfg), 0, sp)
+		layers, make([]layerSlot, len(layers)), strat.SWBudget(cfg), 0, sp)
 	if derr != nil {
 		return design, derr
 	}

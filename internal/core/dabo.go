@@ -132,6 +132,24 @@ func NewDABO(kernel gp.Kernel, rng *rand.Rand, opts ...DABOOption) *DABO {
 	return d
 }
 
+// reset returns d to a new optimizer's state for another search driven
+// by rng: no observations, no surrogate, no fit failures, no span. It
+// keeps d's options and the storage of its observation store, moment
+// matrices and refit model, so the search that follows suggests exactly
+// what it would on a new DABO without allocating them again.
+func (d *DABO) reset(rng *rand.Rand) {
+	d.rng = rng
+	d.dim = 0
+	d.x, d.y, d.invalid = d.x[:0], d.y[:0], d.invalid[:0]
+	if d.primal != nil {
+		d.primal.Reset()
+	}
+	d.model = nil
+	d.staleness, d.fitAttempts = 0, 0
+	d.decided, d.scores = false, false
+	d.span = nil
+}
+
 // Observations returns the number of valid and invalid observations.
 func (d *DABO) Observations() (valid, invalid int) {
 	return len(d.y), d.invalidCount()
@@ -150,13 +168,19 @@ func (d *DABO) row(xs []float64, i int) []float64 {
 }
 
 // checkDim fixes the observation width on the first observation and
-// rejects any later row of another width.
+// rejects any later row of another width. The first observation also
+// sizes the store for capacity observations, unless the storage an
+// earlier search left (see reset) already holds that many.
 func (d *DABO) checkDim(features []float64) {
 	if len(d.y) == 0 && len(d.invalid) == 0 {
 		d.dim = len(features)
-		if d.capacity > 0 {
-			d.x = make([]float64, 0, d.capacity*d.dim)
-			d.y = make([]float64, 0, d.capacity)
+		if n := d.capacity; n > 0 {
+			if cap(d.x) < n*d.dim {
+				d.x = make([]float64, 0, n*d.dim)
+			}
+			if cap(d.y) < n {
+				d.y = make([]float64, 0, n)
+			}
 		}
 	}
 	if len(features) != d.dim {

@@ -112,9 +112,9 @@ func SoftwareFeatures() []Feature {
 		}},
 		{"dram_transfers", func(p *Point) float64 {
 			// (X₀/X₂) × (Y₀/Y₂) × (array width + array height).
-			n2 := &p.terms().outer
-			return p.lg(float64(n2[workload.DimX]) * float64(n2[workload.DimY]) *
-				float64(p.Accel.Width+p.Accel.Height()))
+			t := p.terms()
+			return p.lg(float64(t.outer[workload.DimX]) * float64(t.outer[workload.DimY]) *
+				float64(p.Accel.Width+t.height))
 		}},
 		{"common_unrolled_dims", func(p *Point) float64 {
 			// Prime-basis linear combination spreading the few unique
@@ -134,29 +134,27 @@ func SoftwareFeatures() []Feature {
 // the outer-unrolled L2-level loop, columns the inner one), including
 // partial-tile (edge-case) waste.
 func peUtilization(p *Point) float64 {
-	h, w := p.Accel.Height(), p.Accel.Width
-	n1 := &p.terms().inner
+	t := p.terms()
+	h, w := t.height, p.Accel.Width
+	n1 := &t.inner
 	uo, ui := p.Sched.OuterUnroll, p.Sched.InnerUnroll
 	if uo == ui {
-		return float64(n1[uo]) / (float64(ceilDiv(n1[uo], h*w)) * float64(h*w))
+		return float64(n1[uo]) / (float64(t.folds[0]) * float64(h*w))
 	}
-	rows := float64(n1[uo]) / (float64(ceilDiv(n1[uo], h)) * float64(h))
-	cols := float64(n1[ui]) / (float64(ceilDiv(n1[ui], w)) * float64(w))
+	rows := float64(n1[uo]) / (float64(t.folds[0]) * float64(h))
+	cols := float64(n1[ui]) / (float64(t.folds[1]) * float64(w))
 	return rows * cols
 }
 
 // loopIterations approximates the number of temporal iterations to
 // completion after spatial distribution.
 func loopIterations(p *Point) float64 {
-	h, w := p.Accel.Height(), p.Accel.Width
 	t := p.terms()
 	n2, n1 := &t.outer, t.inner
 	uo, ui := p.Sched.OuterUnroll, p.Sched.InnerUnroll
-	if uo == ui {
-		n1[uo] = ceilDiv(n1[uo], h*w)
-	} else {
-		n1[uo] = ceilDiv(n1[uo], h)
-		n1[ui] = ceilDiv(n1[ui], w)
+	n1[uo] = t.folds[0]
+	if uo != ui {
+		n1[ui] = t.folds[1]
 	}
 	iters := 1.0
 	for i := range workload.AllDims {
@@ -267,11 +265,20 @@ func Transform(fs []Feature, p Point) []float64 {
 func TransformTo(dst []float64, fs []Feature, p *Point) { p.transform(dst, fs, false) }
 
 // transform is TransformTo. drawn reports that the caller has already
-// written p's terms to p.cached: the layer's extents, and the trip
-// counts its sampler drew with p.Sched (sched.Sampler.RandomTripsTo).
-// The features then read those instead of deriving them, and the row is
-// bit-identical to TransformTo's.
+// written p's terms to p.cached: the layer's extents, the trip counts
+// its sampler drew with p.Sched (sched.Sampler.RandomTripsTo), and the
+// accelerator's height, which a search sets once (a zero height is
+// derived here). transform adds the folds, and the features read those
+// terms instead of deriving them, so the row is bit-identical to
+// TransformTo's.
 func (p *Point) transform(dst []float64, fs []Feature, drawn bool) {
+	if drawn {
+		t := &p.cached
+		if t.height == 0 {
+			t.height = p.Accel.Height()
+		}
+		t.fold(&p.Sched, p.Accel.Width)
+	}
 	p.memo, p.derived = true, drawn
 	for i, f := range fs {
 		dst[i] = f.Fn(p)

@@ -33,21 +33,43 @@ type Point struct {
 }
 
 // pointTerms are the quantities several features derive from a point:
-// the layer's extents and the schedule's DRAM-level (outer) and
-// L2-level (inner) trip counts.
+// the layer's extents, the schedule's DRAM-level (outer) and L2-level
+// (inner) trip counts, the accelerator's array height, and how many
+// times the unrolled L2-level loops fold over the array.
 type pointTerms struct {
 	sizes, outer, inner [workload.NumDims]int
+	height              int
+	// folds[0] is ⌈inner[uo]/(height·width)⌉ when one dimension uo is
+	// unrolled over the whole array; otherwise folds[0] is
+	// ⌈inner[uo]/height⌉ (rows) and folds[1] is ⌈inner[ui]/width⌉
+	// (columns).
+	folds [2]int
 }
 
-// derive fills t from the schedule and layer. It reads the extents
-// through l (in workload.AllDims order, as Layer.Sizes returns them)
-// rather than copying the layer by value.
-func (t *pointTerms) derive(s *sched.Schedule, l *workload.Layer) {
+// derive fills t from the point's accelerator, schedule and layer. It
+// reads the extents through the layer (in workload.AllDims order, as
+// Layer.Sizes returns them) rather than copying it by value.
+func (t *pointTerms) derive(p *Point) {
+	s, l := &p.Sched, &p.Layer
 	t.sizes = [workload.NumDims]int{l.N, l.K, l.C, l.R, l.S, l.OutX(), l.OutY()}
 	for i := range t.sizes {
 		t.outer[i] = t.sizes[i] / s.T2[i]
 		t.inner[i] = s.T2[i] / s.T1[i]
 	}
+	t.height = p.Accel.Height()
+	t.fold(s, p.Accel.Width)
+}
+
+// fold computes t.folds from t.inner and t.height for an array of the
+// given width.
+func (t *pointTerms) fold(s *sched.Schedule, width int) {
+	uo, ui := s.OuterUnroll, s.InnerUnroll
+	if uo == ui {
+		t.folds[0] = ceilDiv(t.inner[uo], t.height*width)
+		return
+	}
+	t.folds[0] = ceilDiv(t.inner[uo], t.height)
+	t.folds[1] = ceilDiv(t.inner[ui], width)
 }
 
 // terms returns the point's derived terms, computing them at most once
@@ -61,7 +83,7 @@ func (p *Point) terms() *pointTerms {
 	if !p.memo {
 		t = new(pointTerms)
 	}
-	t.derive(&p.Sched, &p.Layer)
+	t.derive(p)
 	p.derived = p.memo
 	return t
 }

@@ -28,8 +28,10 @@ type Spotlight struct {
 	FixedDataflows bool
 
 	// lastSW retains the most recent software searcher for
-	// feature-importance analysis (Figure 9); mu makes a single strategy
-	// value safe to use from concurrent runs (parallel trials).
+	// feature-importance analysis (Figure 9): in a run, the last layer's
+	// slot proposer, which holds the last hardware sample's search once
+	// the run ends. mu makes a single strategy value safe to use from
+	// concurrent runs (parallel trials).
 	mu     sync.Mutex
 	lastSW *spotlightSW
 }
@@ -193,32 +195,41 @@ func (h *spotlightHW) Observe(a hw.Accel, objective float64, err error) {
 	h.dabo.Observe(f, objective)
 }
 
-// NewSW implements Strategy. It builds the proposer's search context
+// NewSW implements Strategy. It readies the proposer's search context
 // for this (accelerator, layer) pair once: a schedule sampler per
 // constraint, holding the layer's tiling tables and heuristic tiles,
-// and the layer's extents for featurization. The candidate batch is
-// borrowed per Suggest, not owned.
+// and the layer's extents and the array height for featurization. The
+// candidate batch is borrowed per Suggest, not owned.
+//
+// In a run the driver hands NewSW the layer's slot (RunConfig.slot),
+// and NewSW resets the proposer it left there for the previous hardware
+// sample instead of building another. Without a slot, or on the slot's
+// first use, it builds one; either way the proposer goes through the
+// same reset.
 func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) SWProposer {
-	constraints := []sched.Constraint{cfg.SWConstraint}
-	if s.FixedDataflows {
-		constraints = constraints[:0]
-		for _, df := range sched.FixedDataflows() {
-			constraints = append(constraints, sched.SpotlightF(df))
+	sl := cfg.slot
+	var sw *spotlightSW
+	if sl != nil && sl.sw != nil && sl.sw.owner == s {
+		sw = sl.sw
+	} else {
+		features := FeaturesFor(s.Mode, false)
+		sw = &spotlightSW{
+			owner:    s,
+			dabo:     NewDABO(s.kernel(), rng, WithKappa(spotlightKappa)),
+			features: features,
+			row:      make([]float64, len(features)),
+		}
+		if s.FixedDataflows {
+			for _, df := range sched.FixedDataflows() {
+				sw.fixed = append(sw.fixed, sched.SpotlightF(df))
+			}
+		}
+		sw.samplers = make([]sched.Sampler, max(len(sw.fixed), 1))
+		if sl != nil {
+			sl.sw = sw
 		}
 	}
-	features := FeaturesFor(s.Mode, false)
-	sw := &spotlightSW{
-		dabo: NewDABO(s.kernel(), rng, WithKappa(spotlightKappa), WithTracer(cfg.Tracer, "sw"),
-			withCapacity(s.SWBudget(cfg))),
-		features: features,
-		rng:      rng,
-		row:      make([]float64, len(features)),
-		pt:       Point{Accel: a, Layer: l},
-	}
-	sw.pt.cached.sizes = l.Sizes()
-	for _, c := range constraints {
-		sw.samplers = append(sw.samplers, c.Sampler(l, a.RFBytesPerPE(), a.L2Bytes()))
-	}
+	sw.reset(cfg, rng, a, l)
 	s.mu.Lock()
 	s.lastSW = sw
 	s.mu.Unlock()
@@ -226,15 +237,40 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 }
 
 type spotlightSW struct {
+	owner    *Spotlight
 	dabo     *DABO
 	features []Feature
-	samplers []*sched.Sampler
+	// fixed holds Spotlight-F's three constraints; nil means the run's
+	// software constraint.
+	fixed    []sched.Constraint
+	samplers []sched.Sampler // one per constraint
 	rng      *rand.Rand
 	row      []float64 // the observed point's features (DABO copies them)
 	// pt carries the proposer's accelerator and layer, and the layer's
-	// extents in pt.cached.sizes. Suggest and Observe set only its
-	// schedule (and Suggest its trip counts) before featurizing.
+	// extents and the array height in pt.cached. Suggest and Observe set
+	// only its schedule (and Suggest its trip counts) before featurizing.
 	pt Point
+}
+
+// reset readies w, new or used, for the search of layer l on
+// accelerator a driven by rng, leaving it in the state a new proposer
+// starts from. It keeps w's features, row and sampler storage and its
+// daBO's buffers, so a used proposer allocates nothing here.
+func (w *spotlightSW) reset(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) {
+	w.rng = rng
+	d := w.dabo
+	d.reset(rng)
+	d.tracer, d.scope, d.capacity = cfg.Tracer, "sw", w.owner.SWBudget(cfg)
+	w.pt = Point{Accel: a, Layer: l}
+	w.pt.cached.sizes = l.Sizes()
+	w.pt.cached.height = a.Height()
+	rf, l2 := a.RFBytesPerPE(), a.L2Bytes()
+	if w.fixed == nil {
+		cfg.SWConstraint.SamplerTo(&w.samplers[0], l, rf, l2)
+	}
+	for i := range w.fixed {
+		w.fixed[i].SamplerTo(&w.samplers[i], l, rf, l2)
+	}
 }
 
 // Suggest draws a batch of random schedules and returns the one the

@@ -75,6 +75,19 @@ func (p *PrimalStats) Add(x []float64, y float64) {
 	p.syy += y * y
 }
 
+// Reset empties the accumulator for a new dataset of the same width:
+// every moment and count goes to zero, and the moment matrices keep
+// their storage. Absorbing and fitting afterwards computes exactly what
+// a new accumulator would, and allocates nothing.
+func (p *PrimalStats) Reset() {
+	p.n, p.pn, p.syy = 0, 0, 0
+	if p.m != nil {
+		clear(p.m.Data)
+		clear(p.pm.Data)
+		clear(p.ty)
+	}
+}
+
 // AddPenalized absorbs one observation whose target is the shared
 // penalty value chosen later, at Fit time.
 func (p *PrimalStats) AddPenalized(x []float64) {
@@ -410,19 +423,4 @@ func (p *PrimalLinear) predict4(x [][]float64, sol *[4][interleaveDim]float64, m
 	means[1], stds[1] = p.posterior(mu1, q1)
 	means[2], stds[2] = p.posterior(mu2, q2)
 	means[3], stds[3] = p.posterior(mu3, q3)
-}
-
-// FitPrimalLinear fits the primal linear surrogate on a whole dataset in
-// one call — the batch-oriented counterpart of New(Linear{bias},
-// noise).Fit(x, y) and interchangeable with it (same posterior, built in
-// O(n·d²) instead of O(n³)).
-func FitPrimalLinear(bias, noise float64, x [][]float64, y []float64) (*PrimalLinear, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, fmt.Errorf("%w: %d inputs, %d targets", ErrNoData, len(x), len(y))
-	}
-	s := NewPrimalStats(bias, noise)
-	for i, row := range x {
-		s.Add(row, y[i])
-	}
-	return s.Fit(0)
 }

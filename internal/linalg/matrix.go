@@ -27,21 +27,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFromRows builds a matrix from a slice of equal-length rows.
-func NewMatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: %d vs %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -84,18 +69,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return c
 }
 
-// MulVec returns the matrix-vector product a*x.
-func MulVec(a *Matrix, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("linalg: mulvec shape mismatch %dx%d * %d", a.Rows, a.Cols, len(x)))
-	}
-	y := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		y[i] = Dot(a.Row(i), x)
-	}
-	return y
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -106,11 +79,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
 }
 
 // ErrNotPD reports that a matrix passed to Cholesky was not (numerically)

@@ -176,8 +176,9 @@ func (c Constraint) Random(rng *rand.Rand, l workload.Layer, rfBytesPerPE, l2Byt
 // inputs — the unroll choices, the heuristic FitTiles tiles and their
 // trip counts, and the tiling table of each searchable dimension's
 // extent — is fixed at construction, so a draw takes no lock and
-// writes nothing shared. A Sampler is immutable after construction and
-// safe for concurrent use with distinct RNGs.
+// writes nothing shared. A Sampler is immutable between constructions
+// (Constraint.SamplerTo rebuilds one in place) and safe for concurrent
+// use with distinct RNGs.
 type Sampler struct {
 	outer, inner           []workload.Dim
 	outerPick, innerPick   intn
@@ -242,7 +243,17 @@ var (
 // per-PE register-file and L2 capacities. Once l's extents have been
 // tabled, it allocates only the Sampler itself.
 func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) *Sampler {
-	sp := &Sampler{
+	sp := new(Sampler)
+	c.SamplerTo(sp, l, rfBytesPerPE, l2Bytes)
+	return sp
+}
+
+// SamplerTo is Sampler into a caller-owned Sampler: it overwrites every
+// field of sp, so sp draws exactly what a new Sampler would, and it
+// allocates nothing once l's extents have been tabled. No draw from sp
+// may run concurrently with it.
+func (c Constraint) SamplerTo(sp *Sampler, l workload.Layer, rfBytesPerPE, l2Bytes int64) {
+	*sp = Sampler{
 		outer:      c.outerChoices(),
 		inner:      c.innerChoices(),
 		fixedOuter: c.FixedOuterOrder,
@@ -260,7 +271,6 @@ func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) *Samp
 			sp.tiles[i] = tileTableOf(l.Size(d))
 		}
 	}
-	return sp
 }
 
 // Random draws one schedule; see RandomTo.

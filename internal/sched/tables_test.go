@@ -119,3 +119,32 @@ func TestTileTablesConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestSamplerToMatchesSampler: one Sampler rebuilt in place by
+// SamplerTo, for every constraint and layer in turn, draws the same
+// schedules and trip counts as a new Sampler, whatever the previous
+// constraint left in it (heuristic tiles, tables of other dimensions).
+func TestSamplerToMatchesSampler(t *testing.T) {
+	var layers []workload.Layer
+	for _, m := range []workload.Model{workload.ResNet50(), workload.MobileNetV2()} {
+		layers = append(layers, m.Layers...)
+	}
+	var reused Sampler
+	for li, l := range layers {
+		for ci, c := range allConstraints() {
+			rf, l2 := int64(16<<(li%4)), int64(8<<(10+ci%5))
+			c.SamplerTo(&reused, l, rf, l2)
+			fresh := c.Sampler(l, rf, l2)
+			r1, r2 := twins(int64(li*100+ci), ci%2 == 0)
+			for i := 0; i < 8; i++ {
+				var s, want Schedule
+				var n2, n1, wn2, wn1 [workload.NumDims]int
+				reused.RandomTripsTo(r1, &s, &n2, &n1)
+				fresh.RandomTripsTo(r2, &want, &wn2, &wn1)
+				if s != want || n2 != wn2 || n1 != wn1 {
+					t.Fatalf("%s %s: rebuilt sampler drew %v, a new one %v", c.Name, l.Name, s, want)
+				}
+			}
+		}
+	}
+}
