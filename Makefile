@@ -17,7 +17,8 @@
 # under `make race`: the race detector makes sync.Pool drop items at
 # random. `make test` runs them; the layer-slot gate touches no pool and
 # runs under both. `make chaos` repeats the cancellation, checkpoint,
-# memo-cache single-flight and layer-slot tests under -race. `make
+# memo-cache single-flight, layer-slot and determinism tests under
+# -race. `make
 # repeat` runs the packages with process-wide state (the sched divisor
 # and tiling-table memos, the eval backend registry) twice in one
 # process, so state one run leaves behind cannot break the next.
@@ -62,9 +63,11 @@ race:
 # that only -race and repetition exercise. The core LayerSlot tests run
 # here too: a layer slot passes from the driver goroutine, which resets
 # it in NewSW, to the worker that searches its layer, every hardware
-# sample.
+# sample. So do the tests named Deterministic, among them core's
+# worker-count and multi-model run repetitions: a run must repeat bit
+# for bit with the race detector reordering its goroutines.
 chaos:
-	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight|LayerSlot' -count=2 ./...
+	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight|LayerSlot|Deterministic' -count=2 ./...
 
 repeat:
 	$(GO) test -count=2 ./internal/core/ ./internal/sched/ ./internal/eval/

@@ -253,7 +253,7 @@ func reevaluateDesign(path string, ev core.Evaluator, obj core.Objective, models
 		}
 	}
 	fmt.Printf("re-evaluating %s design on backend %q\n", e.Tool, ev.Name())
-	var energy, delay float64
+	layers := make([]core.LayerResult, 0, len(e.Layers))
 	infeasible := 0
 	for _, le := range e.Layers {
 		layer, ok := layersByName[le.Model+"/"+le.Layer]
@@ -270,9 +270,7 @@ func reevaluateDesign(path string, ev core.Evaluator, obj core.Objective, models
 			fmt.Printf("  %-16s infeasible on this backend (%v)\n", le.Layer, err)
 			continue
 		}
-		rep := float64(layer.Repeat)
-		energy += rep * c.EnergyNJ
-		delay += rep * c.DelayCycles
+		layers = append(layers, core.LayerResult{Model: le.Model, Layer: layer, Cost: c})
 		fmt.Printf("  %-16s delay=%.4g (was %.4g)  energy=%.4g nJ\n",
 			le.Layer, c.DelayCycles, le.DelayCycles, c.EnergyNJ)
 	}
@@ -282,7 +280,7 @@ func reevaluateDesign(path string, ev core.Evaluator, obj core.Objective, models
 		return nil
 	}
 	fmt.Printf("aggregate %s = %.6g (was %.6g on %s)\n",
-		obj, core.AggregateObjective(obj, energy, delay), e.Value, e.Tool)
+		obj, core.DesignObjective(obj, layers), e.Value, e.Tool)
 	return nil
 }
 

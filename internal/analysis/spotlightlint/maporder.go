@@ -2,6 +2,7 @@ package spotlightlint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -9,11 +10,11 @@ import (
 )
 
 // MapOrder flags `for range` over a map whose body does something
-// order-sensitive — appends to a slice, writes output, or feeds a
-// hash/fingerprint — in packages whose results or artifacts must be
-// reproducible. Go randomizes map iteration order per run, so any such
-// loop makes CSV rows, log lines, or fingerprints differ between
-// identical invocations.
+// order-sensitive — appends to a slice, writes output, feeds a
+// hash/fingerprint, or accumulates floating-point values — in packages
+// whose results or artifacts must be reproducible. Go randomizes map
+// iteration order per run, so any such loop makes CSV rows, log lines,
+// fingerprints or float totals differ between identical invocations.
 //
 // The sanctioned fix is recognized and stays silent: a loop whose body
 // only collects the keys into a slice that is subsequently sorted in the
@@ -23,11 +24,14 @@ import (
 //	sort.Strings(keys)
 //
 // as are loops that merely aggregate order-insensitively (map writes,
-// sums, max). Anything else needing an exception annotates
+// integer sums, max). A float `x += v` (or -=, *=, /=, or x = x op v)
+// into a variable that outlives the loop is order-sensitive: float
+// arithmetic is not associative, so the total can differ in its last
+// bits between runs. Anything else needing an exception annotates
 // //lint:allow maporder(reason).
 var MapOrder = &lintkit.Analyzer{
 	Name: "maporder",
-	Doc:  "flag order-sensitive iteration over maps (append/output/hash in the body) unless keys are sorted first",
+	Doc:  "flag order-sensitive iteration over maps (append/output/hash/float accumulation in the body) unless keys are sorted first",
 	Run:  runMapOrder,
 }
 
@@ -78,6 +82,12 @@ func orderSensitiveUse(pass *lintkit.Pass, rng *ast.RangeStmt) string {
 		if found != "" {
 			return false
 		}
+		if as, ok := n.(*ast.AssignStmt); ok {
+			if acc := floatAccumulation(pass, as); acc != nil && !local(acc) {
+				found = "accumulates floats into " + types.ExprString(acc)
+			}
+			return found == ""
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -109,6 +119,40 @@ func orderSensitiveUse(pass *lintkit.Pass, rng *ast.RangeStmt) string {
 		return found == ""
 	})
 	return found
+}
+
+// floatAccumulation returns the target of a floating-point update in
+// as that folds in its old value — x += e, -=, *=, /=, or x = x op e
+// for one of those operators — or nil. A write into a map element
+// (m[k] += e) is per-key aggregation and returns nil.
+func floatAccumulation(pass *lintkit.Pass, as *ast.AssignStmt) ast.Expr {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil
+	}
+	x := as.Lhs[0]
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+	case token.ASSIGN:
+		bin, ok := ast.Unparen(as.Rhs[0]).(*ast.BinaryExpr)
+		if !ok || (bin.Op != token.ADD && bin.Op != token.SUB && bin.Op != token.MUL && bin.Op != token.QUO) {
+			return nil
+		}
+		if target := types.ExprString(x); types.ExprString(ast.Unparen(bin.X)) != target &&
+			types.ExprString(ast.Unparen(bin.Y)) != target {
+			return nil
+		}
+	default:
+		return nil
+	}
+	if idx, ok := ast.Unparen(x).(*ast.IndexExpr); ok {
+		if _, isMap := pass.TypesInfo.Types[idx.X].Type.(*types.Map); isMap {
+			return nil
+		}
+	}
+	if t := pass.TypesInfo.TypeOf(x); t == nil || !isFloat(t) {
+		return nil
+	}
+	return x
 }
 
 // declaredWithin reports whether the root identifier of e (x in x, x.F,

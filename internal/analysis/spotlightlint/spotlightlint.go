@@ -11,8 +11,9 @@
 //
 //   - nowallclock: no time.Now/Since/Until and no global math/rand in
 //     deterministic packages; inject a *rand.Rand instead.
-//   - maporder: no map iteration that appends, writes output, or feeds a
-//     hash in order-sensitive packages, unless the keys are sorted.
+//   - maporder: no map iteration that appends, writes output, feeds a
+//     hash, or accumulates floats in order-sensitive packages, unless
+//     the keys are sorted.
 //   - floateq: no ==/!= on floating-point operands outside tests.
 //   - nonfinite: no math.NaN/math.Inf flowing into Cost fields or
 //     checkpoint encoding outside the sanctioned hygiene helpers.

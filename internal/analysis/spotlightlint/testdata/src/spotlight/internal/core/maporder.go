@@ -1,7 +1,8 @@
 // Package core is a fixture for maporder: flag order-sensitive map
-// iteration (append to an outer slice, output, hashing), stay silent for
-// the sorted-keys pattern, order-insensitive aggregation, per-iteration
-// locals, and annotated exceptions.
+// iteration (append to an outer slice, output, hashing, float
+// accumulation), stay silent for the sorted-keys pattern,
+// order-insensitive aggregation, per-iteration locals, and annotated
+// exceptions.
 package core
 
 import (
@@ -78,4 +79,49 @@ func annotated(m map[string]int) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+func aggregateObjective(energy, delay float64) float64 { return energy * delay }
+
+// mapOrderObjective is the per-model objective sum as it once stood in
+// evaluateHardware: the total's last bits depended on map order.
+func mapOrderObjective(perModelEnergy, perModelDelay map[string]float64) float64 {
+	var total float64
+	for m := range perModelEnergy { // want "map iteration accumulates floats into total"
+		total += aggregateObjective(perModelEnergy[m], perModelDelay[m])
+	}
+	return total
+}
+
+// floatUpdates covers the other accumulating forms.
+func floatUpdates(m map[string]float64) (float64, float32) {
+	prod := 1.0
+	for _, v := range m { // want "map iteration accumulates floats into prod"
+		prod = prod * v
+	}
+	var acc struct{ sum float32 }
+	for _, v := range m { // want "map iteration accumulates floats into acc.sum"
+		acc.sum -= float32(v)
+	}
+	return prod, acc.sum
+}
+
+// orderFreeFloats stays silent: an integer sum, a float max, a per-key
+// map write, and a float accumulator scoped to one iteration.
+func orderFreeFloats(m map[string][]float64) (int, float64, map[string]float64) {
+	n := 0
+	mx := 0.0
+	sums := map[string]float64{}
+	for k, vs := range m {
+		n += len(vs)
+		var s float64
+		for _, v := range vs {
+			s += v
+			if v > mx {
+				mx = v
+			}
+		}
+		sums[k] += s
+	}
+	return n, mx, sums
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"spotlight/internal/hw"
@@ -245,9 +246,9 @@ type modelLayer struct {
 // Run performs the nested layerwise co-design of §VI-A with the given
 // strategy: for each hardware sample, every layer's schedule is optimized
 // independently by a fresh software searcher; per-model energies and
-// delays are aggregated into the objective, which feeds back into the
-// hardware searcher. Run never stops early; use RunContext for
-// cancellation and deadlines.
+// delays are aggregated into the objective (DesignObjective, in model
+// order), which feeds back into the hardware searcher. Run never stops
+// early; use RunContext for cancellation and deadlines.
 func Run(cfg RunConfig, strat Strategy) (Result, error) {
 	return RunContext(context.Background(), cfg, strat)
 }
@@ -439,10 +440,8 @@ func evaluateHardware(ctx context.Context, cfg RunConfig, strat Strategy, accel 
 		return design, fmt.Errorf("%w: %v", maestro.ErrInvalid, err)
 	}
 
-	// Proposers are built sequentially, in layer order, so strategies
-	// with order-dependent bookkeeping (e.g. Spotlight retaining the last
-	// software searcher for Figure 9) behave identically at every worker
-	// count; only the sampling loops run concurrently.
+	// Proposers are built in layer order, as the Strategy contract
+	// promises; only the sampling loops run concurrently.
 	sws := make([]SWProposer, len(layers))
 	lcfg := cfg
 	for i, ml := range layers {
@@ -471,21 +470,13 @@ func evaluateHardware(ctx context.Context, cfg RunConfig, strat Strategy, accel 
 		return design, err
 	}
 
-	perModelEnergy := map[string]float64{}
-	perModelDelay := map[string]float64{}
 	for _, lr := range design.Layers {
 		if !lr.Valid {
 			return design, fmt.Errorf("%w: layer %s has no feasible schedule on %s",
 				maestro.ErrInvalid, lr.Layer.Name, accel)
 		}
-		rep := float64(lr.Layer.Repeat)
-		perModelEnergy[lr.Model] += rep * lr.Cost.EnergyNJ
-		perModelDelay[lr.Model] += rep * lr.Cost.DelayCycles
 	}
-	var total float64
-	for m := range perModelEnergy {
-		total += AggregateObjective(cfg.Objective, perModelEnergy[m], perModelDelay[m])
-	}
+	total := DesignObjective(cfg.Objective, design.Layers)
 	if math.IsNaN(total) || math.IsInf(total, 0) {
 		return design, fmt.Errorf("%w: non-finite aggregate objective on %s",
 			maestro.ErrInvalid, accel)
@@ -494,18 +485,18 @@ func evaluateHardware(ctx context.Context, cfg RunConfig, strat Strategy, accel 
 	return design, nil
 }
 
-// OptimizeLayer searches the software space for one layer on fixed
-// hardware, spending `budget` cost-model evaluations, and returns the
-// best schedule found. Valid is false when every sample was infeasible.
+// OptimizeLayer searches one layer's software space on fixed hardware,
+// spending `budget` cost-model evaluations, and returns the best schedule
+// found (Valid false if no sample was feasible) and the proposer it drove.
 func OptimizeLayer(cfg RunConfig, strat Strategy, rng *rand.Rand, accel hw.Accel,
-	layer workload.Layer, budget int) LayerResult {
+	layer workload.Layer, budget int) (LayerResult, SWProposer) {
 	sp := obs.ChildOrRoot(cfg.Span, cfg.Tracer, "sw.layer")
 	defer sp.End()
 	sw := strat.NewSW(cfg, rng, accel, layer)
 	setSpan(sw, sp)
 	lr := runLayerSearch(context.Background(), cfg, sw, accel, layer, budget, sp)
 	setSpan(sw, nil)
-	return lr
+	return lr, sw
 }
 
 // runLayerSearch drives one software proposer through its sample budget,
@@ -597,12 +588,8 @@ func OptimizeSoftware(cfg RunConfig, strat Strategy, accel hw.Accel) (Design, er
 	sp := obs.ChildOrRoot(cfg.Span, cfg.Tracer, "run")
 	defer sp.End()
 	layers := collectLayers(cfg.Models)
-	design, derr := evaluateHardware(context.Background(), cfg, strat, accel,
+	return evaluateHardware(context.Background(), cfg, strat, accel,
 		layers, make([]layerSlot, len(layers)), strat.SWBudget(cfg), 0, sp)
-	if derr != nil {
-		return design, derr
-	}
-	return design, nil
 }
 
 // collectLayers flattens the models' unique layers, tagged by model.
@@ -616,19 +603,45 @@ func collectLayers(models []workload.Model) []modelLayer {
 	return out
 }
 
+// modelTotal is one model's repeat-weighted energy and delay.
+type modelTotal struct {
+	model         string
+	energy, delay float64
+}
+
+// modelTotals sums layer costs per model in one ordered pass: models in
+// the order their first layer appears, layers in slice order, so every
+// float sum, and every objective built on them, repeats bit for bit.
+func modelTotals(layers []LayerResult) []modelTotal {
+	var out []modelTotal
+	for _, lr := range layers {
+		i := slices.IndexFunc(out, func(t modelTotal) bool { return t.model == lr.Model })
+		if i < 0 {
+			i, out = len(out), append(out, modelTotal{model: lr.Model})
+		}
+		rep := float64(lr.Layer.Repeat)
+		out[i].energy += rep * lr.Cost.EnergyNJ
+		out[i].delay += rep * lr.Cost.DelayCycles
+	}
+	return out
+}
+
+// DesignObjective is the aggregate objective of a design's layers, the
+// value the hardware searcher learns from: each model's
+// AggregateObjective over its totals, summed in model order.
+func DesignObjective(o Objective, layers []LayerResult) (total float64) {
+	for _, t := range modelTotals(layers) {
+		total += AggregateObjective(o, t.energy, t.delay)
+	}
+	return total
+}
+
 // ModelObjectives splits a design's aggregate objective back into
 // per-model values, for multi-model reporting (Figure 8).
 func ModelObjectives(o Objective, d Design) map[string]float64 {
-	energy := map[string]float64{}
-	delay := map[string]float64{}
-	for _, lr := range d.Layers {
-		rep := float64(lr.Layer.Repeat)
-		energy[lr.Model] += rep * lr.Cost.EnergyNJ
-		delay[lr.Model] += rep * lr.Cost.DelayCycles
-	}
 	out := map[string]float64{}
-	for m := range energy {
-		out[m] = AggregateObjective(o, energy[m], delay[m])
+	for _, t := range modelTotals(d.Layers) {
+		out[t.model] = AggregateObjective(o, t.energy, t.delay)
 	}
 	return out
 }

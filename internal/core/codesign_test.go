@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"spotlight/internal/hw"
@@ -132,6 +133,34 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicMultiModel repeats a five-model run and requires
+// the same History and Best bit for bit every time. The per-model
+// objectives are summed in model order; summed in map order, this run
+// differs in the last bit of some objectives from one repetition to the
+// next.
+func TestRunDeterministicMultiModel(t *testing.T) {
+	cfg := tinyConfig(3)
+	cfg.Models = workload.Models()
+	cfg.HWSamples, cfg.SWSamples = 6, 4
+	var ref Result
+	for i := 0; i < 8; i++ {
+		res, err := Run(cfg, NewSpotlight())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			ref = res
+			continue
+		}
+		if !reflect.DeepEqual(stripElapsed(ref.History), stripElapsed(res.History)) {
+			t.Fatalf("repetition %d produced a different history", i)
+		}
+		if !reflect.DeepEqual(ref.Best, res.Best) {
+			t.Fatalf("repetition %d best %v != first best %v", i, res.Best.Objective, ref.Best.Objective)
+		}
+	}
+}
+
 func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg := tinyConfig(23) // Workers=0: pool width follows GOMAXPROCS
 	old := runtime.GOMAXPROCS(1)
@@ -223,6 +252,18 @@ func TestModelObjectives(t *testing.T) {
 	if edp["m1"] != (2+2)*(3+2) {
 		t.Fatalf("m1 EDP = %v, want 20", edp["m1"])
 	}
+	// EDP multiplies each model's totals, never the design's: m1's
+	// 4×5 plus m2's 4×5, not 8×10. Interleaving the models' layers
+	// changes neither total.
+	interleaved := []LayerResult{d.Layers[0], d.Layers[2], d.Layers[1]}
+	for _, layers := range [][]LayerResult{d.Layers, interleaved} {
+		if got := DesignObjective(MinEDP, layers); got != 40 {
+			t.Fatalf("DesignObjective(EDP) = %v, want 40", got)
+		}
+		if got := DesignObjective(MinDelay, layers); got != 10 {
+			t.Fatalf("DesignObjective(delay) = %v, want 10", got)
+		}
+	}
 }
 
 func TestMultiModelAggregation(t *testing.T) {
@@ -239,11 +280,18 @@ func TestMultiModelAggregation(t *testing.T) {
 		t.Fatalf("per-model objectives = %v, want 2 entries", objs)
 	}
 	var sum float64
-	for _, v := range objs {
-		sum += v
+	for _, m := range cfg.Models {
+		sum += objs[m.Name]
 	}
-	if math.Abs(sum-res.Best.Objective) > 1e-6*sum {
+	if sum != res.Best.Objective {
 		t.Fatalf("per-model sum %v != aggregate %v", sum, res.Best.Objective)
+	}
+	// Every retained two-model EDP design's objective is DesignObjective
+	// of its layers, to the bit.
+	for _, d := range slices.Concat(res.Top, res.Frontier) {
+		if got := DesignObjective(cfg.Objective, d.Layers); got != d.Objective {
+			t.Fatalf("DesignObjective %v != design objective %v", got, d.Objective)
+		}
 	}
 }
 
@@ -283,16 +331,17 @@ func TestSpotlightFStaysInFixedDataflows(t *testing.T) {
 	}
 }
 
-func TestLastSWImportanceAvailableAfterRun(t *testing.T) {
-	strat := NewSpotlight()
-	res, err := Run(tinyConfig(17), strat)
+func TestSWImportanceFromOptimizeLayer(t *testing.T) {
+	cfg := tinyConfig(17)
+	res, err := Run(cfg, NewSpotlight())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res
-	names, imp, ok := strat.LastSWImportance(randSource(17))
+	rng := randSource(17)
+	_, sw := OptimizeLayer(cfg, NewSpotlight(), rng, res.Best.Accel, tinyModel().Layers[0], cfg.SWSamples)
+	names, imp, ok := SWImportance(sw, rng)
 	if !ok {
-		t.Fatal("no importance available after a full run")
+		t.Fatal("no importance available from OptimizeLayer's proposer")
 	}
 	if len(names) != len(imp) || len(names) == 0 {
 		t.Fatalf("importance shape mismatch: %d names, %d values", len(names), len(imp))
@@ -301,6 +350,9 @@ func TestLastSWImportanceAvailableAfterRun(t *testing.T) {
 		if v < 0 || math.IsNaN(v) {
 			t.Fatalf("importance %s = %v", names[i], v)
 		}
+	}
+	if _, _, ok := SWImportance(nil, rng); ok {
+		t.Fatal("importance reported for a proposer that is not Spotlight's")
 	}
 }
 

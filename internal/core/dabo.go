@@ -33,15 +33,16 @@ type DABO struct {
 	refitEvery int
 	rng        *rand.Rand
 
-	// Observations are stored flat, one dim-length row after another:
-	// x holds the valid feature rows, invalid the infeasible ones.
-	// capacity, when set, is the expected number of observations, which
-	// sizes x and y at the first one.
+	// Observations are stored flat in one store, in arrival order: x
+	// holds the feature rows, dim values each, of valid and infeasible
+	// points alike, and y each row's log cost, +Inf for an infeasible
+	// row. capacity, when set, is the expected number of observations,
+	// which sizes x and y at the first one.
 	dim      int
 	capacity int
 	x        []float64
-	y        []float64 // log costs, one per row of x
-	invalid  []float64
+	y        []float64
+	nvalid   int
 
 	// primal is the incremental sufficient-statistics accumulator used
 	// when the kernel is gp.Linear: fits cost O(d³) and predictions O(d)
@@ -140,7 +141,7 @@ func NewDABO(kernel gp.Kernel, rng *rand.Rand, opts ...DABOOption) *DABO {
 func (d *DABO) reset(rng *rand.Rand) {
 	d.rng = rng
 	d.dim = 0
-	d.x, d.y, d.invalid = d.x[:0], d.y[:0], d.invalid[:0]
+	d.x, d.y, d.nvalid = d.x[:0], d.y[:0], 0
 	if d.primal != nil {
 		d.primal.Reset()
 	}
@@ -152,27 +153,23 @@ func (d *DABO) reset(rng *rand.Rand) {
 
 // Observations returns the number of valid and invalid observations.
 func (d *DABO) Observations() (valid, invalid int) {
-	return len(d.y), d.invalidCount()
+	return d.nvalid, len(d.y) - d.nvalid
 }
 
-func (d *DABO) invalidCount() int {
-	if d.dim == 0 {
-		return 0
-	}
-	return len(d.invalid) / d.dim
+// row returns observation i's feature row as a view.
+func (d *DABO) row(i int) []float64 {
+	return d.x[i*d.dim : (i+1)*d.dim : (i+1)*d.dim]
 }
 
-// row returns row i of the flat observation store xs as a view.
-func (d *DABO) row(xs []float64, i int) []float64 {
-	return xs[i*d.dim : (i+1)*d.dim : (i+1)*d.dim]
-}
+// infeasible reports whether a stored log cost marks an infeasible row.
+func infeasible(logCost float64) bool { return math.IsInf(logCost, 1) }
 
 // checkDim fixes the observation width on the first observation and
 // rejects any later row of another width. The first observation also
 // sizes the store for capacity observations, unless the storage an
 // earlier search left (see reset) already holds that many.
 func (d *DABO) checkDim(features []float64) {
-	if len(d.y) == 0 && len(d.invalid) == 0 {
+	if len(d.y) == 0 {
 		d.dim = len(features)
 		if n := d.capacity; n > 0 {
 			if cap(d.x) < n*d.dim {
@@ -205,6 +202,7 @@ func (d *DABO) Observe(features []float64, cost float64) {
 	d.decided = false
 	d.x = append(d.x, features...)
 	d.y = append(d.y, logCost)
+	d.nvalid++
 	if d.primal != nil {
 		d.primal.Add(features, logCost)
 	}
@@ -220,7 +218,8 @@ func (d *DABO) ObserveInvalid(features []float64) {
 	}
 	d.checkDim(features)
 	d.decided = false
-	d.invalid = append(d.invalid, features...)
+	d.x = append(d.x, features...)
+	d.y = append(d.y, math.Inf(1))
 	if d.primal != nil {
 		d.primal.AddPenalized(features)
 	}
@@ -246,7 +245,7 @@ func finiteVec(v []float64) bool {
 // until SuggestIndex consumes it or a new observation arrives.
 func (d *DABO) ScoresCandidates() bool {
 	if !d.decided {
-		d.scores = len(d.y) >= d.warmup && !d.Degraded() && d.ensureFit() == nil
+		d.scores = d.nvalid >= d.warmup && !d.Degraded() && d.ensureFit() == nil
 		d.decided = true
 	}
 	return d.scores
@@ -308,12 +307,12 @@ const allInvalidPenalty = 0.0
 // cliff without distorting the valid region's scale, or the explicit
 // all-invalid constant when nothing valid has been seen.
 func (d *DABO) invalidPenalty() float64 {
-	if len(d.y) == 0 {
+	if d.nvalid == 0 {
 		return allInvalidPenalty
 	}
-	worst := d.y[0]
-	for _, v := range d.y[1:] {
-		if v > worst {
+	worst := math.Inf(-1)
+	for _, v := range d.y {
+		if v > worst && !infeasible(v) {
 			worst = v
 		}
 	}
@@ -346,7 +345,7 @@ func (d *DABO) ensureFit() error {
 	if d.model != nil && d.staleness < d.refitEvery {
 		return nil
 	}
-	if len(d.y)+d.invalidCount() == 0 {
+	if len(d.y) == 0 {
 		return gp.ErrNoData
 	}
 	traced := obs.Active(d.span, d.tracer)
@@ -358,7 +357,7 @@ func (d *DABO) ensureFit() error {
 	if traced {
 		e := obs.Event{Type: obs.DABOFit, Scope: d.scope, Detail: "ok",
 			DurMS: obs.MS(obs.Since(fitStart)),
-			N:     len(d.y) + d.invalidCount(), Value: float64(d.invalidCount())}
+			N:     len(d.y), Value: float64(len(d.y) - d.nvalid)}
 		if err != nil {
 			e.Detail = err.Error()
 		}
@@ -390,16 +389,18 @@ func (d *DABO) refit() error {
 		d.model = &d.fit
 		return nil
 	}
-	nv, ni := len(d.y), d.invalidCount()
-	x := make([][]float64, 0, nv+ni)
-	y := make([]float64, 0, nv+ni)
-	for i := 0; i < nv; i++ {
-		x = append(x, d.row(d.x, i))
+	// Valid rows first, then infeasible ones, each in arrival order.
+	x := make([][]float64, 0, len(d.y))
+	y := make([]float64, 0, len(d.y))
+	for i, v := range d.y {
+		if !infeasible(v) {
+			x, y = append(x, d.row(i)), append(y, v)
+		}
 	}
-	y = append(y, d.y...)
-	for i := 0; i < ni; i++ {
-		x = append(x, d.row(d.invalid, i))
-		y = append(y, penalty)
+	for i, v := range d.y {
+		if infeasible(v) {
+			x, y = append(x, d.row(i)), append(y, penalty)
+		}
 	}
 	m := gp.New(d.kernel, daboNoise)
 	if err := m.Fit(x, y); err != nil {
@@ -423,9 +424,11 @@ func (d *DABO) Surrogate() gp.Predictor {
 // ValidObservations returns copies of the valid observations' feature
 // matrix, for feature-importance analysis.
 func (d *DABO) ValidObservations() [][]float64 {
-	out := make([][]float64, len(d.y))
-	for i := range out {
-		out[i] = append([]float64(nil), d.row(d.x, i)...)
+	out := make([][]float64, 0, d.nvalid)
+	for i, v := range d.y {
+		if !infeasible(v) {
+			out = append(out, append([]float64(nil), d.row(i)...))
+		}
 	}
 	return out
 }

@@ -26,14 +26,6 @@ type Spotlight struct {
 	// FixedDataflows restricts the software space to the three
 	// ConfuciuX dataflows with K/C tiling only (Spotlight-F).
 	FixedDataflows bool
-
-	// lastSW retains the most recent software searcher for
-	// feature-importance analysis (Figure 9): in a run, the last layer's
-	// slot proposer, which holds the last hardware sample's search once
-	// the run ends. mu makes a single strategy value safe to use from
-	// concurrent runs (parallel trials).
-	mu     sync.Mutex
-	lastSW *spotlightSW
 }
 
 // NewSpotlight returns the full Spotlight configuration.
@@ -230,9 +222,6 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 		}
 	}
 	sw.reset(cfg, rng, a, l)
-	s.mu.Lock()
-	s.lastSW = sw
-	s.mu.Unlock()
 	return sw
 }
 
@@ -319,24 +308,22 @@ func (w *spotlightSW) Observe(s sched.Schedule, objective float64, err error) {
 	w.dabo.Observe(f, objective)
 }
 
-// LastSWImportance computes the permutation importance of each software
-// feature on the most recent layer's surrogate (Figure 9). It returns
-// feature names alongside raw (unnormalized) importances, or false when
-// no surrogate is available.
-func (s *Spotlight) LastSWImportance(rng *rand.Rand) ([]string, []float64, bool) {
-	s.mu.Lock()
-	sw := s.lastSW
-	s.mu.Unlock()
-	if sw == nil {
+// SWImportance computes the permutation importance of each software
+// feature on a Spotlight SW proposer's surrogate, such as OptimizeLayer
+// returns (Figure 9): feature names and raw (unnormalized) importances,
+// or false when sw is not Spotlight's or has no surrogate.
+func SWImportance(sw SWProposer, rng *rand.Rand) ([]string, []float64, bool) {
+	w, ok := sw.(*spotlightSW)
+	if !ok {
 		return nil, nil, false
 	}
-	model := sw.dabo.Surrogate()
+	model := w.dabo.Surrogate()
 	if model == nil {
 		return nil, nil, false
 	}
-	imp, err := PermutationImportance(model, sw.dabo.ValidObservations(), rng)
+	imp, err := PermutationImportance(model, w.dabo.ValidObservations(), rng)
 	if err != nil {
 		return nil, nil, false
 	}
-	return Names(sw.features), imp, true
+	return Names(w.features), imp, true
 }

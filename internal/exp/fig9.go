@@ -59,8 +59,8 @@ func modelImportance(cfg Config, m workload.Model) ([]string, []float64, error) 
 	var total []float64
 	layersCounted := 0
 	for _, l := range m.Layers {
-		core.OptimizeLayer(rc, strat, rng, res.Best.Accel, l, rc.SWSamples)
-		n, imp, ok := strat.LastSWImportance(rng)
+		_, sw := core.OptimizeLayer(rc, strat, rng, res.Best.Accel, l, rc.SWSamples)
+		n, imp, ok := core.SWImportance(sw, rng)
 		if !ok {
 			continue
 		}

@@ -102,7 +102,7 @@ func TestSpotlightApproachesOracle(t *testing.T) {
 	}
 	strat := core.NewSpotlight()
 	rng := rand.New(rand.NewSource(5))
-	lr := core.OptimizeLayer(cfg, strat, rng, a, l, cfg.SWSamples)
+	lr, _ := core.OptimizeLayer(cfg, strat, rng, a, l, cfg.SWSamples)
 	if !lr.Valid {
 		t.Fatal("daBO_SW found no feasible schedule")
 	}

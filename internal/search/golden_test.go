@@ -86,3 +86,47 @@ func goldenSWCost(a hw.Accel, s sched.Schedule, l workload.Layer) (float64, erro
 	}
 	return c * float64(1+int(s.OuterUnroll)) / float64(1+int(s.InnerUnroll)), nil
 }
+
+// TestBaselineHWStreamGolden pins the baseline hardware proposers'
+// suggestion streams the same way, against a deterministic fake cost
+// that rejects designs over the edge budget. The constants were
+// recorded before HASCO's proposer featurized into rows it owns.
+func TestBaselineHWStreamGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are recorded on amd64")
+	}
+	cases := []struct {
+		strat core.Strategy
+		want  string
+	}{
+		{NewRandom(), "ce04e8bad6c216b14d58671086558b0b56f6f67a2de1d06896d5f19598e10de1"},
+		{NewGenetic(), "272678520962abd794f82f446c6b74e9446d8124d33b2c473d2df2fa79fb8ce4"},
+		{NewHASCO(), "af1a863e2977acc69895f264b1b1ede4d541edf3075158d9acab82ea1e64b0a2"},
+		{NewConfuciuX(), "1656cfcde9e44e60be061dcb5867713b0958fa45fe2fa82dd217ef992d3cab8e"},
+	}
+	for _, c := range cases {
+		t.Run(c.strat.Name(), func(t *testing.T) {
+			if got := baselineHWDigest(c.strat, 4242, 40); got != c.want {
+				t.Errorf("suggestion stream digest = %s, want %s", got, c.want)
+			}
+		})
+	}
+}
+
+// baselineHWDigest drives a strategy's HW proposer over the edge space
+// for rounds Suggest/Observe rounds and hashes every suggestion.
+func baselineHWDigest(s core.Strategy, seed int64, rounds int) string {
+	cfg := core.RunConfig{Space: hw.EdgeSpace(), Budget: hw.EdgeBudget(), HWSamples: rounds}
+	h := sha256.New()
+	p := s.NewHW(cfg, rand.New(rand.NewSource(seed)))
+	for r := 0; r < rounds; r++ {
+		a := p.Suggest()
+		fmt.Fprintf(h, "%d %v\n", r, a)
+		if err := cfg.Budget.Check(a); err != nil {
+			p.Observe(a, 0, errGoldenInvalid)
+			continue
+		}
+		p.Observe(a, a.AreaMM2()*float64(1+a.NoCBW%7)/float64(a.PEs), nil)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}

@@ -39,30 +39,43 @@ func (*HASCO) SWBudget(core.RunConfig) int { return 4 }
 // parameters with a Matérn kernel — the off-the-shelf configuration the
 // related-work section attributes to prior tools.
 func (*HASCO) NewHW(cfg core.RunConfig, rng *rand.Rand) core.HWProposer {
-	return &hascoHW{
+	const batch = 64
+	features := core.VanillaHardwareFeatures()
+	h := &hascoHW{
 		dabo:     core.NewDABO(gp.Matern52{LengthScale: 1, Variance: 1}, rng),
-		features: core.VanillaHardwareFeatures(),
+		features: features,
 		space:    cfg.Space,
 		rng:      rng,
+		cands:    make([]hw.Accel, batch),
+		rows:     make([][]float64, batch),
+		row:      make([]float64, len(features)),
 	}
+	for i := range h.rows {
+		h.rows[i] = make([]float64, len(features))
+	}
+	return h
 }
 
+// hascoHW owns its candidate batch and its feature rows: Suggest
+// overwrites all of them every call, and daBO copies an observed row.
 type hascoHW struct {
 	dabo     *core.DABO
 	features []core.Feature
 	space    hw.Space
 	rng      *rand.Rand
+	cands    []hw.Accel
+	rows     [][]float64 // the candidates' features
+	row      []float64   // the observed point's features
+	pt       core.Point
 }
 
 func (h *hascoHW) Suggest() hw.Accel {
-	const batch = 64
-	cands := make([]hw.Accel, batch)
-	feats := make([][]float64, batch)
-	for i := range cands {
-		cands[i] = restrictedRandom(h.rng, h.space)
-		feats[i] = core.Transform(h.features, core.Point{Accel: cands[i]})
+	for i := range h.cands {
+		h.cands[i] = restrictedRandom(h.rng, h.space)
+		h.pt.Accel = h.cands[i]
+		core.TransformTo(h.rows[i], h.features, &h.pt)
 	}
-	return cands[h.dabo.SuggestIndex(feats)]
+	return h.cands[h.dabo.SuggestIndex(h.rows)]
 }
 
 // restrictedRandom samples the resource-assignment subspace the prior
@@ -83,7 +96,9 @@ func restrictedRandom(rng *rand.Rand, s hw.Space) hw.Accel {
 }
 
 func (h *hascoHW) Observe(a hw.Accel, objective float64, err error) {
-	f := core.Transform(h.features, core.Point{Accel: a})
+	h.pt.Accel = a
+	f := h.row
+	core.TransformTo(f, h.features, &h.pt)
 	if core.InvalidObservation(objective, err) {
 		h.dabo.ObserveInvalid(f)
 		return
