@@ -334,10 +334,13 @@ func BenchmarkTimeloopEvaluate(b *testing.B) {
 
 // BenchmarkScheduleSampling measures the candidate generator that feeds
 // every acquisition batch: "sampler" draws from a per-layer
-// sched.Sampler built once, as the searches do; "oneshot" is
-// Constraint.Random, which builds a Sampler (and its FitTiles tiles,
-// for constraints that have them) for every draw. The tiling tables
-// are shared per extent, so neither rebuilds them.
+// sched.Sampler built once, as the searches do; "record/skip" is the
+// warmup path's draw, Sampler.Skip, which pulls the draw's random
+// values and keeps them (the generator floor), and "record/decode"
+// replays a record through RandomTo, which warmup pays once per batch;
+// "oneshot" is Constraint.Random, which builds a Sampler (and its
+// FitTiles tiles, for constraints that have them) for every draw. The
+// tiling tables are shared per extent, so none rebuilds them.
 func BenchmarkScheduleSampling(b *testing.B) {
 	l := workload.ResNet50().Layers[6]
 	free := sched.Free()
@@ -349,6 +352,28 @@ func BenchmarkScheduleSampling(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = sp.Random(rng)
 		}
+	})
+	b.Run("record", func(b *testing.B) {
+		sp := free.Sampler(l, 512, 128<<10)
+		rc := sched.NewRecorder()
+		var rec sched.Record
+		b.Run("skip", func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rc.Skip(sp, rng, &rec)
+			}
+		})
+		b.Run("decode", func(b *testing.B) {
+			rc.Skip(sp, rand.New(rand.NewSource(1)), &rec)
+			var s sched.Schedule
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rc.Decode(sp, &rec, &s)
+			}
+		})
 	})
 	b.Run("oneshot", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
@@ -402,9 +427,11 @@ func BenchmarkDABOSuggest(b *testing.B) {
 // ResNet-50 layer, the hot path of Spotlight's search: 64 schedules
 // drawn from the layer's precomputed sampler, then featurized and
 // ranked once the surrogate is trained. "warmup" is a proposer with no
-// observations, whose batch is drawn but never featurized; "scoring" is
-// one trained on 24 analytical-model observations. Both report 0
-// allocs/op: the candidate batch is borrowed from a pool per call, and
+// observations, whose batch is only recorded (1,856 generator calls)
+// and whose one returned schedule is decoded; "scoring" is one trained
+// on 24 analytical-model observations, which builds and featurizes
+// every candidate. Both report 0 allocs/op: the candidate batch is
+// borrowed from a pool per call, and
 // TestSpotlightSWSteadyStateAllocatesNothing (internal/core) gates it.
 func BenchmarkSpotlightSWSuggest(b *testing.B) {
 	a := hw.EyerissEdge().Accel

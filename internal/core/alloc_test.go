@@ -34,13 +34,20 @@ func TestSpotlightSWSteadyStateAllocatesNothing(t *testing.T) {
 			obj = MinDelay.LayerCost(c)
 		}
 	}
+	// Spotlight-F's warmup records from three samplers with fixed loop
+	// orders, the other layout the record path decodes.
 	for _, tc := range []struct {
 		name    string
+		strat   *Spotlight
 		observe int
 		scores  bool
-	}{{"warmup", 0, false}, {"scoring", 24, true}} {
+	}{
+		{"warmup", NewSpotlight(), 0, false},
+		{"scoring", NewSpotlight(), 24, true},
+		{"spotlight-f-warmup", NewSpotlightF(), 0, false},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sw := NewSpotlight().NewSW(cfg, rand.New(rand.NewSource(1)), a, l)
+			sw := tc.strat.NewSW(cfg, rand.New(rand.NewSource(1)), a, l)
 			for i := 0; i < tc.observe; i++ {
 				s := sw.Suggest()
 				c, err := m.Evaluate(a, s, l)

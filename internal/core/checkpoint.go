@@ -160,8 +160,11 @@ func Fingerprint(cfg RunConfig, strat Strategy) string {
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
-// buildCheckpoint snapshots the live run state. Designs and slices are
-// copied, so the checkpoint stays valid however long the caller holds it.
+// buildCheckpoint snapshots the live run state. Its own slices are
+// copied, and its designs share their Layers with the run's: a
+// design's Layers is written only inside evaluateHardware, before the
+// design is returned, so the checkpoint stays valid however long the
+// caller holds it.
 func buildCheckpoint(cfg RunConfig, strat Strategy, obs []Observation,
 	res *Result, frontier *ParetoFrontier, top *TopDesigns) *Checkpoint {
 
@@ -184,15 +187,11 @@ func buildCheckpoint(cfg RunConfig, strat Strategy, obs []Observation,
 		})
 	}
 	if !math.IsInf(res.Best.Objective, 1) {
-		b := copyDesign(res.Best)
+		b := res.Best
 		cp.Best = &b
 	}
-	for _, d := range frontier.points {
-		cp.Frontier = append(cp.Frontier, copyDesign(d))
-	}
-	for _, d := range top.designs {
-		cp.Top = append(cp.Top, copyDesign(d))
-	}
+	cp.Frontier = append(cp.Frontier, frontier.points...)
+	cp.Top = append(cp.Top, top.designs...)
 	return cp
 }
 
@@ -248,7 +247,7 @@ func (cp *Checkpoint) restore(cfg RunConfig, strat Strategy, hwSearch HWProposer
 		}
 	}
 	if cp.Best != nil {
-		st.best = copyDesign(*cp.Best)
+		st.best = *cp.Best
 	}
 	for _, hp := range cp.History {
 		st.history = append(st.history, HistoryPoint{
@@ -258,20 +257,10 @@ func (cp *Checkpoint) restore(cfg RunConfig, strat Strategy, hwSearch HWProposer
 			BestSoFar: float64(hp.BestSoFar),
 		})
 	}
-	for _, d := range cp.Frontier {
-		st.frontier.points = append(st.frontier.points, copyDesign(d))
-	}
+	st.frontier.points = append(st.frontier.points, cp.Frontier...)
 	st.top = TopDesigns{K: topKDesigns}
-	for _, d := range cp.Top {
-		st.top.designs = append(st.top.designs, copyDesign(d))
-	}
+	st.top.designs = append(st.top.designs, cp.Top...)
 	st.obs = append([]Observation(nil), cp.Observations...)
 	st.elapsed = cp.Elapsed
 	return st, nil
-}
-
-// copyDesign returns a design that shares no mutable memory with d.
-func copyDesign(d Design) Design {
-	d.Layers = append([]LayerResult(nil), d.Layers...)
-	return d
 }

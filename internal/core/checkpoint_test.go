@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -126,6 +128,55 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 		t.Fatalf("resume from decoded checkpoint failed: %v", err)
 	}
 	expectSameOutcome(t, "json-roundtrip", full, res)
+}
+
+// TestCheckpointStaysValidAsRunContinues: a checkpoint shares its
+// designs' Layers with the run, which never writes them once a design
+// is built. The checkpoint of sample 1 encodes to the same bytes after
+// the run has finished, and after two runs have resumed from it.
+func TestCheckpointStaysValidAsRunContinues(t *testing.T) {
+	cfg := tinyConfig(3)
+	cfg.Workers = 1
+	var first *Checkpoint
+	var before []byte
+	cfg.OnCheckpoint = func(cp *Checkpoint) error {
+		if cp.Samples == 1 {
+			first = cp
+			var err error
+			if before, err = json.Marshal(cp); err != nil {
+				t.Fatalf("encoding checkpoint 1: %v", err)
+			}
+		}
+		return nil
+	}
+	full, err := Run(cfg, NewSpotlight())
+	if err != nil {
+		t.Fatalf("full run failed: %v", err)
+	}
+	if first.Best == nil || len(first.Best.Layers) == 0 || len(first.Frontier) == 0 || len(first.Top) == 0 {
+		t.Fatalf("checkpoint 1 holds no design to share: %+v", first)
+	}
+	same := func(when string) {
+		t.Helper()
+		after, err := json.Marshal(first)
+		if err != nil {
+			t.Fatalf("re-encoding checkpoint 1 %s: %v", when, err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("checkpoint 1 changed %s:\nbefore %s\nafter  %s", when, before, after)
+		}
+	}
+	same("after the run finished")
+	for i := 0; i < 2; i++ {
+		rcfg := tinyConfig(3)
+		rcfg.Resume = first
+		res, err := Run(rcfg, NewSpotlight())
+		if err != nil {
+			t.Fatalf("resume %d failed: %v", i+1, err)
+		}
+		expectSameOutcome(t, "resumed", full, res)
+		same("after a resumed run")
+	}
 }
 
 // TestCheckpointNonFiniteHistorySurvivesJSON exercises the jsonFloat

@@ -80,8 +80,10 @@ type RunConfig struct {
 
 	// OnCheckpoint, when non-nil, is invoked after every completed
 	// hardware sample with a self-contained snapshot of the run, from
-	// which Resume can continue. The snapshot shares no memory with the
-	// live run. A non-nil return aborts the run with the partial Result.
+	// which Resume can continue. The run never writes what the snapshot
+	// holds: its slices are its own, and its designs' Layers are never
+	// written once a design is built. A non-nil return aborts the run
+	// with the partial Result.
 	OnCheckpoint func(*Checkpoint) error
 
 	// slot is the layer slot of the layer whose NewSW receives this

@@ -241,8 +241,12 @@ func finiteVec(v []float64) bool {
 // optimizer has degraded, and when the surrogate cannot be fit; in those
 // cases SuggestIndex returns rng.Intn(n) without reading a single
 // feature, so callers may skip featurizing the batch and pass unfilled
-// rows. Asking fits the surrogate if it is stale; the answer is cached
-// until SuggestIndex consumes it or a new observation arrives.
+// rows. The index then depends only on n, so a caller need not even
+// build the candidates: it may keep what it needs to build one and
+// build only the one returned, as Spotlight's software proposer does
+// with sched.Record. Asking fits the surrogate if it is stale; the
+// answer is cached until SuggestIndex consumes it or a new observation
+// arrives.
 func (d *DABO) ScoresCandidates() bool {
 	if !d.decided {
 		d.scores = d.nvalid >= d.warmup && !d.Degraded() && d.ensureFit() == nil

@@ -92,16 +92,26 @@ func (s *Spotlight) NewHW(cfg RunConfig, rng *rand.Rand) HWProposer {
 
 // candidateBatch is the working set of one Suggest: n parameter-space
 // points, one flat n×d feature buffer whose rows are views handed to
-// DABO.suggestIndex, the surrogate's n predictions, and the memo lg
-// reads while a software batch is featurized. Nothing in it outlives
-// the call, so Suggest borrows it from a batchPool and a proposer keeps
-// only its d-length observation row. The memo is exact whatever earlier
-// borrowers stored in it.
+// DABO.suggestIndex, the surrogate's n predictions, the memo lg reads
+// while a software batch is featurized, and the records of a software
+// warmup batch with the recorder that fills and decodes them. Nothing in
+// it outlives the call, so Suggest borrows it from a batchPool and a
+// proposer keeps only its d-length observation row. The memo is exact
+// whatever earlier borrowers stored in it.
 type candidateBatch[T any] struct {
 	points      []T
 	rows        [][]float64
 	means, stds []float64
-	logs        *log1pMemo // allocated by the first Suggest that scores the batch
+	logs        *log1pMemo   // allocated by the first Suggest that scores the batch
+	recs        []drawRecord // allocated by the first Suggest that records the batch, with rc
+	rc          *sched.Recorder
+}
+
+// drawRecord is one software warmup candidate as Suggest records it:
+// the sampler it was drawn from and the values the draw consumed.
+type drawRecord struct {
+	sampler int
+	rec     sched.Record
 }
 
 // batchPool lends candidate batches to Suggest calls, so the searches a
@@ -264,33 +274,51 @@ func (w *spotlightSW) reset(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workloa
 
 // Suggest draws a batch of random schedules and returns the one the
 // surrogate ranks best. The batch is featurized only when the surrogate
-// will read it (see DABO.ScoresCandidates); during warmup SuggestIndex
-// draws a uniform index without looking at the features. A scored
-// candidate is featurized as it is drawn, from the trip counts its
-// sampler read off the tiling tables. Neither asking ScoresCandidates
-// first nor featurizing between draws consumes a random number, so the
-// draws are exactly those of an unscored batch.
+// will read it (see DABO.ScoresCandidates). A scored candidate is
+// featurized as it is drawn, from the trip counts its sampler read off
+// the tiling tables. During warmup SuggestIndex draws a uniform index
+// without looking at the candidates, so Suggest only records each
+// draw's random values and decodes the one candidate it returns (see
+// sched.Recorder.Skip). Neither asking ScoresCandidates first,
+// featurizing between draws nor recording instead of building consumes
+// a different random number, so the draws are exactly those of an
+// unscored batch.
 func (w *spotlightSW) Suggest() sched.Schedule {
 	b := swBatches.get(spotlightBatch, len(w.features))
 	defer swBatches.put(b)
-	cands, p := b.points, &w.pt
-	scores := w.dabo.ScoresCandidates()
-	var n2, n1 *[workload.NumDims]int
-	if scores {
-		if b.logs == nil {
-			b.logs = new(log1pMemo)
-		}
-		n2, n1, p.logs = &p.cached.outer, &p.cached.inner, b.logs
+	if !w.dabo.ScoresCandidates() {
+		return w.suggestRecorded(b)
 	}
+	cands, p := b.points, &w.pt
+	if b.logs == nil {
+		b.logs = new(log1pMemo)
+	}
+	p.logs = b.logs
 	for i := range cands {
-		w.samplers[w.rng.Intn(len(w.samplers))].RandomTripsTo(w.rng, &cands[i], n2, n1)
-		if scores {
-			p.Sched = cands[i]
-			p.transform(b.rows[i], w.features, true)
-		}
+		w.samplers[w.rng.Intn(len(w.samplers))].RandomTripsTo(w.rng, &cands[i], &p.cached.outer, &p.cached.inner)
+		p.Sched = cands[i]
+		p.transform(b.rows[i], w.features, true)
 	}
 	p.logs = nil
 	return cands[w.dabo.suggestIndex(b.rows, b.means, b.stds)]
+}
+
+// suggestRecorded is Suggest's warmup path: it records the batch's
+// draws, lets daBO pick an index from unfilled rows, and decodes only
+// the picked candidate.
+func (w *spotlightSW) suggestRecorded(b *candidateBatch[sched.Schedule]) sched.Schedule {
+	if b.recs == nil {
+		b.recs, b.rc = make([]drawRecord, len(b.points)), sched.NewRecorder()
+	}
+	for i := range b.recs {
+		r := &b.recs[i]
+		r.sampler = w.rng.Intn(len(w.samplers))
+		b.rc.Skip(&w.samplers[r.sampler], w.rng, &r.rec)
+	}
+	r := &b.recs[w.dabo.suggestIndex(b.rows, b.means, b.stds)]
+	var s sched.Schedule
+	b.rc.Decode(&w.samplers[r.sampler], &r.rec, &s)
+	return s
 }
 
 // SetSpan implements SpanCarrier by forwarding to the embedded daBO, so

@@ -190,6 +190,13 @@ type Sampler struct {
 	// tiles[d] is the tiling table of dimension d's extent, nil when d
 	// is not searched.
 	tiles [workload.NumDims]*tileTable
+	// nraw is the number of values a draw consumes when no draw
+	// rejects, swapN[k] the n of the shuffle swap that reads the k-th
+	// of them (0 for an unroll or tile pick), and wordMax the largest
+	// recorded word no intn draw of this sampler can reject (see Skip).
+	nraw    int
+	swapN   [maxRaw]uint8
+	wordMax uint32
 }
 
 // tileTable is the tiling table of one extent n: one choice per
@@ -266,11 +273,27 @@ func (c Constraint) SamplerTo(sp *Sampler, l workload.Layer, rfBytesPerPE, l2Byt
 			sp.n2[i], sp.n1[i] = l.Size(d)/sp.t2[i], sp.t2[i]/sp.t1[i]
 		}
 	}
+	// A draw reads two unroll picks, six swaps per free order, then two
+	// tile picks per searchable dimension.
+	sp.nraw = 2
+	for _, fixed := range [2][]workload.Dim{sp.fixedOuter, sp.fixedInner} {
+		if len(fixed) == workload.NumDims {
+			continue
+		}
+		for n := workload.NumDims; n > 1; n-- {
+			sp.swapN[sp.nraw] = uint8(n)
+			sp.nraw++
+		}
+	}
+	maxN := max(len(sp.outer), len(sp.inner))
 	for i, d := range workload.AllDims {
 		if c.tilable(d) {
 			sp.tiles[i] = tileTableOf(l.Size(d))
+			sp.nraw += 2
+			maxN = max(maxN, len(sp.tiles[i].choices))
 		}
 	}
+	sp.wordMax = uint32((1<<31)-1-maxN)<<1 | 1
 }
 
 // Random draws one schedule; see RandomTo.
