@@ -66,7 +66,12 @@ race:
 # it in NewSW, to the worker that searches its layer, every hardware
 # sample. So do the tests named Deterministic, among them core's
 # worker-count and multi-model run repetitions: a run must repeat bit
-# for bit with the race detector reordering its goroutines.
+# for bit with the race detector reordering its goroutines. The Cancel
+# pattern also races the engine's TestRunnerCancelRunningExperiment and
+# TestRunnerShutdownCancelsExperiment (an experiment job stops at its
+# next sample, not at its step's end) and exp's
+# TestDriversStopOnCanceledContext and
+# TestFig6CanceledAfterFirstTrialReturnsNoRows.
 chaos:
 	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight|LayerSlot|Deterministic' -count=2 ./...
 

@@ -11,6 +11,7 @@ package spotlight
 // cmd/experiments -paper when absolute convergence quality matters.
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -65,7 +66,7 @@ func tolerate(b *testing.B, err error) {
 func BenchmarkFig6EdgeSingleModel(b *testing.B) {
 	cfg := benchCfg("ResNet-50")
 	for i := 0; i < b.N; i++ {
-		_, err := exp.Fig6(cfg)
+		_, err := exp.Fig6(context.Background(), cfg)
 		tolerate(b, err)
 	}
 }
@@ -75,7 +76,7 @@ func BenchmarkFig6EdgeSingleModel(b *testing.B) {
 func BenchmarkFig7CloudSingleModel(b *testing.B) {
 	cfg := benchCfg("Transformer")
 	for i := 0; i < b.N; i++ {
-		_, err := exp.Fig7(cfg)
+		_, err := exp.Fig7(context.Background(), cfg)
 		tolerate(b, err)
 	}
 }
@@ -86,7 +87,7 @@ func BenchmarkFig7CloudSingleModel(b *testing.B) {
 func BenchmarkFig8MultiModel(b *testing.B) {
 	cfg := benchCfg("ResNet-50", "Transformer")
 	for i := 0; i < b.N; i++ {
-		_, err := exp.Fig8(cfg)
+		_, err := exp.Fig8(context.Background(), cfg)
 		tolerate(b, err)
 	}
 }
@@ -96,7 +97,7 @@ func BenchmarkFig8MultiModel(b *testing.B) {
 func BenchmarkFig9FeatureImportance(b *testing.B) {
 	cfg := benchCfg("Transformer")
 	for i := 0; i < b.N; i++ {
-		_, err := exp.Fig9(cfg)
+		_, err := exp.Fig9(context.Background(), cfg)
 		tolerate(b, err)
 	}
 }
@@ -106,7 +107,7 @@ func BenchmarkFig9FeatureImportance(b *testing.B) {
 func BenchmarkFig10Convergence(b *testing.B) {
 	cfg := benchCfg("ResNet-50")
 	for i := 0; i < b.N; i++ {
-		_, err := exp.Fig10(cfg)
+		_, err := exp.Fig10(context.Background(), cfg)
 		tolerate(b, err)
 	}
 }
@@ -115,7 +116,7 @@ func BenchmarkFig10Convergence(b *testing.B) {
 // hardware sample quality, derived from Figure 10 runs.
 func BenchmarkFig11SampleCDF(b *testing.B) {
 	cfg := benchCfg("Transformer")
-	curves, err := exp.Fig10(cfg)
+	curves, err := exp.Fig10(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func BenchmarkFig11SampleCDF(b *testing.B) {
 func BenchmarkSurrogateAccuracy(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.SurrogateAccuracy(cfg, 400); err != nil {
+		if _, err := exp.SurrogateAccuracy(context.Background(), cfg, 400); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func BenchmarkSurrogateAccuracy(b *testing.B) {
 func BenchmarkDiscussionThroughput(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		_, err := exp.Discussion(cfg, "Transformer")
+		_, err := exp.Discussion(context.Background(), cfg, "Transformer")
 		tolerate(b, err)
 	}
 }
@@ -154,7 +155,7 @@ func BenchmarkDiscussionThroughput(b *testing.B) {
 func BenchmarkTimeloopAgreement(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.CrossModelAgreement(cfg, "Transformer", 40); err != nil {
+		if _, err := exp.CrossModelAgreement(context.Background(), cfg, "Transformer", 40); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -313,7 +314,7 @@ func BenchmarkTransformerLayerSearch(b *testing.B) {
 	cfg.HWSamples = 2
 	cfg.SWSamples = 64
 	for i := 0; i < b.N; i++ {
-		_, err := exp.Fig6(cfg)
+		_, err := exp.Fig6(context.Background(), cfg)
 		tolerate(b, err)
 	}
 }
@@ -465,7 +466,7 @@ func BenchmarkSpotlightSWSuggest(b *testing.B) {
 func BenchmarkTopDesignCrossCheck(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		_, err := exp.TopDesignCrossCheck(cfg, "Transformer")
+		_, err := exp.TopDesignCrossCheck(context.Background(), cfg, "Transformer")
 		tolerate(b, err)
 	}
 }
@@ -474,7 +475,7 @@ func BenchmarkTopDesignCrossCheck(b *testing.B) {
 func BenchmarkSimValidation(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.SimCheck(cfg, 20); err != nil {
+		if _, err := exp.SimCheck(context.Background(), cfg, 20); err != nil {
 			b.Fatal(err)
 		}
 	}

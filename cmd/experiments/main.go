@@ -5,9 +5,11 @@
 // stdout.
 //
 // It is a thin adapter over internal/engine: the step drivers, CSV
-// rendering, and signal semantics are the same code spotlightd serves,
+// rendering, and cancellation are the same code spotlightd serves,
 // which is what keeps a CLI-written fig6.csv byte-identical to one
-// downloaded from a submitted job.
+// downloaded from a submitted job. SIGINT or SIGTERM stops the run at
+// its next sample: the CSVs of completed steps stay written, the step
+// in flight writes none, and the process exits 130 or 143.
 //
 // Examples:
 //
@@ -31,13 +33,18 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	// SIGINT/SIGTERM cancel ctx; run returns through its deferred
+	// handlers, which flush the cache journal and the trace sink.
+	ctx, stop := engine.ShutdownContext(context.Background())
+	err := run(ctx)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		os.Exit(engine.ExitCode(context.Cause(ctx)))
 	}
 }
 
-func run() error {
+func run(ctx context.Context) error {
 	var (
 		figs      = flag.String("fig", "", "comma-separated figure numbers to regenerate (6,7,8,9,10,11)")
 		exps      = flag.String("exp", "", "comma-separated section experiments (surrogate, discussion, timeloop, topdesigns, simcheck, kernels)")
@@ -89,18 +96,6 @@ func run() error {
 			fmt.Fprintln(os.Stderr, "experiments: disk cache:", cerr)
 		}
 	}()
-
-	// The figure drivers have no cancellation plumbing (each trial is
-	// minutes at most), so SIGINT/SIGTERM flush durable state — the
-	// persistent cache journal and the trace sink — and exit. A torn CSV
-	// is regenerated by rerunning; the journal must not lose the
-	// evaluations already paid for. SIGKILL-grade crashes are covered by
-	// the journal's scan-and-truncate recovery instead.
-	stop := engine.FlushOnSignal("experiments", os.Stderr, os.Exit,
-		engine.Flusher{Name: "disk cache", Flush: pipe.Close},
-		engine.Flusher{Name: "trace", Flush: tele.Close},
-	)
-	defer stop()
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
@@ -155,7 +150,7 @@ func run() error {
 	}
 
 	var stepStart time.Time
-	_, err = engine.RunExperiments(context.Background(), spec, engine.ExperimentOptions{
+	_, err = engine.RunExperiments(ctx, spec, engine.ExperimentOptions{
 		Eval:   pipe,
 		Tracer: tele.Tracer,
 		OnStepStart: func(key string) {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func main() {
 	for _, b := range hw.EdgeBaselines() {
 		bcfg := cfg
 		bcfg.SWConstraint = b.Constraint
-		design, err := core.OptimizeSoftware(bcfg, core.NewSpotlight(), b.Accel)
+		design, err := core.OptimizeSoftware(context.Background(), bcfg, core.NewSpotlight(), b.Accel)
 		if err != nil {
 			log.Fatalf("%s: %v", b.Name, err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,7 @@ func main() {
 func report(cfg core.RunConfig, accel hw.Accel, m workload.Model) {
 	runCfg := cfg
 	runCfg.Models = []workload.Model{m}
-	d, err := core.OptimizeSoftware(runCfg, core.NewSpotlight(), accel)
+	d, err := core.OptimizeSoftware(context.Background(), runCfg, core.NewSpotlight(), accel)
 	if err != nil {
 		log.Fatalf("%s: %v", m.Name, err)
 	}

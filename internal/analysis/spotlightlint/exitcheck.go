@@ -15,8 +15,8 @@ import (
 // close — and in a job server they take every other tenant's jobs down
 // with them. Process death is an entry-point decision, so those calls
 // are confined to cmd/ and examples/ packages; everything else returns
-// an error (or, like engine.FlushOnSignal, accepts an exit func the
-// entry point supplies).
+// an error (engine.ExitCode, for one, maps an error to a status that
+// only the entry point acts on).
 //
 // References are flagged, not just calls: passing os.Exit as a value is
 // the same capability escaping into library code.

@@ -490,15 +490,17 @@ func evaluateHardware(ctx context.Context, cfg RunConfig, strat Strategy, accel 
 // OptimizeLayer searches one layer's software space on fixed hardware,
 // spending `budget` cost-model evaluations, and returns the best schedule
 // found (Valid false if no sample was feasible) and the proposer it drove.
-func OptimizeLayer(cfg RunConfig, strat Strategy, rng *rand.Rand, accel hw.Accel,
-	layer workload.Layer, budget int) (LayerResult, SWProposer) {
+// When ctx is done the search stops between rounds and the error is
+// ctx.Err(): the cut-short result is not the full budget's.
+func OptimizeLayer(ctx context.Context, cfg RunConfig, strat Strategy, rng *rand.Rand, accel hw.Accel,
+	layer workload.Layer, budget int) (LayerResult, SWProposer, error) {
 	sp := obs.ChildOrRoot(cfg.Span, cfg.Tracer, "sw.layer")
 	defer sp.End()
 	sw := strat.NewSW(cfg, rng, accel, layer)
 	setSpan(sw, sp)
-	lr := runLayerSearch(context.Background(), cfg, sw, accel, layer, budget, sp)
+	lr := runLayerSearch(ctx, cfg, sw, accel, layer, budget, sp)
 	setSpan(sw, nil)
-	return lr, sw
+	return lr, sw, ctx.Err()
 }
 
 // runLayerSearch drives one software proposer through its sample budget,
@@ -581,8 +583,9 @@ func runLayerSearch(ctx context.Context, cfg RunConfig, sw SWProposer, accel hw.
 // fixed accelerator: daBO_SW (or the strategy's software searcher) per
 // layer. This is how the paper evaluates hand-designed baselines
 // ("under our layerwise software optimizer") and the multi-model
-// generalization scenario of §VII-B.
-func OptimizeSoftware(cfg RunConfig, strat Strategy, accel hw.Accel) (Design, error) {
+// generalization scenario of §VII-B. A done ctx returns its error, not
+// a design whose layer searches were cut short.
+func OptimizeSoftware(ctx context.Context, cfg RunConfig, strat Strategy, accel hw.Accel) (Design, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return Design{}, err
@@ -590,8 +593,12 @@ func OptimizeSoftware(cfg RunConfig, strat Strategy, accel hw.Accel) (Design, er
 	sp := obs.ChildOrRoot(cfg.Span, cfg.Tracer, "run")
 	defer sp.End()
 	layers := collectLayers(cfg.Models)
-	return evaluateHardware(context.Background(), cfg, strat, accel,
+	design, err := evaluateHardware(ctx, cfg, strat, accel,
 		layers, make([]layerSlot, len(layers)), strat.SWBudget(cfg), 0, sp)
+	if cerr := ctx.Err(); cerr != nil {
+		return Design{}, fmt.Errorf("core: %s: software search stopped: %w", strat.Name(), cerr)
+	}
+	return design, err
 }
 
 // collectLayers flattens the models' unique layers, tagged by model.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -217,7 +218,7 @@ func TestOptimizeSoftwareOnBaseline(t *testing.T) {
 	b := hw.EyerissEdge()
 	cfg := tinyConfig(3)
 	cfg.SWConstraint = b.Constraint
-	design, err := OptimizeSoftware(cfg, NewSpotlight(), b.Accel)
+	design, err := OptimizeSoftware(context.Background(), cfg, NewSpotlight(), b.Accel)
 	if err != nil {
 		t.Fatalf("software optimization failed: %v", err)
 	}
@@ -338,7 +339,10 @@ func TestSWImportanceFromOptimizeLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := randSource(17)
-	_, sw := OptimizeLayer(cfg, NewSpotlight(), rng, res.Best.Accel, tinyModel().Layers[0], cfg.SWSamples)
+	_, sw, err := OptimizeLayer(context.Background(), cfg, NewSpotlight(), rng, res.Best.Accel, tinyModel().Layers[0], cfg.SWSamples)
+	if err != nil {
+		t.Fatal(err)
+	}
 	names, imp, ok := SWImportance(sw, rng)
 	if !ok {
 		t.Fatal("no importance available from OptimizeLayer's proposer")

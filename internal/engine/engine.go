@@ -25,9 +25,10 @@
 //     SSE subscribers, and one shared PipelineSet so concurrent jobs
 //     with the same eval spec share a memo cache (and disk journal) and
 //     deduplicate evaluations.
-//   - ShutdownContext / FlushOnSignal are the two signal-handling
-//     idioms the CLIs used to duplicate (cooperative cancellation vs
-//     flush-and-exit), each now with exactly one implementation.
+//   - ShutdownContext is the one signal path: SIGINT/SIGTERM cancel a
+//     context with the signal as its cause, every search and experiment
+//     stops on that context at its next sample, and ExitCode maps the
+//     cause to the CLI's exit status.
 //
 // Everything here is orchestration: the determinism contracts live
 // below, in core/eval/exp, and the engine neither adds wall-clock nor

@@ -56,7 +56,7 @@ type stepState struct {
 }
 
 // stepFn computes one experiment step.
-type stepFn func(cfg exp.Config, st *stepState) (StepResult, error)
+type stepFn func(ctx context.Context, cfg exp.Config, st *stepState) (StepResult, error)
 
 // experimentSteps is the canonical step order — the order the
 // pre-refactor CLI hard-coded. Requested steps always execute in this
@@ -90,10 +90,10 @@ func StepKeys() []string {
 }
 
 // RunExperiments executes the spec's experiment steps in canonical
-// order. Cancellation is checked between steps — the figure drivers have
-// no cancellation plumbing (each trial is minutes at most), so a
-// canceled job finishes its current step and stops at the boundary,
-// returning the completed results alongside ctx.Err().
+// order, handing ctx to each step's driver, which stops at its next
+// sample once ctx is done. A step that ctx interrupted is dropped, its
+// result never reaching OnStepDone: RunExperiments returns the steps
+// completed before it alongside ctx.Err().
 func RunExperiments(ctx context.Context, spec JobSpec, opts ExperimentOptions) ([]StepResult, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -127,8 +127,11 @@ func RunExperiments(ctx context.Context, spec JobSpec, opts ExperimentOptions) (
 		stepSpan := jobSpan.ChildLabel("exp.step", s.key)
 		stepCfg := cfg
 		stepCfg.Span = stepSpan
-		res, err := s.fn(stepCfg, st)
+		res, err := s.fn(ctx, stepCfg, st)
 		stepSpan.End()
+		if cerr := ctx.Err(); cerr != nil {
+			return results, cerr
+		}
 		if err != nil {
 			return results, fmt.Errorf("%s: %w", s.key, err)
 		}
@@ -150,8 +153,8 @@ func csvArtifact(name string, write func(w *bytes.Buffer) error) Artifact {
 	return Artifact{Name: name, Data: buf.Bytes()}
 }
 
-func stepFig6(cfg exp.Config, _ *stepState) (StepResult, error) {
-	rows, err := exp.Fig6(cfg)
+func stepFig6(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
+	rows, err := exp.Fig6(ctx, cfg)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -164,8 +167,8 @@ func stepFig6(cfg exp.Config, _ *stepState) (StepResult, error) {
 	}, nil
 }
 
-func stepFig7(cfg exp.Config, _ *stepState) (StepResult, error) {
-	res, err := exp.Fig7(cfg)
+func stepFig7(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
+	res, err := exp.Fig7(ctx, cfg)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -179,8 +182,8 @@ func stepFig7(cfg exp.Config, _ *stepState) (StepResult, error) {
 	}, nil
 }
 
-func stepFig8(cfg exp.Config, _ *stepState) (StepResult, error) {
-	res, err := exp.Fig8(cfg)
+func stepFig8(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
+	res, err := exp.Fig8(ctx, cfg)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -194,8 +197,8 @@ func stepFig8(cfg exp.Config, _ *stepState) (StepResult, error) {
 	}, nil
 }
 
-func stepFig9(cfg exp.Config, _ *stepState) (StepResult, error) {
-	res, err := exp.Fig9(cfg)
+func stepFig9(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
+	res, err := exp.Fig9(ctx, cfg)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -215,8 +218,8 @@ func stepFig9(cfg exp.Config, _ *stepState) (StepResult, error) {
 
 // stepFig10 runs Figure 10 and caches the curves so Figure 11 can reuse
 // the same runs, as in the paper.
-func stepFig10(cfg exp.Config, st *stepState) (StepResult, error) {
-	curves, err := exp.Fig10(cfg)
+func stepFig10(ctx context.Context, cfg exp.Config, st *stepState) (StepResult, error) {
+	curves, err := exp.Fig10(ctx, cfg)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -245,9 +248,9 @@ func stepFig10(cfg exp.Config, st *stepState) (StepResult, error) {
 
 // stepFig11 emits Figure 11 from cached Figure 10 curves, running
 // Figure 10 first if it was not requested.
-func stepFig11(cfg exp.Config, st *stepState) (StepResult, error) {
+func stepFig11(ctx context.Context, cfg exp.Config, st *stepState) (StepResult, error) {
 	if st.fig10 == nil {
-		curves, err := exp.Fig10(cfg)
+		curves, err := exp.Fig10(ctx, cfg)
 		if err != nil {
 			return StepResult{}, err
 		}
@@ -263,8 +266,8 @@ func stepFig11(cfg exp.Config, st *stepState) (StepResult, error) {
 	}, nil
 }
 
-func stepSurrogate(cfg exp.Config, _ *stepState) (StepResult, error) {
-	res, err := exp.SurrogateAccuracy(cfg, 2000)
+func stepSurrogate(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
+	res, err := exp.SurrogateAccuracy(ctx, cfg, 2000)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -291,12 +294,12 @@ func stepSurrogate(cfg exp.Config, _ *stepState) (StepResult, error) {
 	}, nil
 }
 
-func stepDiscussion(cfg exp.Config, _ *stepState) (StepResult, error) {
+func stepDiscussion(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
 	model := "ResNet-50"
 	if len(cfg.Models) > 0 {
 		model = cfg.Models[0]
 	}
-	rows, err := exp.Discussion(cfg, model)
+	rows, err := exp.Discussion(ctx, cfg, model)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -325,7 +328,7 @@ func stepDiscussion(cfg exp.Config, _ *stepState) (StepResult, error) {
 	}, nil
 }
 
-func stepTimeloop(cfg exp.Config, _ *stepState) (StepResult, error) {
+func stepTimeloop(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
 	names := cfg.Models
 	if len(names) == 0 {
 		names = []string{"VGG16", "ResNet-50", "MobileNetV2", "MnasNet", "Transformer"}
@@ -334,7 +337,7 @@ func stepTimeloop(cfg exp.Config, _ *stepState) (StepResult, error) {
 	var b strings.Builder
 	var rows [][]string
 	for _, name := range names {
-		res, err := exp.CrossModelAgreement(cfg, name, 100)
+		res, err := exp.CrossModelAgreement(ctx, cfg, name, 100)
 		if err != nil {
 			return StepResult{}, err
 		}
@@ -356,12 +359,12 @@ func stepTimeloop(cfg exp.Config, _ *stepState) (StepResult, error) {
 	}, nil
 }
 
-func stepTopDesigns(cfg exp.Config, _ *stepState) (StepResult, error) {
+func stepTopDesigns(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
 	model := "ResNet-50"
 	if len(cfg.Models) > 0 {
 		model = cfg.Models[0]
 	}
-	res, err := exp.TopDesignCrossCheck(cfg, model)
+	res, err := exp.TopDesignCrossCheck(ctx, cfg, model)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -386,8 +389,8 @@ func stepTopDesigns(cfg exp.Config, _ *stepState) (StepResult, error) {
 	}, nil
 }
 
-func stepSimCheck(cfg exp.Config, _ *stepState) (StepResult, error) {
-	res, err := exp.SimCheck(cfg, 60)
+func stepSimCheck(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
+	res, err := exp.SimCheck(ctx, cfg, 60)
 	if err != nil {
 		return StepResult{}, err
 	}
@@ -409,12 +412,12 @@ func stepSimCheck(cfg exp.Config, _ *stepState) (StepResult, error) {
 	}, nil
 }
 
-func stepKernels(cfg exp.Config, _ *stepState) (StepResult, error) {
+func stepKernels(ctx context.Context, cfg exp.Config, _ *stepState) (StepResult, error) {
 	model := "ResNet-50"
 	if len(cfg.Models) > 0 {
 		model = cfg.Models[0]
 	}
-	res, err := exp.KernelSearchComparison(cfg, model)
+	res, err := exp.KernelSearchComparison(ctx, cfg, model)
 	if err != nil {
 		return StepResult{}, err
 	}

@@ -73,7 +73,7 @@ func TestRunExperimentsFig6MatchesDirectHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exp.Fig6(cfg)
+	rows, err := exp.Fig6(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,8 @@ func TestRunExperimentsFig6MatchesDirectHarness(t *testing.T) {
 	}
 }
 
-// TestRunExperimentsCanonicalOrderAndCancellation: steps run in
-// canonical order regardless of request order, and a canceled context
-// stops the run at the next step boundary with the completed results
-// intact.
+// TestRunExperimentsCanonicalOrder: steps run in canonical order
+// regardless of request order.
 func TestRunExperimentsCanonicalOrder(t *testing.T) {
 	spec := tinySpec()
 	spec.Steps = []string{"kernels", "fig6"} // reversed on purpose

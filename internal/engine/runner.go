@@ -49,9 +49,9 @@ type RunnerConfig struct {
 }
 
 // Runner executes JobSpecs on a bounded worker pool: the spotlightd
-// core, but embeddable anywhere. Jobs queue FIFO, run with per-job
-// cancellation via core.RunContext, retain their latest checkpoint for
-// resume, and buffer their trace events for SSE replay. All jobs share
+// core, but embeddable anywhere. Jobs queue FIFO, run under a per-job
+// cancelable context, retain their latest checkpoint for resume, and
+// buffer their trace events for SSE replay. All jobs share
 // one PipelineSet, so concurrent submissions with the same eval spec
 // share a memo cache (and disk journal) and deduplicate evaluations.
 type Runner struct {
@@ -362,9 +362,9 @@ func (r *Runner) Jobs() []*Job {
 }
 
 // Cancel cancels a job: a queued job goes terminal immediately, a
-// running one gets its context canceled and stops at core.RunContext's
-// next cancellation point (search) or the next step boundary
-// (experiment). Canceling a finished job returns ErrJobFinished.
+// running one gets its context canceled and stops at its next sample,
+// keeping the artifacts of the experiment steps it completed. Canceling
+// a finished job returns ErrJobFinished.
 func (r *Runner) Cancel(id string) error {
 	j, ok := r.Get(id)
 	if !ok {
@@ -448,7 +448,7 @@ func (r *Runner) Shutdown(ctx context.Context) error {
 	case <-workersDone:
 	case <-ctx.Done():
 		// Out of patience: cancel whatever is still running and wait for
-		// the workers to wind down (core.RunContext returns promptly).
+		// the workers to wind down (every job stops at its next sample).
 		for _, j := range running {
 			j.mu.Lock()
 			cancel := j.cancel

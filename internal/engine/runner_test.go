@@ -337,3 +337,82 @@ func TestRunnerShutdownDrains(t *testing.T) {
 		t.Fatalf("Submit after shutdown = %v, want ErrShuttingDown", err)
 	}
 }
+
+// slowExperimentSpec is an experiment job that runs for seconds when
+// left alone (fig10 on MobileNetV2, 24 × 24 samples, 2 trials: about
+// 2 s on a 2-CPU host) and evaluates through the gate backend.
+func slowExperimentSpec() JobSpec {
+	return JobSpec{
+		Kind:      KindExperiment,
+		Steps:     []string{"fig10"},
+		Models:    []string{"MobileNetV2"},
+		HWSamples: 24,
+		SWSamples: 24,
+		Trials:    2,
+		Eval:      "gate,cache",
+	}
+}
+
+// TestRunnerCancelRunningExperiment: a canceled experiment job stops at
+// its next sample, not at the end of its step. It reaches canceled
+// within a second and keeps no artifact of the interrupted step.
+func TestRunnerCancelRunningExperiment(t *testing.T) {
+	r := NewRunner(RunnerConfig{Concurrency: 1})
+	defer shutdownRunner(t, r)
+	g := holdGate()
+	defer g.release()
+
+	j, err := r.Submit(slowExperimentSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.step(t) // the job is inside fig10's first evaluation
+	if err := r.Cancel(j.ID()); err != nil {
+		t.Fatalf("Cancel(running experiment): %v", err)
+	}
+	g.release()
+	select {
+	case <-j.Done():
+	case <-time.After(time.Second):
+		t.Fatalf("canceled experiment job is still %s after 1s", j.Status().State)
+	}
+	st := j.Status()
+	if st.State != StateCanceled {
+		t.Fatalf("state = %s (%s), want canceled", st.State, st.Error)
+	}
+	if len(st.Artifacts) != 0 {
+		t.Fatalf("canceled job kept artifacts %v of its interrupted step", st.Artifacts)
+	}
+}
+
+// TestRunnerShutdownCancelsExperiment: Shutdown whose drain context has
+// already expired cancels a running experiment job and returns within a
+// second, instead of waiting for the job's step to finish.
+func TestRunnerShutdownCancelsExperiment(t *testing.T) {
+	r := NewRunner(RunnerConfig{Concurrency: 1})
+	g := holdGate()
+	defer g.release()
+
+	j, err := r.Submit(slowExperimentSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.step(t) // the job is running
+	g.release()
+	expired, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- r.Shutdown(expired) }()
+	select {
+	case err := <-shutdown:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Errorf("Shutdown with an expired drain context still waiting after 1s")
+		<-shutdown
+	}
+	if st := j.Status(); st.State != StateCanceled {
+		t.Fatalf("running experiment ended %s (%s), want canceled", st.State, st.Error)
+	}
+}

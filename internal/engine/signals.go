@@ -2,87 +2,60 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"io"
+	"errors"
 	"os"
 	"os/signal"
 	"syscall"
 )
 
-// The repo has two legitimate shutdown-signal idioms, and before this
-// file each CLI carried its own copy:
-//
-//   - Cooperative: cmd/spotlight turns SIGINT/SIGTERM into context
-//     cancellation; core.RunContext stops at the next sample boundary,
-//     deferred handlers flush the disk-cache journal and trace sink, and
-//     the partial result is reported. ShutdownContext is that idiom.
-//   - Flush-and-exit: cmd/experiments' figure drivers have no
-//     cancellation plumbing, so its handler flushes durable state (the
-//     evaluation journal, the trace sink) and exits immediately.
-//     FlushOnSignal is that idiom.
-//
-// The duplicated copies had drifted: the experiments handler exited 130
-// for every signal, misreporting SIGTERM (whose conventional status is
-// 143) as SIGINT to batch schedulers that distinguish them. ExitCode
-// fixes that drift in the one shared implementation.
+// signalCause is the cancel cause ShutdownContext records: the signal
+// that asked the process to stop. context.Cause(ctx) returns it, and
+// ExitCode turns it into the process's exit status.
+type signalCause struct{ Signal os.Signal }
+
+func (s signalCause) Error() string { return s.Signal.String() }
 
 // ShutdownContext returns a context canceled on SIGINT or SIGTERM (and
-// when the parent is canceled). SIGTERM matters for batch schedulers and
-// container runtimes, which send it — not SIGINT — before killing. The
-// returned stop func releases the signal registration.
-func ShutdownContext(parent context.Context) (context.Context, context.CancelFunc) {
-	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
-}
-
-// Flusher is one named cleanup step run by FlushOnSignal before exit:
-// typically a pipeline's journal flush or a trace sink close.
-type Flusher struct {
-	Name  string
-	Flush func() error
-}
-
-// ExitCode returns the conventional exit status for dying to a fatal
-// signal: 128 + the signal number (130 for SIGINT, 143 for SIGTERM),
-// or 1 for anything unrecognized.
-func ExitCode(sig os.Signal) int {
-	if s, ok := sig.(syscall.Signal); ok {
-		return 128 + int(s)
-	}
-	return 1
-}
-
-// FlushOnSignal installs a SIGINT/SIGTERM handler that runs the flushers
-// in order — reporting each failure to stderr as "<prog>: <name>: <err>"
-// but never stopping early, since every flusher guards independent
-// durable state — and then calls exit with the signal's conventional
-// status. exit is a parameter (the CLIs pass os.Exit) both for
-// testability and because killing the process is an entry-point
-// decision: library code, this package included, must not call os.Exit
-// (enforced by spotlightlint's exitcheck).
+// when the parent is canceled), with the signal recorded as its cancel
+// cause. SIGTERM matters for batch schedulers and container runtimes,
+// which send it — not SIGINT — before killing. Every entry point stops
+// through this context: a search or experiment stops at its next
+// sample, the deferred handlers flush the disk-cache journal and the
+// trace sink, and the caller reports what completed.
 //
-// The returned stop func uninstalls the handler; callers defer it so a
-// normal exit path stops racing the signal goroutine. Flushers must
-// tolerate being called concurrently with (or after) the main goroutine's
-// own cleanup — eval.Pipeline.Close and obs.Telemetry.Close both do.
-func FlushOnSignal(prog string, stderr io.Writer, exit func(int), flushers ...Flusher) (stop func()) {
+// Only the first signal is caught. After it the signals' default
+// action is restored, so a second Ctrl-C kills a process stuck in a
+// long evaluation. The returned stop func releases the registration
+// and cancels the context.
+func ShutdownContext(parent context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancelCause(parent)
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	done := make(chan struct{})
 	go func() {
 		select {
 		case sig := <-sigc:
-			fmt.Fprintf(stderr, "%s: %v: flushing durable state before exit\n", prog, sig)
-			for _, f := range flushers {
-				if err := f.Flush(); err != nil {
-					fmt.Fprintf(stderr, "%s: %s: %v\n", prog, f.Name, err)
-				}
-			}
-			exit(ExitCode(sig))
-		case <-done:
+			signal.Stop(sigc)
+			cancel(signalCause{sig})
+		case <-ctx.Done():
+			signal.Stop(sigc)
 		}
 	}()
-	return func() {
+	return ctx, func() {
 		signal.Stop(sigc)
-		close(done)
+		cancel(nil)
 	}
+}
+
+// ExitCode returns the exit status of a failed run given err, the cause
+// of its shutdown context (context.Cause): the conventional 128 +
+// signal number (130 for SIGINT, 143 for SIGTERM) when err is or wraps
+// the signal ShutdownContext caught, and 1 for anything else.
+func ExitCode(err error) int {
+	var s signalCause
+	if errors.As(err, &s) {
+		if sig, ok := s.Signal.(syscall.Signal); ok {
+			return 128 + int(sig)
+		}
+	}
+	return 1
 }

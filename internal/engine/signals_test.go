@@ -1,28 +1,29 @@
 package engine
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"os"
-	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
 )
 
 func TestExitCode(t *testing.T) {
-	if got := ExitCode(os.Interrupt); got != 130 {
+	if got := ExitCode(signalCause{os.Interrupt}); got != 130 {
 		t.Fatalf("ExitCode(SIGINT) = %d, want 130", got)
 	}
-	// The old cmd/experiments handler exited 130 for every signal; the
-	// shared helper reports SIGTERM by its own convention. This is the
-	// drift fix.
-	if got := ExitCode(syscall.SIGTERM); got != 143 {
-		t.Fatalf("ExitCode(SIGTERM) = %d, want 143", got)
+	// SIGTERM has its own status; batch schedulers tell the two apart.
+	// The cause may arrive wrapped in the error a run returned.
+	if got := ExitCode(fmt.Errorf("fig6: %w", signalCause{syscall.SIGTERM})); got != 143 {
+		t.Fatalf("ExitCode(wrapped SIGTERM) = %d, want 143", got)
 	}
-	if got := ExitCode(fakeSignal{}); got != 1 {
-		t.Fatalf("ExitCode(unknown) = %d, want 1", got)
+	if got := ExitCode(signalCause{fakeSignal{}}); got != 1 {
+		t.Fatalf("ExitCode(unknown signal) = %d, want 1", got)
+	}
+	if got := ExitCode(errors.New("disk full")); got != 1 {
+		t.Fatalf("ExitCode(plain error) = %d, want 1", got)
 	}
 }
 
@@ -31,100 +32,43 @@ type fakeSignal struct{}
 func (fakeSignal) String() string { return "fake" }
 func (fakeSignal) Signal()        {}
 
-// syncWriter lets the signal goroutine and the test share a transcript.
-type syncWriter struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (w *syncWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.b.Write(p)
-}
-
-func (w *syncWriter) String() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.b.String()
-}
-
-// TestFlushOnSignalRunsFlushersInOrderAndExits141 delivers a real
-// SIGTERM to the process and asserts the full contract: flushers run in
-// registration order, a flusher error is reported without stopping the
-// rest, and exit is called with 143.
-func TestFlushOnSignalFlushesAndExits(t *testing.T) {
-	var (
-		mu    sync.Mutex
-		order []string
-	)
-	exited := make(chan int, 1)
-	stderr := &syncWriter{}
-	stop := FlushOnSignal("testprog", stderr, func(code int) { exited <- code },
-		Flusher{Name: "journal", Flush: func() error {
-			mu.Lock()
-			order = append(order, "journal")
-			mu.Unlock()
-			return errors.New("disk full")
-		}},
-		Flusher{Name: "trace", Flush: func() error {
-			mu.Lock()
-			order = append(order, "trace")
-			mu.Unlock()
-			return nil
-		}},
-	)
+// TestShutdownContextRecordsSignalCause delivers a real SIGTERM to the
+// test process: the context must be done with the signal as its cause,
+// which ExitCode maps to 143. Only one signal is sent. The handler
+// restores the default action after the first, so a second would kill
+// the test binary.
+func TestShutdownContextRecordsSignalCause(t *testing.T) {
+	ctx, stop := ShutdownContext(context.Background())
 	defer stop()
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case code := <-exited:
-		if code != 143 {
-			t.Fatalf("exit code = %d, want 143 for SIGTERM", code)
-		}
+	case <-ctx.Done():
 	case <-time.After(5 * time.Second):
-		t.Fatal("signal handler never called exit")
+		t.Fatal("SIGTERM did not cancel the shutdown context")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if want := []string{"journal", "trace"}; len(order) != 2 || order[0] != want[0] || order[1] != want[1] {
-		t.Fatalf("flushers ran as %v, want %v — an error must not stop later flushers", order, want)
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		t.Fatalf("ctx.Err() = %v, want context.Canceled", ctx.Err())
 	}
-	out := stderr.String()
-	if !strings.Contains(out, "testprog: terminated: flushing durable state") {
-		t.Fatalf("missing flush banner in stderr: %q", out)
-	}
-	if !strings.Contains(out, "testprog: journal: disk full") {
-		t.Fatalf("flusher error not reported: %q", out)
+	cause := context.Cause(ctx)
+	if got := ExitCode(cause); got != 143 {
+		t.Fatalf("ExitCode(%v) = %d, want 143 for SIGTERM", cause, got)
 	}
 }
 
-// TestFlushOnSignalStopUninstalls proves stop() releases the handler: a
-// signal delivered afterwards must not reach the (former) handler. The
-// test re-registers its own catcher so the SIGTERM does not kill the
-// test process.
-func TestFlushOnSignalStopUninstalls(t *testing.T) {
-	exited := make(chan int, 1)
-	stop := FlushOnSignal("testprog", &syncWriter{}, func(code int) { exited <- code })
+// TestShutdownContextStopCancelsWithoutSignal: the stop func cancels
+// the context with no signal cause, so a normal exit maps to no
+// signal status.
+func TestShutdownContextStopCancelsWithoutSignal(t *testing.T) {
+	ctx, stop := ShutdownContext(context.Background())
 	stop()
-
-	// Catch the signal ourselves so default termination doesn't apply.
-	recv := make(chan os.Signal, 1)
-	signal.Notify(recv, syscall.SIGTERM)
-	defer signal.Stop(recv)
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	<-ctx.Done()
+	if cause := context.Cause(ctx); !errors.Is(cause, context.Canceled) {
+		t.Fatalf("cause after stop = %v, want context.Canceled", cause)
 	}
-	select {
-	case <-recv:
-	case <-time.After(5 * time.Second):
-		t.Fatal("test's own signal registration never fired")
-	}
-	select {
-	case code := <-exited:
-		t.Fatalf("stopped handler still called exit(%d)", code)
-	case <-time.After(100 * time.Millisecond):
+	if got := ExitCode(context.Cause(ctx)); got != 1 {
+		t.Fatalf("ExitCode after stop = %d, want 1", got)
 	}
 }

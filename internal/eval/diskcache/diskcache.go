@@ -373,20 +373,6 @@ func (s *Store) degrade(err error) {
 	}
 }
 
-// Sync flushes appended records to stable storage. A sync failure
-// degrades the store like any other I/O error and is not returned: by
-// the degradation contract the caller's work is never disturbed.
-func (s *Store) Sync() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.readOnly || s.degraded {
-		return
-	}
-	if err := s.f.Sync(); err != nil {
-		s.degrade(err)
-	}
-}
-
 // Close syncs and closes the journal, releasing the writer lock. The
 // returned error reports a failed flush — data that may not have
 // reached disk — which callers surface but never fail on.

@@ -227,14 +227,6 @@ func (d *Disk) Close() error {
 	return d.store.Close()
 }
 
-// Sync flushes appended records to stable storage (signal handlers call
-// this before exiting).
-func (d *Disk) Sync() {
-	if d.store != nil {
-		d.store.Sync()
-	}
-}
-
 // diskScratch is the reusable per-call working set of Disk.evaluate:
 // record keys, the miss subset, and the encoding of the value being
 // appended (the store keeps its own copy).

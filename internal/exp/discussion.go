@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"spotlight/internal/core"
@@ -26,7 +27,7 @@ type DiscussionRow struct {
 // Discussion reproduces the §VII-C comparison on one model (the paper
 // uses ResNet-50): Spotlight-Opt against the three hand-designed
 // accelerators, all under the layerwise software optimizer.
-func Discussion(cfg Config, modelName string) ([]DiscussionRow, error) {
+func Discussion(ctx context.Context, cfg Config, modelName string) ([]DiscussionRow, error) {
 	cfg = cfg.normalized()
 	m, err := workload.ByName(modelName)
 	if err != nil {
@@ -37,7 +38,7 @@ func Discussion(cfg Config, modelName string) ([]DiscussionRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(rc, core.NewSpotlight())
+	res, err := core.RunContext(ctx, rc, core.NewSpotlight())
 	if err != nil {
 		return nil, fmt.Errorf("exp: discussion co-design: %w", err)
 	}
@@ -50,7 +51,7 @@ func Discussion(cfg Config, modelName string) ([]DiscussionRow, error) {
 	for _, b := range baselines {
 		brc := rc
 		brc.SWConstraint = b.Constraint
-		design, err := core.OptimizeSoftware(brc, core.NewSpotlight(), b.Accel)
+		design, err := core.OptimizeSoftware(ctx, brc, core.NewSpotlight(), b.Accel)
 		if err != nil {
 			return nil, fmt.Errorf("exp: discussion baseline %s: %w", b.Name, err)
 		}

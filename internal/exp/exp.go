@@ -1,7 +1,9 @@
 // Package exp is the evaluation harness: one driver per table/figure of
 // the paper's §VII, producing the same rows and series the paper reports.
 // Each driver is deterministic given its Config seed, and each has a
-// bench in the repository root regenerating it.
+// bench in the repository root regenerating it. Once its context is
+// done, a driver stops at its next sample and returns an error wrapping
+// ctx.Err(), never a figure built from the trials that finished.
 //
 // Experiment index (see DESIGN.md for the full mapping):
 //
@@ -17,6 +19,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -190,14 +193,17 @@ func normalizeRows(rows []Row, reference string) {
 // and returns each trial's error in its slot. A panicking trial is
 // recovered into its error slot here, before the pool's own panic
 // containment would poison the remaining trials: one crashed run should
-// cost one bar of a figure, not the whole figure.
-func (c Config) forTrials(fn func(trial int) error) []error {
+// cost one bar of a figure, not the whole figure. A done context is not
+// a trial failure: forTrials then returns ctx.Err(), checked after the
+// pool because a context done during the last trials cut them short
+// without stopping dispatch, and the caller builds no figure.
+func (c Config) forTrials(ctx context.Context, fn func(trial int) error) ([]error, error) {
 	workers := 1
 	if c.Parallel {
 		workers = 0 // pool default: GOMAXPROCS
 	}
 	errs := make([]error, c.Trials)
-	pool.Run(c.Trials, workers, func(t int) {
+	_ = pool.RunCtx(ctx, c.Trials, workers, func(t int) {
 		defer func() {
 			if r := recover(); r != nil {
 				errs[t] = fmt.Errorf("exp: trial %d panicked: %v", t, r)
@@ -205,7 +211,7 @@ func (c Config) forTrials(fn func(trial int) error) []error {
 		}()
 		errs[t] = fn(t)
 	})
-	return errs
+	return errs, ctx.Err()
 }
 
 // collectTrials keeps the values of the trials that succeeded. It fails
@@ -232,41 +238,46 @@ func collectTrials(vals []float64, errs []error) ([]float64, error) {
 // trialObjectives runs a strategy for cfg.Trials independent trials on
 // the given models and returns the best objectives of the trials that
 // completed.
-func (c Config) trialObjectives(models []workload.Model, strat core.Strategy) ([]float64, error) {
-	out := make([]float64, c.Trials)
-	errs := c.forTrials(func(t int) error {
-		rc, err := c.runConfig(models, t)
+func (c Config) trialObjectives(ctx context.Context, models []workload.Model, strat core.Strategy) ([]float64, error) {
+	return c.objectives(ctx, models, func(rc core.RunConfig, t int) (float64, error) {
+		res, err := core.RunContext(ctx, rc, strat)
 		if err != nil {
-			return err
+			return 0, fmt.Errorf("exp: %s trial %d: %w", strat.Name(), t, err)
 		}
-		res, err := core.Run(rc, strat)
-		if err != nil {
-			return fmt.Errorf("exp: %s trial %d: %w", strat.Name(), t, err)
-		}
-		out[t] = res.Best.Objective
-		return nil
+		return res.Best.Objective, nil
 	})
-	return collectTrials(out, errs)
 }
 
 // baselineObjectives evaluates a hand-designed baseline under the
 // layerwise software optimizer (daBO_SW within the baseline's dataflow
 // constraint), per §VII's methodology, for cfg.Trials trials.
-func (c Config) baselineObjectives(models []workload.Model, b hw.Baseline) ([]float64, error) {
+func (c Config) baselineObjectives(ctx context.Context, models []workload.Model, b hw.Baseline) ([]float64, error) {
+	return c.objectives(ctx, models, func(rc core.RunConfig, t int) (float64, error) {
+		rc.SWConstraint = b.Constraint
+		design, err := core.OptimizeSoftware(ctx, rc, core.NewSpotlight(), b.Accel)
+		if err != nil {
+			return 0, fmt.Errorf("exp: baseline %s trial %d: %w", b.Name, t, err)
+		}
+		return design.Objective, nil
+	})
+}
+
+// objectives runs objective once per trial on that trial's run
+// configuration and keeps the values of the trials that completed.
+func (c Config) objectives(ctx context.Context, models []workload.Model,
+	objective func(rc core.RunConfig, trial int) (float64, error)) ([]float64, error) {
 	out := make([]float64, c.Trials)
-	errs := c.forTrials(func(t int) error {
+	errs, err := c.forTrials(ctx, func(t int) error {
 		rc, err := c.runConfig(models, t)
 		if err != nil {
 			return err
 		}
-		rc.SWConstraint = b.Constraint
-		design, err := core.OptimizeSoftware(rc, core.NewSpotlight(), b.Accel)
-		if err != nil {
-			return fmt.Errorf("exp: baseline %s trial %d: %w", b.Name, t, err)
-		}
-		out[t] = design.Objective
-		return nil
+		out[t], err = objective(rc, t)
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
 	return collectTrials(out, errs)
 }
 

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -62,7 +63,7 @@ func TestPaperConfigScale(t *testing.T) {
 }
 
 func TestFig6Structure(t *testing.T) {
-	rows, err := Fig6(tinyCfg())
+	rows, err := Fig6(context.Background(), tinyCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestFig6ToolSupportMatrix(t *testing.T) {
 func TestFig10And11Structure(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Trials = 2
-	curves, err := Fig10(cfg)
+	curves, err := Fig10(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFractionBetterThanRandomBest(t *testing.T) {
 
 func TestSurrogateAccuracy(t *testing.T) {
 	cfg := tinyCfg()
-	res, err := SurrogateAccuracy(cfg, 200)
+	res, err := SurrogateAccuracy(context.Background(), cfg, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestSurrogateAccuracy(t *testing.T) {
 
 func TestDiscussion(t *testing.T) {
 	cfg := tinyCfg()
-	rows, err := Discussion(cfg, "Transformer")
+	rows, err := Discussion(context.Background(), cfg, "Transformer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestDiscussion(t *testing.T) {
 
 func TestCrossModelAgreement(t *testing.T) {
 	cfg := tinyCfg()
-	res, err := CrossModelAgreement(cfg, "Transformer", 40)
+	res, err := CrossModelAgreement(context.Background(), cfg, "Transformer", 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestAblationStrategiesComplete(t *testing.T) {
 
 func TestTopDesignCrossCheck(t *testing.T) {
 	cfg := tinyCfg()
-	res, err := TopDesignCrossCheck(cfg, "Transformer")
+	res, err := TopDesignCrossCheck(context.Background(), cfg, "Transformer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +285,12 @@ func TestTopDesignCrossCheck(t *testing.T) {
 
 func TestParallelTrialsMatchSerial(t *testing.T) {
 	cfg := tinyCfg()
-	serial, err := Fig6(cfg)
+	serial, err := Fig6(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Parallel = true
-	parallel, err := Fig6(cfg)
+	parallel, err := Fig6(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestParallelTrialsMatchSerial(t *testing.T) {
 
 func TestEfficiencyStats(t *testing.T) {
 	cfg := tinyCfg()
-	curves, err := Fig10(cfg)
+	curves, err := Fig10(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestEfficiencyStats(t *testing.T) {
 }
 
 func TestSimCheck(t *testing.T) {
-	res, err := SimCheck(tinyCfg(), 20)
+	res, err := SimCheck(context.Background(), tinyCfg(), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestSimCheck(t *testing.T) {
 }
 
 func TestTopDesignCrossCheckPortsToSecondModel(t *testing.T) {
-	res, err := TopDesignCrossCheck(tinyCfg(), "Transformer")
+	res, err := TopDesignCrossCheck(context.Background(), tinyCfg(), "Transformer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestTopDesignCrossCheckPortsToSecondModel(t *testing.T) {
 func TestFig7Structure(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.HWSamples = 10 // the cloud space is >90% over budget; keep headroom
-	res, err := Fig7(cfg)
+	res, err := Fig7(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestFig7Structure(t *testing.T) {
 func TestFig8Structure(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.Models = []string{"Transformer"} // no held-out models => no General rows
-	res, err := Fig8(cfg)
+	res, err := Fig8(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +417,7 @@ func TestFig8Structure(t *testing.T) {
 
 func TestFig9Structure(t *testing.T) {
 	cfg := tinyCfg()
-	res, err := Fig9(cfg)
+	res, err := Fig9(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestFig9Structure(t *testing.T) {
 }
 
 func TestKernelSearchComparison(t *testing.T) {
-	res, err := KernelSearchComparison(tinyCfg(), "Transformer")
+	res, err := KernelSearchComparison(context.Background(), tinyCfg(), "Transformer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +488,7 @@ func TestChaosFailedTrialDoesNotAbortFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objs, err := cfg.trialObjectives(models, strat)
+	objs, err := cfg.trialObjectives(context.Background(), models, strat)
 	if err != nil {
 		t.Fatalf("figure aborted on a single failed trial: %v", err)
 	}
@@ -519,7 +520,7 @@ func TestChaosFig10RecordsPartialTrials(t *testing.T) {
 	cfg := tinyCfg()
 	cfg.HWSamples = 3
 	cfg.SWSamples = 4
-	out, err := Fig10(cfg)
+	out, err := Fig10(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Fig10: %v", err)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -17,8 +18,9 @@ type Curve struct {
 	Tool   string
 	Trials [][]core.HistoryPoint
 	// Errors holds each trial's failure, nil where the trial completed.
-	// A failed or canceled trial keeps whatever history it produced in
-	// its Trials slot; summaries simply draw on fewer complete trials.
+	// A failed trial keeps whatever history it produced in its Trials
+	// slot; summaries simply draw on fewer complete trials. A canceled
+	// Fig10 returns no curves at all.
 	Errors []error
 }
 
@@ -62,7 +64,7 @@ func AblationStrategies() []core.Strategy {
 // Fig10 reproduces the ablation study of Figure 10: for each configured
 // model, run every algorithm for cfg.Trials independent trials and record
 // its convergence history. The returned map is keyed by model name.
-func Fig10(cfg Config) (map[string][]Curve, error) {
+func Fig10(ctx context.Context, cfg Config) (map[string][]Curve, error) {
 	cfg = cfg.normalized()
 	models, err := cfg.models()
 	if err != nil {
@@ -77,12 +79,12 @@ func Fig10(cfg Config) (map[string][]Curve, error) {
 			}
 			c := Curve{Tool: strat.Name()}
 			c.Trials = make([][]core.HistoryPoint, cfg.Trials)
-			c.Errors = cfg.forTrials(func(t int) error {
+			c.Errors, err = cfg.forTrials(ctx, func(t int) error {
 				rc, err := cfg.runConfig([]workload.Model{m}, t)
 				if err != nil {
 					return err
 				}
-				res, err := core.Run(rc, strat)
+				res, err := core.RunContext(ctx, rc, strat)
 				// Keep the partial history even when the run failed or
 				// was cut short; the error is recorded alongside it.
 				c.Trials[t] = res.History
@@ -92,6 +94,9 @@ func Fig10(cfg Config) (map[string][]Curve, error) {
 				}
 				return nil
 			})
+			if err != nil {
+				return nil, err
+			}
 			curves = append(curves, c)
 		}
 		out[m.Name] = curves

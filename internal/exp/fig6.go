@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"spotlight/internal/core"
 	"spotlight/internal/hw"
 	"spotlight/internal/search"
@@ -15,7 +16,7 @@ import (
 // EDP trends are identical).
 //
 // One Row per (model, configuration); error bars are min/max of trials.
-func Fig6(cfg Config) ([]Row, error) {
+func Fig6(ctx context.Context, cfg Config) ([]Row, error) {
 	cfg = cfg.normalized()
 	models, err := cfg.models()
 	if err != nil {
@@ -30,14 +31,14 @@ func Fig6(cfg Config) ([]Row, error) {
 	for _, m := range models {
 		single := []workload.Model{m}
 
-		objs, err := cfg.trialObjectives(single, core.NewSpotlight())
+		objs, err := cfg.trialObjectives(ctx, single, core.NewSpotlight())
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, summaryRow(m.Name, "Spotlight", objs))
 
 		for _, b := range baselines {
-			objs, err := cfg.baselineObjectives(single, b)
+			objs, err := cfg.baselineObjectives(ctx, single, b)
 			if err != nil {
 				return nil, err
 			}
@@ -48,7 +49,7 @@ func Fig6(cfg Config) ([]Row, error) {
 			if !toolSupports(tool.Name(), m.Name) {
 				continue // the paper's missing bars: tool limitations
 			}
-			objs, err := cfg.trialObjectives(single, tool)
+			objs, err := cfg.trialObjectives(ctx, single, tool)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"spotlight/internal/core"
 	"spotlight/internal/hw"
 	"spotlight/internal/workload"
@@ -19,23 +20,23 @@ type Fig7Result struct {
 // Fig7 reproduces Figure 7. Per the paper, the only change from the edge
 // experiments is the parameter ranges — the feature space and BO
 // configuration are untouched.
-func Fig7(cfg Config) (Fig7Result, error) {
+func Fig7(ctx context.Context, cfg Config) (Fig7Result, error) {
 	cfg = cfg.normalized()
 	cfg.Scale = "cloud"
 	var out Fig7Result
 	cfg.Objective = core.MinEDP
 	var err error
-	if out.EDP, err = fig7Half(cfg); err != nil {
+	if out.EDP, err = fig7Half(ctx, cfg); err != nil {
 		return out, err
 	}
 	cfg.Objective = core.MinDelay
-	if out.Delay, err = fig7Half(cfg); err != nil {
+	if out.Delay, err = fig7Half(ctx, cfg); err != nil {
 		return out, err
 	}
 	return out, nil
 }
 
-func fig7Half(cfg Config) ([]Row, error) {
+func fig7Half(ctx context.Context, cfg Config) ([]Row, error) {
 	models, err := cfg.models()
 	if err != nil {
 		return nil, err
@@ -47,13 +48,13 @@ func fig7Half(cfg Config) ([]Row, error) {
 	var rows []Row
 	for _, m := range models {
 		single := []workload.Model{m}
-		objs, err := cfg.trialObjectives(single, core.NewSpotlight())
+		objs, err := cfg.trialObjectives(ctx, single, core.NewSpotlight())
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, summaryRow(m.Name, "Spotlight", objs))
 		for _, b := range baselines {
-			objs, err := cfg.baselineObjectives(single, b)
+			objs, err := cfg.baselineObjectives(ctx, single, b)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"spotlight/internal/core"
@@ -23,22 +24,22 @@ type Fig8Result struct {
 var generalDesignModels = []string{"VGG16", "ResNet-50", "MobileNetV2"}
 
 // Fig8 reproduces Figure 8.
-func Fig8(cfg Config) (Fig8Result, error) {
+func Fig8(ctx context.Context, cfg Config) (Fig8Result, error) {
 	cfg = cfg.normalized()
 	var out Fig8Result
 	cfg.Objective = core.MinEDP
 	var err error
-	if out.EDP, err = fig8Half(cfg); err != nil {
+	if out.EDP, err = fig8Half(ctx, cfg); err != nil {
 		return out, err
 	}
 	cfg.Objective = core.MinDelay
-	if out.Delay, err = fig8Half(cfg); err != nil {
+	if out.Delay, err = fig8Half(ctx, cfg); err != nil {
 		return out, err
 	}
 	return out, nil
 }
 
-func fig8Half(cfg Config) ([]Row, error) {
+func fig8Half(ctx context.Context, cfg Config) ([]Row, error) {
 	models, err := cfg.models()
 	if err != nil {
 		return nil, err
@@ -54,7 +55,7 @@ func fig8Half(cfg Config) ([]Row, error) {
 
 	// Spotlight-Single: one co-design per model.
 	for _, m := range models {
-		objs, err := cfg.trialObjectives([]workload.Model{m}, core.NewSpotlight())
+		objs, err := cfg.trialObjectives(ctx, []workload.Model{m}, core.NewSpotlight())
 		if err != nil {
 			return nil, err
 		}
@@ -66,12 +67,12 @@ func fig8Half(cfg Config) ([]Row, error) {
 	// Spotlight-Multi: co-design with every model simultaneously, then
 	// re-run the layerwise software optimizer per model on the result.
 	for t := 0; t < cfg.Trials; t++ {
-		accel, err := codesignAccel(cfg, models, t)
+		accel, err := codesignAccel(ctx, cfg, models, t)
 		if err != nil {
 			return nil, err
 		}
 		for _, m := range models {
-			v, err := softwareOnlyObjective(cfg, accel, m, t)
+			v, err := softwareOnlyObjective(ctx, cfg, accel, m, t)
 			if err != nil {
 				return nil, err
 			}
@@ -96,12 +97,12 @@ func fig8Half(cfg Config) ([]Row, error) {
 	}
 	if len(design) > 0 && len(heldOut) > 0 {
 		for t := 0; t < cfg.Trials; t++ {
-			accel, err := codesignAccel(cfg, design, t)
+			accel, err := codesignAccel(ctx, cfg, design, t)
 			if err != nil {
 				return nil, err
 			}
 			for _, m := range heldOut {
-				v, err := softwareOnlyObjective(cfg, accel, m, t)
+				v, err := softwareOnlyObjective(ctx, cfg, accel, m, t)
 				if err != nil {
 					return nil, err
 				}
@@ -117,7 +118,7 @@ func fig8Half(cfg Config) ([]Row, error) {
 	}
 	for _, m := range models {
 		for _, b := range baselines {
-			objs, err := cfg.baselineObjectives([]workload.Model{m}, b)
+			objs, err := cfg.baselineObjectives(ctx, []workload.Model{m}, b)
 			if err != nil {
 				return nil, err
 			}
@@ -143,12 +144,12 @@ func fig8Half(cfg Config) ([]Row, error) {
 
 // codesignAccel runs one Spotlight co-design trial over the given models
 // and returns the winning accelerator.
-func codesignAccel(cfg Config, models []workload.Model, trial int) (hw.Accel, error) {
+func codesignAccel(ctx context.Context, cfg Config, models []workload.Model, trial int) (hw.Accel, error) {
 	rc, err := cfg.runConfig(models, trial)
 	if err != nil {
 		return hw.Accel{}, err
 	}
-	res, err := core.Run(rc, core.NewSpotlight())
+	res, err := core.RunContext(ctx, rc, core.NewSpotlight())
 	if err != nil {
 		return hw.Accel{}, fmt.Errorf("exp: multi-model co-design trial %d: %w", trial, err)
 	}
@@ -157,12 +158,12 @@ func codesignAccel(cfg Config, models []workload.Model, trial int) (hw.Accel, er
 
 // softwareOnlyObjective reruns daBO_SW for one model on a fixed
 // accelerator and returns the model's objective.
-func softwareOnlyObjective(cfg Config, accel hw.Accel, m workload.Model, trial int) (float64, error) {
+func softwareOnlyObjective(ctx context.Context, cfg Config, accel hw.Accel, m workload.Model, trial int) (float64, error) {
 	rc, err := cfg.runConfig([]workload.Model{m}, trial)
 	if err != nil {
 		return 0, err
 	}
-	design, err := core.OptimizeSoftware(rc, core.NewSpotlight(), accel)
+	design, err := core.OptimizeSoftware(ctx, rc, core.NewSpotlight(), accel)
 	if err != nil {
 		return 0, fmt.Errorf("exp: software-only pass for %s: %w", m.Name, err)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"spotlight/internal/core"
@@ -20,7 +21,7 @@ type Fig9Result struct {
 // then compute permutation importance of every software feature on the
 // surrogates trained while scheduling the winning accelerator's layers,
 // averaged across layers.
-func Fig9(cfg Config) (Fig9Result, error) {
+func Fig9(ctx context.Context, cfg Config) (Fig9Result, error) {
 	cfg = cfg.normalized()
 	models, err := cfg.models()
 	if err != nil {
@@ -28,7 +29,7 @@ func Fig9(cfg Config) (Fig9Result, error) {
 	}
 	out := Fig9Result{Importance: map[string][]float64{}}
 	for _, m := range models {
-		names, imp, err := modelImportance(cfg, m)
+		names, imp, err := modelImportance(ctx, cfg, m)
 		if err != nil {
 			return Fig9Result{}, err
 		}
@@ -43,13 +44,13 @@ func Fig9(cfg Config) (Fig9Result, error) {
 // modelImportance co-designs an accelerator for the model, then runs one
 // fresh daBO_SW per layer on that accelerator, measuring feature
 // importance on each layer's trained surrogate and averaging.
-func modelImportance(cfg Config, m workload.Model) ([]string, []float64, error) {
+func modelImportance(ctx context.Context, cfg Config, m workload.Model) ([]string, []float64, error) {
 	rc, err := cfg.runConfig([]workload.Model{m}, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	strat := core.NewSpotlight()
-	res, err := core.Run(rc, strat)
+	res, err := core.RunContext(ctx, rc, strat)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exp: fig9 co-design for %s: %w", m.Name, err)
 	}
@@ -59,7 +60,10 @@ func modelImportance(cfg Config, m workload.Model) ([]string, []float64, error) 
 	var total []float64
 	layersCounted := 0
 	for _, l := range m.Layers {
-		_, sw := core.OptimizeLayer(rc, strat, rng, res.Best.Accel, l, rc.SWSamples)
+		_, sw, err := core.OptimizeLayer(ctx, rc, strat, rng, res.Best.Accel, l, rc.SWSamples)
+		if err != nil {
+			return nil, nil, err
+		}
 		n, imp, ok := core.SWImportance(sw, rng)
 		if !ok {
 			continue

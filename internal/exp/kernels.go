@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"spotlight/internal/core"
 	"spotlight/internal/gp"
 	"spotlight/internal/stats"
@@ -19,7 +20,7 @@ type KernelSearchResult struct {
 // KernelSearchComparison runs full Spotlight co-designs on one model
 // with the linear and the Matérn-5/2 kernels, over cfg.Trials trials
 // each.
-func KernelSearchComparison(cfg Config, modelName string) ([]KernelSearchResult, error) {
+func KernelSearchComparison(ctx context.Context, cfg Config, modelName string) ([]KernelSearchResult, error) {
 	cfg = cfg.normalized()
 	m, err := workload.ByName(modelName)
 	if err != nil {
@@ -33,7 +34,7 @@ func KernelSearchComparison(cfg Config, modelName string) ([]KernelSearchResult,
 	for _, k := range kernels {
 		strat := core.NewSpotlight()
 		strat.Kernel = k
-		objs, err := cfg.trialObjectives([]workload.Model{m}, strat)
+		objs, err := cfg.trialObjectives(ctx, []workload.Model{m}, strat)
 		if err != nil {
 			return nil, err
 		}

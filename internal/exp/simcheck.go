@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"spotlight/internal/maestro"
 	"spotlight/internal/sched"
 	"spotlight/internal/sim"
@@ -24,7 +25,7 @@ type SimCheckResult struct {
 }
 
 // SimCheck runs the validation on random schedules of a small layer.
-func SimCheck(cfg Config, samples int) (SimCheckResult, error) {
+func SimCheck(ctx context.Context, cfg Config, samples int) (SimCheckResult, error) {
 	cfg = cfg.normalized()
 	if samples <= 0 {
 		samples = 60
@@ -42,6 +43,9 @@ func SimCheck(cfg Config, samples int) (SimCheckResult, error) {
 	var savings []float64
 	attempts := 0
 	for res.Schedules < samples && attempts < samples*50 {
+		if err := ctx.Err(); err != nil {
+			return SimCheckResult{}, err
+		}
 		attempts++
 		a := space.Random(rng)
 		s := free.Random(rng, layer, a.RFBytesPerPE(), a.L2Bytes())

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -29,7 +30,7 @@ type SurrogateResult struct {
 
 // SurrogateAccuracy runs the experiment on `samples` random co-design
 // points of a mid ResNet-50 layer (train on 90%, test on 10%).
-func SurrogateAccuracy(cfg Config, samples int) ([]SurrogateResult, error) {
+func SurrogateAccuracy(ctx context.Context, cfg Config, samples int) ([]SurrogateResult, error) {
 	cfg = cfg.normalized()
 	if samples < 50 {
 		samples = 50
@@ -46,6 +47,9 @@ func SurrogateAccuracy(cfg Config, samples int) ([]SurrogateResult, error) {
 	var x [][]float64
 	var edp, delay []float64
 	for len(x) < samples {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		a := space.Random(rng)
 		s := free.Random(rng, layer, a.RFBytesPerPE(), a.L2Bytes())
 		c, err := cfg.Eval.Evaluate(a, s, layer)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"spotlight/internal/eval"
 	"spotlight/internal/sched"
 	"spotlight/internal/stats"
@@ -21,7 +22,7 @@ type CrossModelResult struct {
 }
 
 // CrossModelAgreement runs the §VII-F experiment for one DL model.
-func CrossModelAgreement(cfg Config, modelName string, samplesPerLayer int) (CrossModelResult, error) {
+func CrossModelAgreement(ctx context.Context, cfg Config, modelName string, samplesPerLayer int) (CrossModelResult, error) {
 	cfg = cfg.normalized()
 	if samplesPerLayer < 20 {
 		samplesPerLayer = 20
@@ -54,6 +55,9 @@ func CrossModelAgreement(cfg Config, modelName string, samplesPerLayer int) (Cro
 		var pv, sv []float64
 		attempts := 0
 		for len(pv) < samplesPerLayer && attempts < samplesPerLayer*50 {
+			if err := ctx.Err(); err != nil {
+				return CrossModelResult{}, err
+			}
 			attempts++
 			a := space.Random(rng)
 			// Halved budgets keep most samples inside both models'

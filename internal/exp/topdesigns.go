@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -39,7 +40,7 @@ type TopDesignResult struct {
 // (the second model's double-buffering rejects most schedules tuned for
 // the primary model, so re-tuning, not re-costing, is the meaningful
 // comparison).
-func TopDesignCrossCheck(cfg Config, modelName string) (TopDesignResult, error) {
+func TopDesignCrossCheck(ctx context.Context, cfg Config, modelName string) (TopDesignResult, error) {
 	cfg = cfg.normalized()
 	m, err := workload.ByName(modelName)
 	if err != nil {
@@ -49,7 +50,7 @@ func TopDesignCrossCheck(cfg Config, modelName string) (TopDesignResult, error) 
 	if err != nil {
 		return TopDesignResult{}, err
 	}
-	res, err := core.Run(rc, core.NewSpotlight())
+	res, err := core.RunContext(ctx, rc, core.NewSpotlight())
 	if err != nil {
 		return TopDesignResult{}, fmt.Errorf("exp: top-design co-design: %w", err)
 	}
@@ -73,7 +74,10 @@ func TopDesignCrossCheck(cfg Config, modelName string) (TopDesignResult, error) 
 			Secondary: -1,
 			Accel:     d.Accel.String(),
 		}
-		ported, err := core.OptimizeSoftware(portCfg, core.NewSpotlight(), d.Accel)
+		ported, err := core.OptimizeSoftware(ctx, portCfg, core.NewSpotlight(), d.Accel)
+		if cerr := ctx.Err(); cerr != nil {
+			return TopDesignResult{}, cerr // not "infeasible on the second model"
+		}
 		if err == nil {
 			entry.Secondary = ported.Objective
 			out.Evaluable++

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"spotlight/internal/obs"
@@ -17,7 +18,7 @@ func TestFig6CSVIdenticalTracedUntraced(t *testing.T) {
 		cfg := tinyCfg()
 		cfg.Tracer = tr
 		cfg.Workers = workers
-		rows, err := Fig6(cfg)
+		rows, err := Fig6(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("Fig6 (workers=%d, traced=%v): %v", workers, obs.Enabled(tr), err)
 		}

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -102,7 +103,10 @@ func TestSpotlightApproachesOracle(t *testing.T) {
 	}
 	strat := core.NewSpotlight()
 	rng := rand.New(rand.NewSource(5))
-	lr, _ := core.OptimizeLayer(cfg, strat, rng, a, l, cfg.SWSamples)
+	lr, _, err := core.OptimizeLayer(context.Background(), cfg, strat, rng, a, l, cfg.SWSamples)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !lr.Valid {
 		t.Fatal("daBO_SW found no feasible schedule")
 	}

@@ -33,7 +33,7 @@ import (
 	"sync/atomic"
 )
 
-// WorkerPanic is the value re-raised by Run/RunCtx on the calling
+// WorkerPanic is the value re-raised by RunCtx on the calling
 // goroutine when a worker's fn panicked. Value is the original panic
 // value; Stack is the panicking worker's stack trace, captured at
 // recovery time (the re-raise necessarily unwinds from the caller, so
@@ -49,24 +49,20 @@ func (w *WorkerPanic) Error() string {
 	return fmt.Sprintf("pool: worker panic: %v\n%s", w.Value, w.Stack)
 }
 
-// Run invokes fn(i) exactly once for every i in [0, n), using at most
+// RunCtx invokes fn(i) once for every i in [0, n), using at most
 // workers concurrent goroutines, and returns when all invocations have
 // completed. workers <= 0 means runtime.GOMAXPROCS(0); workers == 1 (or
 // n <= 1) runs inline with zero goroutine overhead. Work is handed out
 // dynamically, so fn must not depend on execution order. If fn panics,
-// Run drains the pool and re-raises the first panic as a *WorkerPanic.
-func Run(n, workers int, fn func(i int)) {
-	// The background context is never canceled, so the only possible
-	// error is a re-raised panic, which never reaches the return.
-	_ = RunCtx(context.Background(), n, workers, fn)
-}
-
-// RunCtx is Run with cooperative cancellation: when ctx is canceled,
-// no further indices are dispatched, in-flight invocations are drained,
-// and ctx.Err() is returned. fn(i) either runs to completion or not at
-// all — cancellation never abandons a running invocation, so there are
-// no torn writes into slot i and no leaked goroutines. It returns nil
-// when all n invocations completed.
+// RunCtx drains the pool and re-raises the first panic as a
+// *WorkerPanic.
+//
+// Cancellation is cooperative: when ctx is canceled, no further indices
+// are dispatched, in-flight invocations are drained, and ctx.Err() is
+// returned. fn(i) either runs to completion or not at all —
+// cancellation never abandons a running invocation, so there are no
+// torn writes into slot i and no leaked goroutines. It returns nil when
+// all n invocations completed.
 func RunCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if n <= 0 {
 		return nil

@@ -13,7 +13,7 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 64} {
 		const n = 100
 		var counts [n]atomic.Int64
-		Run(n, workers, func(i int) { counts[i].Add(1) })
+		RunCtx(context.Background(), n, workers, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if got := counts[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: fn(%d) ran %d times, want 1", workers, i, got)
@@ -25,7 +25,7 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 func TestRunBoundsConcurrency(t *testing.T) {
 	const n, workers = 200, 4
 	var inflight, peak atomic.Int64
-	Run(n, workers, func(int) {
+	RunCtx(context.Background(), n, workers, func(int) {
 		cur := inflight.Add(1)
 		for {
 			p := peak.Load()
@@ -41,9 +41,9 @@ func TestRunBoundsConcurrency(t *testing.T) {
 }
 
 func TestRunEmptyAndSingle(t *testing.T) {
-	Run(0, 4, func(int) { t.Fatal("fn called for n=0") })
+	RunCtx(context.Background(), 0, 4, func(int) { t.Fatal("fn called for n=0") })
 	ran := 0
-	Run(1, 4, func(i int) { ran++ })
+	RunCtx(context.Background(), 1, 4, func(i int) { ran++ })
 	if ran != 1 {
 		t.Fatalf("n=1 ran fn %d times", ran)
 	}
@@ -69,7 +69,7 @@ func TestRunReRaisesWorkerPanic(t *testing.T) {
 					t.Fatalf("workers=%d: worker stack not captured", workers)
 				}
 			}()
-			Run(50, workers, func(i int) {
+			RunCtx(context.Background(), 50, workers, func(i int) {
 				if i == 7 {
 					panic("boom-7")
 				}
@@ -83,7 +83,7 @@ func TestRunPanicStopsDispatch(t *testing.T) {
 	var after atomic.Int64
 	func() {
 		defer func() { _ = recover() }()
-		Run(10_000, 2, func(i int) {
+		RunCtx(context.Background(), 10_000, 2, func(i int) {
 			if i == 0 {
 				panic("early")
 			}
