@@ -11,15 +11,15 @@
 # govulncheck, and -benchtime=1x smokes of BenchmarkDABOSuggest,
 # BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling,
 # BenchmarkFeatureTransform, BenchmarkMaestroEvaluateBatch,
-# BenchmarkTransformerLayerSearch, BenchmarkEvalCache and
-# BenchmarkTraceOverhead. Performance is
+# BenchmarkTransformerLayerSearch, BenchmarkEvalCache,
+# BenchmarkTraceOverhead and BenchmarkStore. Performance is
 # measured by `bash perfbench/run.sh`. The allocation gates on pooled
 # paths (testing.AllocsPerRun over sync.Pool scratch) skip themselves
 # under `make race`: the race detector makes sync.Pool drop items at
 # random. `make test` runs them; the layer-slot gate touches no pool and
 # runs under both. `make chaos` repeats the cancellation, checkpoint,
 # memo-cache single-flight, layer-slot and determinism tests under
-# -race. `make
+# -race, and the disk journal's concurrent Put/Get test. `make
 # repeat` runs the packages with process-wide state (the sched divisor
 # and tiling-table memos, the eval backend registry) twice in one
 # process, so state one run leaves behind cannot break the next.
@@ -71,9 +71,11 @@ race:
 # TestRunnerShutdownCancelsExperiment (an experiment job stops at its
 # next sample, not at its step's end) and exp's
 # TestDriversStopOnCanceledContext and
-# TestFig6CanceledAfterFirstTrialReturnsNoRows.
+# TestFig6CanceledAfterFirstTrialReturnsNoRows. ConcurrentPutGet races
+# the disk journal: Get reads records back from the file while Put
+# appends to it.
 chaos:
-	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight|LayerSlot|Deterministic' -count=2 ./...
+	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight|LayerSlot|Deterministic|ConcurrentPutGet' -count=2 ./...
 
 repeat:
 	$(GO) test -count=2 ./internal/core/ ./internal/sched/ ./internal/eval/

@@ -32,13 +32,24 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	// SIGINT and SIGTERM cancel ctx: the search stops cooperatively and
+	// run reports the partial result, its deferred handlers flushing the
+	// cache journal and the trace sink. The process then exits 130 or
+	// 143, so a batch scheduler can tell an interrupted search from a
+	// finished one; a -timeout stop is a finished run and exits 0.
+	ctx, stop := engine.ShutdownContext(context.Background())
+	err := run(ctx)
+	signaled := ctx.Err() != nil // only a signal cancels ctx before stop
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "spotlight:", err)
-		os.Exit(1)
+	}
+	if err != nil || signaled {
+		os.Exit(engine.ExitCode(context.Cause(ctx)))
 	}
 }
 
-func run() error {
+func run(ctx context.Context) error {
 	var (
 		modelsFlag = flag.String("models", "ResNet-50", "comma-separated DL models to co-design for")
 		scale      = flag.String("scale", "edge", "hardware scale: edge or cloud")
@@ -150,13 +161,11 @@ func run() error {
 		opts.OnCheckpoint = cper.OnCheckpoint
 	}
 
-	// SIGINT, SIGTERM (and -timeout) stop the search cooperatively: the
+	// A signal (ctx) or -timeout stops the search cooperatively: the
 	// run finishes its current hardware sample's bookkeeping, the last
 	// checkpoint on disk stays valid, the disk-cache journal is flushed
 	// and closed by the deferred handlers above, and the partial result
 	// is reported.
-	ctx, stop := engine.ShutdownContext(context.Background())
-	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)

@@ -2,16 +2,112 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"spotlight/internal/core"
 	"spotlight/internal/maestro"
 	"spotlight/internal/workload"
 )
+
+// TestMain runs the command itself when SPOTLIGHT_TEST_MAIN is set, so
+// a test can drive the real process (flags, signals, exit status) by
+// re-executing the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("SPOTLIGHT_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestStoppedSearchExitStatus stops a long search once it has
+// checkpointed a hardware sample: after SIGINT or SIGTERM the process
+// reports the partial result and exits 130 or 143; a -timeout stop
+// reports it and exits 0.
+func TestStoppedSearchExitStatus(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("needs POSIX signals")
+	}
+	for _, tc := range []struct {
+		name string
+		sig  os.Signal // nil: stop by -timeout
+		want int
+	}{
+		{"SIGINT", os.Interrupt, 130},
+		{"SIGTERM", syscall.SIGTERM, 143},
+		{"timeout", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := filepath.Join(t.TempDir(), "cp.json")
+			args := []string{"-models", "MobileNetV2", "-hw", "100000", "-sw", "8", "-checkpoint", cp}
+			if tc.sig == nil {
+				args = append(args, "-timeout", "2s")
+			}
+			cmd := exec.Command(os.Args[0], args...)
+			cmd.Env = append(os.Environ(), "SPOTLIGHT_TEST_MAIN=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			exited := make(chan struct{})
+			var waitErr error
+			go func() { waitErr = cmd.Wait(); close(exited) }()
+			defer func() {
+				select {
+				case <-exited:
+				default:
+					_ = cmd.Process.Kill() // a failed subtest leaves the child running
+					<-exited
+				}
+			}()
+			if tc.sig != nil {
+				// A checkpoint on disk means a hardware sample completed,
+				// long after the signal handler was installed.
+				deadline := time.Now().Add(time.Minute)
+				for {
+					if _, err := os.Stat(cp); err == nil {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("no checkpoint within a minute\n%s", stderr.String())
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+				if err := cmd.Process.Signal(tc.sig); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-exited:
+			case <-time.After(time.Minute):
+				t.Fatal("search did not stop within a minute")
+			}
+			code := 0
+			var ee *exec.ExitError
+			if errors.As(waitErr, &ee) {
+				code = ee.ExitCode()
+			} else if waitErr != nil {
+				t.Fatal(waitErr)
+			}
+			if code != tc.want {
+				t.Fatalf("exit status %d, want %d\nstderr:\n%s", code, tc.want, stderr.String())
+			}
+			if !strings.Contains(stdout.String(), "partial result after") {
+				t.Fatalf("no partial result reported\nstdout:\n%s\nstderr:\n%s", stdout.String(), stderr.String())
+			}
+		})
+	}
+}
 
 // TestReevaluateReproducesMultiModelEDP re-costs an exported two-model
 // EDP design on the backend that found it: the aggregate must equal the

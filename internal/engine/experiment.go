@@ -93,7 +93,8 @@ func StepKeys() []string {
 // order, handing ctx to each step's driver, which stops at its next
 // sample once ctx is done. A step that ctx interrupted is dropped, its
 // result never reaching OnStepDone: RunExperiments returns the steps
-// completed before it alongside ctx.Err().
+// completed before it alongside an error that names the step and the
+// cancel cause and wraps ctx.Err().
 func RunExperiments(ctx context.Context, spec JobSpec, opts ExperimentOptions) ([]StepResult, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
@@ -118,8 +119,8 @@ func RunExperiments(ctx context.Context, spec JobSpec, opts ExperimentOptions) (
 		if !want[s.key] {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return results, err
+		if ctx.Err() != nil {
+			return results, interrupted(ctx, "before "+s.key)
 		}
 		if opts.OnStepStart != nil {
 			opts.OnStepStart(s.key)
@@ -129,8 +130,8 @@ func RunExperiments(ctx context.Context, spec JobSpec, opts ExperimentOptions) (
 		stepCfg.Span = stepSpan
 		res, err := s.fn(ctx, stepCfg, st)
 		stepSpan.End()
-		if cerr := ctx.Err(); cerr != nil {
-			return results, cerr
+		if ctx.Err() != nil {
+			return results, interrupted(ctx, "in "+s.key)
 		}
 		if err != nil {
 			return results, fmt.Errorf("%s: %w", s.key, err)
@@ -143,6 +144,19 @@ func RunExperiments(ctx context.Context, spec JobSpec, opts ExperimentOptions) (
 		}
 	}
 	return results, nil
+}
+
+// interrupted is the error of a run that ctx stopped at where (a step):
+// it names the step and, when ctx records one, the cancel cause (the
+// signal a shutdown context caught), and wraps both ctx.Err() and the
+// cause, so errors.Is(err, context.Canceled) holds and ExitCode(err)
+// sees the signal.
+func interrupted(ctx context.Context, where string) error {
+	err := ctx.Err()
+	if cause := context.Cause(ctx); cause != err {
+		return fmt.Errorf("interrupted %s by %w: %w", where, cause, err)
+	}
+	return fmt.Errorf("interrupted %s: %w", where, err)
 }
 
 // csvArtifact renders one CSV artifact through the same write function

@@ -3,6 +3,9 @@ package engine
 import (
 	"bytes"
 	"context"
+	"errors"
+	"strings"
+	"syscall"
 	"testing"
 
 	"spotlight/internal/eval"
@@ -118,13 +121,52 @@ func TestRunExperimentsStopsOnCanceledContext(t *testing.T) {
 			return nil
 		},
 	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if want := "interrupted before kernels: context canceled"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 	if len(done) != 1 || done[0] != "fig6" {
 		t.Fatalf("completed steps %v, want [fig6]", done)
 	}
 	if len(results) != 1 {
 		t.Fatalf("got %d results, want the 1 completed before cancellation", len(results))
+	}
+}
+
+// TestRunExperimentsInterruptNamesStepAndSignal: a signal that stops a
+// step mid-run yields an error naming that step and the signal, which
+// still wraps context.Canceled (so a Runner job ends canceled) and
+// carries the signal to ExitCode.
+func TestRunExperimentsInterruptNamesStepAndSignal(t *testing.T) {
+	spec := tinySpec()
+	spec.Steps = []string{"fig6", "kernels"}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	var done []string
+	results, err := RunExperiments(ctx, spec, ExperimentOptions{
+		Eval: testPipeline(t, spec.Eval),
+		OnStepStart: func(key string) {
+			if key == "fig6" {
+				cancel(signalCause{syscall.SIGTERM})
+			}
+		},
+		OnStepDone: func(res StepResult) error {
+			done = append(done, res.Key)
+			return nil
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "in fig6") || !strings.Contains(msg, "signal terminated") {
+		t.Fatalf("err = %q, want it to name fig6 and the signal", msg)
+	}
+	if got := ExitCode(err); got != 143 {
+		t.Fatalf("ExitCode(%v) = %d, want 143", err, got)
+	}
+	if len(results) != 0 || len(done) != 0 {
+		t.Fatalf("interrupted step kept results %v (done %v)", results, done)
 	}
 }

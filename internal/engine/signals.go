@@ -13,7 +13,7 @@ import (
 // ExitCode turns it into the process's exit status.
 type signalCause struct{ Signal os.Signal }
 
-func (s signalCause) Error() string { return s.Signal.String() }
+func (s signalCause) Error() string { return "signal " + s.Signal.String() }
 
 // ShutdownContext returns a context canceled on SIGINT or SIGTERM (and
 // when the parent is canceled), with the signal recorded as its cancel

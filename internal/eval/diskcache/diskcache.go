@@ -17,8 +17,16 @@
 //   - Degradation is strictly observe-only: any I/O error after open
 //     (ENOSPC, EIO, a revoked permission) flips the store into a sticky
 //     degraded mode that silently drops further appends. Reads keep
-//     serving the already-loaded index, the OnDegrade hook fires exactly
-//     once, and no error ever propagates into the evaluation path.
+//     serving the records in the file and the values kept in memory,
+//     the OnDegrade hook fires exactly once, and no error ever
+//     propagates into the evaluation path.
+//
+// The journal file is the only home of a persisted value: the index
+// maps each key to its record's offset and length, and Get reads the
+// record back and verifies it (length, checksum, key) on every hit, so
+// a record the file no longer holds is a miss, never another record's
+// bytes. Only values the file does not hold — puts in read-only or
+// degraded mode, and a failed append's value — are kept in memory.
 //
 // One process owns the journal at a time: Open takes a non-blocking
 // flock on the file, and a second opener falls back to a read-only
@@ -30,11 +38,13 @@ package diskcache
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"spotlight/internal/resilience"
@@ -84,14 +94,23 @@ type Options struct {
 	Fault *resilience.FileFault
 }
 
+// loc is where a record lives in the journal: the offset of its frame
+// and the length of its value.
+type loc struct {
+	off int64
+	n   int64
+}
+
 // Store is an open journal with its in-memory index. All methods are
 // safe for concurrent use.
 type Store struct {
 	mu    sync.Mutex
 	f     *os.File
-	w     io.Writer // f behind the optional fault injector
-	index map[Key][]byte
-	size  int64 // end offset of the last complete record
+	w     io.Writer      // f behind the optional fault injector
+	r     io.ReaderAt    // f, for Get's reads outside mu; nil once closed
+	index map[Key]loc    // records in the journal file
+	mem   map[Key][]byte // values the file does not hold (read-only, degraded, failed append)
+	size  int64          // end offset of the last complete record
 
 	path        string
 	fingerprint string
@@ -118,8 +137,8 @@ type Snapshot struct {
 	Invalidated        bool  // a stale store (fingerprint mismatch) was wiped
 }
 
-// Open opens (creating if needed) the journal at opts.Path, replays it
-// into memory, and truncates any torn tail. It returns an error only
+// Open opens (creating if needed) the journal at opts.Path, indexes its
+// complete records, and truncates any torn tail. It returns an error only
 // when no usable store can be produced at all (the path is unwritable
 // AND unreadable); every recoverable condition — torn tail, corrupt
 // header, stale fingerprint, lock held by another process — resolves to
@@ -135,7 +154,8 @@ func Open(opts Options) (*Store, error) {
 		path:        opts.Path,
 		fingerprint: opts.Fingerprint,
 		onDegrade:   opts.OnDegrade,
-		index:       map[Key][]byte{},
+		index:       map[Key]loc{},
+		mem:         map[Key][]byte{},
 	}
 
 	f, err := os.OpenFile(opts.Path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -148,7 +168,7 @@ func Open(opts Options) (*Store, error) {
 		}
 		f, s.readOnly = rf, true
 	}
-	s.f = f
+	s.f, s.r = f, f
 	s.w = opts.Fault.Writer(f)
 
 	if !s.readOnly {
@@ -247,8 +267,10 @@ func (s *Store) checkHeader() (bool, error) {
 	return true, nil
 }
 
-// scan replays records from off, indexing every complete one and
-// truncating the journal at the first torn or corrupt record.
+// scan replays records from off, indexing the offset of every complete
+// one and truncating the journal at the first torn or corrupt record.
+// Each payload is read into one reused buffer to verify its checksum;
+// none is kept.
 func (s *Store) scan(off int64) error {
 	info, err := s.f.Stat()
 	if err != nil {
@@ -259,6 +281,7 @@ func (s *Store) scan(off int64) error {
 
 	good := off
 	var frame [recordHdrLen]byte
+	var payload []byte
 	for {
 		if _, err := io.ReadFull(r, frame[:]); err != nil {
 			break // clean EOF or torn frame: either way, stop at `good`
@@ -268,16 +291,14 @@ func (s *Store) scan(off int64) error {
 		if payloadLen < 32 || payloadLen > 32+maxValueLen {
 			break // corrupt length field
 		}
-		payload := make([]byte, payloadLen)
+		payload = slices.Grow(payload[:0], int(payloadLen))[:payloadLen]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			break // torn payload
 		}
 		if crc32.Checksum(payload, castagnoli) != sum {
 			break // bit rot or a torn record overwritten by a later open
 		}
-		var k Key
-		copy(k[:], payload[:32])
-		s.index[k] = payload[32:]
+		s.index[Key(payload[:32])] = loc{off: good, n: int64(payloadLen) - 32}
 		s.recovered++
 		good += recordHdrLen + int64(payloadLen)
 	}
@@ -299,41 +320,97 @@ func (s *Store) scan(off int64) error {
 	return nil
 }
 
-// Get returns the value stored under key. The returned slice is the
-// index's backing memory: callers must treat it as read-only.
-func (s *Store) Get(key Key) ([]byte, bool) {
+// Get appends the value stored under key to buf[:0] and returns it,
+// growing buf if needed; on a miss it returns buf[:0]. A value in the
+// journal is read back from the file and verified against its record's
+// length, checksum and key; a read error, a mismatch or a closed
+// journal is a miss, never an error. The read runs outside the store's
+// lock, so concurrent Gets and Puts do not queue behind it. A record
+// proven wrong (a mismatch, or one that ends past the end of the file)
+// leaves the index, so the caller's recomputed value can be Put again;
+// any other read error keeps the entry, because the record may be
+// intact and a second append of its key would duplicate it.
+func (s *Store) Get(key Key, buf []byte) ([]byte, bool) {
+	s.mu.Lock()
+	if v, ok := s.mem[key]; ok {
+		s.hits++
+		s.mu.Unlock()
+		return append(buf[:0], v...), true
+	}
+	l, ok := s.index[key]
+	r := s.r
+	if !ok || r == nil {
+		s.misses++
+		s.mu.Unlock()
+		return buf[:0], false
+	}
+	s.mu.Unlock()
+
+	v, err := readRecord(r, key, l, buf[:0])
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.index[key]
-	if ok {
+	if err == nil {
 		s.hits++
-	} else {
-		s.misses++
+		return v, true
 	}
-	return v, ok
+	// Drop only the entry that was read: a concurrent Put may have
+	// indexed a new record under the key since.
+	if errors.Is(err, errBadRecord) && s.index[key] == l {
+		delete(s.index, key)
+	}
+	s.misses++
+	return v[:0], false
 }
 
-// Put appends a record and indexes it, keeping its own copy of value.
-// In read-only or degraded mode the index is still updated (so the
-// running process keeps its result) but nothing is written. Append
-// errors never propagate: they degrade the store — truncating any
-// partial record so the on-disk journal stays a clean prefix of
-// complete records — and the evaluation that produced the value
-// continues unaffected.
+// errBadRecord reports a record that the file does not hold as indexed.
+var errBadRecord = errors.New("diskcache: record does not verify")
+
+// readRecord reads the record at l into buf, verifies its length,
+// checksum and key, and returns its value at the front of buf. A
+// mismatch, or a record cut short by the end of the file, is
+// errBadRecord; any other read error is returned as is.
+func readRecord(r io.ReaderAt, key Key, l loc, buf []byte) ([]byte, error) {
+	payloadLen := 32 + l.n
+	rec := slices.Grow(buf, recordHdrLen+int(payloadLen))[:recordHdrLen+payloadLen]
+	if _, err := r.ReadAt(rec, l.off); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = errBadRecord
+		}
+		return rec[:0], err
+	}
+	if binary.LittleEndian.Uint32(rec[:4]) != uint32(payloadLen) ||
+		binary.LittleEndian.Uint32(rec[4:recordHdrLen]) != crc32.Checksum(rec[recordHdrLen:], castagnoli) ||
+		Key(rec[recordHdrLen:recordHdrLen+32]) != key {
+		return rec[:0], errBadRecord
+	}
+	return rec[:copy(rec, rec[recordHdrLen+32:])], nil
+}
+
+// Put appends a record and indexes its offset; the store keeps no copy
+// of value once it is in the file. In read-only or degraded mode
+// nothing is written and the store keeps its own copy in memory (so
+// the running process keeps its result). Append errors never
+// propagate: they degrade the store — truncating any partial record so
+// the on-disk journal stays a clean prefix of complete records — and
+// the evaluation that produced the value continues unaffected.
 func (s *Store) Put(key Key, value []byte) {
 	if len(value) > maxValueLen {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// First write wins, matching the memo cache above this layer; a
+	// duplicate must not reach the journal either, or replay (which
+	// indexes in file order) would resurrect it on reopen.
 	if _, dup := s.index[key]; dup {
-		// First write wins, matching the memo cache above this layer; a
-		// duplicate must not reach the journal either, or replay (which
-		// indexes in file order) would resurrect it on reopen.
 		return
 	}
-	s.index[key] = append([]byte(nil), value...) // the one retained copy
+	if _, dup := s.mem[key]; dup {
+		return
+	}
 	if s.readOnly || s.degraded {
+		s.mem[key] = append([]byte(nil), value...)
 		return
 	}
 	payloadLen := 32 + len(value)
@@ -345,6 +422,7 @@ func (s *Store) Put(key Key, value []byte) {
 	s.rec = rec
 
 	if _, err := s.w.Write(rec); err != nil {
+		s.mem[key] = append([]byte(nil), value...)
 		// A partial append may be on disk. Cut back to the last complete
 		// record so a same-process reopen is not needed to stay clean;
 		// if even the truncate fails, the next Open's scan repairs it.
@@ -357,6 +435,7 @@ func (s *Store) Put(key Key, value []byte) {
 		s.degrade(err)
 		return
 	}
+	s.index[key] = loc{off: s.size, n: int64(len(value))}
 	s.size += int64(len(rec))
 	s.puts++
 }
@@ -389,18 +468,18 @@ func (s *Store) Close() error {
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
-	s.f = nil
+	s.f, s.r = nil, nil
 	return err
 }
 
 // Path returns the journal file path.
 func (s *Store) Path() string { return s.path }
 
-// Len returns the number of indexed entries.
+// Len returns the number of stored entries, in the file or in memory.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return len(s.index) + len(s.mem)
 }
 
 // Snapshot returns the current counters and mode flags.
@@ -411,7 +490,7 @@ func (s *Store) Snapshot() Snapshot {
 		Hits:         s.hits,
 		Misses:       s.misses,
 		Puts:         s.puts,
-		Entries:      len(s.index),
+		Entries:      len(s.index) + len(s.mem),
 		Recovered:    s.recovered,
 		DroppedBytes: s.droppedBytes,
 		ReadOnly:     s.readOnly,

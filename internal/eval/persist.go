@@ -228,8 +228,9 @@ func (d *Disk) Close() error {
 }
 
 // diskScratch is the reusable per-call working set of Disk.evaluate:
-// record keys, the miss subset, and the encoding of the value being
-// appended (the store keeps its own copy).
+// record keys, the miss subset, and the value being read back from the
+// store or encoded for an append (decoding copies what it keeps, and
+// the store copies what it does not write to the journal).
 type diskScratch struct {
 	keys []diskcache.Key
 	miss missSet
@@ -238,9 +239,10 @@ type diskScratch struct {
 
 var diskScratchPool = sync.Pool{New: func() any { return new(diskScratch) }}
 
-// evaluate implements layer: disk hits are answered from the index, and
-// the misses go to the inner layer in ONE call (preserving the batch
-// fast path), each persistable result appended as it is published. The
+// evaluate implements layer: disk hits are read back from the journal
+// (and verified) by the store, and the misses go to the inner layer in
+// ONE call (preserving the batch fast path), each persistable result
+// appended as it is published. The
 // hit/append persistence events follow sp's sink: under a span they
 // are counted in its tally (see obs.Span.CountTo).
 func (d *Disk) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
@@ -255,7 +257,9 @@ func (d *Disk) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workloa
 	for i := range ss {
 		key := diskcache.Key(RecordKey(d.backend, d.fingerprint, CanonicalKey(a, ss[i], l)))
 		sc.keys = append(sc.keys, key)
-		if val, ok := d.store.Get(key); ok {
+		val, ok := d.store.Get(key, sc.val)
+		sc.val = val
+		if ok {
 			if cost, verdict, ok := decodeResult(val); ok {
 				sp.CountTo(d.tr, obs.TallyPersistHit)
 				costs[i], errs[i] = cost, verdict
