@@ -6,11 +6,13 @@
 # TestEndToEndInvariants, so `make test` and `make race` run them;
 # batched against unbatched rounds is search.TestBatchedRunsBitIdentical. CI
 # adds only steps with no target: the SARIF upload, the fuzz smoke
-# (FuzzLayerSearchFaultSequences in core, FuzzEvaluateBatch in maestro,
-# FuzzRecordDecode in sched),
+# (FuzzLayerSearchFaultSequences in core, FuzzEvaluateBatch and
+# FuzzEvaluate in maestro, FuzzRecordDecode in sched),
 # govulncheck, and -benchtime=1x smokes of BenchmarkDABOSuggest,
 # BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling,
-# BenchmarkFeatureTransform, BenchmarkMaestroEvaluateBatch,
+# BenchmarkFeatureTransform, BenchmarkMaestroEvaluate,
+# BenchmarkMaestroEvaluateBatch, BenchmarkTimeloopEvaluate,
+# BenchmarkSimulateTrace,
 # BenchmarkTransformerLayerSearch, BenchmarkEvalCache,
 # BenchmarkTraceOverhead and BenchmarkStore. Performance is
 # measured by `bash perfbench/run.sh`. The allocation gates on pooled

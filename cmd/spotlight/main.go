@@ -155,10 +155,18 @@ func run(ctx context.Context) error {
 		opts.Resume = cp
 		fmt.Printf("resuming from %s (%d hardware samples done)\n", *resumeFrom, cp.Samples)
 	}
-	var cper *engine.FileCheckpointer
+	// checkpointed reports that a checkpoint reached the file. Each write
+	// replaces the file atomically, and a signal cancels the run rather
+	// than the process, so the last one written is whole.
+	checkpointed := false
 	if *checkpoint != "" {
-		cper = &engine.FileCheckpointer{Path: *checkpoint}
-		opts.OnCheckpoint = cper.OnCheckpoint
+		opts.OnCheckpoint = func(cp *core.Checkpoint) error {
+			if err := core.WriteCheckpointFile(*checkpoint, cp); err != nil {
+				return err
+			}
+			checkpointed = true
+			return nil
+		}
 	}
 
 	// A signal (ctx) or -timeout stops the search cooperatively: the
@@ -178,12 +186,8 @@ func run(ctx context.Context) error {
 			return err
 		}
 		fmt.Fprintln(os.Stderr, "spotlight:", err)
-		if cper != nil {
-			if saved, werr := cper.SaveLast(); werr != nil {
-				fmt.Fprintln(os.Stderr, "spotlight: saving final checkpoint:", werr)
-			} else if saved {
-				fmt.Fprintf(os.Stderr, "spotlight: checkpoint saved; continue with -resume %s\n", *checkpoint)
-			}
+		if checkpointed {
+			fmt.Fprintf(os.Stderr, "spotlight: checkpoint saved; continue with -resume %s\n", *checkpoint)
 		}
 		if len(res.History) == 0 {
 			return errors.New("stopped before any hardware sample completed")
@@ -196,11 +200,11 @@ func run(ctx context.Context) error {
 	fmt.Print(engine.SearchReport(res, obj, *verbose))
 	reportStats()
 	if *frontier {
-		_, budget, err := engine.ResolveScale(*scale)
+		sc, err := hw.ScaleByName(*scale)
 		if err != nil {
 			return err
 		}
-		reportFrontier(res, budget)
+		reportFrontier(res, sc.Budget)
 	}
 
 	if *historyCSV != "" {

@@ -32,7 +32,8 @@ func TestMain(m *testing.M) {
 // TestStoppedSearchExitStatus stops a long search once it has
 // checkpointed a hardware sample: after SIGINT or SIGTERM the process
 // reports the partial result and exits 130 or 143; a -timeout stop
-// reports it and exits 0.
+// reports it and exits 0. Every stop names the checkpoint to resume
+// from, and that file loads.
 func TestStoppedSearchExitStatus(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("needs POSIX signals")
@@ -104,6 +105,16 @@ func TestStoppedSearchExitStatus(t *testing.T) {
 			}
 			if !strings.Contains(stdout.String(), "partial result after") {
 				t.Fatalf("no partial result reported\nstdout:\n%s\nstderr:\n%s", stdout.String(), stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "checkpoint saved; continue with -resume "+cp) {
+				t.Fatalf("no resume hint on stderr\nstderr:\n%s", stderr.String())
+			}
+			saved, err := core.ReadCheckpointFile(cp)
+			if err != nil {
+				t.Fatalf("checkpoint left by the stopped run: %v", err)
+			}
+			if saved.Samples < 1 {
+				t.Fatalf("checkpoint holds %d hardware samples, want at least 1", saved.Samples)
 			}
 		})
 	}

@@ -6,12 +6,6 @@ import (
 	"spotlight/internal/hw"
 )
 
-// ParetoPoint is one candidate on the objective/area/power trade-off
-// surface explored during a hardware search.
-type ParetoPoint struct {
-	Design Design
-}
-
 // dominates reports whether a is at least as good as b on every axis and
 // strictly better on at least one (all axes minimized).
 func dominates(a, b Design) bool {

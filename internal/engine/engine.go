@@ -144,7 +144,7 @@ func (s JobSpec) Validate() error {
 		if _, err := ResolveModels(s.Models); err != nil {
 			return err
 		}
-		if _, _, err := ResolveScale(s.Scale); err != nil {
+		if _, err := hw.ScaleByName(s.Scale); err != nil {
 			return err
 		}
 		if _, err := StrategyByName(s.Strategy); err != nil {
@@ -195,17 +195,6 @@ func ResolveModels(names []string) ([]workload.Model, error) {
 	return models, nil
 }
 
-// ResolveScale maps a scale name onto its hardware space and budget.
-func ResolveScale(scale string) (hw.Space, hw.Budget, error) {
-	switch scale {
-	case "edge":
-		return hw.EdgeSpace(), hw.EdgeBudget(), nil
-	case "cloud":
-		return hw.CloudSpace(), hw.CloudBudget(), nil
-	}
-	return hw.Space{}, hw.Budget{}, fmt.Errorf("unknown scale %q", scale)
-}
-
 // ResolveObjective maps an objective name onto the core objective.
 func ResolveObjective(name string) (core.Objective, error) {
 	switch name {
@@ -252,7 +241,7 @@ func (s JobSpec) SearchConfig(ev core.Evaluator, tr obs.Tracer) (core.RunConfig,
 	if err != nil {
 		return core.RunConfig{}, nil, err
 	}
-	space, budget, err := ResolveScale(s.Scale)
+	scale, err := hw.ScaleByName(s.Scale)
 	if err != nil {
 		return core.RunConfig{}, nil, err
 	}
@@ -266,8 +255,8 @@ func (s JobSpec) SearchConfig(ev core.Evaluator, tr obs.Tracer) (core.RunConfig,
 	}
 	return core.RunConfig{
 		Models:    models,
-		Space:     space,
-		Budget:    budget,
+		Space:     scale.Space,
+		Budget:    scale.Budget,
 		Objective: obj,
 		HWSamples: s.HWSamples,
 		SWSamples: s.SWSamples,

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"spotlight/internal/core"
 	"spotlight/internal/exp"
@@ -53,45 +52,6 @@ func RunSearch(ctx context.Context, spec JobSpec, opts SearchOptions) (core.Resu
 	res, err := core.RunContext(ctx, cfg, strat)
 	jobSpan.End()
 	return res, err
-}
-
-// FileCheckpointer persists checkpoints to one file (atomic replace, via
-// core.WriteCheckpointFile) and retains the latest in memory so an
-// interrupted run can save a final snapshot even if the last write
-// predates the interruption — the exact behavior cmd/spotlight wired
-// inline before this package existed.
-type FileCheckpointer struct {
-	// Path is the checkpoint file.
-	Path string
-
-	mu   sync.Mutex
-	last *core.Checkpoint
-}
-
-// OnCheckpoint is the hook to install as SearchOptions.OnCheckpoint.
-func (c *FileCheckpointer) OnCheckpoint(cp *core.Checkpoint) error {
-	c.mu.Lock()
-	c.last = cp
-	c.mu.Unlock()
-	return core.WriteCheckpointFile(c.Path, cp)
-}
-
-// Last returns the most recent checkpoint seen, or nil.
-func (c *FileCheckpointer) Last() *core.Checkpoint {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.last
-}
-
-// SaveLast rewrites the file from the retained checkpoint, reporting
-// whether there was one to save. Called on the interrupt path so the
-// file is valid even if the in-progress write was torn by the signal.
-func (c *FileCheckpointer) SaveLast() (bool, error) {
-	cp := c.Last()
-	if cp == nil {
-		return false, nil
-	}
-	return true, core.WriteCheckpointFile(c.Path, cp)
 }
 
 // SearchReport renders the human-readable result summary — tool,

@@ -44,10 +44,11 @@ func Discussion(ctx context.Context, cfg Config, modelName string) ([]Discussion
 	}
 	rows := []DiscussionRow{designRow("Spotlight-Opt", res.Best)}
 
-	baselines, err := hw.BaselinesFor(cfg.Scale)
+	scale, err := hw.ScaleByName(cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
+	baselines := scale.Baselines()
 	for _, b := range baselines {
 		brc := rc
 		brc.SWConstraint = b.Constraint

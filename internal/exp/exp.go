@@ -127,27 +127,16 @@ func (c Config) models() ([]workload.Model, error) {
 	return out, nil
 }
 
-// spaceAndBudget resolves the hardware space and budget for the scale.
-func (c Config) spaceAndBudget() (hw.Space, hw.Budget, error) {
-	switch c.Scale {
-	case "edge":
-		return hw.EdgeSpace(), hw.EdgeBudget(), nil
-	case "cloud":
-		return hw.CloudSpace(), hw.CloudBudget(), nil
-	}
-	return hw.Space{}, hw.Budget{}, fmt.Errorf("exp: unknown scale %q", c.Scale)
-}
-
 // runConfig builds the core.RunConfig for a set of models and a trial.
 func (c Config) runConfig(models []workload.Model, trial int) (core.RunConfig, error) {
-	space, budget, err := c.spaceAndBudget()
+	scale, err := hw.ScaleByName(c.Scale)
 	if err != nil {
 		return core.RunConfig{}, err
 	}
 	return core.RunConfig{
 		Models:    models,
-		Space:     space,
-		Budget:    budget,
+		Space:     scale.Space,
+		Budget:    scale.Budget,
 		Objective: c.Objective,
 		HWSamples: c.HWSamples,
 		SWSamples: c.SWSamples,

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"spotlight/internal/core"
+	"spotlight/internal/hw"
 )
 
 // tinyCfg is a fast configuration for structural tests.
@@ -44,13 +45,19 @@ func TestConfigModels(t *testing.T) {
 }
 
 func TestConfigScales(t *testing.T) {
-	if _, _, err := (Config{Scale: "edge"}).spaceAndBudget(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		scale  string
+		budget hw.Budget
+	}{{"edge", hw.EdgeBudget()}, {"cloud", hw.CloudBudget()}} {
+		rc, err := (Config{Scale: tc.scale}).runConfig(nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.Space.Name != tc.scale || rc.Budget != tc.budget {
+			t.Fatalf("scale %q: space %q, budget %+v", tc.scale, rc.Space.Name, rc.Budget)
+		}
 	}
-	if _, _, err := (Config{Scale: "cloud"}).spaceAndBudget(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := (Config{Scale: "orbit"}).spaceAndBudget(); err == nil {
+	if _, err := (Config{Scale: "orbit"}).runConfig(nil, 0); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
 }

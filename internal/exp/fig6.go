@@ -22,10 +22,11 @@ func Fig6(ctx context.Context, cfg Config) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	baselines, err := hw.BaselinesFor(cfg.Scale)
+	scale, err := hw.ScaleByName(cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
+	baselines := scale.Baselines()
 
 	var rows []Row
 	for _, m := range models {

@@ -112,10 +112,11 @@ func fig8Half(ctx context.Context, cfg Config) ([]Row, error) {
 	}
 
 	// Hand-designed baselines (programmable, designed to generalize).
-	baselines, err := hw.BaselinesFor(cfg.Scale)
+	scale, err := hw.ScaleByName(cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
+	baselines := scale.Baselines()
 	for _, m := range models {
 		for _, b := range baselines {
 			objs, err := cfg.baselineObjectives(ctx, []workload.Model{m}, b)

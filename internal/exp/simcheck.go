@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/sched"
 	"spotlight/internal/sim"
@@ -30,7 +31,7 @@ func SimCheck(ctx context.Context, cfg Config, samples int) (SimCheckResult, err
 	if samples <= 0 {
 		samples = 60
 	}
-	space, _, err := cfg.spaceAndBudget()
+	scale, err := hw.ScaleByName(cfg.Scale)
 	if err != nil {
 		return SimCheckResult{}, err
 	}
@@ -47,7 +48,7 @@ func SimCheck(ctx context.Context, cfg Config, samples int) (SimCheckResult, err
 			return SimCheckResult{}, err
 		}
 		attempts++
-		a := space.Random(rng)
+		a := scale.Space.Random(rng)
 		s := free.Random(rng, layer, a.RFBytesPerPE(), a.L2Bytes())
 		cost, err := model.Evaluate(a, s, layer)
 		if err != nil {

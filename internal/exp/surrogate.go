@@ -7,6 +7,7 @@ import (
 
 	"spotlight/internal/core"
 	"spotlight/internal/gp"
+	"spotlight/internal/hw"
 	"spotlight/internal/sched"
 	"spotlight/internal/stats"
 	"spotlight/internal/workload"
@@ -35,7 +36,7 @@ func SurrogateAccuracy(ctx context.Context, cfg Config, samples int) ([]Surrogat
 	if samples < 50 {
 		samples = 50
 	}
-	space, _, err := cfg.spaceAndBudget()
+	scale, err := hw.ScaleByName(cfg.Scale)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +51,7 @@ func SurrogateAccuracy(ctx context.Context, cfg Config, samples int) ([]Surrogat
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		a := space.Random(rng)
+		a := scale.Space.Random(rng)
 		s := free.Random(rng, layer, a.RFBytesPerPE(), a.L2Bytes())
 		c, err := cfg.Eval.Evaluate(a, s, layer)
 		if err != nil {

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"spotlight/internal/eval"
+	"spotlight/internal/hw"
 	"spotlight/internal/sched"
 	"spotlight/internal/stats"
 	"spotlight/internal/workload"
@@ -31,7 +32,7 @@ func CrossModelAgreement(ctx context.Context, cfg Config, modelName string, samp
 	if err != nil {
 		return CrossModelResult{}, err
 	}
-	space, _, err := cfg.spaceAndBudget()
+	scale, err := hw.ScaleByName(cfg.Scale)
 	if err != nil {
 		return CrossModelResult{}, err
 	}
@@ -59,7 +60,7 @@ func CrossModelAgreement(ctx context.Context, cfg Config, modelName string, samp
 				return CrossModelResult{}, err
 			}
 			attempts++
-			a := space.Random(rng)
+			a := scale.Space.Random(rng)
 			// Halved budgets keep most samples inside both models'
 			// feasible regions (the second model double-buffers).
 			s := free.Random(rng, l, a.RFBytesPerPE()/4, a.L2Bytes()/4)

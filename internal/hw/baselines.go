@@ -91,14 +91,22 @@ func CloudBaselines() []Baseline {
 	}
 }
 
-// BaselinesFor returns the baselines for the named scale ("edge" or
-// "cloud").
-func BaselinesFor(scale string) ([]Baseline, error) {
-	switch scale {
+// Scale is one of the paper's two design scales (§VII-A): the hardware
+// space searched, the area/power envelope designs must fit, and the
+// hand-designed baselines they are compared against.
+type Scale struct {
+	Space     Space
+	Budget    Budget
+	Baselines func() []Baseline
+}
+
+// ScaleByName returns the named scale, "edge" or "cloud".
+func ScaleByName(name string) (Scale, error) {
+	switch name {
 	case "edge":
-		return EdgeBaselines(), nil
+		return Scale{EdgeSpace(), EdgeBudget(), EdgeBaselines}, nil
 	case "cloud":
-		return CloudBaselines(), nil
+		return Scale{CloudSpace(), CloudBudget(), CloudBaselines}, nil
 	}
-	return nil, fmt.Errorf("hw: unknown scale %q (want edge or cloud)", scale)
+	return Scale{}, fmt.Errorf("hw: unknown scale %q (want edge or cloud)", name)
 }

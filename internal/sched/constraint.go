@@ -528,22 +528,3 @@ func nextDivisor(n, cur, mult int) (int, bool) {
 	}
 	return 0, false
 }
-
-// TileFootprint returns the bytes of buffer needed to hold one tile of
-// each tensor at 8-bit precision: the input halo region, the weight tile,
-// and the output tile.
-func TileFootprint(l workload.Layer, t [workload.NumDims]int) int64 {
-	tn := int64(t[workload.DimN])
-	tk := int64(t[workload.DimK])
-	tc := int64(t[workload.DimC])
-	tr := int64(t[workload.DimR])
-	ts := int64(t[workload.DimS])
-	tx := int64(t[workload.DimX])
-	ty := int64(t[workload.DimY])
-	inX := (tx-1)*int64(l.StrideX) + tr
-	inY := (ty-1)*int64(l.StrideY) + ts
-	input := tn * tc * inX * inY
-	weight := tk * tc * tr * ts
-	output := tn * tk * tx * ty
-	return input + weight + output
-}

@@ -1,7 +1,10 @@
 // Package sim is a trace-driven simulator of the accelerator's
 // DRAM↔scratchpad traffic: it walks the schedule's outer loop nest
 // iteration by iteration, modeling the L2 scratchpad as an LRU cache of
-// tensor tiles with dirty-output writeback. It serves two purposes:
+// tensor tiles with dirty-output writeback. Its tiles, their bytes and
+// the tensors' dependence sets are internal/sched's, the ones the
+// analytical models charge for; what it adds is the walk and the cache.
+// It serves two purposes:
 //
 //  1. Validation: with the scratchpad restricted to a single working
 //     set, the simulated fetch counts must equal the analytical model's
@@ -26,26 +29,6 @@ import (
 	"spotlight/internal/workload"
 )
 
-// Tensor identifies one of the CONV operands.
-type Tensor int
-
-// The three CONV tensors.
-const (
-	TensorInput Tensor = iota
-	TensorWeight
-	TensorOutput
-)
-
-var tensorNames = [3]string{"input", "weight", "output"}
-
-// String returns the tensor's name.
-func (t Tensor) String() string {
-	if t < 0 || int(t) >= len(tensorNames) {
-		return fmt.Sprintf("Tensor(%d)", int(t))
-	}
-	return tensorNames[int(t)]
-}
-
 // Options bounds and configures a simulation.
 type Options struct {
 	// MaxIterations rejects outer loop nests with more iterations
@@ -61,8 +44,8 @@ type Options struct {
 type Trace struct {
 	Iterations int // outer loop iterations walked
 
-	Fetches [3]int64 // per-tensor tile fetches from DRAM
-	Hits    [3]int64 // per-tensor scratchpad hits
+	Fetches [sched.NumTensors]int64 // per-tensor tile fetches from DRAM
+	Hits    [sched.NumTensors]int64 // per-tensor scratchpad hits
 
 	DRAMReadBytes  float64
 	DRAMWriteBytes float64 // dirty output writebacks, including the final flush
@@ -76,7 +59,7 @@ var ErrTooLarge = errors.New("sim: loop nest too large to walk")
 
 // tileKey identifies one resident tile.
 type tileKey struct {
-	tensor Tensor
+	tensor sched.Tensor
 	id     int64
 }
 
@@ -138,21 +121,6 @@ func (c *lruCache) flushDirty() {
 	}
 }
 
-// tensor dependence sets (which loop dims select a tensor's tile).
-var deps = [3][workload.NumDims]bool{
-	TensorInput:  dimSet(workload.DimN, workload.DimC, workload.DimX, workload.DimY, workload.DimR, workload.DimS),
-	TensorWeight: dimSet(workload.DimK, workload.DimC, workload.DimR, workload.DimS),
-	TensorOutput: dimSet(workload.DimN, workload.DimK, workload.DimX, workload.DimY),
-}
-
-func dimSet(ds ...workload.Dim) [workload.NumDims]bool {
-	var s [workload.NumDims]bool
-	for _, d := range ds {
-		s[d] = true
-	}
-	return s
-}
-
 // Simulate walks the DRAM-level loop nest of the schedule and returns
 // the traffic trace. The accelerator contributes only its scratchpad
 // capacity; compute and on-chip traffic are below this level.
@@ -179,18 +147,15 @@ func Simulate(a hw.Accel, s sched.Schedule, l workload.Layer, opts Options) (Tra
 		return Trace{}, fmt.Errorf("%w: %.3g iterations > bound %.3g", ErrTooLarge, total, opts.MaxIterations)
 	}
 
-	tileBytes := [3]int64{
-		TensorInput:  inputTileBytes(l, s.T2),
-		TensorWeight: weightTileBytes(s.T2),
-		TensorOutput: outputTileBytes(s.T2),
-	}
+	tileBytes := sched.TileBytes(&l, &s.T2)
+	workingSet := tileBytes.Total()
 	capacity := a.L2Bytes()
 	if opts.SingleWorkingSet {
-		capacity = tileBytes[0] + tileBytes[1] + tileBytes[2]
+		capacity = workingSet
 	}
-	if capacity < tileBytes[0]+tileBytes[1]+tileBytes[2] {
+	if capacity < workingSet {
 		return Trace{}, fmt.Errorf("sim: T2 working set (%d B) exceeds scratchpad (%d B)",
-			tileBytes[0]+tileBytes[1]+tileBytes[2], capacity)
+			workingSet, capacity)
 	}
 	cache := newLRU(capacity)
 
@@ -200,9 +165,9 @@ func Simulate(a hw.Accel, s sched.Schedule, l workload.Layer, opts Options) (Tra
 	var trace Trace
 	for {
 		trace.Iterations++
-		for _, tensor := range []Tensor{TensorInput, TensorWeight, TensorOutput} {
-			id := tileID(idx, trips, deps[tensor])
-			dirty := tensor == TensorOutput
+		for tensor := sched.TensorInput; tensor < sched.NumTensors; tensor++ {
+			id := tileID(idx, trips, tensor)
+			dirty := tensor == sched.TensorOutput
 			if cache.touch(tileKey{tensor, id}, tileBytes[tensor], dirty) {
 				trace.Hits[tensor]++
 			} else {
@@ -218,13 +183,8 @@ func Simulate(a hw.Accel, s sched.Schedule, l workload.Layer, opts Options) (Tra
 	// A freshly produced output tile's first fetch has nothing useful to
 	// read from DRAM; its "fetch" allocates space only. Remove those
 	// reads: each distinct output tile's first touch is an allocation.
-	distinctOut := int64(1)
-	for i, d := range workload.AllDims {
-		if deps[TensorOutput][d] {
-			distinctOut *= int64(trips[i])
-		}
-	}
-	trace.DRAMReadBytes -= float64(distinctOut * tileBytes[TensorOutput])
+	distinctOut := sched.TensorOutput.DistinctTiles(trips)
+	trace.DRAMReadBytes -= float64(distinctOut * tileBytes[sched.TensorOutput])
 	trace.DRAMWriteBytes = float64(cache.writebackBytes)
 	return trace, nil
 }
@@ -244,26 +204,12 @@ func advance(idx *[workload.NumDims]int, order [workload.NumDims]workload.Dim, t
 }
 
 // tileID flattens the dependent loop counters into a tile identifier.
-func tileID(idx, trips [workload.NumDims]int, dep [workload.NumDims]bool) int64 {
+func tileID(idx, trips [workload.NumDims]int, t sched.Tensor) int64 {
 	var id int64
 	for i, d := range workload.AllDims {
-		if dep[d] {
+		if t.Depends(d) {
 			id = id*int64(trips[i]) + int64(idx[i])
 		}
 	}
 	return id
-}
-
-func inputTileBytes(l workload.Layer, t [workload.NumDims]int) int64 {
-	inX := int64(t[workload.DimX]-1)*int64(l.StrideX) + int64(t[workload.DimR])
-	inY := int64(t[workload.DimY]-1)*int64(l.StrideY) + int64(t[workload.DimS])
-	return int64(t[workload.DimN]) * int64(t[workload.DimC]) * inX * inY
-}
-
-func weightTileBytes(t [workload.NumDims]int) int64 {
-	return int64(t[workload.DimK]) * int64(t[workload.DimC]) * int64(t[workload.DimR]) * int64(t[workload.DimS])
-}
-
-func outputTileBytes(t [workload.NumDims]int) int64 {
-	return int64(t[workload.DimN]) * int64(t[workload.DimK]) * int64(t[workload.DimX]) * int64(t[workload.DimY])
 }

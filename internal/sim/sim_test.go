@@ -47,7 +47,7 @@ func TestSimulateBasics(t *testing.T) {
 	if tr.Iterations != 16 {
 		t.Fatalf("walked %d iterations, want 16", tr.Iterations)
 	}
-	for _, tensor := range []Tensor{TensorInput, TensorWeight, TensorOutput} {
+	for tensor := sched.TensorInput; tensor < sched.NumTensors; tensor++ {
 		if tr.Fetches[tensor] == 0 {
 			t.Fatalf("%v never fetched", tensor)
 		}
@@ -160,39 +160,29 @@ func TestRejectsOversizedWorkingSet(t *testing.T) {
 	}
 }
 
-func TestTensorString(t *testing.T) {
-	if TensorInput.String() != "input" || TensorWeight.String() != "weight" ||
-		TensorOutput.String() != "output" {
-		t.Fatal("tensor names wrong")
-	}
-	if Tensor(9).String() != "Tensor(9)" {
-		t.Fatal("unknown tensor name wrong")
-	}
-}
-
 func TestLRUCacheEviction(t *testing.T) {
 	c := newLRU(10)
-	if c.touch(tileKey{TensorInput, 1}, 6, false) {
+	if c.touch(tileKey{sched.TensorInput, 1}, 6, false) {
 		t.Fatal("cold miss reported as hit")
 	}
-	if !c.touch(tileKey{TensorInput, 1}, 6, false) {
+	if !c.touch(tileKey{sched.TensorInput, 1}, 6, false) {
 		t.Fatal("resident tile reported as miss")
 	}
 	// Insert a second tile that forces eviction of the first.
-	c.touch(tileKey{TensorWeight, 1}, 6, false)
-	if c.touch(tileKey{TensorInput, 1}, 6, false) {
+	c.touch(tileKey{sched.TensorWeight, 1}, 6, false)
+	if c.touch(tileKey{sched.TensorInput, 1}, 6, false) {
 		t.Fatal("evicted tile reported as hit")
 	}
 }
 
 func TestLRUDirtyWriteback(t *testing.T) {
 	c := newLRU(10)
-	c.touch(tileKey{TensorOutput, 1}, 6, true)
-	c.touch(tileKey{TensorInput, 1}, 6, false) // evicts the dirty output
+	c.touch(tileKey{sched.TensorOutput, 1}, 6, true)
+	c.touch(tileKey{sched.TensorInput, 1}, 6, false) // evicts the dirty output
 	if c.writebackBytes != 6 {
 		t.Fatalf("writeback bytes = %d, want 6", c.writebackBytes)
 	}
-	c.touch(tileKey{TensorOutput, 2}, 6, true)
+	c.touch(tileKey{sched.TensorOutput, 2}, 6, true)
 	c.flushDirty()
 	if c.writebackBytes != 12 {
 		t.Fatalf("writeback bytes after flush = %d, want 12", c.writebackBytes)
