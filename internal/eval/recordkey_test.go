@@ -122,7 +122,7 @@ func TestBackendFingerprints(t *testing.T) {
 	}{
 		{maestro.New(), "maestro/" + maestro.CostModelVersion},
 		{sim.NewBackend(sim.Options{}), "sim-hybrid/sim-v1+maestro/" + maestro.CostModelVersion},
-		{timeloop.New(), "timeloop/cost-v1"},
+		{timeloop.New(), "timeloop/cost-v2"},
 	} {
 		if got := BackendFingerprint(tc.ev); got != tc.want {
 			t.Fatalf("%s fingerprint = %q, want %q", tc.ev.Name(), got, tc.want)

@@ -145,7 +145,7 @@ func TestGeometryGolden(t *testing.T) {
 	t.Logf("%d of %d triples valid under maestro, %d simulated", valid, len(triples), walked)
 	want := map[string]string{
 		"maestro":    "3439e5b8e3f6154b3df7cf94b3a84fa04b415ea2285f24a15470e996a36a5fbc",
-		"timeloop":   "cc4655c9c65c6be4cffc2ee5299df34ccb3ec1565d8e7c09ee0904a53a70adb2",
+		"timeloop":   "96e821be66236e103255c568a5fef29b1bfb6305e7511c93d0b1c2e039cee85d",
 		"sim-single": "d89df30d609c9f089f11265c9008a755cd2df0f26aa34c00eef2d1ee3eb7ec1b",
 		"sim-full":   "c7c10465c59ba09164fb22698448af741fb00997d89f906b554a2436d70cb9e6",
 		"footprint":  "18e53e41c7e8e7c5620b8cc14b168ae8f194c555960a3706d58a57e861797c8c",

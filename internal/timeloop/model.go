@@ -56,7 +56,7 @@ func (*Model) Name() string { return "timeloop" }
 
 // timeloopVersion is bumped on any change to this model's cost math,
 // invalidating persistent cache entries it produced.
-const timeloopVersion = "cost-v1"
+const timeloopVersion = "cost-v2"
 
 // ModelFingerprint identifies this backend's cost model for persistent
 // caching (see eval.BackendFingerprint).
@@ -108,14 +108,17 @@ func (m *Model) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestr
 	// Loop-order-oblivious traffic: one fetch per distinct tile per level,
 	// re-fetched once per enclosing level iteration. Every tile has passed
 	// a capacity check, so its byte count converts to float64 exactly.
+	// On chip a distinct tile is one temporal step of the folded array:
+	// the lanes an unrolled loop spreads over are counted once, by the
+	// tile's copies, as in the primary model.
 	in, wt, out := sched.TensorInput, sched.TensorWeight, sched.TensorOutput
 	dramBytes := float64(in.DistinctTiles(n2))*float64(b2[in]) +
 		float64(wt.DistinctTiles(n2))*float64(b2[wt]) +
 		2*float64(out.DistinctTiles(n2))*float64(b2[out])
 	lanes := fold.Lanes()
-	perOuter := float64(in.DistinctTiles(n1))*float64(b1[in])*float64(lanes.Copies(in)) +
-		float64(wt.DistinctTiles(n1))*float64(b1[wt])*float64(lanes.Copies(wt)) +
-		2*float64(out.DistinctTiles(n1))*float64(b1[out])*float64(lanes.Copies(out))
+	perOuter := float64(in.DistinctTiles(innerTemporal))*float64(b1[in])*float64(lanes.Copies(in)) +
+		float64(wt.DistinctTiles(innerTemporal))*float64(b1[wt])*float64(lanes.Copies(wt)) +
+		2*float64(out.DistinctTiles(innerTemporal))*float64(b1[out])*float64(lanes.Copies(out))
 	nocBytes := outerIters * perOuter
 
 	dramBW := math.Max(16, float64(a.NoCBW)/2)

@@ -139,3 +139,34 @@ func TestName(t *testing.T) {
 		t.Fatal("unexpected name")
 	}
 }
+
+// TestUnrolledTilesCountedOnce pins the on-chip traffic of one unrolled
+// dimension: K=8 with every other extent 1, K's L2-level loop unrolled
+// over 8 rows. One temporal step sends the 1 B weight tile to each of
+// the 8 rows, multicasts the 1 B input tile once, and reads and writes
+// back the 1 B output tile of each row: 8 + 1 + 2·8 = 25 B. The primary
+// model charges the outputs once (17 B).
+func TestUnrolledTilesCountedOnce(t *testing.T) {
+	a := testAccel()
+	l := workload.Conv("k8", 1, 8, 1, 1, 1, 1, 1)
+	var s sched.Schedule
+	for i := range workload.AllDims {
+		s.T1[i], s.T2[i] = 1, l.Size(workload.AllDims[i])
+	}
+	s.OuterOrder, s.InnerOrder = sched.CanonicalOrder(), sched.CanonicalOrder()
+	s.OuterUnroll, s.InnerUnroll = workload.DimK, workload.DimC
+	c, err := New().Evaluate(a, s, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NoCBytes != 25 {
+		t.Errorf("timeloop NoCBytes = %v, want 25", c.NoCBytes)
+	}
+	pc, err := maestro.New().Evaluate(a, s, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc.NoCBytes != 17 {
+		t.Errorf("maestro NoCBytes = %v, want 17", pc.NoCBytes)
+	}
+}
