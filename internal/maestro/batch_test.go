@@ -150,7 +150,7 @@ func TestTripCountsMatchesValidate(t *testing.T) {
 	l := testLayer()
 	sizes := l.Sizes()
 	for _, s := range batchCandidates(rng, a, l, 256) {
-		n2, n1, ok := s.TripCounts(sizes)
+		n2, n1, ok := s.TripCounts(&sizes)
 		if wantOK := s.Validate(l) == nil; ok != wantOK {
 			t.Fatalf("TripCounts ok=%v, Validate ok=%v for %s", ok, wantOK, s)
 		}
@@ -162,7 +162,7 @@ func TestTripCountsMatchesValidate(t *testing.T) {
 		}
 	}
 	var zero sched.Schedule
-	if _, _, ok := zero.TripCounts(sizes); ok {
+	if _, _, ok := zero.TripCounts(&sizes); ok {
 		t.Fatal("zero schedule reported valid")
 	}
 }

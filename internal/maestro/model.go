@@ -136,14 +136,27 @@ const CostModelVersion = "cost-v1"
 // caching (see eval.BackendFingerprint).
 func (*Model) ModelFingerprint() string { return "maestro/" + CostModelVersion }
 
-// Evaluate runs the analytical model on one schedule: EvaluateTo over a
-// batch of one.
-func (m *Model) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (Cost, error) {
-	ss := [1]sched.Schedule{s}
-	var costs [1]Cost
-	var errs [1]error
-	m.EvaluateTo(a, ss[:], l, costs[:], errs[:])
-	return costs[0], errs[0]
+// Evaluate runs the analytical model on one schedule, with EvaluateTo's
+// checks in EvaluateTo's order.
+func (*Model) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (Cost, error) {
+	if err := validatePair(&a, &l); err != nil {
+		return Cost{}, err
+	}
+	ctx := newLayerCtx(&a, &l)
+	return ctx.evaluate(&s, &l)
+}
+
+// validatePair checks the accelerator, then the layer, returning the
+// error every schedule of the pair shares.
+func validatePair(a *hw.Accel, l *workload.Layer) error {
+	err := a.Validate()
+	if err == nil {
+		err = l.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	return nil
 }
 
 // EvaluateTo evaluates the schedules ss against one (accelerator, layer)
@@ -157,37 +170,34 @@ func (m *Model) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (Cost, 
 // A valid item allocates nothing and an invalid one allocates only its
 // error, whose message is formatted when Error is called.
 func (*Model) EvaluateTo(a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []Cost, errs []error) {
-	err := a.Validate()
-	if err == nil {
-		err = l.Validate()
-	}
-	if err != nil {
-		shared := fmt.Errorf("%w: %v", ErrInvalid, err)
+	if err := validatePair(&a, &l); err != nil {
 		for i := range ss {
-			costs[i], errs[i] = Cost{}, shared
+			costs[i], errs[i] = Cost{}, err
 		}
 		return
 	}
-	ctx := newLayerCtx(a, l)
+	ctx := newLayerCtx(&a, &l)
 	for i := range ss {
-		s := &ss[i]
-		n2, n1, ok := s.TripCounts(ctx.sizes)
-		if !ok {
-			costs[i], errs[i] = Cost{}, &structuralError{s: *s, l: l}
-			continue
-		}
-		b1 := sched.TileBytes(&l, &s.T1)
-		if need := b1.Total(); need > ctx.rfCap {
-			costs[i], errs[i] = Cost{}, &capacityError{need: need, have: ctx.rfCap}
-			continue
-		}
-		b2 := sched.TileBytes(&l, &s.T2)
-		if need := b2.Total(); need > ctx.l2Cap {
-			costs[i], errs[i] = Cost{}, &capacityError{l2: true, need: need, have: ctx.l2Cap}
-			continue
-		}
-		costs[i], errs[i] = ctx.costOf(s, n2, n1, &b2, &b1), nil
+		costs[i], errs[i] = ctx.evaluate(&ss[i], &l)
 	}
+}
+
+// evaluate checks and costs one schedule of the context's validated
+// pair: its structure, the RF tile, then the L2 tile.
+func (c *layerCtx) evaluate(s *sched.Schedule, l *workload.Layer) (Cost, error) {
+	n2, n1, ok := s.TripCounts(&c.sizes)
+	if !ok {
+		return Cost{}, &structuralError{s: *s, l: *l}
+	}
+	b1 := sched.TileBytes(l, &s.T1)
+	if need := b1.Total(); need > c.rfCap {
+		return Cost{}, &capacityError{need: need, have: c.rfCap}
+	}
+	b2 := sched.TileBytes(l, &s.T2)
+	if need := b2.Total(); need > c.l2Cap {
+		return Cost{}, &capacityError{l2: true, need: need, have: c.l2Cap}
+	}
+	return c.costOf(s, &n2, &n1, &b2, &b1), nil
 }
 
 // capacityError reports a tile that overflows the register file (l2
@@ -248,7 +258,7 @@ type layerCtx struct {
 	ramp    float64 // pipeline-fill cycles for this array
 }
 
-func newLayerCtx(a hw.Accel, l workload.Layer) layerCtx {
+func newLayerCtx(a *hw.Accel, l *workload.Layer) layerCtx {
 	h, w := a.Height(), a.Width
 	return layerCtx{
 		h:       h,
@@ -269,19 +279,20 @@ func newLayerCtx(a hw.Accel, l workload.Layer) layerCtx {
 
 // costOf evaluates one already-validated schedule against the cached
 // context. n2 and n1 are its DRAM- and L2-level trip counts from
-// TripCounts, b2 and b1 its L2 and RF tile bytes. It allocates nothing.
-func (c *layerCtx) costOf(s *sched.Schedule, n2, n1 [workload.NumDims]int, b2, b1 *sched.Footprint) Cost {
+// TripCounts, b2 and b1 its L2 and RF tile bytes; it reads them in
+// place. It allocates nothing.
+func (c *layerCtx) costOf(s *sched.Schedule, n2, n1 *[workload.NumDims]int, b2, b1 *sched.Footprint) Cost {
 	// --- Iteration structure ----------------------------------------------
 	// DRAM-level loops are purely temporal; the unrolled L2-level loops
 	// fold over the PE array (sched.ArrayFold).
 	var fold sched.ArrayFold
-	fold.Fold(s.OuterUnroll, s.InnerUnroll, &n1, c.h, c.w)
-	innerTemporal := n1
+	fold.Fold(s.OuterUnroll, s.InnerUnroll, n1, c.h, c.w)
+	innerTemporal := *n1
 	fold.Temporal(&innerTemporal)
 	lanes := fold.Lanes()
 
 	outerIters := prod(n2)
-	innerIters := prod(innerTemporal)
+	innerIters := prod(&innerTemporal)
 
 	macsPerT1 := int64(1)
 	for i := range workload.AllDims {
@@ -297,9 +308,9 @@ func (c *layerCtx) costOf(s *sched.Schedule, n2, n1 [workload.NumDims]int, b2, b
 	wBytes2 := float64(b2[sched.TensorWeight])
 	outBytes2 := float64(b2[sched.TensorOutput])
 
-	fillsIn2 := fills(&s.OuterOrder, &n2, sched.TensorInput)
-	fillsW2 := fills(&s.OuterOrder, &n2, sched.TensorWeight)
-	fillsOut2 := fills(&s.OuterOrder, &n2, sched.TensorOutput)
+	fillsIn2 := fills(&s.OuterOrder, n2, sched.TensorInput)
+	fillsW2 := fills(&s.OuterOrder, n2, sched.TensorWeight)
+	fillsOut2 := fills(&s.OuterOrder, n2, sched.TensorOutput)
 	distinctOut2 := float64(sched.TensorOutput.DistinctTiles(n2))
 
 	dramIn := fillsIn2 * inBytes2
@@ -319,7 +330,7 @@ func (c *layerCtx) costOf(s *sched.Schedule, n2, n1 [workload.NumDims]int, b2, b
 	fillsIn1 := fills(&s.InnerOrder, &innerTemporal, sched.TensorInput)
 	fillsW1 := fills(&s.InnerOrder, &innerTemporal, sched.TensorWeight)
 	fillsOut1 := fills(&s.InnerOrder, &innerTemporal, sched.TensorOutput)
-	distinctOut1 := float64(sched.TensorOutput.DistinctTiles(innerTemporal))
+	distinctOut1 := float64(sched.TensorOutput.DistinctTiles(&innerTemporal))
 
 	nocIn := fillsIn1 * inBytes1 * float64(lanes.Copies(sched.TensorInput))
 	nocW := fillsW1 * wBytes1 * float64(lanes.Copies(sched.TensorWeight))
@@ -400,7 +411,7 @@ func fills(order *[workload.NumDims]workload.Dim, trips *[workload.NumDims]int, 
 	return f
 }
 
-func prod(a [workload.NumDims]int) float64 {
+func prod(a *[workload.NumDims]int) float64 {
 	f := 1.0
 	for _, x := range a {
 		f *= float64(x)

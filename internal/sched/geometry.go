@@ -85,7 +85,7 @@ func TileFootprint(l workload.Layer, t [workload.NumDims]int) int64 {
 // DistinctTiles returns how many distinct tiles of t a loop level with
 // the given trip counts steps through: the product of the trips over
 // t's dependent dimensions.
-func (t Tensor) DistinctTiles(trips [workload.NumDims]int) int64 {
+func (t Tensor) DistinctTiles(trips *[workload.NumDims]int) int64 {
 	n := int64(1)
 	for d, dep := range &deps[t] {
 		if dep {

@@ -50,7 +50,7 @@ func TestDistinctTiles(t *testing.T) {
 		{TensorWeight, 3 * 5 * 7 * 11},
 		{TensorOutput, 2 * 3 * 13 * 17},
 	} {
-		if got := tc.t.DistinctTiles(trips); got != tc.want {
+		if got := tc.t.DistinctTiles(&trips); got != tc.want {
 			t.Errorf("%s distinct tiles = %d, want %d", tc.t, got, tc.want)
 		}
 	}

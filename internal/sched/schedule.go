@@ -105,7 +105,7 @@ func (s Schedule) InnerTrips(l workload.Layer) [workload.NumDims]int {
 // callers needing the reason re-run Validate, off the hot path. Each
 // dimension costs two fused div/mod pairs instead of Validate's
 // separate mod checks followed by OuterTrips/InnerTrips divisions.
-func (s Schedule) TripCounts(sizes [workload.NumDims]int) (n2, n1 [workload.NumDims]int, ok bool) {
+func (s *Schedule) TripCounts(sizes *[workload.NumDims]int) (n2, n1 [workload.NumDims]int, ok bool) {
 	for i := range sizes {
 		t2, t1 := s.T2[i], s.T1[i]
 		if t1 <= 0 || t2 <= 0 {

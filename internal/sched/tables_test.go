@@ -38,7 +38,8 @@ func TestRandomTripsMatchDivision(t *testing.T) {
 				if s != want {
 					t.Fatalf("%s %s: RandomTripsTo drew %v, RandomTo %v", c.Name, l.Name, s, want)
 				}
-				w2, w1, ok := s.TripCounts(l.Sizes())
+				sizes := l.Sizes()
+				w2, w1, ok := s.TripCounts(&sizes)
 				if !ok || n2 != w2 || n1 != w1 {
 					t.Fatalf("%s %s: trips %v/%v, divisions give %v/%v (valid %v)", c.Name, l.Name, n2, n1, w2, w1, ok)
 				}

@@ -183,7 +183,7 @@ func Simulate(a hw.Accel, s sched.Schedule, l workload.Layer, opts Options) (Tra
 	// A freshly produced output tile's first fetch has nothing useful to
 	// read from DRAM; its "fetch" allocates space only. Remove those
 	// reads: each distinct output tile's first touch is an allocation.
-	distinctOut := sched.TensorOutput.DistinctTiles(trips)
+	distinctOut := sched.TensorOutput.DistinctTiles(&trips)
 	trace.DRAMReadBytes -= float64(distinctOut * tileBytes[sched.TensorOutput])
 	trace.DRAMWriteBytes = float64(cache.writebackBytes)
 	return trace, nil

@@ -96,8 +96,8 @@ func (m *Model) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestr
 	fold.Fold(s.OuterUnroll, s.InnerUnroll, &n1, a.Height(), a.Width)
 	innerTemporal := n1
 	fold.Temporal(&innerTemporal)
-	outerIters := prod(n2)
-	innerIters := prod(innerTemporal)
+	outerIters := prod(&n2)
+	innerIters := prod(&innerTemporal)
 
 	macsPerT1 := 1.0
 	for i := range workload.AllDims {
@@ -112,13 +112,13 @@ func (m *Model) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestr
 	// the lanes an unrolled loop spreads over are counted once, by the
 	// tile's copies, as in the primary model.
 	in, wt, out := sched.TensorInput, sched.TensorWeight, sched.TensorOutput
-	dramBytes := float64(in.DistinctTiles(n2))*float64(b2[in]) +
-		float64(wt.DistinctTiles(n2))*float64(b2[wt]) +
-		2*float64(out.DistinctTiles(n2))*float64(b2[out])
+	dramBytes := float64(in.DistinctTiles(&n2))*float64(b2[in]) +
+		float64(wt.DistinctTiles(&n2))*float64(b2[wt]) +
+		2*float64(out.DistinctTiles(&n2))*float64(b2[out])
 	lanes := fold.Lanes()
-	perOuter := float64(in.DistinctTiles(innerTemporal))*float64(b1[in])*float64(lanes.Copies(in)) +
-		float64(wt.DistinctTiles(innerTemporal))*float64(b1[wt])*float64(lanes.Copies(wt)) +
-		2*float64(out.DistinctTiles(innerTemporal))*float64(b1[out])*float64(lanes.Copies(out))
+	perOuter := float64(in.DistinctTiles(&innerTemporal))*float64(b1[in])*float64(lanes.Copies(in)) +
+		float64(wt.DistinctTiles(&innerTemporal))*float64(b1[wt])*float64(lanes.Copies(wt)) +
+		2*float64(out.DistinctTiles(&innerTemporal))*float64(b1[out])*float64(lanes.Copies(out))
 	nocBytes := outerIters * perOuter
 
 	dramBW := math.Max(16, float64(a.NoCBW)/2)
@@ -153,7 +153,7 @@ func (m *Model) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestr
 	return cost, nil
 }
 
-func prod(a [workload.NumDims]int) float64 {
+func prod(a *[workload.NumDims]int) float64 {
 	f := 1.0
 	for _, x := range a {
 		f *= float64(x)

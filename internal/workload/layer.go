@@ -181,11 +181,7 @@ func (l Layer) Size(d Dim) int {
 
 // Sizes returns the extents of all seven dimensions in canonical order.
 func (l Layer) Sizes() [NumDims]int {
-	var s [NumDims]int
-	for i, d := range AllDims {
-		s[i] = l.Size(d)
-	}
-	return s
+	return [NumDims]int{l.N, l.K, l.C, l.R, l.S, l.OutX(), l.OutY()}
 }
 
 // MACs returns the number of multiply-accumulate operations needed to
