@@ -65,6 +65,7 @@ var deterministicPackages = []string{
 	"spotlight/internal/timeloop",
 	"spotlight/internal/stats",
 	"spotlight/internal/linalg",
+	"spotlight/internal/xrand",
 	// internal/obs is deterministic in everything except the clock: its
 	// maps and floats feed trace lines and /metrics output that runs are
 	// diffed by. nowallclock exempts it by policy (see wallClockExempt) —
