@@ -28,6 +28,7 @@ import (
 	"spotlight/internal/sim"
 	"spotlight/internal/timeloop"
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 // benchCfg is the reduced-scale configuration shared by the figure
@@ -334,11 +335,10 @@ func BenchmarkTimeloopEvaluate(b *testing.B) {
 }
 
 // BenchmarkScheduleSampling measures the candidate generator that feeds
-// every acquisition batch: "sampler" draws from a per-layer
-// sched.Sampler built once, as the searches do; "record/skip" is the
-// warmup path's draw, Sampler.Skip, which pulls the draw's random
-// values and keeps them (the generator floor), and "record/decode"
-// replays a record through RandomTo, which warmup pays once per batch;
+// every acquisition batch: "sampler" draws whole schedules from a
+// per-layer sched.Sampler built once, as the searches do; "tiles" draws
+// everything but the loop orders (Sampler.TilesTo), which is what a
+// scored Spotlight candidate costs when no feature reads an order;
 // "oneshot" is Constraint.Random, which builds a Sampler (and its
 // FitTiles tiles, for constraints that have them) for every draw. The
 // tiling tables are shared per extent, so none rebuilds them.
@@ -346,7 +346,7 @@ func BenchmarkScheduleSampling(b *testing.B) {
 	l := workload.ResNet50().Layers[6]
 	free := sched.Free()
 	b.Run("sampler", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
+		rng := xrand.New(1)
 		sp := free.Sampler(l, 512, 128<<10)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -354,30 +354,18 @@ func BenchmarkScheduleSampling(b *testing.B) {
 			_ = sp.Random(rng)
 		}
 	})
-	b.Run("record", func(b *testing.B) {
+	b.Run("tiles", func(b *testing.B) {
+		rng := xrand.New(1)
 		sp := free.Sampler(l, 512, 128<<10)
-		rc := sched.NewRecorder()
-		var rec sched.Record
-		b.Run("skip", func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rc.Skip(sp, rng, &rec)
-			}
-		})
-		b.Run("decode", func(b *testing.B) {
-			rc.Skip(sp, rand.New(rand.NewSource(1)), &rec)
-			var s sched.Schedule
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rc.Decode(sp, &rec, &s)
-			}
-		})
+		var s sched.Schedule
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sp.TilesTo(rng, &s, nil, nil)
+		}
 	})
 	b.Run("oneshot", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
+		rng := xrand.New(1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -444,7 +432,7 @@ func BenchmarkSpotlightSWSuggest(b *testing.B) {
 	}{{"warmup", 0}, {"scoring", 24}} {
 		b.Run(bc.name, func(b *testing.B) {
 			sw := core.NewSpotlight().NewSW(core.RunConfig{SWConstraint: sched.Free()},
-				rand.New(rand.NewSource(1)), a, l)
+				xrand.New(1), a, l)
 			for i := 0; i < bc.observe; i++ {
 				s := sw.Suggest()
 				c, err := m.Evaluate(a, s, l)

@@ -11,13 +11,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/sched"
 	"spotlight/internal/sim"
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 func main() {
@@ -25,7 +25,7 @@ func main() {
 	model := maestro.New()
 	space := hw.EdgeSpace()
 	free := sched.Free()
-	rng := rand.New(rand.NewSource(1))
+	rng := xrand.New(1)
 
 	fmt.Println("schedule-by-schedule validation (analytical vs simulated DRAM bytes):")
 	matches, checked := 0, 0

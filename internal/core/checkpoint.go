@@ -13,8 +13,12 @@ import (
 	"spotlight/internal/maestro"
 )
 
-// checkpointVersion is bumped on incompatible checkpoint schema changes.
-const checkpointVersion = 1
+// checkpointVersion is bumped on incompatible checkpoint schema changes
+// and when the random stream changes, since a checkpoint resumes by
+// replaying the hardware proposer on the run's stream. Version 2 is the
+// PCG stream (internal/xrand); version 1 checkpoints were taken on the
+// Go 1 math/rand stream and are refused.
+const checkpointVersion = 2
 
 // Checkpoint is a resumable snapshot of a co-design run, taken after a
 // completed hardware sample. It records everything RunContext needs to

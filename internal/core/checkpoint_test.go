@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -224,6 +225,28 @@ func TestCheckpointRejectsMismatchedRun(t *testing.T) {
 	tooSmall.Resume = cps[2]
 	if _, err := Run(tooSmall, NewSpotlight()); err == nil {
 		t.Error("resume past the configured budget did not fail")
+	}
+}
+
+// TestCheckpointV1Refused: a checkpoint taken on the Go 1 math/rand
+// stream (version 1) is refused with the version error, both when read
+// and when handed to a run, instead of resuming onto another stream.
+func TestCheckpointV1Refused(t *testing.T) {
+	cfg := tinyConfig(3)
+	_, cps := runCapturing(t, cfg, NewSpotlight())
+	old := *cps[1]
+	old.Version = 1
+	raw, err := json.Marshal(&old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "checkpoint version 1, want 2"
+	if _, err := ReadCheckpoint(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ReadCheckpoint of a v1 checkpoint: err = %v, want %q", err, want)
+	}
+	cfg.Resume = &old
+	if _, err := Run(cfg, NewSpotlight()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume from a v1 checkpoint: err = %v, want %q", err, want)
 	}
 }
 

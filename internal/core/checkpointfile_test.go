@@ -15,7 +15,7 @@ import (
 
 func testCheckpoint(samples int) *core.Checkpoint {
 	return &core.Checkpoint{
-		Version:     1,
+		Version:     2,
 		Tool:        "spotlight",
 		Fingerprint: "test-fp",
 		Samples:     samples,

@@ -15,6 +15,7 @@ import (
 	"spotlight/internal/pool"
 	"spotlight/internal/sched"
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 // ErrNoFeasible is returned by Run when a search exhausts its hardware
@@ -106,12 +107,11 @@ type layerSlot struct {
 }
 
 // reseed returns the slot's RNG seeded with seed. (*rand.Rand).Seed
-// re-initializes the whole source and the read position, so the RNG
-// draws exactly what rand.New(rand.NewSource(seed)) would; only the
-// slot's first reseed allocates.
+// reseeds the PCG source in place, so the RNG draws exactly what
+// xrand.New(seed) would; only the slot's first reseed allocates.
 func (sl *layerSlot) reseed(seed int64) *rand.Rand {
 	if sl.rng == nil {
-		sl.rng = rand.New(rand.NewSource(seed))
+		sl.rng = xrand.New(seed)
 	} else {
 		sl.rng.Seed(seed)
 	}
@@ -269,7 +269,7 @@ func RunContext(ctx context.Context, cfg RunConfig, strat Strategy) (Result, err
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %s: %w", strat.Name(), err)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := xrand.New(cfg.Seed)
 	hwSearch := strat.NewHW(cfg, rng)
 	layers := collectLayers(cfg.Models)
 	slots := make([]layerSlot, len(layers))

@@ -240,13 +240,11 @@ func finiteVec(v []float64) bool {
 // its candidates on the surrogate. It is false during warmup, once the
 // optimizer has degraded, and when the surrogate cannot be fit; in those
 // cases SuggestIndex returns rng.Intn(n) without reading a single
-// feature, so callers may skip featurizing the batch and pass unfilled
-// rows. The index then depends only on n, so a caller need not even
-// build the candidates: it may keep what it needs to build one and
-// build only the one returned, as Spotlight's software proposer does
-// with sched.Record. Asking fits the surrogate if it is stale; the
-// answer is cached until SuggestIndex consumes it or a new observation
-// arrives.
+// feature. A uniform pick from a batch of random candidates is one
+// random candidate, so a caller may instead draw just one and call
+// drewAtRandom, as Spotlight's proposers do. Asking fits the surrogate
+// if it is stale; the answer is cached until SuggestIndex or
+// drewAtRandom consumes it or a new observation arrives.
 func (d *DABO) ScoresCandidates() bool {
 	if !d.decided {
 		d.scores = d.nvalid >= d.warmup && !d.Degraded() && d.ensureFit() == nil
@@ -254,6 +252,11 @@ func (d *DABO) ScoresCandidates() bool {
 	}
 	return d.scores
 }
+
+// drewAtRandom consumes ScoresCandidates' false answer, as a
+// SuggestIndex call would, for a caller that drew its one suggestion at
+// random instead.
+func (d *DABO) drewAtRandom() { d.decided = false }
 
 // SuggestIndex picks which of the candidate feature vectors to evaluate
 // next: uniformly at random during warmup (or if the surrogate cannot be

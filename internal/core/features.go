@@ -12,10 +12,23 @@ import (
 // real value, carrying the domain information of §IV-B.
 //
 // Fn reads the point through a pointer, so featurizing a candidate copies
-// neither its schedule nor its layer.
+// neither its schedule nor its layer. ReadsOrder declares that Fn reads
+// the schedule's loop orders; a proposer whose features read none may
+// rank candidates drawn without them.
 type Feature struct {
-	Name string
-	Fn   func(*Point) float64
+	Name       string
+	Fn         func(*Point) float64
+	ReadsOrder bool
+}
+
+// readsOrder reports whether any feature of fs reads a loop order.
+func readsOrder(fs []Feature) bool {
+	for _, f := range fs {
+		if f.ReadsOrder {
+			return true
+		}
+	}
+	return false
 }
 
 // FeatureMode selects which feature set a daBO instance trains its
@@ -86,18 +99,18 @@ func (m *log1pMemo) log1p(v float64) float64 {
 // domain information described in §IV-B2.
 func SoftwareFeatures() []Feature {
 	return []Feature{
-		{"simd_lanes", func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{"onchip_bandwidth", func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
-		{"total_pes", func(p *Point) float64 { return float64(p.Accel.PEs) }},
-		{"pe_array_width", func(p *Point) float64 { return float64(p.Accel.Width) }},
-		{"total_onchip_sram", func(p *Point) float64 {
+		{Name: "simd_lanes", Fn: func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
+		{Name: "onchip_bandwidth", Fn: func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
+		{Name: "total_pes", Fn: func(p *Point) float64 { return float64(p.Accel.PEs) }},
+		{Name: "pe_array_width", Fn: func(p *Point) float64 { return float64(p.Accel.Width) }},
+		{Name: "total_onchip_sram", Fn: func(p *Point) float64 {
 			return float64(p.Accel.RFKB + p.Accel.L2KB)
 		}},
-		{"kernel_parallelism", func(p *Point) float64 {
+		{Name: "kernel_parallelism", Fn: func(p *Point) float64 {
 			// R₀ × S₀: the filter extent resident at the outer tile level.
 			return p.lg(float64(p.Sched.T2[workload.DimR] * p.Sched.T2[workload.DimS]))
 		}},
-		{"degree_of_unrolling", func(p *Point) float64 {
+		{Name: "degree_of_unrolling", Fn: func(p *Point) float64 {
 			// Outer unrolled loop extent × inner unrolled loop extent
 			// (both L2-level loops, distributed over rows and columns).
 			n1 := &p.terms().inner
@@ -106,17 +119,17 @@ func SoftwareFeatures() []Feature {
 			}
 			return p.lg(float64(n1[p.Sched.OuterUnroll]) * float64(n1[p.Sched.InnerUnroll]))
 		}},
-		{"pe_utilization", peUtilization},
-		{"loop_iterations", func(p *Point) float64 {
+		{Name: "pe_utilization", Fn: peUtilization},
+		{Name: "loop_iterations", Fn: func(p *Point) float64 {
 			return p.lg(loopIterations(p))
 		}},
-		{"dram_transfers", func(p *Point) float64 {
+		{Name: "dram_transfers", Fn: func(p *Point) float64 {
 			// (X₀/X₂) × (Y₀/Y₂) × (array width + array height).
 			t := p.terms()
 			return p.lg(float64(t.outer[workload.DimX]) * float64(t.outer[workload.DimY]) *
 				float64(p.Accel.Width+t.height))
 		}},
-		{"common_unrolled_dims", func(p *Point) float64 {
+		{Name: "common_unrolled_dims", Fn: func(p *Point) float64 {
 			// Prime-basis linear combination spreading the few unique
 			// values of each tile parameter apart (§IV-B2).
 			s := &p.Sched
@@ -156,24 +169,24 @@ func loopIterations(p *Point) float64 {
 // §IV-B1 describes.
 func VanillaSoftwareFeatures() []Feature {
 	fs := []Feature{
-		{"raw_pes", func(p *Point) float64 { return float64(p.Accel.PEs) }},
-		{"raw_width", func(p *Point) float64 { return float64(p.Accel.Width) }},
-		{"raw_simd", func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{"raw_rf_kb", func(p *Point) float64 { return float64(p.Accel.RFKB) }},
-		{"raw_l2_kb", func(p *Point) float64 { return float64(p.Accel.L2KB) }},
-		{"raw_bw", func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
-		{"raw_outer_unroll", func(p *Point) float64 { return float64(p.Sched.OuterUnroll) }},
-		{"raw_inner_unroll", func(p *Point) float64 { return float64(p.Sched.InnerUnroll) }},
+		{Name: "raw_pes", Fn: func(p *Point) float64 { return float64(p.Accel.PEs) }},
+		{Name: "raw_width", Fn: func(p *Point) float64 { return float64(p.Accel.Width) }},
+		{Name: "raw_simd", Fn: func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
+		{Name: "raw_rf_kb", Fn: func(p *Point) float64 { return float64(p.Accel.RFKB) }},
+		{Name: "raw_l2_kb", Fn: func(p *Point) float64 { return float64(p.Accel.L2KB) }},
+		{Name: "raw_bw", Fn: func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
+		{Name: "raw_outer_unroll", Fn: func(p *Point) float64 { return float64(p.Sched.OuterUnroll) }},
+		{Name: "raw_inner_unroll", Fn: func(p *Point) float64 { return float64(p.Sched.InnerUnroll) }},
 	}
 	for i, d := range workload.AllDims {
 		i, d := i, d
 		fs = append(fs,
-			Feature{"raw_t2_" + d.String(), func(p *Point) float64 { return float64(p.Sched.T2[i]) }},
-			Feature{"raw_t1_" + d.String(), func(p *Point) float64 { return float64(p.Sched.T1[i]) }},
-			Feature{"raw_pos_outer_" + d.String(), func(p *Point) float64 {
+			Feature{Name: "raw_t2_" + d.String(), Fn: func(p *Point) float64 { return float64(p.Sched.T2[i]) }},
+			Feature{Name: "raw_t1_" + d.String(), Fn: func(p *Point) float64 { return float64(p.Sched.T1[i]) }},
+			Feature{Name: "raw_pos_outer_" + d.String(), ReadsOrder: true, Fn: func(p *Point) float64 {
 				return float64(orderPosition(p.Sched.OuterOrder, d))
 			}},
-			Feature{"raw_pos_inner_" + d.String(), func(p *Point) float64 {
+			Feature{Name: "raw_pos_inner_" + d.String(), ReadsOrder: true, Fn: func(p *Point) float64 {
 				return float64(orderPosition(p.Sched.InnerOrder, d))
 			}},
 		)
@@ -194,15 +207,15 @@ func orderPosition(order [workload.NumDims]workload.Dim, d workload.Dim) int {
 // only the accelerator (software is re-optimized per hardware sample).
 func HardwareFeatures() []Feature {
 	return []Feature{
-		{"simd_lanes", func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{"onchip_bandwidth", func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
-		{"total_pes", func(p *Point) float64 { return float64(p.Accel.PEs) }},
-		{"pe_array_width", func(p *Point) float64 { return float64(p.Accel.Width) }},
-		{"pe_array_height", func(p *Point) float64 { return float64(p.Accel.Height()) }},
-		{"total_onchip_sram", func(p *Point) float64 { return float64(p.Accel.RFKB + p.Accel.L2KB) }},
-		{"peak_macs", func(p *Point) float64 { return p.lg(float64(p.Accel.PEs * p.Accel.SIMDLanes)) }},
-		{"area", func(p *Point) float64 { return p.Accel.AreaMM2() }},
-		{"peak_power", func(p *Point) float64 { return p.Accel.PeakPowerMW() }},
+		{Name: "simd_lanes", Fn: func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
+		{Name: "onchip_bandwidth", Fn: func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
+		{Name: "total_pes", Fn: func(p *Point) float64 { return float64(p.Accel.PEs) }},
+		{Name: "pe_array_width", Fn: func(p *Point) float64 { return float64(p.Accel.Width) }},
+		{Name: "pe_array_height", Fn: func(p *Point) float64 { return float64(p.Accel.Height()) }},
+		{Name: "total_onchip_sram", Fn: func(p *Point) float64 { return float64(p.Accel.RFKB + p.Accel.L2KB) }},
+		{Name: "peak_macs", Fn: func(p *Point) float64 { return p.lg(float64(p.Accel.PEs * p.Accel.SIMDLanes)) }},
+		{Name: "area", Fn: func(p *Point) float64 { return p.Accel.AreaMM2() }},
+		{Name: "peak_power", Fn: func(p *Point) float64 { return p.Accel.PeakPowerMW() }},
 	}
 }
 
@@ -251,7 +264,7 @@ func TransformTo(dst []float64, fs []Feature, p *Point) { p.transform(dst, fs, f
 
 // transform is TransformTo. drawn reports that the caller has already
 // written p's terms to p.cached: the layer's extents, the trip counts
-// its sampler drew with p.Sched (sched.Sampler.RandomTripsTo), and the
+// its sampler drew with p.Sched (sched.Sampler.TilesTo), and the
 // accelerator's height, which a search sets once (a zero height is
 // derived here). transform adds the folds, and the features read those
 // terms instead of deriving them, so the row is bit-identical to

@@ -227,7 +227,8 @@ func drawnPoints(rng *rand.Rand, a hw.Accel, c sched.Constraint, layers []worklo
 		for i := 0; i < n; i++ {
 			p := Point{Accel: a, Layer: l}
 			p.cached.sizes = l.Sizes()
-			sp.RandomTripsTo(rng, &p.Sched, &p.cached.outer, &p.cached.inner)
+			sp.TilesTo(rng, &p.Sched, &p.cached.outer, &p.cached.inner)
+			sp.OrdersTo(rng, &p.Sched)
 			pts = append(pts, p)
 		}
 	}

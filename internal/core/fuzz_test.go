@@ -12,6 +12,7 @@ import (
 	"spotlight/internal/maestro"
 	"spotlight/internal/sched"
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 // FuzzParseOrder ensures arbitrary order strings never panic and are
@@ -88,7 +89,7 @@ func FuzzLayerSearchFaultSequences(f *testing.F) {
 		cfg.Eval = &scriptedFaultEval{inner: maestro.New(), script: script}
 		layer := cfg.Models[0].Layers[0]
 		accel := cfg.Space.Random(rand.New(rand.NewSource(seed)))
-		rng := rand.New(rand.NewSource(deriveSeed(seed, 1, 0)))
+		rng := xrand.New(deriveSeed(seed, 1, 0))
 		sw := NewSpotlight().NewSW(cfg, rng, accel, layer)
 		res := runLayerSearch(context.Background(), cfg, sw, accel, layer, 8, nil)
 		if res.Valid {

@@ -5,22 +5,23 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"testing"
 
 	"spotlight/internal/hw"
 	"spotlight/internal/sched"
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 // The stream-golden tests pin the exact sequence of suggestions the
 // Spotlight proposers make at a fixed seed against a deterministic fake
 // cost. Any change to the candidate loop — sampling order, RNG draws,
 // featurization arithmetic, scoring — that alters even one suggestion
-// changes the digest. The constants were recorded before the candidate
-// loop was optimized, so they certify that the optimized loop is
-// bit-identical to the straightforward one.
+// changes the digest. The constants were recorded when the searches
+// moved to the PCG stream (xrand), with one draw per warmup step and
+// loop orders drawn only for the returned candidate; a bit-identical
+// optimization of the candidate loop leaves them unchanged.
 
 var errGoldenInvalid = errors.New("golden: infeasible")
 
@@ -66,7 +67,7 @@ func swStreamDigest(s *Spotlight, a hw.Accel, seed int64, rounds int) string {
 	h := sha256.New()
 	cfg := RunConfig{SWConstraint: sched.Free()}
 	for li, l := range goldenLayers() {
-		sw := s.NewSW(cfg, rand.New(rand.NewSource(seed+int64(li))), a, l)
+		sw := s.NewSW(cfg, xrand.New(seed+int64(li)), a, l)
 		for r := 0; r < rounds; r++ {
 			sc := sw.Suggest()
 			fmt.Fprintf(h, "%d %d %v\n", li, r, sc)
@@ -81,7 +82,7 @@ func swStreamDigest(s *Spotlight, a hw.Accel, seed int64, rounds int) string {
 // under budget and hashes every suggestion.
 func hwStreamDigest(s *Spotlight, space hw.Space, budget hw.Budget, seed int64, rounds int) string {
 	h := sha256.New()
-	p := s.NewHW(RunConfig{Space: space, Budget: budget}, rand.New(rand.NewSource(seed)))
+	p := s.NewHW(RunConfig{Space: space, Budget: budget}, xrand.New(seed))
 	for r := 0; r < rounds; r++ {
 		a := p.Suggest()
 		fmt.Fprintf(h, "%d %v\n", r, a)
@@ -107,10 +108,10 @@ func TestSpotlightProposerStreamGolden(t *testing.T) {
 		strat *Spotlight
 		want  string
 	}{
-		{NewSpotlight(), "daabe1fad63398aa84e88a2325f50f40c489cfea9aa5c2e9827add21bc62e18b"},
-		{NewSpotlightF(), "9f446c220ffc006714c5451b603e777fb8af1ab2ba8abaa6958d51241e6196e1"},
-		{NewSpotlightV(), "4f34f7929ee66d4a553675a41df1980b5fb5e20674ff64322ffafb3c7596fb99"},
-		{NewSpotlightA(), "504f4ca26369a37a1c53083113d34b74a6789ff8b7e3c74dd8b1e12995c73420"},
+		{NewSpotlight(), "45ce837d2313d1ada9adf3faf098f8701218af69ec80eb777920a0d091f0a6ac"},
+		{NewSpotlightF(), "5f9dcba78c459ec3ca63b2ed08274c817ea7f5f943b85dcdb39a9e226da6d72f"},
+		{NewSpotlightV(), "37b5332bdf1a3def332a1b3a8b9bc9f9eaf3fbc75bd63523c1fc12c7d2351464"},
+		{NewSpotlightA(), "9fdcd133a6c676fd84b6c77591b22f89b2589e3958d0dcb196d596af34b976df"},
 	}
 	for _, c := range sw {
 		t.Run("sw/"+c.strat.Name(), func(t *testing.T) {
@@ -126,10 +127,10 @@ func TestSpotlightProposerStreamGolden(t *testing.T) {
 		budget hw.Budget
 		want   string
 	}{
-		{"edge", NewSpotlight(), hw.EdgeSpace(), hw.EdgeBudget(), "9704ce61cf22a44ffc17d70b1cd8ce72acbb18a8e1f2d0112fc7cfab0c66b966"},
-		{"cloud", NewSpotlight(), hw.CloudSpace(), hw.CloudBudget(), "0579e434e9f44a5ebacb289131870e0b69be0e104e90edeb64f7f1dcd7e759b0"},
-		{"edge-V", NewSpotlightV(), hw.EdgeSpace(), hw.EdgeBudget(), "5218b4a67ff3527eb15bfd669b26996fba8045d66dd3f9eb760ca0bbe5ef66bc"},
-		{"edge-A", NewSpotlightA(), hw.EdgeSpace(), hw.EdgeBudget(), "36e8fc1a7e42eafdfa063dc2e9fa1e8c6f92ea9fed875da34371b0562ae89fda"},
+		{"edge", NewSpotlight(), hw.EdgeSpace(), hw.EdgeBudget(), "a902de7caab2301d1ad57941291ac339bda7a52eaf84398eed634e47dc8725c5"},
+		{"cloud", NewSpotlight(), hw.CloudSpace(), hw.CloudBudget(), "115586fe9512661ef90231b0a5f2076e5eb477efe18411157525366dc20e86a1"},
+		{"edge-V", NewSpotlightV(), hw.EdgeSpace(), hw.EdgeBudget(), "fa9fc2a5e1693c76edb34b38ec2b29696ea5fcd7218863c55ee429606437a147"},
+		{"edge-A", NewSpotlightA(), hw.EdgeSpace(), hw.EdgeBudget(), "13f913a07cfc02263d62d343b57a14cb9f95f1a9d7189c78e5b4e86f6fdc8858"},
 	}
 	for _, c := range hwCases {
 		t.Run("hw/"+c.name, func(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"spotlight/internal/maestro"
 	"spotlight/internal/sched"
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 // Layer slots keep each layer's RNG and Spotlight proposer for a whole
@@ -45,13 +46,13 @@ func slotTriples(rng *rand.Rand, n int) []slotTriple {
 
 // TestLayerSlotRNGMatchesFresh: a slot's RNG, reseeded after any
 // number of earlier draws, draws exactly what a new RNG with that seed
-// draws, past the source's 607-word feedback register.
+// draws, through every *rand.Rand method the searches call.
 func TestLayerSlotRNGMatchesFresh(t *testing.T) {
 	pick := rand.New(rand.NewSource(7))
 	var sl layerSlot
 	for trial := 0; trial < 20; trial++ {
 		seed := deriveSeed(pick.Int63(), int64(trial), int64(pick.Intn(50)))
-		got, want := sl.reseed(seed), rand.New(rand.NewSource(seed))
+		got, want := sl.reseed(seed), xrand.New(seed)
 		if trial > 0 && got != sl.rng {
 			t.Fatal("reseed replaced the slot's RNG")
 		}
@@ -107,7 +108,7 @@ func TestLayerSlotProposerMatchesFresh(t *testing.T) {
 					t.Fatalf("search %d built a new proposer instead of resetting the slot's", ti)
 				}
 				kept = reused
-				fresh := strat.NewSW(cfg, rand.New(rand.NewSource(tr.seed)), tr.a, tr.l).(*spotlightSW)
+				fresh := strat.NewSW(cfg, xrand.New(tr.seed), tr.a, tr.l).(*spotlightSW)
 				if reused.dabo.Surrogate() != nil || fresh.dabo.Surrogate() != nil {
 					t.Fatalf("search %d starts with a surrogate fitted", ti)
 				}

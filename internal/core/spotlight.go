@@ -9,6 +9,7 @@ import (
 	"spotlight/internal/obs"
 	"spotlight/internal/sched"
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 // Spotlight is the paper's co-design strategy (§VI): daBO over the
@@ -90,28 +91,20 @@ func (s *Spotlight) NewHW(cfg RunConfig, rng *rand.Rand) HWProposer {
 	}
 }
 
-// candidateBatch is the working set of one Suggest: n parameter-space
-// points, one flat n×d feature buffer whose rows are views handed to
-// DABO.suggestIndex, the surrogate's n predictions, the memo lg reads
-// while a software batch is featurized, and the records of a software
-// warmup batch with the recorder that fills and decodes them. Nothing in
-// it outlives the call, so Suggest borrows it from a batchPool and a
-// proposer keeps only its d-length observation row. The memo is exact
-// whatever earlier borrowers stored in it.
+// candidateBatch is the working set of one scored Suggest: n
+// parameter-space points, one flat n×d feature buffer whose rows are
+// views handed to DABO.suggestIndex, the surrogate's n predictions, the
+// sampler each software point was drawn from, and the memo lg reads
+// while a software batch is featurized. Nothing in it outlives the
+// call, so Suggest borrows it from a batchPool and a proposer keeps
+// only its d-length observation row. The memo is exact whatever earlier
+// borrowers stored in it.
 type candidateBatch[T any] struct {
 	points      []T
 	rows        [][]float64
 	means, stds []float64
-	logs        *log1pMemo   // allocated by the first Suggest that scores the batch
-	recs        []drawRecord // allocated by the first Suggest that records the batch, with rc
-	rc          *sched.Recorder
-}
-
-// drawRecord is one software warmup candidate as Suggest records it:
-// the sampler it was drawn from and the values the draw consumed.
-type drawRecord struct {
-	sampler int
-	rec     sched.Record
+	from        []uint8    // software batches only: each point's sampler
+	logs        *log1pMemo // allocated by the first Suggest that scores the batch
 }
 
 // batchPool lends candidate batches to Suggest calls, so the searches a
@@ -134,6 +127,7 @@ func (bp *batchPool[T]) get(n, d int) *candidateBatch[T] {
 			rows:   make([][]float64, n),
 			means:  make([]float64, n),
 			stds:   make([]float64, n),
+			from:   make([]uint8, n),
 		}
 		flat := make([]float64, n*d)
 		for i := range c.rows {
@@ -155,31 +149,38 @@ type spotlightHW struct {
 	pt       Point
 }
 
-// Suggest ranks a batch of random candidates on the surrogate. The area
-// and power budget is known a priori, so candidates exceeding it are
-// resampled — using explicit constraints to steer sampling is exactly
-// the kind of domain information §IV-B1 calls for (the cloud space in
-// particular is >90% over budget). If the budget is unattainable within
-// the retry allowance, the raw sample is kept and the cost model will
-// reject it. Candidates are featurized only when the surrogate will
-// read them (see DABO.ScoresCandidates).
+// Suggest ranks a batch of random candidates on the surrogate. When the
+// surrogate does not score (warmup, see DABO.ScoresCandidates), a
+// uniform pick from a random batch is one random candidate, so Suggest
+// draws just one.
 func (h *spotlightHW) Suggest() hw.Accel {
+	if !h.dabo.ScoresCandidates() {
+		h.dabo.drewAtRandom()
+		return h.draw()
+	}
 	b := hwBatches.get(spotlightBatch, len(h.features))
 	defer hwBatches.put(b)
 	cands := b.points
 	for i := range cands {
-		cands[i] = h.space.Random(h.rng)
-		for retry := 0; retry < 16 && !h.budget.Fits(cands[i]); retry++ {
-			cands[i] = h.space.Random(h.rng)
-		}
-	}
-	if h.dabo.ScoresCandidates() {
-		for i := range cands {
-			h.pt.Accel = cands[i]
-			TransformTo(b.rows[i], h.features, &h.pt)
-		}
+		cands[i] = h.draw()
+		h.pt.Accel = cands[i]
+		TransformTo(b.rows[i], h.features, &h.pt)
 	}
 	return cands[h.dabo.suggestIndex(b.rows, b.means, b.stds)]
+}
+
+// draw samples one candidate. The area and power budget is known a
+// priori, so a candidate exceeding it is resampled — using explicit
+// constraints to steer sampling is exactly the kind of domain
+// information §IV-B1 calls for (the cloud space in particular is >90%
+// over budget). If the budget is unattainable within the retry
+// allowance, the raw sample is kept and the cost model will reject it.
+func (h *spotlightHW) draw() hw.Accel {
+	a := h.space.Random(h.rng)
+	for retry := 0; retry < 16 && !h.budget.Fits(a); retry++ {
+		a = h.space.Random(h.rng)
+	}
+	return a
 }
 
 // SetSpan implements SpanCarrier by forwarding to the embedded daBO, so
@@ -216,10 +217,11 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 	} else {
 		features := FeaturesFor(s.Mode, false)
 		sw = &spotlightSW{
-			owner:    s,
-			dabo:     NewDABO(s.kernel(), rng, WithKappa(spotlightKappa)),
-			features: features,
-			row:      make([]float64, len(features)),
+			owner:      s,
+			dabo:       NewDABO(s.kernel(), rng, WithKappa(spotlightKappa)),
+			features:   features,
+			readsOrder: readsOrder(features),
+			row:        make([]float64, len(features)),
 		}
 		if s.FixedDataflows {
 			for _, df := range sched.FixedDataflows() {
@@ -239,6 +241,9 @@ type spotlightSW struct {
 	owner    *Spotlight
 	dabo     *DABO
 	features []Feature
+	// readsOrder is set when a feature reads a loop order; otherwise a
+	// scored Suggest draws orders only for the candidate it returns.
+	readsOrder bool
 	// fixed holds Spotlight-F's three constraints; nil means the run's
 	// software constraint.
 	fixed    []sched.Constraint
@@ -273,52 +278,44 @@ func (w *spotlightSW) reset(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workloa
 }
 
 // Suggest draws a batch of random schedules and returns the one the
-// surrogate ranks best. The batch is featurized only when the surrogate
-// will read it (see DABO.ScoresCandidates). A scored candidate is
-// featurized as it is drawn, from the trip counts its sampler read off
-// the tiling tables. During warmup SuggestIndex draws a uniform index
-// without looking at the candidates, so Suggest only records each
-// draw's random values and decodes the one candidate it returns (see
-// sched.Recorder.Skip). Neither asking ScoresCandidates first,
-// featurizing between draws nor recording instead of building consumes
-// a different random number, so the draws are exactly those of an
-// unscored batch.
+// surrogate ranks best. Each candidate is featurized as it is drawn,
+// from the trip counts its sampler read off the tiling tables. When no
+// feature reads a loop order, the candidates' orders cannot change the
+// ranking, so only the returned candidate draws them, after the argmin;
+// its orders stay uniform and independent of its tiles. When the
+// surrogate does not score (warmup, see DABO.ScoresCandidates), a
+// uniform pick from a random batch is one random schedule, so Suggest
+// draws just one.
 func (w *spotlightSW) Suggest() sched.Schedule {
+	if !w.dabo.ScoresCandidates() {
+		w.dabo.drewAtRandom()
+		var s sched.Schedule
+		w.samplers[xrand.IntN(w.rng, len(w.samplers))].RandomTo(w.rng, &s)
+		return s
+	}
 	b := swBatches.get(spotlightBatch, len(w.features))
 	defer swBatches.put(b)
-	if !w.dabo.ScoresCandidates() {
-		return w.suggestRecorded(b)
-	}
 	cands, p := b.points, &w.pt
 	if b.logs == nil {
 		b.logs = new(log1pMemo)
 	}
 	p.logs = b.logs
 	for i := range cands {
-		w.samplers[w.rng.Intn(len(w.samplers))].RandomTripsTo(w.rng, &cands[i], &p.cached.outer, &p.cached.inner)
+		k := xrand.IntN(w.rng, len(w.samplers))
+		b.from[i] = uint8(k)
+		w.samplers[k].TilesTo(w.rng, &cands[i], &p.cached.outer, &p.cached.inner)
+		if w.readsOrder {
+			w.samplers[k].OrdersTo(w.rng, &cands[i])
+		}
 		p.Sched = cands[i]
 		p.transform(b.rows[i], w.features, true)
 	}
 	p.logs = nil
-	return cands[w.dabo.suggestIndex(b.rows, b.means, b.stds)]
-}
-
-// suggestRecorded is Suggest's warmup path: it records the batch's
-// draws, lets daBO pick an index from unfilled rows, and decodes only
-// the picked candidate.
-func (w *spotlightSW) suggestRecorded(b *candidateBatch[sched.Schedule]) sched.Schedule {
-	if b.recs == nil {
-		b.recs, b.rc = make([]drawRecord, len(b.points)), sched.NewRecorder()
+	i := w.dabo.suggestIndex(b.rows, b.means, b.stds)
+	if !w.readsOrder {
+		w.samplers[b.from[i]].OrdersTo(w.rng, &cands[i])
 	}
-	for i := range b.recs {
-		r := &b.recs[i]
-		r.sampler = w.rng.Intn(len(w.samplers))
-		b.rc.Skip(&w.samplers[r.sampler], w.rng, &r.rec)
-	}
-	r := &b.recs[w.dabo.suggestIndex(b.rows, b.means, b.stds)]
-	var s sched.Schedule
-	b.rc.Decode(&w.samplers[r.sampler], &r.rec, &s)
-	return s
+	return cands[i]
 }
 
 // SetSpan implements SpanCarrier by forwarding to the embedded daBO, so

@@ -20,6 +20,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -30,6 +31,7 @@ import (
 	"spotlight/internal/pool"
 	"spotlight/internal/stats"
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 // Config scales the experiments. The paper's settings are 100 hardware
@@ -226,10 +228,15 @@ func collectTrials(vals []float64, errs []error) ([]float64, error) {
 
 // trialObjectives runs a strategy for cfg.Trials independent trials on
 // the given models and returns the best objectives of the trials that
-// completed.
+// completed. A trial whose budget found no feasible design completed:
+// its objective is +Inf, which a figure shows as "inf", instead of
+// failing the figure when every trial of a tool ends that way.
 func (c Config) trialObjectives(ctx context.Context, models []workload.Model, strat core.Strategy) ([]float64, error) {
 	return c.objectives(ctx, models, func(rc core.RunConfig, t int) (float64, error) {
 		res, err := core.RunContext(ctx, rc, strat)
+		if errors.Is(err, core.ErrNoFeasible) {
+			return res.Best.Objective, nil
+		}
 		if err != nil {
 			return 0, fmt.Errorf("exp: %s trial %d: %w", strat.Name(), t, err)
 		}
@@ -280,5 +287,5 @@ func summaryRow(model, config string, objectives []float64) Row {
 // stream label, keeping independent parts of an experiment decorrelated
 // but reproducible.
 func (c Config) rngFor(stream int64) *rand.Rand {
-	return rand.New(rand.NewSource(c.Seed*1_000_003 + stream))
+	return xrand.New(c.Seed*1_000_003 + stream)
 }

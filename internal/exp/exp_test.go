@@ -11,6 +11,9 @@ import (
 
 	"spotlight/internal/core"
 	"spotlight/internal/hw"
+	"spotlight/internal/maestro"
+	"spotlight/internal/sched"
+	"spotlight/internal/workload"
 )
 
 // tinyCfg is a fast configuration for structural tests.
@@ -539,6 +542,40 @@ func TestChaosFig10RecordsPartialTrials(t *testing.T) {
 			if c.Failed() != 0 {
 				t.Errorf("%s/%s: %d trials failed unexpectedly: %v", model, c.Tool, c.Failed(), c.Errors)
 			}
+		}
+	}
+}
+
+// infeasibleEval rejects every design, so no search finds a feasible one.
+type infeasibleEval struct{}
+
+func (infeasibleEval) Name() string { return "infeasible" }
+
+func (infeasibleEval) Evaluate(hw.Accel, sched.Schedule, workload.Layer) (maestro.Cost, error) {
+	return maestro.Cost{}, maestro.ErrInvalid
+}
+
+// TestNoFeasibleTrialIsInf: a trial whose budget finds no feasible
+// design completes with objective +Inf instead of failing its figure.
+func TestNoFeasibleTrialIsInf(t *testing.T) {
+	cfg := tinyCfg()
+	cfg.HWSamples, cfg.SWSamples = 2, 2
+	cfg.Eval = infeasibleEval{}
+	cfg = cfg.normalized()
+	models, err := cfg.models()
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs, err := cfg.trialObjectives(context.Background(), models, core.NewSpotlight())
+	if err != nil {
+		t.Fatalf("trialObjectives: %v", err)
+	}
+	if len(objs) != cfg.Trials {
+		t.Fatalf("%d objectives for %d trials", len(objs), cfg.Trials)
+	}
+	for _, v := range objs {
+		if !math.IsInf(v, 1) {
+			t.Fatalf("objective %v, want +Inf", v)
 		}
 	}
 }

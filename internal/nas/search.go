@@ -7,6 +7,7 @@ import (
 
 	"spotlight/internal/core"
 	"spotlight/internal/gp"
+	"spotlight/internal/xrand"
 )
 
 // SearchConfig configures the joint hardware/software/model search.
@@ -76,7 +77,7 @@ func Search(cfg SearchConfig) (SearchResult, error) {
 	if cfg.ArchSamples <= 0 {
 		cfg.ArchSamples = 12
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := xrand.New(cfg.Seed)
 	dabo := core.NewDABO(gp.Linear{Bias: 1}, rng, core.WithWarmup(4))
 
 	res := SearchResult{}

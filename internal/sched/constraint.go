@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 // Constraint restricts the software design space. Spotlight searches the
@@ -181,7 +182,6 @@ func (c Constraint) Random(rng *rand.Rand, l workload.Layer, rfBytesPerPE, l2Byt
 // use with distinct RNGs.
 type Sampler struct {
 	outer, inner           []workload.Dim
-	outerPick, innerPick   intn
 	fixedOuter, fixedInner []workload.Dim
 	// t1, t2 are the starting tiles and n1, n2 their trip counts:
 	// FitTiles' heuristic tiles when some dimensions are not searched,
@@ -190,20 +190,11 @@ type Sampler struct {
 	// tiles[d] is the tiling table of dimension d's extent, nil when d
 	// is not searched.
 	tiles [workload.NumDims]*tileTable
-	// nraw is the number of values a draw consumes when no draw
-	// rejects, swapN[k] the n of the shuffle swap that reads the k-th
-	// of them (0 for an unroll or tile pick), and wordMax the largest
-	// recorded word no intn draw of this sampler can reject (see Skip).
-	nraw    int
-	swapN   [maxRaw]uint8
-	wordMax uint32
 }
 
 // tileTable is the tiling table of one extent n: one choice per
-// divisor of n, in increasing order, and the rejection threshold over
-// them.
+// divisor of n, in increasing order.
 type tileTable struct {
-	pick    intn
 	choices []tileChoice
 }
 
@@ -233,7 +224,7 @@ func tileTableLocked(n int) *tileTable {
 		return t
 	}
 	divs := divisors(n)
-	t := &tileTable{pick: newIntn(len(divs)), choices: make([]tileChoice, len(divs))}
+	t := &tileTable{choices: make([]tileChoice, len(divs))}
 	tileTables[n] = t
 	for j, d := range divs {
 		t.choices[j] = tileChoice{tile: d, trips: n / d, sub: tileTableLocked(d)}
@@ -266,34 +257,17 @@ func (c Constraint) SamplerTo(sp *Sampler, l workload.Layer, rfBytesPerPE, l2Byt
 		fixedOuter: c.FixedOuterOrder,
 		fixedInner: c.FixedInnerOrder,
 	}
-	sp.outerPick, sp.innerPick = newIntn(len(sp.outer)), newIntn(len(sp.inner))
 	if c.TilableDims != nil {
 		sp.t1, sp.t2 = FitTiles(l, rfBytesPerPE, l2Bytes)
 		for i, d := range workload.AllDims {
 			sp.n2[i], sp.n1[i] = l.Size(d)/sp.t2[i], sp.t2[i]/sp.t1[i]
 		}
 	}
-	// A draw reads two unroll picks, six swaps per free order, then two
-	// tile picks per searchable dimension.
-	sp.nraw = 2
-	for _, fixed := range [2][]workload.Dim{sp.fixedOuter, sp.fixedInner} {
-		if len(fixed) == workload.NumDims {
-			continue
-		}
-		for n := workload.NumDims; n > 1; n-- {
-			sp.swapN[sp.nraw] = uint8(n)
-			sp.nraw++
-		}
-	}
-	maxN := max(len(sp.outer), len(sp.inner))
 	for i, d := range workload.AllDims {
 		if c.tilable(d) {
 			sp.tiles[i] = tileTableOf(l.Size(d))
-			sp.nraw += 2
-			maxN = max(maxN, len(sp.tiles[i].choices))
 		}
 	}
-	sp.wordMax = uint32((1<<31)-1-maxN)<<1 | 1
 }
 
 // Random draws one schedule; see RandomTo.
@@ -303,23 +277,26 @@ func (sp *Sampler) Random(rng *rand.Rand) Schedule {
 	return s
 }
 
-// RandomTo draws one schedule into s, overwriting every field. Its RNG
-// calls — unroll choices, loop-order shuffles, then an L2 and an RF tile
-// draw per searchable dimension in canonical dimension order — define
-// the sampling stream every search over this space consumes. Each call
-// consumes exactly the values rng.Intn and rng.Shuffle would (see intn
-// and shuffleDims).
-func (sp *Sampler) RandomTo(rng *rand.Rand, s *Schedule) { sp.RandomTripsTo(rng, s, nil, nil) }
+// RandomTo draws one schedule into s, overwriting every field: TilesTo,
+// then OrdersTo. Those calls, in that order, define the sampling stream
+// every search over this space consumes.
+func (sp *Sampler) RandomTo(rng *rand.Rand, s *Schedule) {
+	sp.TilesTo(rng, s, nil, nil)
+	sp.OrdersTo(rng, s)
+}
 
-// RandomTripsTo is RandomTo that also writes the drawn schedule's trip
-// counts, n2[d] = Size(d)/T2[d] and n1[d] = T2[d]/T1[d] (what
-// TripCounts returns for it), read from the tables the tiles were drawn
-// from rather than divided. With nil n2 and n1 it is RandomTo.
-func (sp *Sampler) RandomTripsTo(rng *rand.Rand, s *Schedule, n2, n1 *[workload.NumDims]int) {
-	s.OuterUnroll = sp.outer[sp.outerPick.draw(rng)]
-	s.InnerUnroll = sp.inner[sp.innerPick.draw(rng)]
-	orderTo(&s.OuterOrder, sp.fixedOuter, rng)
-	orderTo(&s.InnerOrder, sp.fixedInner, rng)
+// TilesTo draws everything of a schedule but its loop orders into s:
+// the two unroll dimensions, then an L2 and an RF tile per searchable
+// dimension in canonical dimension order. It leaves s's orders as they
+// were; OrdersTo draws them, independently of the tiles, so a caller
+// may draw orders only for the schedules it keeps. With non-nil n2 and
+// n1 it also writes the schedule's trip counts, n2[d] = Size(d)/T2[d]
+// and n1[d] = T2[d]/T1[d] (what TripCounts returns), read from the
+// tables the tiles were drawn from rather than divided. Every pick is
+// xrand.IntN, so a one-element list draws nothing.
+func (sp *Sampler) TilesTo(rng *rand.Rand, s *Schedule, n2, n1 *[workload.NumDims]int) {
+	s.OuterUnroll = sp.outer[xrand.IntN(rng, len(sp.outer))]
+	s.InnerUnroll = sp.inner[xrand.IntN(rng, len(sp.inner))]
 	s.T1, s.T2 = sp.t1, sp.t2
 	trips := n2 != nil
 	if trips {
@@ -329,8 +306,8 @@ func (sp *Sampler) RandomTripsTo(rng *rand.Rand, s *Schedule, n2, n1 *[workload.
 		if t == nil {
 			continue
 		}
-		l2 := &t.choices[t.pick.draw(rng)]
-		rf := &l2.sub.choices[l2.sub.pick.draw(rng)]
+		l2 := &t.choices[xrand.IntN(rng, len(t.choices))]
+		rf := &l2.sub.choices[xrand.IntN(rng, len(l2.sub.choices))]
 		s.T2[i], s.T1[i] = l2.tile, rf.tile
 		if trips {
 			n2[i], n1[i] = l2.trips, rf.trips
@@ -338,36 +315,11 @@ func (sp *Sampler) RandomTripsTo(rng *rand.Rand, s *Schedule, n2, n1 *[workload.
 	}
 }
 
-// intn draws uniformly from [0, n) for one fixed n, returning exactly
-// what rng.Intn(n) returns and consuming exactly the Int63 values it
-// consumes. For n < 1<<31, Intn is Int31n, whose value stream Go 1
-// compatibility freezes: a power of two masks one Int31 (n == 1 still
-// consumes a draw), any other n rejects Int31 values above
-// max = (1<<31)-1 - (1<<31)%n and reduces the first accepted one mod n.
-// Precomputing max moves Int31n's per-call division out of the draw.
-// An empty list (n == 0) takes the mask path, whose index then panics
-// at draw time, where rand.Intn(0) panicked.
-type intn struct {
-	n   int32
-	max int32 // rejection threshold; -1 selects the power-of-two mask
-}
-
-func newIntn(n int) intn {
-	if n&(n-1) == 0 {
-		return intn{n: int32(n), max: -1}
-	}
-	return intn{n: int32(n), max: int32((1 << 31) - 1 - (1<<31)%uint32(n))}
-}
-
-func (d intn) draw(rng *rand.Rand) int {
-	v := int32(rng.Int63() >> 32)
-	if d.max < 0 {
-		return int(v & (d.n - 1))
-	}
-	for v > d.max {
-		v = int32(rng.Int63() >> 32)
-	}
-	return int(v % d.n)
+// OrdersTo writes s's two loop orders: the constraint's fixed order, or
+// a uniform permutation of the seven dimensions (outer, then inner).
+func (sp *Sampler) OrdersTo(rng *rand.Rand, s *Schedule) {
+	orderTo(&s.OuterOrder, sp.fixedOuter, rng)
+	orderTo(&s.InnerOrder, sp.fixedInner, rng)
 }
 
 // orderTo writes the fixed order into out if given, else a random
@@ -378,27 +330,7 @@ func orderTo(out *[workload.NumDims]workload.Dim, fixed []workload.Dim, rng *ran
 		return
 	}
 	*out = workload.AllDims
-	shuffleDims(out, rng)
-}
-
-// shuffleDims permutes a in place exactly as rng.Shuffle(len(a), swap)
-// does: Fisher–Yates from the last index down, each swap partner drawn
-// by the stdlib's unexported int31n (Lemire's multiply-shift with a
-// rejection threshold). Inlining it removes Shuffle's per-swap closure
-// call; the values consumed and the permutation produced are the same.
-func shuffleDims(a *[workload.NumDims]workload.Dim, rng *rand.Rand) {
-	for i := uint32(workload.NumDims - 1); i > 0; i-- {
-		n := i + 1
-		prod := uint64(uint32(rng.Int63()>>31)) * uint64(n)
-		if uint32(prod) < n {
-			thresh := -n % n
-			for uint32(prod) < thresh {
-				prod = uint64(uint32(rng.Int63()>>31)) * uint64(n)
-			}
-		}
-		j := prod >> 32
-		a[i], a[j] = a[j], a[i]
-	}
+	xrand.Shuffle(rng, out[:])
 }
 
 // Neighbor returns a schedule one mutation away from s within the

@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"spotlight/internal/workload"
+	"spotlight/internal/xrand"
 )
 
 // edgySource is a rand.Source that mixes a seeded stream with the
-// extreme values 0 and 1<<63-1, which drive both Int31n's rejection
-// loop (an Int31 above the threshold) and the Lemire int31n's rejection
-// loop (a zero low product) — paths a plain source reaches about once
-// in 2^19 draws for the table sizes the sampler uses.
+// extreme values 0 and 1<<63-1. (*rand.Rand).Uint64 builds a value
+// from two of them when the source has no Uint64, so about one value in
+// sixteen is 0, which drives xrand.IntN's rejection loop (a low product
+// below the threshold), a path a plain source reaches about once in
+// 2^58 draws for the table sizes the sampler uses.
 type edgySource struct{ r *rand.Rand }
 
 func (s edgySource) Int63() int64 {
@@ -26,87 +28,74 @@ func (s edgySource) Int63() int64 {
 
 func (s edgySource) Seed(int64) {}
 
-// scriptSource is a rand.Source that cycles through fixed values.
-type scriptSource struct {
-	vals []int64
-	i    int
-}
-
-func (s *scriptSource) Int63() int64 {
-	v := s.vals[s.i%len(s.vals)]
-	s.i++
-	return v
-}
-
-func (s *scriptSource) Seed(int64) {}
-
 // twins returns two generators that produce identical streams.
 func twins(seed int64, edgy bool) (*rand.Rand, *rand.Rand) {
 	if edgy {
-		return rand.New(edgySource{rand.New(rand.NewSource(seed))}),
-			rand.New(edgySource{rand.New(rand.NewSource(seed))})
+		return rand.New(edgySource{xrand.New(seed)}), rand.New(edgySource{xrand.New(seed)})
 	}
-	return rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	return xrand.New(seed), xrand.New(seed)
 }
 
-// TestDrawsMatchMathRand checks that the sampler's table-driven draws
-// reproduce math/rand exactly: intn returns rng.Intn's value and
-// shuffleDims rng.Shuffle's permutation, and each leaves the generator
-// in the state the stdlib call leaves it (the next Int63 of two twin
-// generators agrees). Integer-only, so it holds on every GOARCH.
-func TestDrawsMatchMathRand(t *testing.T) {
-	sizes := make([]int, 0, 4100)
-	for n := 1; n <= 4096; n++ {
-		sizes = append(sizes, n)
-	}
-	// Sizes near 2^31 reject about half of all Int31 values.
-	sizes = append(sizes, 1<<30, 1<<30+1, 3<<29, 1<<31-1)
-	// At the rejection threshold: Int31 == max is accepted, max+1 is
-	// rejected (the script then supplies an accepted value). Powers of
-	// two never reject.
-	for _, n := range sizes {
-		d := newIntn(n)
-		if d.max < 0 {
-			continue
-		}
-		for _, v := range []int64{int64(d.max), int64(d.max) + 1} {
-			script := []int64{v << 32, 12345 << 32, 678 << 32}
-			ours, std := rand.New(&scriptSource{vals: script}), rand.New(&scriptSource{vals: script})
-			if got, want := d.draw(ours), std.Intn(n); got != want {
-				t.Fatalf("threshold %d: draw(%d) = %d, rand.Intn = %d", v, n, got, want)
-			}
-			if a, b := ours.Int63(), std.Int63(); a != b {
-				t.Fatalf("threshold %d n %d: generator state diverged", v, n)
-			}
-		}
-	}
-	for _, edgy := range []bool{false, true} {
-		for _, seed := range []int64{1, 42, 4242, -7} {
-			ours, std := twins(seed, edgy)
-			for _, n := range sizes {
-				d := newIntn(n)
-				for k := 0; k < 3; k++ {
-					if got, want := d.draw(ours), std.Intn(n); got != want {
-						t.Fatalf("edgy=%v seed %d: draw(%d) = %d, rand.Intn = %d", edgy, seed, n, got, want)
-					}
-				}
-				if a, b := ours.Int63(), std.Int63(); a != b {
-					t.Fatalf("edgy=%v seed %d n %d: generator state diverged (%d vs %d)", edgy, seed, n, a, b)
-				}
-			}
-
-			ours, std = twins(seed, edgy)
-			for k := 0; k < 5000; k++ {
-				got := workload.AllDims
-				shuffleDims(&got, ours)
-				want := workload.AllDims
-				std.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+// TestTilesThenOrdersIsRandom: RandomTo is TilesTo followed by
+// OrdersTo on one stream, so a caller that draws the orders after all
+// its candidates' tiles keeps each schedule's distribution, and only a
+// free order consumes values.
+func TestTilesThenOrdersIsRandom(t *testing.T) {
+	l := workload.ResNet50().Layers[6]
+	for _, c := range allConstraints() {
+		sp := c.Sampler(l, 64, 32<<10)
+		for _, edgy := range []bool{false, true} {
+			r1, r2 := twins(7, edgy)
+			for i := 0; i < 64; i++ {
+				var got, want Schedule
+				sp.TilesTo(r1, &got, nil, nil)
+				sp.OrdersTo(r1, &got)
+				sp.RandomTo(r2, &want)
 				if got != want {
-					t.Fatalf("edgy=%v seed %d draw %d: shuffleDims = %v, rand.Shuffle = %v", edgy, seed, k, got, want)
+					t.Fatalf("%s: TilesTo+OrdersTo drew %v, RandomTo %v", c.Name, got, want)
 				}
-				if a, b := ours.Int63(), std.Int63(); a != b {
-					t.Fatalf("edgy=%v seed %d draw %d: generator state diverged after shuffle", edgy, seed, k)
-				}
+			}
+			if a, b := r1.Int63(), r2.Int63(); a != b {
+				t.Fatalf("%s: generators diverged", c.Name)
+			}
+		}
+		if c.FixedOuterOrder != nil && c.FixedInnerOrder != nil {
+			r1, r2 := twins(3, false)
+			var s Schedule
+			sp.OrdersTo(r1, &s)
+			if a, b := r1.Int63(), r2.Int63(); a != b {
+				t.Fatalf("%s: fixed orders consumed random values", c.Name)
+			}
+		}
+	}
+}
+
+// TestOrdersUniform: over many draws, every dimension lands in every
+// position of a free order about equally often (a chi-square bound far
+// above what a uniform shuffle reaches at this sample size).
+func TestOrdersUniform(t *testing.T) {
+	sp := Free().Sampler(workload.ResNet50().Layers[6], 64, 32<<10)
+	rng, _ := twins(11, false)
+	const n = 70000
+	var counts [2][workload.NumDims][workload.NumDims]int
+	var s Schedule
+	for i := 0; i < n; i++ {
+		sp.OrdersTo(rng, &s)
+		for pos := range workload.AllDims {
+			counts[0][pos][s.OuterOrder[pos]]++
+			counts[1][pos][s.InnerOrder[pos]]++
+		}
+	}
+	want := float64(n) / workload.NumDims
+	for lvl := range counts {
+		for pos := range counts[lvl] {
+			chi := 0.0
+			for _, c := range counts[lvl][pos] {
+				chi += (float64(c) - want) * (float64(c) - want) / want
+			}
+			// 6 degrees of freedom: p(chi² > 30) ≈ 4e-5.
+			if chi > 30 {
+				t.Errorf("level %d position %d: chi² = %.1f over %v", lvl, pos, chi, counts[lvl][pos])
 			}
 		}
 	}

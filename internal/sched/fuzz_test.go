@@ -64,34 +64,6 @@ func FuzzFitTiles(f *testing.F) {
 	})
 }
 
-// FuzzRecordDecode: for any seed, constraint and layer, recording
-// draws with Skip and decoding them (or Skip's replay of a flagged
-// draw) gives RandomTo's schedules and leaves the generator where
-// RandomTo leaves it, over a plain source and one that forces the
-// rejection loops.
-func FuzzRecordDecode(f *testing.F) {
-	f.Add(int64(1), uint8(0), 64, 64, 3, 56)
-	f.Add(int64(4242), uint8(5), 512, 1000, 1, 1)
-	f.Add(int64(-7), uint8(7), 96, 24, 5, 28)
-	f.Fuzz(func(t *testing.T, seed int64, ci uint8, k, c, rs, xy int) {
-		cs := allConstraints()
-		cons := cs[int(ci)%len(cs)]
-		k = clamp(k, 1, 4096)
-		c = clamp(c, 1, 4096)
-		rs = clamp(rs, 1, 7)
-		xy = clamp(xy, rs, 256)
-		l := workload.Conv("fuzz", 1, k, c, rs, rs, xy, xy)
-		if l.Validate() != nil {
-			t.Skip()
-		}
-		sp := cons.Sampler(l, 64, 32<<10)
-		for _, edgy := range []bool{false, true} {
-			r1, r2 := twins(seed, edgy)
-			checkRecordDraws(t, cons.Name, sp, r1, r2, 8)
-		}
-	})
-}
-
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		v = -v

@@ -144,12 +144,12 @@ func TestGeometryGolden(t *testing.T) {
 	}
 	t.Logf("%d of %d triples valid under maestro, %d simulated", valid, len(triples), walked)
 	want := map[string]string{
-		"maestro":    "3439e5b8e3f6154b3df7cf94b3a84fa04b415ea2285f24a15470e996a36a5fbc",
-		"timeloop":   "96e821be66236e103255c568a5fef29b1bfb6305e7511c93d0b1c2e039cee85d",
-		"sim-single": "d89df30d609c9f089f11265c9008a755cd2df0f26aa34c00eef2d1ee3eb7ec1b",
-		"sim-full":   "c7c10465c59ba09164fb22698448af741fb00997d89f906b554a2436d70cb9e6",
-		"footprint":  "18e53e41c7e8e7c5620b8cc14b168ae8f194c555960a3706d58a57e861797c8c",
-		"features":   "c0fe6633466a13f00395c31524394591491893064e8baa7ff3602a93b8dbd755",
+		"maestro":    "dd93e44e488885beb9fd12d743cbcb109efc8743d6c49ca82f0d59a92520c72e",
+		"timeloop":   "6d63fc71abf4c4937dd3e7757a484ec9b4f3ae75d5a8e5eb319ad560d9aec02d",
+		"sim-single": "d9229e47eec2815b938f4e85f8e9c3fb12c6b7c13316072612ae8ad4f899c839",
+		"sim-full":   "7bf77e44aa046c1829c7c8acc0fa1f025b6ad3d68f11864771e34c22fd395e7b",
+		"footprint":  "c7e7e219e441f5d8ccc6af071a9886cb3e23b8453701640a8518cb880cd244e4",
+		"features":   "874c975aba316de6d6a18820f3424531eceede37ae9ec1a62ace2d8d0444ddaf",
 	}
 	for k, h := range digests {
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[k] {

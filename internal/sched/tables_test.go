@@ -18,9 +18,9 @@ func allConstraints() []Constraint {
 	return cs
 }
 
-// TestRandomTripsMatchDivision: the trip counts RandomTripsTo reads off
-// its tables are the divisions TripCounts makes, and drawing them
-// leaves the schedule and the generator exactly as RandomTo does.
+// TestRandomTripsMatchDivision: the trip counts TilesTo reads off its
+// tables are the divisions TripCounts makes, and drawing them leaves
+// the schedule and the generator exactly as drawing without them does.
 func TestRandomTripsMatchDivision(t *testing.T) {
 	var layers []workload.Layer
 	for _, m := range []workload.Model{workload.ResNet50(), workload.MobileNetV2(), workload.Transformer()} {
@@ -33,10 +33,11 @@ func TestRandomTripsMatchDivision(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				var s, want Schedule
 				var n2, n1 [workload.NumDims]int
-				sp.RandomTripsTo(r1, &s, &n2, &n1)
+				sp.TilesTo(r1, &s, &n2, &n1)
+				sp.OrdersTo(r1, &s)
 				sp.RandomTo(r2, &want)
 				if s != want {
-					t.Fatalf("%s %s: RandomTripsTo drew %v, RandomTo %v", c.Name, l.Name, s, want)
+					t.Fatalf("%s %s: TilesTo with trips drew %v, RandomTo %v", c.Name, l.Name, s, want)
 				}
 				sizes := l.Sizes()
 				w2, w1, ok := s.TripCounts(&sizes)
@@ -140,8 +141,10 @@ func TestSamplerToMatchesSampler(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				var s, want Schedule
 				var n2, n1, wn2, wn1 [workload.NumDims]int
-				reused.RandomTripsTo(r1, &s, &n2, &n1)
-				fresh.RandomTripsTo(r2, &want, &wn2, &wn1)
+				reused.TilesTo(r1, &s, &n2, &n1)
+				reused.OrdersTo(r1, &s)
+				fresh.TilesTo(r2, &want, &wn2, &wn1)
+				fresh.OrdersTo(r2, &want)
 				if s != want || n2 != wn2 || n1 != wn1 {
 					t.Fatalf("%s %s: rebuilt sampler drew %v, a new one %v", c.Name, l.Name, s, want)
 				}
