@@ -18,9 +18,11 @@
 //   - The energy table uses different constants and linear (not sqrt)
 //     scratchpad scaling, and models no leakage.
 //
-// Because of these differences, rankings agree only partially with the
-// primary model — reproducing the paper's observation that roughly a
-// third of the top/bottom samples match across models.
+// The paper finds that roughly a third of the top and bottom samples
+// match across MAESTRO and Timeloop. These two models share the whole
+// loop-nest geometry, so they agree far more closely (EXPERIMENTS.md,
+// §VII-F); a design that ranks well on one still has to be re-checked
+// on the other.
 package timeloop
 
 import (
