@@ -40,7 +40,7 @@ func RankSum(x, y []float64) (u, p float64) {
 	if m+n <= rankSumExactMax {
 		return u, rankSumExact(r2, n, w2)
 	}
-	return u, rankSumNormal(pooled, m, n, u)
+	return u, rankSumNormal(r2, m, n, u)
 }
 
 // rankSumExact returns the share of the n-element subsets of the
@@ -75,13 +75,23 @@ func rankSumExact(r2 []int, n, w2 int) float64 {
 }
 
 // rankSumNormal is the upper-tail normal approximation of u, with the
-// variance corrected for ties and a half-unit continuity correction.
-func rankSumNormal(pooled []float64, m, n int, u float64) float64 {
-	big := float64(m + n)
+// variance corrected for ties and a half-unit continuity correction. A
+// tie group of size t shares one doubled midrank in r2, so the groups
+// are the runs of equal values once r2 is sorted.
+func rankSumNormal(r2 []int, m, n int, u float64) float64 {
+	sorted := append([]int(nil), r2...)
+	sort.Ints(sorted)
 	var tieSum float64
-	for _, t := range tieSizes(pooled) {
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		t := float64(j - i)
 		tieSum += t*t*t - t
+		i = j
 	}
+	big := float64(m + n)
 	mean := float64(m*n) / 2
 	variance := float64(m*n) / 12 * ((big + 1) - tieSum/(big*(big-1)))
 	if variance <= 0 {
@@ -89,20 +99,4 @@ func rankSumNormal(pooled []float64, m, n int, u float64) float64 {
 	}
 	z := (u - mean - 0.5) / math.Sqrt(variance)
 	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// tieSizes returns the size of each group of equal values in v.
-func tieSizes(v []float64) []float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	var out []float64
-	for i := 0; i < len(s); {
-		j := i + 1
-		for j < len(s) && s[j] == s[i] { //lint:allow floateq(ties are defined by exact equality, as in Ranks)
-			j++
-		}
-		out = append(out, float64(j-i))
-		i = j
-	}
-	return out
 }

@@ -83,3 +83,19 @@ func TestRankSumNormalMatchesExact(t *testing.T) {
 		t.Fatalf("exact p %v for a small shift", pe)
 	}
 }
+
+// TestRankSumNormalTies: past the exact limit, an all-tied sample gives
+// no evidence, and a tie-heavy shifted sample still rejects.
+func TestRankSumNormalTies(t *testing.T) {
+	same := make([]float64, 40)
+	if _, p := RankSum(same, same); p != 1 {
+		t.Fatalf("all tied: p = %v, want 1", p)
+	}
+	x, y := make([]float64, 40), make([]float64, 40)
+	for i := range x {
+		x[i], y[i] = float64(i%4), float64(i%4+3)
+	}
+	if _, p := RankSum(x, y); p > 1e-6 {
+		t.Fatalf("shifted tied samples: p = %v", p)
+	}
+}
