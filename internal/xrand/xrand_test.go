@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestStreamGolden pins the first values of a few seeds, so a change to
@@ -164,5 +165,13 @@ func TestShufflePermutes(t *testing.T) {
 			}
 			seen[v] = true
 		}
+	}
+}
+
+// TestSourceFillsCacheLine: a source is one 64-byte allocation, so two
+// workers' sources never share a cache line.
+func TestSourceFillsCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(source{}); n != 64 {
+		t.Fatalf("source is %d bytes, want 64", n)
 	}
 }
