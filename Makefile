@@ -6,8 +6,8 @@
 # TestEndToEndInvariants, so `make test` and `make race` run them;
 # batched against unbatched rounds is search.TestBatchedRunsBitIdentical. CI
 # adds only steps with no target: the SARIF upload, the fuzz smoke
-# (FuzzLayerSearchFaultSequences in core, FuzzEvaluateBatch and
-# FuzzEvaluate in maestro, FuzzRecordDecode in sched),
+# (FuzzLayerSearchFaultSequences and FuzzFeatureRow in core,
+# FuzzEvaluateBatch and FuzzEvaluate in maestro, FuzzFitTiles in sched),
 # govulncheck, and -benchtime=1x smokes of BenchmarkDABOSuggest,
 # BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling,
 # BenchmarkFeatureTransform, BenchmarkMaestroEvaluate,

@@ -413,14 +413,15 @@ func BenchmarkDABOSuggest(b *testing.B) {
 }
 
 // BenchmarkSpotlightSWSuggest measures one daBO_SW suggestion on a
-// ResNet-50 layer, the hot path of Spotlight's search: 64 schedules
-// drawn from the layer's precomputed sampler, then featurized and
-// ranked once the surrogate is trained. "warmup" is a proposer with no
-// observations, whose batch is only recorded (1,856 generator calls)
-// and whose one returned schedule is decoded; "scoring" is one trained
-// on 24 analytical-model observations, which builds and featurizes
-// every candidate. Both report 0 allocs/op: the candidate batch is
-// borrowed from a pool per call, and
+// ResNet-50 layer, the hot path of Spotlight's search. "warmup" is a
+// proposer with no observations: its surrogate does not score, so it
+// draws one random schedule from the layer's precomputed sampler and
+// returns it. "scoring" is one trained on 24 analytical-model
+// observations: it draws 64 candidates' tiles, fills each one's
+// Figure 4 row in one pass from the trip counts its sampler drew,
+// ranks the batch on the surrogate, and draws loop orders only for the
+// candidate it returns. Both report 0 allocs/op: the candidate batch
+// is borrowed from a pool per call, and
 // TestSpotlightSWSteadyStateAllocatesNothing (internal/core) gates it.
 func BenchmarkSpotlightSWSuggest(b *testing.B) {
 	a := hw.EyerissEdge().Accel

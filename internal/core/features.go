@@ -5,30 +5,35 @@ import (
 	"math/rand"
 
 	"spotlight/internal/gp"
+	"spotlight/internal/hw"
+	"spotlight/internal/sched"
 	"spotlight/internal/workload"
 )
 
-// Feature is one hand-designed transformation of a co-design point into a
-// real value, carrying the domain information of §IV-B.
-//
-// Fn reads the point through a pointer, so featurizing a candidate copies
-// neither its schedule nor its layer. ReadsOrder declares that Fn reads
-// the schedule's loop orders; a proposer whose features read none may
-// rank candidates drawn without them.
-type Feature struct {
-	Name       string
-	Fn         func(*Point) float64
+// FeatureSet is one feature space of §IV-B: the surrogate's column
+// names, in order, and fill, which writes a point's whole row in one
+// pass. ReadsOrder reports that a column reads the schedule's loop
+// orders; a proposer whose set reads none may rank candidates drawn
+// without them. Names is shared by every holder of the set: read it,
+// do not modify it.
+type FeatureSet struct {
+	Names      []string
 	ReadsOrder bool
+	// terms is set when fill reads the point's derived terms, so the
+	// point must carry a schedule for its layer. Hardware sets read
+	// only the accelerator.
+	terms bool
+	fill  func(row []float64, in featureInput)
 }
 
-// readsOrder reports whether any feature of fs reads a loop order.
-func readsOrder(fs []Feature) bool {
-	for _, f := range fs {
-		if f.ReadsOrder {
-			return true
-		}
-	}
-	return false
+// featureInput is what a fill reads: the accelerator and the schedule
+// through pointers, and the terms computed once from them (nil for a
+// set without terms). lg goes through logs when it is set.
+type featureInput struct {
+	a    *hw.Accel
+	s    *sched.Schedule
+	t    *pointTerms
+	logs *log1pMemo
 }
 
 // FeatureMode selects which feature set a daBO instance trains its
@@ -61,14 +66,9 @@ func (m FeatureMode) String() string {
 
 // lg compresses wide-dynamic-range feature values; the surrogate's linear
 // kernel then sees approximately linear trends, per feature-selection
-// guideline (3) of §IV-B2. It returns math.Log1p(v), through p's memo
+// guideline (3) of §IV-B2. It returns math.Log1p(v), through the memo
 // when one is set.
-func (p *Point) lg(v float64) float64 {
-	if p.logs != nil {
-		return p.logs.log1p(v)
-	}
-	return math.Log1p(v)
-}
+func (in featureInput) lg(v float64) float64 { return in.logs.log1p(v) }
 
 // log1pBits sizes the log1p memo: 2^log1pBits slots of 16 bytes.
 const log1pBits = 10
@@ -80,121 +80,155 @@ const log1pBits = 10
 // correct and no entry ever needs invalidating. Every lg argument of
 // the Figure 4 features is an integer built from a layer's tile
 // tables, so a search repeats a few thousand of them.
-type log1pMemo [1 << log1pBits]struct {
+type log1pMemo [1 << log1pBits]log1pSlot
+
+type log1pSlot struct {
 	key uint64
 	val float64
 }
 
+// log1p returns math.Log1p(v), from the memo unless m is nil.
 func (m *log1pMemo) log1p(v float64) float64 {
+	if m == nil {
+		return math.Log1p(v)
+	}
 	k := math.Float64bits(v)
 	e := &m[(k*0x9E3779B97F4A7C15)>>(64-log1pBits)]
 	if e.key != k {
-		e.key, e.val = k, math.Log1p(v)
+		return e.miss(v)
 	}
 	return e.val
 }
 
-// SoftwareFeatures returns the Figure 4 feature set used by daBO_SW. The
-// first four entries are the raw cardinal parameters; the rest encode the
-// domain information described in §IV-B2.
-func SoftwareFeatures() []Feature {
-	return []Feature{
-		{Name: "simd_lanes", Fn: func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{Name: "onchip_bandwidth", Fn: func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
-		{Name: "total_pes", Fn: func(p *Point) float64 { return float64(p.Accel.PEs) }},
-		{Name: "pe_array_width", Fn: func(p *Point) float64 { return float64(p.Accel.Width) }},
-		{Name: "total_onchip_sram", Fn: func(p *Point) float64 {
-			return float64(p.Accel.RFKB + p.Accel.L2KB)
-		}},
-		{Name: "kernel_parallelism", Fn: func(p *Point) float64 {
-			// R₀ × S₀: the filter extent resident at the outer tile level.
-			return p.lg(float64(p.Sched.T2[workload.DimR] * p.Sched.T2[workload.DimS]))
-		}},
-		{Name: "degree_of_unrolling", Fn: func(p *Point) float64 {
-			// Outer unrolled loop extent × inner unrolled loop extent
-			// (both L2-level loops, distributed over rows and columns).
-			n1 := &p.terms().inner
-			if p.Sched.OuterUnroll == p.Sched.InnerUnroll {
-				return p.lg(float64(n1[p.Sched.OuterUnroll]))
-			}
-			return p.lg(float64(n1[p.Sched.OuterUnroll]) * float64(n1[p.Sched.InnerUnroll]))
-		}},
-		{Name: "pe_utilization", Fn: peUtilization},
-		{Name: "loop_iterations", Fn: func(p *Point) float64 {
-			return p.lg(loopIterations(p))
-		}},
-		{Name: "dram_transfers", Fn: func(p *Point) float64 {
-			// (X₀/X₂) × (Y₀/Y₂) × (array width + array height).
-			t := p.terms()
-			return p.lg(float64(t.outer[workload.DimX]) * float64(t.outer[workload.DimY]) *
-				float64(p.Accel.Width+t.height))
-		}},
-		{Name: "common_unrolled_dims", Fn: func(p *Point) float64 {
-			// Prime-basis linear combination spreading the few unique
-			// values of each tile parameter apart (§IV-B2).
-			s := &p.Sched
-			return p.lg(2*float64(s.T2[workload.DimX]) +
-				3*float64(s.T2[workload.DimY]) +
-				5*float64(p.terms().sizes[workload.DimK]) +
-				7*float64(s.T2[workload.DimK]) +
-				11*float64(s.T1[workload.DimK]))
-		}},
+// miss is log1p's miss path, kept out of line so that log1p stays
+// small: its hit path is a hash, a load and a compare.
+//
+//go:noinline
+func (e *log1pSlot) miss(v float64) float64 {
+	e.key, e.val = math.Float64bits(v), math.Log1p(v)
+	return e.val
+}
+
+// The feature sets. Spotlight-A's are the union of the Figure 4 set
+// and the raw parameters; the raw hardware parameters are the first
+// six raw software ones.
+var (
+	figure4SW = FeatureSet{
+		Names: []string{"simd_lanes", "onchip_bandwidth", "total_pes", "pe_array_width",
+			"total_onchip_sram", "kernel_parallelism", "degree_of_unrolling", "pe_utilization",
+			"loop_iterations", "dram_transfers", "common_unrolled_dims"},
+		terms: true,
+		fill:  fillFigure4SW,
+	}
+	rawSW     = FeatureSet{Names: rawSWNames(), ReadsOrder: true, fill: fillRawSW}
+	figure4HW = FeatureSet{
+		Names: []string{"simd_lanes", "onchip_bandwidth", "total_pes", "pe_array_width",
+			"pe_array_height", "total_onchip_sram", "peak_macs", "area", "peak_power"},
+		fill: fillFigure4HW,
+	}
+	rawHW = FeatureSet{Names: rawSW.Names[:6:6], fill: fillRawHW}
+	allSW = union(figure4SW, rawSW)
+	allHW = union(figure4HW, rawHW)
+)
+
+// union is a's columns followed by b's: two fills side by side.
+func union(a, b FeatureSet) FeatureSet {
+	n := len(a.Names)
+	return FeatureSet{
+		Names:      append(a.Names[:n:n], b.Names...),
+		ReadsOrder: a.ReadsOrder || b.ReadsOrder,
+		terms:      a.terms || b.terms,
+		fill: func(row []float64, in featureInput) {
+			a.fill(row[:n:n], in)
+			b.fill(row[n:], in)
+		},
 	}
 }
 
-// peUtilization is the Figure 4 utilization feature: the fraction of the
-// array doing useful work after both spatial distributions (rows take
-// the outer-unrolled L2-level loop, columns the inner one), including
-// partial-tile (edge-case) waste.
-func peUtilization(p *Point) float64 { return p.terms().fold.Utilization() }
+// SoftwareFeatures returns the Figure 4 feature set used by daBO_SW. The
+// first five columns are the raw cardinal parameters; the rest encode
+// the domain information described in §IV-B2.
+func SoftwareFeatures() FeatureSet { return figure4SW }
 
-// loopIterations approximates the number of temporal iterations to
-// completion after spatial distribution.
-func loopIterations(p *Point) float64 {
-	t := p.terms()
-	n2, n1 := &t.outer, t.inner
+// fillFigure4SW writes the Figure 4 software row. Each column is one
+// float64 expression over the accelerator, the schedule and the terms.
+func fillFigure4SW(row []float64, in featureInput) {
+	a, s, t := in.a, in.s, in.t
+	_ = row[10]
+	row[0] = float64(a.SIMDLanes)
+	row[1] = float64(a.NoCBW)
+	row[2] = float64(a.PEs)
+	row[3] = float64(a.Width)
+	row[4] = float64(a.RFKB + a.L2KB)
+	// kernel_parallelism: R₀ × S₀, the filter extent resident at the
+	// outer tile level.
+	row[5] = in.lg(float64(s.T2[workload.DimR] * s.T2[workload.DimS]))
+	// degree_of_unrolling: outer unrolled loop extent × inner unrolled
+	// loop extent (both L2-level loops, distributed over rows and
+	// columns).
+	if s.OuterUnroll == s.InnerUnroll {
+		row[6] = in.lg(float64(t.inner[s.OuterUnroll]))
+	} else {
+		row[6] = in.lg(float64(t.inner[s.OuterUnroll]) * float64(t.inner[s.InnerUnroll]))
+	}
+	// pe_utilization: the fraction of the array doing useful work after
+	// both spatial distributions (rows take the outer-unrolled L2-level
+	// loop, columns the inner one), including partial-tile (edge-case)
+	// waste. It is the fold's Utilization, the value the cost models use.
+	row[7] = t.fold.Utilization()
+	// loop_iterations: the temporal iterations to completion after
+	// spatial distribution.
+	n1 := t.inner
 	t.fold.Temporal(&n1)
 	iters := 1.0
 	for i := range workload.AllDims {
-		iters *= float64(n2[i]) * float64(n1[i])
+		iters *= float64(t.outer[i]) * float64(n1[i])
 	}
-	return iters
+	row[8] = in.lg(iters)
+	// dram_transfers: (X₀/X₂) × (Y₀/Y₂) × (array width + array height).
+	row[9] = in.lg(float64(t.outer[workload.DimX]) * float64(t.outer[workload.DimY]) *
+		float64(a.Width+t.height))
+	// common_unrolled_dims: a prime-basis linear combination spreading
+	// the few unique values of each tile parameter apart (§IV-B2).
+	row[10] = in.lg(2*float64(s.T2[workload.DimX]) +
+		3*float64(s.T2[workload.DimY]) +
+		5*float64(t.sizes[workload.DimK]) +
+		7*float64(s.T2[workload.DimK]) +
+		11*float64(s.T1[workload.DimK]))
 }
 
-// VanillaSoftwareFeatures returns the raw software parameter encoding
-// used by Spotlight-V: per-dimension tile sizes at both levels, the
-// position of each dimension in each loop order, and the unroll
-// dimensions as bare indices. Categorical structure is exposed to the
-// surrogate without any domain interpretation — precisely the handicap
-// §IV-B1 describes.
-func VanillaSoftwareFeatures() []Feature {
-	fs := []Feature{
-		{Name: "raw_pes", Fn: func(p *Point) float64 { return float64(p.Accel.PEs) }},
-		{Name: "raw_width", Fn: func(p *Point) float64 { return float64(p.Accel.Width) }},
-		{Name: "raw_simd", Fn: func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{Name: "raw_rf_kb", Fn: func(p *Point) float64 { return float64(p.Accel.RFKB) }},
-		{Name: "raw_l2_kb", Fn: func(p *Point) float64 { return float64(p.Accel.L2KB) }},
-		{Name: "raw_bw", Fn: func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
-		{Name: "raw_outer_unroll", Fn: func(p *Point) float64 { return float64(p.Sched.OuterUnroll) }},
-		{Name: "raw_inner_unroll", Fn: func(p *Point) float64 { return float64(p.Sched.InnerUnroll) }},
+// rawSWNames names the raw software parameter encoding used by
+// Spotlight-V: the accelerator's parameters, the unroll dimensions as
+// bare indices, and per dimension the tile sizes at both levels and
+// its position in each loop order. Categorical structure is exposed to
+// the surrogate without any domain interpretation — precisely the
+// handicap §IV-B1 describes.
+func rawSWNames() []string {
+	names := []string{"raw_pes", "raw_width", "raw_simd", "raw_rf_kb", "raw_l2_kb", "raw_bw",
+		"raw_outer_unroll", "raw_inner_unroll"}
+	for _, d := range workload.AllDims {
+		names = append(names, "raw_t2_"+d.String(), "raw_t1_"+d.String(),
+			"raw_pos_outer_"+d.String(), "raw_pos_inner_"+d.String())
 	}
+	return names
+}
+
+// fillRawSW writes Spotlight-V's software row.
+func fillRawSW(row []float64, in featureInput) {
+	fillRawHW(row, in)
+	s := in.s
+	row[6] = float64(s.OuterUnroll)
+	row[7] = float64(s.InnerUnroll)
 	for i, d := range workload.AllDims {
-		i, d := i, d
-		fs = append(fs,
-			Feature{Name: "raw_t2_" + d.String(), Fn: func(p *Point) float64 { return float64(p.Sched.T2[i]) }},
-			Feature{Name: "raw_t1_" + d.String(), Fn: func(p *Point) float64 { return float64(p.Sched.T1[i]) }},
-			Feature{Name: "raw_pos_outer_" + d.String(), ReadsOrder: true, Fn: func(p *Point) float64 {
-				return float64(orderPosition(p.Sched.OuterOrder, d))
-			}},
-			Feature{Name: "raw_pos_inner_" + d.String(), ReadsOrder: true, Fn: func(p *Point) float64 {
-				return float64(orderPosition(p.Sched.InnerOrder, d))
-			}},
-		)
+		c := row[8+4*i : 12+4*i]
+		c[0] = float64(s.T2[i])
+		c[1] = float64(s.T1[i])
+		c[2] = float64(orderPosition(&s.OuterOrder, d))
+		c[3] = float64(orderPosition(&s.InnerOrder, d))
 	}
-	return fs
 }
 
-func orderPosition(order [workload.NumDims]workload.Dim, d workload.Dim) int {
+func orderPosition(order *[workload.NumDims]workload.Dim, d workload.Dim) int {
 	for i, o := range order {
 		if o == d {
 			return i
@@ -203,94 +237,79 @@ func orderPosition(order [workload.NumDims]workload.Dim, d workload.Dim) int {
 	return -1
 }
 
-// HardwareFeatures returns the feature set used by daBO_HW, which sees
-// only the accelerator (software is re-optimized per hardware sample).
-func HardwareFeatures() []Feature {
-	return []Feature{
-		{Name: "simd_lanes", Fn: func(p *Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{Name: "onchip_bandwidth", Fn: func(p *Point) float64 { return float64(p.Accel.NoCBW) }},
-		{Name: "total_pes", Fn: func(p *Point) float64 { return float64(p.Accel.PEs) }},
-		{Name: "pe_array_width", Fn: func(p *Point) float64 { return float64(p.Accel.Width) }},
-		{Name: "pe_array_height", Fn: func(p *Point) float64 { return float64(p.Accel.Height()) }},
-		{Name: "total_onchip_sram", Fn: func(p *Point) float64 { return float64(p.Accel.RFKB + p.Accel.L2KB) }},
-		{Name: "peak_macs", Fn: func(p *Point) float64 { return p.lg(float64(p.Accel.PEs * p.Accel.SIMDLanes)) }},
-		{Name: "area", Fn: func(p *Point) float64 { return p.Accel.AreaMM2() }},
-		{Name: "peak_power", Fn: func(p *Point) float64 { return p.Accel.PeakPowerMW() }},
-	}
+// fillFigure4HW writes the feature row used by daBO_HW, which sees only
+// the accelerator (software is re-optimized per hardware sample).
+func fillFigure4HW(row []float64, in featureInput) {
+	a := in.a
+	_ = row[8]
+	row[0] = float64(a.SIMDLanes)
+	row[1] = float64(a.NoCBW)
+	row[2] = float64(a.PEs)
+	row[3] = float64(a.Width)
+	row[4] = float64(a.Height())
+	row[5] = float64(a.RFKB + a.L2KB)
+	row[6] = in.lg(float64(a.PEs * a.SIMDLanes))
+	row[7] = a.AreaMM2()
+	row[8] = a.PeakPowerMW()
 }
 
-// VanillaHardwareFeatures returns the raw hardware parameters for
-// Spotlight-V's hardware search.
-func VanillaHardwareFeatures() []Feature {
-	return VanillaSoftwareFeatures()[:6]
+// fillRawHW writes the accelerator's raw parameters, Spotlight-V's
+// hardware row and the first six columns of its software row.
+func fillRawHW(row []float64, in featureInput) {
+	a := in.a
+	_ = row[5]
+	row[0] = float64(a.PEs)
+	row[1] = float64(a.Width)
+	row[2] = float64(a.SIMDLanes)
+	row[3] = float64(a.RFKB)
+	row[4] = float64(a.L2KB)
+	row[5] = float64(a.NoCBW)
 }
 
 // FeaturesFor returns the software (or hardware) feature set for a mode.
-func FeaturesFor(mode FeatureMode, hardware bool) []Feature {
-	switch mode {
-	case FeatureVanilla:
-		if hardware {
-			return VanillaHardwareFeatures()
-		}
-		return VanillaSoftwareFeatures()
-	case FeatureAll:
-		if hardware {
-			return append(HardwareFeatures(), VanillaHardwareFeatures()...)
-		}
-		return append(SoftwareFeatures(), VanillaSoftwareFeatures()...)
-	default:
-		if hardware {
-			return HardwareFeatures()
-		}
-		return SoftwareFeatures()
+func FeaturesFor(mode FeatureMode, hardware bool) FeatureSet {
+	switch {
+	case mode == FeatureVanilla && hardware:
+		return rawHW
+	case mode == FeatureVanilla:
+		return rawSW
+	case mode == FeatureAll && hardware:
+		return allHW
+	case mode == FeatureAll:
+		return allSW
+	case hardware:
+		return figure4HW
 	}
+	return figure4SW
 }
 
 // Transform applies the feature set to a point, producing the surrogate's
 // input vector in a freshly allocated slice.
-func Transform(fs []Feature, p Point) []float64 {
-	out := make([]float64, len(fs))
+func Transform(fs FeatureSet, p Point) []float64 {
+	out := make([]float64, len(fs.Names))
 	TransformTo(out, fs, &p)
 	return out
 }
 
 // TransformTo writes the feature vector of p into dst, which must have
-// length len(fs). The point's derived terms (layer extents and trip
-// counts) are computed at most once for the whole feature set rather
-// than once per feature that reads them. They are cached in p for the
-// duration of the call, so one Point must not be featurized from two
-// goroutines at once.
-func TransformTo(dst []float64, fs []Feature, p *Point) { p.transform(dst, fs, false) }
-
-// transform is TransformTo. drawn reports that the caller has already
-// written p's terms to p.cached: the layer's extents, the trip counts
-// its sampler drew with p.Sched (sched.Sampler.TilesTo), and the
-// accelerator's height, which a search sets once (a zero height is
-// derived here). transform adds the folds, and the features read those
-// terms instead of deriving them, so the row is bit-identical to
-// TransformTo's.
-func (p *Point) transform(dst []float64, fs []Feature, drawn bool) {
-	if drawn {
-		t := &p.cached
-		if t.height == 0 {
-			t.height = p.Accel.Height()
-		}
-		t.fold.Fold(p.Sched.OuterUnroll, p.Sched.InnerUnroll, &t.inner, t.height, p.Accel.Width)
+// length len(fs.Names). It derives the point's terms once (layer
+// extents, trip counts and array fold) when the set reads them, then
+// fills every column from them.
+func TransformTo(dst []float64, fs FeatureSet, p *Point) {
+	var t *pointTerms
+	if fs.terms {
+		t = new(pointTerms)
 	}
-	p.memo, p.derived = true, drawn
-	for i, f := range fs {
-		dst[i] = f.Fn(p)
-	}
-	p.memo, p.derived = false, false
+	fs.fillPoint(dst, p, t)
 }
 
-// Names returns the feature names in order.
-func Names(fs []Feature) []string {
-	out := make([]string, len(fs))
-	for i, f := range fs {
-		out[i] = f.Name
+// fillPoint is TransformTo deriving the terms into t, which the caller
+// owns, so a proposer featurizing its observations allocates nothing.
+func (fs *FeatureSet) fillPoint(dst []float64, p *Point, t *pointTerms) {
+	if fs.terms {
+		t.derive(p)
 	}
-	return out
+	fs.fill(dst, featureInput{a: &p.Accel, s: &p.Sched, t: t})
 }
 
 // PermutationImportance measures each feature's importance to a trained

@@ -19,23 +19,13 @@ type Point struct {
 	Accel hw.Accel
 	Sched sched.Schedule
 	Layer workload.Layer
-
-	// memo is set by TransformTo for the duration of one featurization:
-	// the first feature reading the derived terms computes them into
-	// cached (derived), and the remaining features reuse them. Outside
-	// TransformTo every read derives afresh, so a caller mutating the
-	// point between calls never sees stale terms.
-	memo, derived bool
-	cached        pointTerms
-	// logs, when set, memoizes lg; Suggest sets it to its borrowed
-	// batch's memo while it featurizes the batch.
-	logs *log1pMemo
 }
 
 // pointTerms are the quantities several features derive from a point:
 // the layer's extents, the schedule's DRAM-level (outer) and L2-level
 // (inner) trip counts, the accelerator's array height, and how the
-// unrolled L2-level loops fold over the array.
+// unrolled L2-level loops fold over the array. TransformTo derives
+// them; a scored Suggest reads the trip counts its sampler drew.
 type pointTerms struct {
 	sizes, outer, inner [workload.NumDims]int
 	height              int
@@ -53,23 +43,13 @@ func (t *pointTerms) derive(p *Point) {
 		t.inner[i] = s.T2[i] / s.T1[i]
 	}
 	t.height = p.Accel.Height()
-	t.fold.Fold(s.OuterUnroll, s.InnerUnroll, &t.inner, t.height, p.Accel.Width)
+	t.foldOver(s, p.Accel.Width)
 }
 
-// terms returns the point's derived terms, computing them at most once
-// per TransformTo. A table-fed featurization (transform with drawn
-// set) supplies them instead, so no feature derives them.
-func (p *Point) terms() *pointTerms {
-	if p.derived {
-		return &p.cached
-	}
-	t := &p.cached
-	if !p.memo {
-		t = new(pointTerms)
-	}
-	t.derive(p)
-	p.derived = p.memo
-	return t
+// foldOver folds s's unrolled L2-level loops, whose trip counts are in
+// t.inner, over an array t.height rows high and width columns wide.
+func (t *pointTerms) foldOver(s *sched.Schedule, width int) {
+	t.fold.Fold(s.OuterUnroll, s.InnerUnroll, &t.inner, t.height, width)
 }
 
 // Evaluator abstracts the analytical cost model backend so Spotlight can

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
 	"spotlight/internal/gp"
@@ -87,7 +88,7 @@ func (s *Spotlight) NewHW(cfg RunConfig, rng *rand.Rand) HWProposer {
 		space:    cfg.Space,
 		budget:   cfg.Budget,
 		rng:      rng,
-		row:      make([]float64, len(features)),
+		row:      make([]float64, len(features.Names)),
 	}
 }
 
@@ -141,7 +142,7 @@ func (bp *batchPool[T]) put(c *candidateBatch[T]) { bp.p.Put(c) }
 
 type spotlightHW struct {
 	dabo     *DABO
-	features []Feature
+	features FeatureSet // reads only the accelerator
 	space    hw.Space
 	budget   hw.Budget
 	rng      *rand.Rand
@@ -149,22 +150,21 @@ type spotlightHW struct {
 	pt       Point
 }
 
-// Suggest ranks a batch of random candidates on the surrogate. When the
-// surrogate does not score (warmup, see DABO.ScoresCandidates), a
-// uniform pick from a random batch is one random candidate, so Suggest
-// draws just one.
+// Suggest ranks a batch of random candidates on the surrogate, filling
+// each candidate's row from the batch in place. When the surrogate does
+// not score (warmup, see DABO.ScoresCandidates), a uniform pick from a
+// random batch is one random candidate, so Suggest draws just one.
 func (h *spotlightHW) Suggest() hw.Accel {
 	if !h.dabo.ScoresCandidates() {
 		h.dabo.drewAtRandom()
 		return h.draw()
 	}
-	b := hwBatches.get(spotlightBatch, len(h.features))
+	b := hwBatches.get(spotlightBatch, len(h.features.Names))
 	defer hwBatches.put(b)
 	cands := b.points
 	for i := range cands {
 		cands[i] = h.draw()
-		h.pt.Accel = cands[i]
-		TransformTo(b.rows[i], h.features, &h.pt)
+		h.features.fill(b.rows[i], featureInput{a: &cands[i]})
 	}
 	return cands[h.dabo.suggestIndex(b.rows, b.means, b.stds)]
 }
@@ -201,8 +201,9 @@ func (h *spotlightHW) Observe(a hw.Accel, objective float64, err error) {
 // NewSW implements Strategy. It readies the proposer's search context
 // for this (accelerator, layer) pair once: a schedule sampler per
 // constraint, holding the layer's tiling tables and heuristic tiles,
-// and the layer's extents and the array height for featurization. The
-// candidate batch is borrowed per Suggest, not owned.
+// and the layer's extents and the array height in the terms the
+// features read. The candidate batch is borrowed per Suggest, not
+// owned.
 //
 // In a run the driver hands NewSW the layer's slot (RunConfig.slot),
 // and NewSW resets the proposer it left there for the previous hardware
@@ -217,11 +218,10 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 	} else {
 		features := FeaturesFor(s.Mode, false)
 		sw = &spotlightSW{
-			owner:      s,
-			dabo:       NewDABO(s.kernel(), rng, WithKappa(spotlightKappa)),
-			features:   features,
-			readsOrder: readsOrder(features),
-			row:        make([]float64, len(features)),
+			owner:    s,
+			dabo:     NewDABO(s.kernel(), rng, WithKappa(spotlightKappa)),
+			features: features,
+			row:      make([]float64, len(features.Names)),
 		}
 		if s.FixedDataflows {
 			for _, df := range sched.FixedDataflows() {
@@ -240,20 +240,20 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 type spotlightSW struct {
 	owner    *Spotlight
 	dabo     *DABO
-	features []Feature
-	// readsOrder is set when a feature reads a loop order; otherwise a
-	// scored Suggest draws orders only for the candidate it returns.
-	readsOrder bool
+	features FeatureSet
 	// fixed holds Spotlight-F's three constraints; nil means the run's
 	// software constraint.
 	fixed    []sched.Constraint
 	samplers []sched.Sampler // one per constraint
 	rng      *rand.Rand
 	row      []float64 // the observed point's features (DABO copies them)
-	// pt carries the proposer's accelerator and layer, and the layer's
-	// extents and the array height in pt.cached. Suggest and Observe set
-	// only its schedule (and Suggest its trip counts) before featurizing.
+	// pt carries the proposer's accelerator and layer; Observe sets its
+	// schedule before featurizing.
 	pt Point
+	// terms holds the layer's extents and the array height, set once
+	// per context. A scored Suggest writes each candidate's trip counts
+	// and fold into it; Observe derives all of it again.
+	terms pointTerms
 }
 
 // reset readies w, new or used, for the search of layer l on
@@ -266,8 +266,8 @@ func (w *spotlightSW) reset(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workloa
 	d.reset(rng)
 	d.tracer, d.scope, d.capacity = cfg.Tracer, "sw", w.owner.SWBudget(cfg)
 	w.pt = Point{Accel: a, Layer: l}
-	w.pt.cached.sizes = l.Sizes()
-	w.pt.cached.height = a.Height()
+	w.terms.sizes = l.Sizes()
+	w.terms.height = a.Height()
 	rf, l2 := a.RFBytesPerPE(), a.L2Bytes()
 	if w.fixed == nil {
 		cfg.SWConstraint.SamplerTo(&w.samplers[0], l, rf, l2)
@@ -278,14 +278,14 @@ func (w *spotlightSW) reset(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workloa
 }
 
 // Suggest draws a batch of random schedules and returns the one the
-// surrogate ranks best. Each candidate is featurized as it is drawn,
-// from the trip counts its sampler read off the tiling tables. When no
-// feature reads a loop order, the candidates' orders cannot change the
-// ranking, so only the returned candidate draws them, after the argmin;
-// its orders stay uniform and independent of its tiles. When the
-// surrogate does not score (warmup, see DABO.ScoresCandidates), a
-// uniform pick from a random batch is one random schedule, so Suggest
-// draws just one.
+// surrogate ranks best. Each candidate's row is filled as it is drawn,
+// from the candidate in place and the trip counts its sampler read off
+// the tiling tables. When no feature reads a loop order, the
+// candidates' orders cannot change the ranking, so only the returned
+// candidate draws them, after the argmin; its orders stay uniform and
+// independent of its tiles. When the surrogate does not score
+// (warmup, see DABO.ScoresCandidates), a uniform pick from a random
+// batch is one random schedule, so Suggest draws just one.
 func (w *spotlightSW) Suggest() sched.Schedule {
 	if !w.dabo.ScoresCandidates() {
 		w.dabo.drewAtRandom()
@@ -293,26 +293,27 @@ func (w *spotlightSW) Suggest() sched.Schedule {
 		w.samplers[xrand.IntN(w.rng, len(w.samplers))].RandomTo(w.rng, &s)
 		return s
 	}
-	b := swBatches.get(spotlightBatch, len(w.features))
+	b := swBatches.get(spotlightBatch, len(w.features.Names))
 	defer swBatches.put(b)
-	cands, p := b.points, &w.pt
 	if b.logs == nil {
 		b.logs = new(log1pMemo)
 	}
-	p.logs = b.logs
+	cands, t := b.points, &w.terms
+	in := featureInput{a: &w.pt.Accel, t: t, logs: b.logs}
 	for i := range cands {
 		k := xrand.IntN(w.rng, len(w.samplers))
 		b.from[i] = uint8(k)
-		w.samplers[k].TilesTo(w.rng, &cands[i], &p.cached.outer, &p.cached.inner)
-		if w.readsOrder {
-			w.samplers[k].OrdersTo(w.rng, &cands[i])
+		s := &cands[i]
+		w.samplers[k].TilesTo(w.rng, s, &t.outer, &t.inner)
+		if w.features.ReadsOrder {
+			w.samplers[k].OrdersTo(w.rng, s)
 		}
-		p.Sched = cands[i]
-		p.transform(b.rows[i], w.features, true)
+		t.foldOver(s, in.a.Width)
+		in.s = s
+		w.features.fill(b.rows[i], in)
 	}
-	p.logs = nil
 	i := w.dabo.suggestIndex(b.rows, b.means, b.stds)
-	if !w.readsOrder {
+	if !w.features.ReadsOrder {
 		w.samplers[b.from[i]].OrdersTo(w.rng, &cands[i])
 	}
 	return cands[i]
@@ -325,7 +326,7 @@ func (w *spotlightSW) SetSpan(sp *obs.Span) { w.dabo.SetSpan(sp) }
 func (w *spotlightSW) Observe(s sched.Schedule, objective float64, err error) {
 	w.pt.Sched = s
 	f := w.row
-	TransformTo(f, w.features, &w.pt)
+	w.features.fillPoint(f, &w.pt, &w.terms)
 	if InvalidObservation(objective, err) {
 		w.dabo.ObserveInvalid(f)
 		return
@@ -350,5 +351,5 @@ func SWImportance(sw SWProposer, rng *rand.Rand) ([]string, []float64, bool) {
 	if err != nil {
 		return nil, nil, false
 	}
-	return Names(w.features), imp, true
+	return slices.Clone(w.features.Names), imp, true
 }

@@ -105,7 +105,7 @@ func TestGeometryGolden(t *testing.T) {
 	triples := geometryTriples(2000)
 	mm, tm := maestro.New(), timeloop.New()
 	fs := core.SoftwareFeatures()
-	row := make([]float64, len(fs))
+	row := make([]float64, len(fs.Names))
 	// The walk is linear in the outer iterations; nests above the bound
 	// hash their ErrTooLarge verdict.
 	simOpts := sim.Options{MaxIterations: 2e4}

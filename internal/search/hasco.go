@@ -40,7 +40,7 @@ func (*HASCO) SWBudget(core.RunConfig) int { return 4 }
 // related-work section attributes to prior tools.
 func (*HASCO) NewHW(cfg core.RunConfig, rng *rand.Rand) core.HWProposer {
 	const batch = 64
-	features := core.VanillaHardwareFeatures()
+	features := core.FeaturesFor(core.FeatureVanilla, true)
 	h := &hascoHW{
 		dabo:     core.NewDABO(gp.Matern52{LengthScale: 1, Variance: 1}, rng),
 		features: features,
@@ -48,10 +48,10 @@ func (*HASCO) NewHW(cfg core.RunConfig, rng *rand.Rand) core.HWProposer {
 		rng:      rng,
 		cands:    make([]hw.Accel, batch),
 		rows:     make([][]float64, batch),
-		row:      make([]float64, len(features)),
+		row:      make([]float64, len(features.Names)),
 	}
 	for i := range h.rows {
-		h.rows[i] = make([]float64, len(features))
+		h.rows[i] = make([]float64, len(features.Names))
 	}
 	return h
 }
@@ -60,7 +60,7 @@ func (*HASCO) NewHW(cfg core.RunConfig, rng *rand.Rand) core.HWProposer {
 // overwrites all of them every call, and daBO copies an observed row.
 type hascoHW struct {
 	dabo     *core.DABO
-	features []core.Feature
+	features core.FeatureSet
 	space    hw.Space
 	rng      *rand.Rand
 	cands    []hw.Accel
