@@ -10,7 +10,7 @@
 # FuzzEvaluateBatch and FuzzEvaluate in maestro, FuzzFitTiles in sched),
 # govulncheck, and -benchtime=1x smokes of BenchmarkDABOSuggest,
 # BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling,
-# BenchmarkFeatureTransform, BenchmarkMaestroEvaluate,
+# BenchmarkFeatureTransform, BenchmarkIntN, BenchmarkMaestroEvaluate,
 # BenchmarkMaestroEvaluateBatch, BenchmarkTimeloopEvaluate,
 # BenchmarkSimulateTrace,
 # BenchmarkTransformerLayerSearch, BenchmarkEvalCache,

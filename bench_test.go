@@ -341,17 +341,20 @@ func BenchmarkTimeloopEvaluate(b *testing.B) {
 // scored Spotlight candidate costs when no feature reads an order;
 // "oneshot" is Constraint.Random, which builds a Sampler (and its
 // FitTiles tiles, for constraints that have them) for every draw. The
-// tiling tables are shared per extent, so none rebuilds them.
+// first two draw from an xrand generator's PCG state directly, as a
+// run's layer searches do; "oneshot" draws through its *rand.Rand view.
+// The tiling tables are shared per extent, so none rebuilds them.
 func BenchmarkScheduleSampling(b *testing.B) {
 	l := workload.ResNet50().Layers[6]
 	free := sched.Free()
 	b.Run("sampler", func(b *testing.B) {
 		rng := xrand.New(1)
 		sp := free.Sampler(l, 512, 128<<10)
+		var s sched.Schedule
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = sp.Random(rng)
+			sp.RandomTo(rng, &s)
 		}
 	})
 	b.Run("tiles", func(b *testing.B) {
@@ -369,7 +372,7 @@ func BenchmarkScheduleSampling(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = free.Random(rng, l, 512, 128<<10)
+			_ = free.Random(rng.Rand, l, 512, 128<<10)
 		}
 	})
 }
@@ -423,6 +426,9 @@ func BenchmarkDABOSuggest(b *testing.B) {
 // candidate it returns. Both report 0 allocs/op: the candidate batch
 // is borrowed from a pool per call, and
 // TestSpotlightSWSteadyStateAllocatesNothing (internal/core) gates it.
+// Built outside a run, the proposer has no layer slot, so its samplers
+// draw through the *rand.Rand it was given rather than from the PCG
+// state directly (see xrand's BenchmarkIntN for that difference).
 func BenchmarkSpotlightSWSuggest(b *testing.B) {
 	a := hw.EyerissEdge().Accel
 	l := workload.ResNet50().Layers[6]
@@ -433,7 +439,7 @@ func BenchmarkSpotlightSWSuggest(b *testing.B) {
 	}{{"warmup", 0}, {"scoring", 24}} {
 		b.Run(bc.name, func(b *testing.B) {
 			sw := core.NewSpotlight().NewSW(core.RunConfig{SWConstraint: sched.Free()},
-				xrand.New(1), a, l)
+				xrand.New(1).Rand, a, l)
 			for i := 0; i < bc.observe; i++ {
 				s := sw.Suggest()
 				c, err := m.Evaluate(a, s, l)

@@ -25,7 +25,7 @@ func main() {
 	model := maestro.New()
 	space := hw.EdgeSpace()
 	free := sched.Free()
-	rng := xrand.New(1)
+	rng := xrand.New(1).Rand
 
 	fmt.Println("schedule-by-schedule validation (analytical vs simulated DRAM bytes):")
 	matches, checked := 0, 0

@@ -95,27 +95,29 @@ type RunConfig struct {
 }
 
 // layerSlot is one layer's search state for the length of a run: the
-// RNG its searches draw from and the Spotlight proposer built for it.
-// For every hardware sample the driver reseeds the RNG and passes the
-// slot to Strategy.NewSW, which may reset the slot's proposer in place
-// rather than build another. A slot is written by the driver goroutine
-// in NewSW, then by the one worker that searches its layer; the next
-// NewSW runs only after the worker pool has returned.
+// generator its searches draw from and the Spotlight proposer built for
+// it. For every hardware sample the driver reseeds the generator, hands
+// its *rand.Rand view to Strategy.NewSW and passes the slot along, so
+// NewSW may reset the slot's proposer in place rather than build
+// another, and that proposer draws from the generator directly. A slot
+// is written by the driver goroutine in NewSW, then by the one worker
+// that searches its layer; the next NewSW runs only after the worker
+// pool has returned.
 type layerSlot struct {
-	rng *rand.Rand
+	rng *xrand.Rand
 	sw  *spotlightSW
 }
 
-// reseed returns the slot's RNG seeded with seed. (*rand.Rand).Seed
-// reseeds the PCG source in place, so the RNG draws exactly what
-// xrand.New(seed) would; only the slot's first reseed allocates.
+// reseed seeds the slot's generator with seed and returns its view.
+// Seed reseeds the PCG state in place, so the generator draws exactly
+// what xrand.New(seed) would; only the slot's first reseed allocates.
 func (sl *layerSlot) reseed(seed int64) *rand.Rand {
 	if sl.rng == nil {
 		sl.rng = xrand.New(seed)
 	} else {
 		sl.rng.Seed(seed)
 	}
-	return sl.rng
+	return sl.rng.Rand
 }
 
 // normalized fills defaults and validates.
@@ -269,7 +271,7 @@ func RunContext(ctx context.Context, cfg RunConfig, strat Strategy) (Result, err
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %s: %w", strat.Name(), err)
 	}
-	rng := xrand.New(cfg.Seed)
+	rng := xrand.New(cfg.Seed).Rand
 	hwSearch := strat.NewHW(cfg, rng)
 	layers := collectLayers(cfg.Models)
 	slots := make([]layerSlot, len(layers))

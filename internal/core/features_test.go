@@ -259,7 +259,7 @@ type drawnPoint struct {
 	terms pointTerms
 }
 
-func drawPoint(rng *rand.Rand, sp *sched.Sampler, a hw.Accel, l workload.Layer) drawnPoint {
+func drawPoint(rng *xrand.Rand, sp *sched.Sampler, a hw.Accel, l workload.Layer) drawnPoint {
 	p := drawnPoint{Point: Point{Accel: a, Layer: l}}
 	p.terms.sizes = l.Sizes()
 	p.terms.height = a.Height()
@@ -269,13 +269,14 @@ func drawPoint(rng *rand.Rand, sp *sched.Sampler, a hw.Accel, l workload.Layer) 
 	return p
 }
 
-// drawnPoints draws n candidates per layer.
+// drawnPoints draws n candidates per layer, through rng.
 func drawnPoints(rng *rand.Rand, a hw.Accel, c sched.Constraint, layers []workload.Layer, n int) []drawnPoint {
 	var pts []drawnPoint
+	g := xrand.Wrap(rng)
 	for _, l := range layers {
 		sp := c.Sampler(l, a.RFBytesPerPE(), a.L2Bytes())
 		for i := 0; i < n; i++ {
-			pts = append(pts, drawPoint(rng, sp, a, l))
+			pts = append(pts, drawPoint(g, sp, a, l))
 		}
 	}
 	return pts
@@ -393,7 +394,7 @@ func FuzzFeatureRow(f *testing.F) {
 		if cloud {
 			space = hw.CloudSpace()
 		}
-		a := space.Random(rng)
+		a := space.Random(rng.Rand)
 		l := layers[int(layer)%len(layers)]
 		sp := constraints[int(constraint)%len(constraints)].Sampler(l, a.RFBytesPerPE(), a.L2Bytes())
 		p := drawPoint(rng, sp, a, l)

@@ -89,7 +89,7 @@ func FuzzLayerSearchFaultSequences(f *testing.F) {
 		cfg.Eval = &scriptedFaultEval{inner: maestro.New(), script: script}
 		layer := cfg.Models[0].Layers[0]
 		accel := cfg.Space.Random(rand.New(rand.NewSource(seed)))
-		rng := xrand.New(deriveSeed(seed, 1, 0))
+		rng := xrand.New(deriveSeed(seed, 1, 0)).Rand
 		sw := NewSpotlight().NewSW(cfg, rng, accel, layer)
 		res := runLayerSearch(context.Background(), cfg, sw, accel, layer, 8, nil)
 		if res.Valid {

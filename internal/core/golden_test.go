@@ -67,7 +67,7 @@ func swStreamDigest(s *Spotlight, a hw.Accel, seed int64, rounds int) string {
 	h := sha256.New()
 	cfg := RunConfig{SWConstraint: sched.Free()}
 	for li, l := range goldenLayers() {
-		sw := s.NewSW(cfg, xrand.New(seed+int64(li)), a, l)
+		sw := s.NewSW(cfg, xrand.New(seed+int64(li)).Rand, a, l)
 		for r := 0; r < rounds; r++ {
 			sc := sw.Suggest()
 			fmt.Fprintf(h, "%d %d %v\n", li, r, sc)
@@ -82,7 +82,7 @@ func swStreamDigest(s *Spotlight, a hw.Accel, seed int64, rounds int) string {
 // under budget and hashes every suggestion.
 func hwStreamDigest(s *Spotlight, space hw.Space, budget hw.Budget, seed int64, rounds int) string {
 	h := sha256.New()
-	p := s.NewHW(RunConfig{Space: space, Budget: budget}, xrand.New(seed))
+	p := s.NewHW(RunConfig{Space: space, Budget: budget}, xrand.New(seed).Rand)
 	for r := 0; r < rounds; r++ {
 		a := p.Suggest()
 		fmt.Fprintf(h, "%d %v\n", r, a)

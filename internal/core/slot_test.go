@@ -53,7 +53,7 @@ func TestLayerSlotRNGMatchesFresh(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		seed := deriveSeed(pick.Int63(), int64(trial), int64(pick.Intn(50)))
 		got, want := sl.reseed(seed), xrand.New(seed)
-		if trial > 0 && got != sl.rng {
+		if trial > 0 && got != sl.rng.Rand {
 			t.Fatal("reseed replaced the slot's RNG")
 		}
 		draws := 700 + pick.Intn(700) // leave the next reseed a used source
@@ -108,7 +108,7 @@ func TestLayerSlotProposerMatchesFresh(t *testing.T) {
 					t.Fatalf("search %d built a new proposer instead of resetting the slot's", ti)
 				}
 				kept = reused
-				fresh := strat.NewSW(cfg, xrand.New(tr.seed), tr.a, tr.l).(*spotlightSW)
+				fresh := strat.NewSW(cfg, xrand.New(tr.seed).Rand, tr.a, tr.l).(*spotlightSW)
 				if reused.dabo.Surrogate() != nil || fresh.dabo.Surrogate() != nil {
 					t.Fatalf("search %d starts with a surrogate fitted", ti)
 				}
@@ -141,6 +141,34 @@ func TestLayerSlotProposerMatchesFresh(t *testing.T) {
 				reused.dabo.ScoresCandidates()
 			}
 		})
+	}
+}
+
+// TestLayerSlotOtherRNG: NewSW handed a slot and an RNG that is not
+// the slot generator's view (as a decorator substituting its own RNG
+// would) draws from that RNG, exactly as a slotless proposer does, and
+// leaves the slot's generator where it was.
+func TestLayerSlotOtherRNG(t *testing.T) {
+	a, l := hw.EyerissEdge().Accel, workload.ResNet50().Layers[6]
+	m := maestro.New()
+	var sl layerSlot
+	sl.reseed(1)
+	cfg := RunConfig{SWConstraint: sched.Free(), SWSamples: 40}
+	slotCfg := cfg
+	slotCfg.slot = &sl
+	got := NewSpotlight().NewSW(slotCfg, xrand.New(5).Rand, a, l)
+	want := NewSpotlight().NewSW(cfg, xrand.New(5).Rand, a, l)
+	for step := 0; step < 40; step++ {
+		s, w := got.Suggest(), want.Suggest()
+		if s != w {
+			t.Fatalf("step %d: suggested %v, a slotless proposer %v", step, s, w)
+		}
+		c, err := m.Evaluate(a, s, l)
+		got.Observe(s, MinEDP.LayerCost(c), err)
+		want.Observe(s, MinEDP.LayerCost(c), err)
+	}
+	if g, w := sl.rng.Uint64(), xrand.New(1).Uint64(); g != w {
+		t.Fatal("the proposer drew from the slot's generator")
 	}
 }
 

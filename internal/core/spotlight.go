@@ -245,8 +245,11 @@ type spotlightSW struct {
 	// software constraint.
 	fixed    []sched.Constraint
 	samplers []sched.Sampler // one per constraint
-	rng      *rand.Rand
-	row      []float64 // the observed point's features (DABO copies them)
+	// rng is the generator the samplers draw from: the layer slot's
+	// when NewSW was handed its view, else a wrap of NewSW's rng. Either
+	// way it advances the stream the daBO draws from.
+	rng *xrand.Rand
+	row []float64 // the observed point's features (DABO copies them)
 	// pt carries the proposer's accelerator and layer; Observe sets its
 	// schedule before featurizing.
 	pt Point
@@ -259,9 +262,16 @@ type spotlightSW struct {
 // reset readies w, new or used, for the search of layer l on
 // accelerator a driven by rng, leaving it in the state a new proposer
 // starts from. It keeps w's features, row and sampler storage and its
-// daBO's buffers, so a used proposer allocates nothing here.
+// daBO's buffers, so a used proposer allocates nothing here. When rng
+// is the view of cfg's slot generator, w draws from that generator;
+// otherwise it wraps rng (one allocation), which draws the same values
+// through rng's Uint64.
 func (w *spotlightSW) reset(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) {
-	w.rng = rng
+	if sl := cfg.slot; sl != nil && sl.rng != nil && sl.rng.Rand == rng {
+		w.rng = sl.rng
+	} else {
+		w.rng = xrand.Wrap(rng)
+	}
 	d := w.dabo
 	d.reset(rng)
 	d.tracer, d.scope, d.capacity = cfg.Tracer, "sw", w.owner.SWBudget(cfg)
@@ -290,7 +300,7 @@ func (w *spotlightSW) Suggest() sched.Schedule {
 	if !w.dabo.ScoresCandidates() {
 		w.dabo.drewAtRandom()
 		var s sched.Schedule
-		w.samplers[xrand.IntN(w.rng, len(w.samplers))].RandomTo(w.rng, &s)
+		w.samplers[w.rng.IntN(len(w.samplers))].RandomTo(w.rng, &s)
 		return s
 	}
 	b := swBatches.get(spotlightBatch, len(w.features.Names))
@@ -301,7 +311,7 @@ func (w *spotlightSW) Suggest() sched.Schedule {
 	cands, t := b.points, &w.terms
 	in := featureInput{a: &w.pt.Accel, t: t, logs: b.logs}
 	for i := range cands {
-		k := xrand.IntN(w.rng, len(w.samplers))
+		k := w.rng.IntN(len(w.samplers))
 		b.from[i] = uint8(k)
 		s := &cands[i]
 		w.samplers[k].TilesTo(w.rng, s, &t.outer, &t.inner)

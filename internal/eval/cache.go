@@ -327,10 +327,16 @@ func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l worklo
 	sc.miss.run(c.inner, sp, a, ss, l, costs, errs)
 	innerReturned = true
 
+	// Every worker writes these counters, so a zero add, which would
+	// still take the cache line, is skipped.
 	if leaders > 0 {
-		c.entries.Add(shard.publish(sc, costs, errs))
+		if n := shard.publish(sc, costs, errs); n > 0 {
+			c.entries.Add(n)
+		}
 	}
-	c.misses.Add(int64(len(sc.miss.idx)))
+	if n := len(sc.miss.idx); n > 0 {
+		c.misses.Add(int64(n))
+	}
 	for range sc.miss.idx {
 		sp.CountTo(c.tr, obs.TallyCacheMiss)
 	}
@@ -357,7 +363,9 @@ func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l worklo
 		hits++
 		sp.CountTo(c.tr, obs.TallyCacheHit)
 	}
-	c.hits.Add(hits)
+	if hits > 0 {
+		c.hits.Add(hits)
+	}
 	sc.miss.run(c, sp, a, ss, l, costs, errs)
 }
 

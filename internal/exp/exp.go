@@ -287,5 +287,5 @@ func summaryRow(model, config string, objectives []float64) Row {
 // stream label, keeping independent parts of an experiment decorrelated
 // but reproducible.
 func (c Config) rngFor(stream int64) *rand.Rand {
-	return xrand.New(c.Seed*1_000_003 + stream)
+	return xrand.New(c.Seed*1_000_003 + stream).Rand
 }

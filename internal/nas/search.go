@@ -77,7 +77,7 @@ func Search(cfg SearchConfig) (SearchResult, error) {
 	if cfg.ArchSamples <= 0 {
 		cfg.ArchSamples = 12
 	}
-	rng := xrand.New(cfg.Seed)
+	rng := xrand.New(cfg.Seed).Rand
 	dabo := core.NewDABO(gp.Linear{Bias: 1}, rng, core.WithWarmup(4))
 
 	res := SearchResult{}

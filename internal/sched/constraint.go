@@ -185,10 +185,11 @@ type Sampler struct {
 	fixedOuter, fixedInner []workload.Dim
 	// t1, t2 are the starting tiles and n1, n2 their trip counts:
 	// FitTiles' heuristic tiles when some dimensions are not searched,
-	// zero otherwise (every dimension is then overwritten by a draw).
+	// 1 for a searched dimension of extent 1, zero otherwise (every
+	// other dimension is then overwritten by a draw).
 	t1, t2, n1, n2 [workload.NumDims]int
 	// tiles[d] is the tiling table of dimension d's extent, nil when d
-	// is not searched.
+	// is not searched or has extent 1: its only tiling is settled above.
 	tiles [workload.NumDims]*tileTable
 }
 
@@ -249,7 +250,10 @@ func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) *Samp
 // SamplerTo is Sampler into a caller-owned Sampler: it overwrites every
 // field of sp, so sp draws exactly what a new Sampler would, and it
 // allocates nothing once l's extents have been tabled. No draw from sp
-// may run concurrently with it.
+// may run concurrently with it. A searched dimension of extent 1 has
+// one tiling, tile 1 and trips 1 at both levels; SamplerTo settles it
+// here, so draws skip it. Drawing it would pick from one-element lists,
+// which draws nothing, so the stream is the same.
 func (c Constraint) SamplerTo(sp *Sampler, l workload.Layer, rfBytesPerPE, l2Bytes int64) {
 	*sp = Sampler{
 		outer:      c.outerChoices(),
@@ -264,23 +268,28 @@ func (c Constraint) SamplerTo(sp *Sampler, l workload.Layer, rfBytesPerPE, l2Byt
 		}
 	}
 	for i, d := range workload.AllDims {
-		if c.tilable(d) {
-			sp.tiles[i] = tileTableOf(l.Size(d))
+		if !c.tilable(d) {
+			continue
+		}
+		if n := l.Size(d); n > 1 {
+			sp.tiles[i] = tileTableOf(n)
+		} else {
+			sp.t1[i], sp.t2[i], sp.n1[i], sp.n2[i] = 1, 1, 1, 1
 		}
 	}
 }
 
-// Random draws one schedule; see RandomTo.
+// Random draws one schedule from rng; see RandomTo.
 func (sp *Sampler) Random(rng *rand.Rand) Schedule {
 	var s Schedule
-	sp.RandomTo(rng, &s)
+	sp.RandomTo(xrand.Wrap(rng), &s)
 	return s
 }
 
 // RandomTo draws one schedule into s, overwriting every field: TilesTo,
 // then OrdersTo. Those calls, in that order, define the sampling stream
 // every search over this space consumes.
-func (sp *Sampler) RandomTo(rng *rand.Rand, s *Schedule) {
+func (sp *Sampler) RandomTo(rng *xrand.Rand, s *Schedule) {
 	sp.TilesTo(rng, s, nil, nil)
 	sp.OrdersTo(rng, s)
 }
@@ -293,10 +302,10 @@ func (sp *Sampler) RandomTo(rng *rand.Rand, s *Schedule) {
 // n1 it also writes the schedule's trip counts, n2[d] = Size(d)/T2[d]
 // and n1[d] = T2[d]/T1[d] (what TripCounts returns), read from the
 // tables the tiles were drawn from rather than divided. Every pick is
-// xrand.IntN, so a one-element list draws nothing.
-func (sp *Sampler) TilesTo(rng *rand.Rand, s *Schedule, n2, n1 *[workload.NumDims]int) {
-	s.OuterUnroll = sp.outer[xrand.IntN(rng, len(sp.outer))]
-	s.InnerUnroll = sp.inner[xrand.IntN(rng, len(sp.inner))]
+// rng.IntN, so a one-element list draws nothing.
+func (sp *Sampler) TilesTo(rng *xrand.Rand, s *Schedule, n2, n1 *[workload.NumDims]int) {
+	s.OuterUnroll = sp.outer[rng.IntN(len(sp.outer))]
+	s.InnerUnroll = sp.inner[rng.IntN(len(sp.inner))]
 	s.T1, s.T2 = sp.t1, sp.t2
 	trips := n2 != nil
 	if trips {
@@ -306,8 +315,8 @@ func (sp *Sampler) TilesTo(rng *rand.Rand, s *Schedule, n2, n1 *[workload.NumDim
 		if t == nil {
 			continue
 		}
-		l2 := &t.choices[xrand.IntN(rng, len(t.choices))]
-		rf := &l2.sub.choices[xrand.IntN(rng, len(l2.sub.choices))]
+		l2 := &t.choices[rng.IntN(len(t.choices))]
+		rf := &l2.sub.choices[rng.IntN(len(l2.sub.choices))]
 		s.T2[i], s.T1[i] = l2.tile, rf.tile
 		if trips {
 			n2[i], n1[i] = l2.trips, rf.trips
@@ -317,14 +326,14 @@ func (sp *Sampler) TilesTo(rng *rand.Rand, s *Schedule, n2, n1 *[workload.NumDim
 
 // OrdersTo writes s's two loop orders: the constraint's fixed order, or
 // a uniform permutation of the seven dimensions (outer, then inner).
-func (sp *Sampler) OrdersTo(rng *rand.Rand, s *Schedule) {
+func (sp *Sampler) OrdersTo(rng *xrand.Rand, s *Schedule) {
 	orderTo(&s.OuterOrder, sp.fixedOuter, rng)
 	orderTo(&s.InnerOrder, sp.fixedInner, rng)
 }
 
 // orderTo writes the fixed order into out if given, else a random
 // permutation of the seven dimensions.
-func orderTo(out *[workload.NumDims]workload.Dim, fixed []workload.Dim, rng *rand.Rand) {
+func orderTo(out *[workload.NumDims]workload.Dim, fixed []workload.Dim, rng *xrand.Rand) {
 	if len(fixed) == workload.NumDims {
 		copy(out[:], fixed)
 		return

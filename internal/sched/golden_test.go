@@ -47,7 +47,7 @@ func TestConstraintRandomGolden(t *testing.T) {
 			for li, l := range layers {
 				for bi, b := range buffers {
 					for i := 0; i < 100; i++ {
-						fmt.Fprintf(h, "%d %d %d %v\n", li, bi, i, tc.c.Random(rng, l, b[0], b[1]))
+						fmt.Fprintf(h, "%d %d %d %v\n", li, bi, i, tc.c.Random(rng.Rand, l, b[0], b[1]))
 					}
 				}
 			}

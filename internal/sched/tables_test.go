@@ -26,6 +26,7 @@ func TestRandomTripsMatchDivision(t *testing.T) {
 	for _, m := range []workload.Model{workload.ResNet50(), workload.MobileNetV2(), workload.Transformer()} {
 		layers = append(layers, m.Layers...)
 	}
+	layers = append(layers, unitLayers()...)
 	for _, c := range allConstraints() {
 		for li, l := range layers {
 			sp := c.Sampler(l, 64, 32<<10)
@@ -43,6 +44,49 @@ func TestRandomTripsMatchDivision(t *testing.T) {
 				w2, w1, ok := s.TripCounts(&sizes)
 				if !ok || n2 != w2 || n1 != w1 {
 					t.Fatalf("%s %s: trips %v/%v, divisions give %v/%v (valid %v)", c.Name, l.Name, n2, n1, w2, w1, ok)
+				}
+			}
+			if a, b := r1.Int63(), r2.Int63(); a != b {
+				t.Fatalf("%s %s: generators diverged", c.Name, l.Name)
+			}
+		}
+	}
+}
+
+// TestUnitDimensionsSettled: a Sampler settles each searched
+// dimension of extent 1 at construction (tile 1, trips 1, no table),
+// and draws exactly what a Sampler drawing it from the extent-1 table
+// draws: the same schedules, the same trip counts, the same stream.
+func TestUnitDimensionsSettled(t *testing.T) {
+	layers := append(unitLayers(), workload.ResNet50().Layers[6], workload.MobileNetV2().Layers[1])
+	for _, c := range allConstraints() {
+		for li, l := range layers {
+			sp := c.Sampler(l, 64, 32<<10)
+			ref := *sp
+			units := 0
+			for i, d := range workload.AllDims {
+				if l.Size(d) != 1 || !c.tilable(d) {
+					continue
+				}
+				units++
+				if sp.tiles[i] != nil {
+					t.Fatalf("%s %s: extent-1 dimension %s keeps a table", c.Name, l.Name, d)
+				}
+				ref.tiles[i] = tileTableOf(1)
+			}
+			if units == 0 {
+				continue
+			}
+			r1, r2 := twins(int64(li), li%2 == 1)
+			for i := 0; i < 32; i++ {
+				var s, want Schedule
+				var n2, n1, wn2, wn1 [workload.NumDims]int
+				sp.TilesTo(r1, &s, &n2, &n1)
+				sp.OrdersTo(r1, &s)
+				ref.TilesTo(r2, &want, &wn2, &wn1)
+				ref.OrdersTo(r2, &want)
+				if s != want || n2 != wn2 || n1 != wn1 {
+					t.Fatalf("%s %s: settled sampler drew %v, table-drawn %v", c.Name, l.Name, s, want)
 				}
 			}
 			if a, b := r1.Int63(), r2.Int63(); a != b {
@@ -104,7 +148,8 @@ func TestTileTablesConcurrent(t *testing.T) {
 			defer wg.Done()
 			l := workload.Conv("c", 1, extents[w%len(extents)], extents[(w+1)%len(extents)], 1, 1, 1, 1)
 			rng, _ := twins(int64(w), false)
-			if s := Free().Sampler(l, 64, 32<<10).Random(rng); s.Validate(l) != nil {
+			var s Schedule
+			if Free().Sampler(l, 64, 32<<10).RandomTo(rng, &s); s.Validate(l) != nil {
 				t.Errorf("worker %d drew an invalid schedule %v", w, s)
 			}
 			for i := range extents {

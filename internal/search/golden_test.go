@@ -60,7 +60,7 @@ func baselineSWDigest(s core.Strategy, a hw.Accel, seed int64, rounds int) strin
 	h := sha256.New()
 	cfg := core.RunConfig{SWConstraint: sched.Free()}
 	for li, l := range layers {
-		sw := s.NewSW(cfg, xrand.New(seed+int64(li)), a, l)
+		sw := s.NewSW(cfg, xrand.New(seed+int64(li)).Rand, a, l)
 		for r := 0; r < rounds; r++ {
 			sc := sw.Suggest()
 			fmt.Fprintf(h, "%d %d %v\n", li, r, sc)
@@ -118,7 +118,7 @@ func TestBaselineHWStreamGolden(t *testing.T) {
 func baselineHWDigest(s core.Strategy, seed int64, rounds int) string {
 	cfg := core.RunConfig{Space: hw.EdgeSpace(), Budget: hw.EdgeBudget(), HWSamples: rounds}
 	h := sha256.New()
-	p := s.NewHW(cfg, xrand.New(seed))
+	p := s.NewHW(cfg, xrand.New(seed).Rand)
 	for r := 0; r < rounds; r++ {
 		a := p.Suggest()
 		fmt.Fprintf(h, "%d %v\n", r, a)

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -76,7 +77,7 @@ func TestNearbySeedsDiffer(t *testing.T) {
 func TestIntNOneDrawsNothing(t *testing.T) {
 	a, b := New(3), New(3)
 	for i := 0; i < 10; i++ {
-		if got := IntN(a, 1); got != 0 {
+		if got := a.IntN(1); got != 0 {
 			t.Fatalf("IntN(1) = %d", got)
 		}
 	}
@@ -94,7 +95,7 @@ func TestIntNPanicsOnEmpty(t *testing.T) {
 					t.Errorf("IntN(%d) did not panic", n)
 				}
 			}()
-			IntN(New(1), n)
+			New(1).IntN(n)
 		}()
 	}
 }
@@ -116,17 +117,87 @@ func (s *zeroSource) Seed(int64)   {}
 // TestIntNRejectsBiasedProducts: Lemire's rejection skips values whose
 // low product falls below 2^64 mod n, and accepts the first that does
 // not; for a power of two the threshold is 0 and nothing is rejected.
+// A wrapped generator takes the rejection loop on its foreign source's
+// values.
 func TestIntNRejectsBiasedProducts(t *testing.T) {
 	src := &zeroSource{k: 3}
-	r := rand.New(src)
+	g := Wrap(rand.New(src))
 	// The accepted value 4<<40 times 6 stays below 2^64: index 0.
-	if got := IntN(r, 6); got != 0 || src.i != 4 {
+	if got := g.IntN(6); got != 0 || src.i != 4 {
 		t.Fatalf("IntN(6) = %d after %d values, want 0 after 4 (three rejected zeros)", got, src.i)
 	}
 	src = &zeroSource{k: 3}
-	r = rand.New(src)
-	if got := IntN(r, 8); got != 0 || src.i != 1 {
+	g = Wrap(rand.New(src))
+	if got := g.IntN(8); got != 0 || src.i != 1 {
 		t.Fatalf("IntN(8) = %d after %d values, want 0 after 1", got, src.i)
+	}
+}
+
+// refIntN is Lemire's bounded draw as it is usually written, over a
+// plain *rand.Rand: the reference both kinds of generator must match.
+func refIntN(r *rand.Rand, n int) int {
+	if n == 1 {
+		return 0
+	}
+	un := uint64(n)
+	hi, lo := bits.Mul64(r.Uint64(), un)
+	if lo < un {
+		thresh := -un % un
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), un)
+		}
+	}
+	return int(hi)
+}
+
+// plain returns a *rand.Rand over a source seeded with seed, which is
+// not any generator's view.
+func plain(seed int64) *rand.Rand {
+	s := new(source)
+	s.Seed(seed)
+	return rand.New(s)
+}
+
+// TestDrawsMatchPlainRand interleaves a generator's IntN and Shuffle
+// with its view's Intn, Float64 and Uint64, and requires every value to
+// equal what a plain *rand.Rand over an identically seeded source
+// gives, with IntN and Shuffle computed by refIntN. It checks a New
+// generator, which draws from its PCG state directly, and a wrap of a
+// plain *rand.Rand, which draws through it. n = 3<<61 rejects one
+// product in eight, so both take the rejection loop.
+func TestDrawsMatchPlainRand(t *testing.T) {
+	sizes := []int{1, 2, 3, 7, 56, 1000003, 3 << 61}
+	for _, seed := range []int64{1, 4242, -7} {
+		for _, g := range []*Rand{New(seed), Wrap(plain(seed))} {
+			want := plain(seed)
+			for i := 0; i < 5000; i++ {
+				var got, w uint64
+				switch i % 5 {
+				case 0:
+					n := sizes[(i/5)%len(sizes)]
+					got, w = uint64(g.IntN(n)), uint64(refIntN(want, n))
+				case 1:
+					a, b := [7]int{0, 1, 2, 3, 4, 5, 6}, [7]int{0, 1, 2, 3, 4, 5, 6}
+					Shuffle(g, a[:])
+					for j := len(b) - 1; j > 0; j-- {
+						k := refIntN(want, j+1)
+						b[j], b[k] = b[k], b[j]
+					}
+					if a != b {
+						t.Fatalf("seed %d (foreign %v) draw %d: Shuffle gave %v, want %v", seed, g.foreign, i, a, b)
+					}
+				case 2:
+					got, w = uint64(g.Intn(37)), uint64(want.Intn(37))
+				case 3:
+					got, w = math.Float64bits(g.Float64()), math.Float64bits(want.Float64())
+				case 4:
+					got, w = g.Uint64(), want.Uint64()
+				}
+				if got != w {
+					t.Fatalf("seed %d (foreign %v) draw %d: got %d, want %d", seed, g.foreign, i, got, w)
+				}
+			}
+		}
 	}
 }
 
@@ -138,7 +209,7 @@ func TestIntNUniform(t *testing.T) {
 		counts := make([]int, n)
 		draws := 2000 * n
 		for i := 0; i < draws; i++ {
-			counts[IntN(r, n)]++
+			counts[r.IntN(n)]++
 		}
 		chi := 0.0
 		for _, c := range counts {
@@ -168,10 +239,37 @@ func TestShufflePermutes(t *testing.T) {
 	}
 }
 
-// TestSourceFillsCacheLine: a source is one 64-byte allocation, so two
-// workers' sources never share a cache line.
+// TestSourceFillsCacheLine: a generator, whose PCG state every draw
+// writes, is one 64-byte allocation on a 64-byte boundary, so two
+// workers' generators never share a cache line.
 func TestSourceFillsCacheLine(t *testing.T) {
-	if n := unsafe.Sizeof(source{}); n != 64 {
-		t.Fatalf("source is %d bytes, want 64", n)
+	if n := unsafe.Sizeof(Rand{}); n != 64 {
+		t.Fatalf("Rand is %d bytes, want 64", n)
+	}
+	for i := 0; i < 100; i++ {
+		if p := uintptr(unsafe.Pointer(New(int64(i)))); p%64 != 0 {
+			t.Fatalf("generator %d at %#x straddles cache lines", i, p)
+		}
+	}
+}
+
+var sink int
+
+// BenchmarkIntN measures one bounded draw from a table-sized list:
+// "direct" reads a New generator's PCG state, "rand" draws through a
+// *rand.Rand (a wrap of that generator's view), which costs a call
+// chain and an interface call per value.
+func BenchmarkIntN(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		g    *Rand
+	}{{"direct", New(1)}, {"rand", Wrap(New(1).Rand)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g, sum := bc.g, 0
+			for i := 0; i < b.N; i++ {
+				sum += g.IntN(56)
+			}
+			sink = sum
+		})
 	}
 }
