@@ -9,10 +9,10 @@
 # (FuzzLayerSearchFaultSequences and FuzzFeatureRow in core,
 # FuzzEvaluateBatch and FuzzEvaluate in maestro, FuzzFitTiles in sched),
 # govulncheck, and -benchtime=1x smokes of BenchmarkDABOSuggest,
-# BenchmarkSpotlightSWSuggest, BenchmarkScheduleSampling,
-# BenchmarkFeatureTransform, BenchmarkIntN, BenchmarkMaestroEvaluate,
-# BenchmarkMaestroEvaluateBatch, BenchmarkTimeloopEvaluate,
-# BenchmarkSimulateTrace,
+# BenchmarkScheduleSampling, BenchmarkSpotlightSWSuggest and
+# BenchmarkFeatureTransform (both in internal/core), BenchmarkIntN,
+# BenchmarkMaestroEvaluate, BenchmarkMaestroEvaluateBatch,
+# BenchmarkTimeloopEvaluate, BenchmarkSimulateTrace,
 # BenchmarkTransformerLayerSearch, BenchmarkEvalCache,
 # BenchmarkTraceOverhead and BenchmarkStore. Performance is
 # measured by `bash perfbench/run.sh`. The allocation gates on pooled
@@ -20,8 +20,8 @@
 # under `make race`: the race detector makes sync.Pool drop items at
 # random. `make test` runs them; the layer-slot gate touches no pool and
 # runs under both. `make chaos` repeats the cancellation, checkpoint,
-# memo-cache single-flight, layer-slot and determinism tests under
-# -race, and the disk journal's concurrent Put/Get test. `make
+# memo-cache concurrency and panic, layer-slot and determinism tests
+# under -race, and the disk journal's concurrent Put/Get test. `make
 # repeat` runs the packages with process-wide state (the sched divisor
 # and tiling-table memos, the eval backend registry) twice in one
 # process, so state one run leaves behind cannot break the next.
@@ -61,9 +61,10 @@ fmt:
 race:
 	$(GO) test -race -count=1 ./...
 
-# chaos also runs the memo cache's single-flight, leader-panic and
-# duplicate-key tests: the lazy wait channel is a concurrency protocol
-# that only -race and repetition exercise. The core LayerSlot tests run
+# chaos also runs the memo cache's concurrent-caller, double-miss,
+# panic and duplicate-key tests: callers that miss one key at once each
+# publish under the shard lock, which only -race and repetition
+# exercise. The core LayerSlot tests run
 # here too: a layer slot passes from the driver goroutine, which resets
 # it in NewSW, to the worker that searches its layer, every hardware
 # sample. So do the tests named Deterministic, among them core's
@@ -77,7 +78,7 @@ race:
 # the disk journal: Get reads records back from the file while Put
 # appends to it.
 chaos:
-	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|SingleFlight|PanicWithdraws|FollowerOfInFlight|LayerSlot|Deterministic|ConcurrentPutGet' -count=2 ./...
+	$(GO) test -race -run 'Chaos|Checkpoint|Cancel|ConcurrentCallersOfOneKey|ConcurrentDoubleMiss|PanicLeavesNoEntry|DuplicateKeys|LayerSlot|Deterministic|ConcurrentPutGet' -count=2 ./...
 
 repeat:
 	$(GO) test -count=2 ./internal/core/ ./internal/sched/ ./internal/eval/

@@ -415,47 +415,6 @@ func BenchmarkDABOSuggest(b *testing.B) {
 	}
 }
 
-// BenchmarkSpotlightSWSuggest measures one daBO_SW suggestion on a
-// ResNet-50 layer, the hot path of Spotlight's search. "warmup" is a
-// proposer with no observations: its surrogate does not score, so it
-// draws one random schedule from the layer's precomputed sampler and
-// returns it. "scoring" is one trained on 24 analytical-model
-// observations: it draws 64 candidates' tiles, fills each one's
-// Figure 4 row in one pass from the trip counts its sampler drew,
-// ranks the batch on the surrogate, and draws loop orders only for the
-// candidate it returns. Both report 0 allocs/op: the candidate batch
-// is borrowed from a pool per call, and
-// TestSpotlightSWSteadyStateAllocatesNothing (internal/core) gates it.
-// Built outside a run, the proposer has no layer slot, so its samplers
-// draw through the *rand.Rand it was given rather than from the PCG
-// state directly (see xrand's BenchmarkIntN for that difference).
-func BenchmarkSpotlightSWSuggest(b *testing.B) {
-	a := hw.EyerissEdge().Accel
-	l := workload.ResNet50().Layers[6]
-	m := maestro.New()
-	for _, bc := range []struct {
-		name    string
-		observe int
-	}{{"warmup", 0}, {"scoring", 24}} {
-		b.Run(bc.name, func(b *testing.B) {
-			sw := core.NewSpotlight().NewSW(core.RunConfig{SWConstraint: sched.Free()},
-				xrand.New(1).Rand, a, l)
-			for i := 0; i < bc.observe; i++ {
-				s := sw.Suggest()
-				c, err := m.Evaluate(a, s, l)
-				sw.Observe(s, core.MinDelay.LayerCost(c), err)
-			}
-			// One untimed suggestion absorbs the surrogate's refit.
-			_ = sw.Suggest()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = sw.Suggest()
-			}
-		})
-	}
-}
-
 // BenchmarkTopDesignCrossCheck regenerates the §VII-F recommendation:
 // re-evaluate the search's top designs on the second analytical model.
 func BenchmarkTopDesignCrossCheck(b *testing.B) {

@@ -293,8 +293,8 @@ func summarize(r io.Reader, w io.Writer) error {
 
 	hits, misses := counts[obs.CacheHit], counts[obs.CacheMiss]
 	if hits+misses > 0 {
-		fmt.Fprintf(w, "\ncache: hits=%d misses=%d leader-panics=%d (%.1f%% hit rate)\n",
-			hits, misses, counts[obs.CachePanic], 100*float64(hits)/float64(hits+misses))
+		fmt.Fprintf(w, "\ncache: hits=%d misses=%d (%.1f%% hit rate)\n",
+			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
 	if len(persistCounts) > 0 {
 		fmt.Fprintf(w, "persistent cache: %s\n", formatCounts(persistCounts))

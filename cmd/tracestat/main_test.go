@@ -113,7 +113,7 @@ func TestSummarizeWeighsFoldedCacheEvents(t *testing.T) {
 		return strings.Join(lines, "\n")
 	}
 	folded, expanded := render(true), render(false)
-	want := "cache: hits=5 misses=3 leader-panics=0 (62.5% hit rate)\n" +
+	want := "cache: hits=5 misses=3 (62.5% hit rate)\n" +
 		"persistent cache: append=3 hit=2 recovered=1"
 	if expanded != want {
 		t.Fatalf("expanded trace cache lines:\n%s\nwant:\n%s", expanded, want)

@@ -96,3 +96,47 @@ func TestDABOPrimalRefitAllocatesNothing(t *testing.T) {
 		t.Errorf("a refit after the first allocated %v objects, want 0", n)
 	}
 }
+
+// BenchmarkSpotlightSWSuggest measures one daBO_SW suggestion on a
+// ResNet-50 layer, the hot path of Spotlight's search. "warmup" is a
+// proposer with no observations: its surrogate does not score, so it
+// draws one random schedule from the layer's precomputed sampler and
+// returns it. "scoring" is one trained on 24 analytical-model
+// observations: it draws 64 candidates' tiles, fills each one's
+// Figure 4 row in one pass from the trip counts its sampler drew,
+// ranks the batch on the surrogate, and draws loop orders only for the
+// candidate it returns. The proposer is built as evaluateHardware
+// builds it, from a reseeded layer slot passed through RunConfig.slot,
+// so its samplers draw from the slot's PCG state directly, as in a run.
+// Both report 0 allocs/op: the candidate batch is borrowed from a pool
+// per call, and TestSpotlightSWSteadyStateAllocatesNothing gates it.
+func BenchmarkSpotlightSWSuggest(b *testing.B) {
+	a := hw.EyerissEdge().Accel
+	l := workload.ResNet50().Layers[6]
+	m := maestro.New()
+	for _, bc := range []struct {
+		name    string
+		observe int
+	}{{"warmup", 0}, {"scoring", 24}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var slot layerSlot
+			cfg := RunConfig{SWConstraint: sched.Free(), slot: &slot}
+			sw := NewSpotlight().NewSW(cfg, slot.reseed(1), a, l)
+			if sw.(*spotlightSW).rng != slot.rng {
+				b.Fatal("proposer draws through a wrap, not from the slot's generator")
+			}
+			for i := 0; i < bc.observe; i++ {
+				s := sw.Suggest()
+				c, err := m.Evaluate(a, s, l)
+				sw.Observe(s, MinDelay.LayerCost(c), err)
+			}
+			// One untimed suggestion absorbs the surrogate's refit.
+			_ = sw.Suggest()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = sw.Suggest()
+			}
+		})
+	}
+}

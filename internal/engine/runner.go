@@ -43,8 +43,8 @@ type RunnerConfig struct {
 	CacheDir string
 	// Tracer is the server-wide sink (typically a MetricsTracer feeding
 	// /metrics). It receives every job's events and — crucially — the
-	// shared pipelines' cache.hit/cache.miss stream, which is how
-	// concurrent duplicate jobs show up as dedup in the counters.
+	// shared pipelines' cache.hit/cache.miss stream, which is how a
+	// repeated job shows up as hits in the counters.
 	Tracer obs.Tracer
 }
 

@@ -127,7 +127,7 @@ func TestRunnerFIFOIdenticalJobsIdenticalArtifacts(t *testing.T) {
 		t.Fatalf("identical jobs produced different fig6.csv:\n%s\nvs\n%s", da, db)
 	}
 	// The second job re-asked for evaluations the first already paid
-	// for; the shared pipeline's memo cache must show the dedup.
+	// for; the shared pipeline's memo cache must answer them as hits.
 	if hits := reg.Counter("trace.cache.hit").Value(); hits == 0 {
 		t.Fatal("duplicate job produced no cache hits in the shared pipeline")
 	}

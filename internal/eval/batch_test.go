@@ -316,7 +316,7 @@ func TestBatchFallbackForNonBatchBackend(t *testing.T) {
 }
 
 // TestBatchCacheTransientNotMemoized: a transient (non-ErrInvalid)
-// fault inside a batch is returned but withdrawn, exactly like the
+// fault inside a batch is returned but not memoized, exactly like the
 // sequential path — a later batch re-evaluates instead of reusing it.
 func TestBatchCacheTransientNotMemoized(t *testing.T) {
 	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{}, errors.New("transient") }}
@@ -339,36 +339,39 @@ func TestBatchCacheTransientNotMemoized(t *testing.T) {
 	}
 }
 
-// TestBatchCacheDuplicateKeysSingleFlight: duplicates of one key inside
-// a single batch produce exactly one inner evaluation; the duplicates
-// resolve from the in-batch leader's entry after it publishes (no
-// deadlock), and all copies agree.
-func TestBatchCacheDuplicateKeysSingleFlight(t *testing.T) {
-	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{DelayCycles: 5}, nil }}
-	pipe := Chain(fake, WithCache())
-	c := pipe.Cache()
-	tr := randomTriples(22, 1)[0]
-	ss := []sched.Schedule{tr.s, tr.s, tr.s, tr.s}
+// TestBatchCacheDuplicateKeys: copies of one key inside a single batch
+// are each evaluated in the batch's one inner call and counted as
+// misses; they all agree with the bare backend and leave one entry,
+// which answers every copy of the next batch.
+func TestBatchCacheDuplicateKeys(t *testing.T) {
+	a, s, l := validTriple(t, maestro.New())
+	var want result
+	want.cost, want.err = maestro.New().Evaluate(a, s, l)
+	counter := &countingEval{}
+	pipe := Chain(counter, WithCache())
+	ss := []sched.Schedule{s, s, s, s}
 
-	costs, errs := pipe.EvaluateBatch(tr.a, ss, tr.l)
-	for i := range ss {
-		if errs[i] != nil || costs[i].DelayCycles != 5 {
-			t.Fatalf("item %d: cost=%+v err=%v", i, costs[i], errs[i])
+	for round := 0; round < 2; round++ {
+		costs, errs := pipe.EvaluateBatch(a, ss, l)
+		for i := range ss {
+			if err := sameResult(costs[i], errs[i], want); err != nil {
+				t.Fatalf("round %d, item %d: %v", round, i, err)
+			}
 		}
 	}
-	if got := fake.calls.Load(); got != 1 {
-		t.Fatalf("backend called %d times for one key, want 1", got)
+	if got := counter.items.Load(); got != int64(len(ss)) {
+		t.Fatalf("backend evaluated %d items, want %d (the first batch's copies)", got, len(ss))
 	}
-	snap := c.Snapshot()
-	if snap.Misses != 1 || snap.Hits != int64(len(ss)-1) || snap.Entries != 1 {
-		t.Fatalf("snapshot %+v, want 1 miss, %d hits, 1 entry", snap, len(ss)-1)
+	wantSnap := CacheSnapshot{Hits: int64(len(ss)), Misses: int64(len(ss)), Entries: 1}
+	if snap := pipe.Cache().Snapshot(); snap != wantSnap {
+		t.Fatalf("snapshot %+v, want %+v", snap, wantSnap)
 	}
 }
 
-// TestBatchCachePanicWithdrawsLeaders: a backend panic mid-batch must
-// withdraw every unpublished leader entry before propagating, so later
-// callers re-evaluate instead of deadlocking on dead entries.
-func TestBatchCachePanicWithdrawsLeaders(t *testing.T) {
+// TestBatchCachePanicLeavesNoEntry: a backend panic mid-batch propagates
+// and leaves no entry for any of the batch's items, so the next batch
+// evaluates them all afresh.
+func TestBatchCachePanicLeavesNoEntry(t *testing.T) {
 	first := true
 	fake := &fakeEval{fn: func() (maestro.Cost, error) {
 		if first {
@@ -392,12 +395,18 @@ func TestBatchCachePanicWithdrawsLeaders(t *testing.T) {
 		}()
 		pipe.EvaluateBatch(trs[0].a, ss, trs[0].l)
 	}()
+	if snap := pipe.Cache().Snapshot(); snap.Entries != 0 {
+		t.Fatalf("snapshot %+v after a panic, want no entries", snap)
+	}
 
 	costs, errs := pipe.EvaluateBatch(trs[0].a, ss, trs[0].l)
 	for i := range ss {
 		if errs[i] != nil || costs[i].DelayCycles != 2 {
 			t.Fatalf("post-panic item %d: cost=%+v err=%v", i, costs[i], errs[i])
 		}
+	}
+	if got := fake.calls.Load(); got != 1+int64(len(ss)) {
+		t.Fatalf("backend called %d times, want %d (the panic, then every item)", got, 1+len(ss))
 	}
 }
 

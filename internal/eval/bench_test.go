@@ -97,8 +97,8 @@ func BenchmarkEvalCache(b *testing.B) {
 		}
 		pipe.EvaluateBatch(grp.a.a, grp.ss, grp.a.l)
 		// A warm batch allocates only the two result slices the
-		// interface hands back; packed keys, entry pointers, and flags
-		// live in the pooled scratch.
+		// interface hands back; the miss set lives in the pooled
+		// scratch.
 		if avg := testing.AllocsPerRun(100, func() {
 			pipe.EvaluateBatch(grp.a.a, grp.ss, grp.a.l)
 		}); avg > 2 {

@@ -81,19 +81,11 @@ func packKey(ctx uint32, s *sched.Schedule) (k cacheKey, ok bool) {
 	return k, workload.Dim(k.outerUnroll) == s.OuterUnroll && workload.Dim(k.innerUnroll) == s.InnerUnroll
 }
 
-// cacheEntry is one memoized (or in-flight) evaluation. Its fields are
-// guarded by the owning shard's lock: the leader sets cost, err, keep
-// and done together under it and then closes wait, which exists only if
-// a follower found the entry in flight and needed to block. After done
-// the entry never changes, so a follower that received from wait reads
-// it without the lock. keep reports whether the outcome was memoizable
-// (followers of a non-kept entry re-evaluate themselves).
+// cacheEntry is one memoized evaluation. An entry is published whole,
+// under the owning shard's lock, and never changes afterwards.
 type cacheEntry struct {
 	cost maestro.Cost
 	err  error
-	wait chan struct{}
-	done bool
-	keep bool
 }
 
 // cacheShard is one locked segment of the memo table: its interned
@@ -132,12 +124,13 @@ func (s *cacheShard) newEntry() *cacheEntry {
 
 // Cache memoizes evaluations of its inner evaluator, keyed on the
 // canonical (accelerator, schedule, layer) triple. It exists because the
-// search runtime re-evaluates many identical triples: BO reruns propose
-// duplicate schedules, checkpoint replays re-walk old samples, and the
-// Pareto/figure harnesses re-cost the same designs across
-// configurations. The table is sharded for concurrency and deduplicates
-// in-flight work single-flight style: when several workers ask for the
-// same key at once, one evaluates and the rest wait for its result.
+// search runtime re-evaluates identical triples: BO reruns propose
+// duplicate schedules, the Pareto/figure harnesses re-cost the same
+// designs across configurations, and jobs sharing a pipeline repeat each
+// other's work. The table is sharded for concurrency and answers hits
+// and misses only: callers that miss one key at the same moment each
+// evaluate it, and the first to publish keeps the entry. The backends
+// are pure functions of the key, so every copy is bit-identical.
 //
 // A batch shares one accelerator and one layer, its context, so the
 // table is split the same way: the context picks the shard and is
@@ -161,12 +154,11 @@ type Cache struct {
 	inner  layer
 	shards [cacheShards]cacheShard
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
-	entries   atomic.Int64
+	hits    atomic.Int64
+	misses  atomic.Int64
+	entries atomic.Int64
 
-	tr obs.Tracer // receives cache.hit/miss/leaderpanic without a span; set by Chain
+	tr obs.Tracer // receives cache.hit/miss without a span; set by Chain
 }
 
 // WithCache returns the memo-cache middleware.
@@ -231,71 +223,30 @@ func (m *missSet) run(inner layer, sp *obs.Span, a hw.Accel, ss []sched.Schedule
 	}
 }
 
-// cacheScratch is the reusable per-call working set of Cache.evaluate:
-// packed keys, per-item entry pointers and role flags, and the miss
-// subset. Pooled so steady-state evaluation allocates nothing here.
-type cacheScratch struct {
-	keys  []cacheKey
-	ents  []*cacheEntry
-	flags []uint8
-	miss  missSet
-}
+// cacheScratchPool holds Cache.evaluate's only per-call working set,
+// its miss set, so steady-state evaluation allocates nothing here.
+var cacheScratchPool = sync.Pool{New: func() any { return new(missSet) }}
 
-// role flags for cacheScratch.flags. An item with no flag is in the
-// miss set: a leader, which owns its entry and must publish it, or an
-// unpackable item, which has no entry.
-const (
-	flagHit      uint8 = 1 << iota // the entry was published when registered; costs/errs hold it
-	flagInFlight                   // follower found the entry unresolved (counts as coalesced)
-	flagWait                       // in-flight follower that must receive from the entry's wait
-)
-
-var cacheScratchPool = sync.Pool{New: func() any { return new(cacheScratch) }}
-
-func (b *cacheScratch) reset(n int) {
-	if cap(b.keys) < n {
-		b.keys = make([]cacheKey, n)
-		b.ents = make([]*cacheEntry, n)
-		b.flags = make([]uint8, n)
-	}
-	b.keys = b.keys[:n]
-	b.ents = b.ents[:n]
-	b.flags = b.flags[:n]
-	for i := 0; i < n; i++ {
-		b.ents[i] = nil
-		b.flags[i] = 0
-	}
-	b.miss.reset()
-}
-
-// evaluate implements layer with memoization and single-flight
-// deduplication. The batch's context picks one shard, and each phase
-// that touches the table takes its lock once for the whole batch:
+// evaluate implements layer with memoization. The batch's context picks
+// one shard, whose lock is taken once to look the batch up and once to
+// publish its misses:
 //
-//  1. register: intern the context; answer every published entry as a
-//     hit, follow every in-flight one, and lead a new entry for every
-//     other packable item. Leaders and unpackable items form the miss
-//     set.
+//  1. lookup: intern the context and answer every memoized item as a
+//     hit. Every other item, including any with no packed key, joins
+//     the miss set.
 //  2. evaluate the miss set in ONE inner call.
-//  3. publish the leaders' results, withdrawing the non-memoizable.
-//  4. resolve the followers: those whose entry is still in flight get
-//     its wait channel, created here on first need, and block on it.
+//  3. publish: insert the memoizable results whose keys are not in
+//     the table yet; the first write wins.
 //
-// Followers are resolved only after the leaders publish, which is what
-// makes in-batch duplicates safe — a follower of its own batch's leader
-// would otherwise wait on work that has not been submitted yet, and by
-// phase 4 such an entry is done, so it needs no channel. A follower
-// whose leader withdrew its entry (a non-memoizable outcome, or a
-// panic) retries: the withdrawn followers go through the cache again as
-// a smaller batch, becoming leaders or following whoever got there
-// first.
+// Nothing is registered before the inner call, so a panic below the
+// cache propagates and leaves the table as it was. A key that two
+// callers miss at once, or that appears twice in one batch, is
+// evaluated once per copy and counted as that many misses.
 //
 // Under a span, hits and misses are counted in sp's tally, which End
-// emits as one cache.hit and one cache.miss event carrying the counts;
-// leader panics are emitted as they happen, parented under sp. Either
-// way they reach sp's sink, so on a shared pipeline each job sees only
-// its own cache traffic. An in-batch duplicate counts as coalesced+hit,
-// because it genuinely waited on the in-flight leader.
+// emits as one cache.hit and one cache.miss event carrying the counts.
+// Either way they reach sp's sink, so on a shared pipeline each job
+// sees only its own cache traffic.
 func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
 	if len(ss) == 0 {
 		return
@@ -303,177 +254,86 @@ func (c *Cache) evaluate(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l worklo
 	x := cacheCtx{a: a, l: l}
 	x.l.Repeat = 0
 	shard := &c.shards[x.shard()]
-	sc := cacheScratchPool.Get().(*cacheScratch)
-	defer cacheScratchPool.Put(sc)
-	sc.reset(len(ss))
+	miss := cacheScratchPool.Get().(*missSet)
+	defer cacheScratchPool.Put(miss)
+	miss.reset()
 
-	leaders, followers := shard.register(&x, ss, sc, costs, errs)
-
-	// If the inner layer panics (no guard below the cache), every
-	// unpublished leader entry is withdrawn and released before the
-	// panic propagates, so followers retry instead of blocking forever.
-	innerReturned := false
-	defer func() {
-		if innerReturned {
-			return
-		}
-		shard.abandon(sc)
-		if obs.Active(sp, c.tr) {
-			for i := 0; i < leaders; i++ {
-				sp.EmitTo(c.tr, obs.Event{Type: obs.CachePanic})
-			}
-		}
-	}()
-	sc.miss.run(c.inner, sp, a, ss, l, costs, errs)
-	innerReturned = true
+	ctx := shard.lookup(&x, ss, miss, costs, errs)
+	miss.run(c.inner, sp, a, ss, l, costs, errs)
 
 	// Every worker writes these counters, so a zero add, which would
 	// still take the cache line, is skipped.
-	if leaders > 0 {
-		if n := shard.publish(sc, costs, errs); n > 0 {
+	misses := len(miss.idx)
+	if misses > 0 {
+		if n := shard.publish(ctx, ss, miss.idx, costs, errs); n > 0 {
 			c.entries.Add(n)
 		}
-	}
-	if n := len(sc.miss.idx); n > 0 {
-		c.misses.Add(int64(n))
-	}
-	for range sc.miss.idx {
-		sp.CountTo(c.tr, obs.TallyCacheMiss)
-	}
-	if followers > 0 {
-		shard.await(sc)
-		c.coalesced.Add(int64(followers))
-	}
-
-	// Every non-leader is now resolved: a hit, or a retry if its entry
-	// was withdrawn.
-	sc.miss.reset()
-	hits := int64(0)
-	for i, f := range sc.flags {
-		if f&flagInFlight != 0 {
-			e := sc.ents[i]
-			if !e.keep {
-				sc.miss.add(i, ss[i])
-				continue
-			}
-			costs[i], errs[i] = e.cost, e.err
-		} else if f&flagHit == 0 {
-			continue // a leader or unpackable item: the inner call answered it
+		c.misses.Add(int64(misses))
+		for range misses {
+			sp.CountTo(c.tr, obs.TallyCacheMiss)
 		}
-		hits++
-		sp.CountTo(c.tr, obs.TallyCacheHit)
 	}
-	if hits > 0 {
-		c.hits.Add(hits)
+	if hits := len(ss) - misses; hits > 0 {
+		c.hits.Add(int64(hits))
+		for range hits {
+			sp.CountTo(c.tr, obs.TallyCacheHit)
+		}
 	}
-	sc.miss.run(c, sp, a, ss, l, costs, errs)
 }
 
-// register is phase 1 of Cache.evaluate, under one hold of the lock. It
-// returns the number of entries the batch leads and of in-flight
-// entries it follows.
-func (s *cacheShard) register(x *cacheCtx, ss []sched.Schedule, sc *cacheScratch, costs []maestro.Cost, errs []error) (leaders, followers int) {
+// lookup is step 1 of Cache.evaluate, under one hold of the lock: it
+// leaves every hit's result in costs/errs and every other item in the
+// miss set, and returns the batch's context id.
+func (s *cacheShard) lookup(x *cacheCtx, ss []sched.Schedule, miss *missSet, costs []maestro.Cost, errs []error) (ctx uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ctx := s.intern(x)
+	ctx = s.intern(x)
 	for i := range ss {
-		k, ok := packKey(ctx, &ss[i])
-		if !ok {
-			sc.miss.add(i, ss[i])
+		if k, ok := packKey(ctx, &ss[i]); ok {
+			if e, hit := s.m[k]; hit {
+				costs[i], errs[i] = e.cost, e.err
+				continue
+			}
+		}
+		miss.add(i, ss[i])
+	}
+	return ctx
+}
+
+// publish is step 3 of Cache.evaluate: it memoizes each missed item of
+// context ctx, at positions idx, whose outcome is memoizable and whose
+// key no other caller (nor an earlier copy in the batch) published
+// first. It returns the number of entries added.
+func (s *cacheShard) publish(ctx uint32, ss []sched.Schedule, idx []int, costs []maestro.Cost, errs []error) (added int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, i := range idx {
+		if errs[i] != nil && !errors.Is(errs[i], maestro.ErrInvalid) {
 			continue
 		}
-		sc.keys[i] = k
-		if e, ok := s.m[k]; ok {
-			sc.ents[i] = e
-			if e.done {
-				sc.flags[i] = flagHit
-				costs[i], errs[i] = e.cost, e.err
-			} else {
-				sc.flags[i] = flagInFlight
-				followers++
-			}
+		k, ok := packKey(ctx, &ss[i])
+		if !ok {
+			continue
+		}
+		if _, dup := s.m[k]; dup {
 			continue
 		}
 		e := s.newEntry()
-		s.m[k] = e
-		sc.ents[i] = e
-		sc.miss.add(i, ss[i])
-		leaders++
-	}
-	return leaders, followers
-}
-
-// publish is phase 3: it settles every entry the batch leads with its
-// result, withdraws the ones that must not be memoized, and wakes their
-// waiting followers. It returns the number of entries kept.
-func (s *cacheShard) publish(sc *cacheScratch, costs []maestro.Cost, errs []error) (kept int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, i := range sc.miss.idx {
-		e := sc.ents[i]
-		if e == nil { // unpackable: evaluated, never memoized
-			continue
-		}
 		e.cost, e.err = costs[i], errs[i]
-		e.keep = e.err == nil || errors.Is(e.err, maestro.ErrInvalid)
-		if e.keep {
-			kept++
-		} else {
-			delete(s.m, sc.keys[i])
-		}
-		e.settle()
+		s.m[k] = e
+		added++
 	}
-	return kept
-}
-
-// abandon withdraws every entry the batch leads, unpublished because
-// the inner layer panicked; their followers see keep false and retry.
-func (s *cacheShard) abandon(sc *cacheScratch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, i := range sc.miss.idx {
-		if e := sc.ents[i]; e != nil {
-			delete(s.m, sc.keys[i])
-			e.settle()
-		}
-	}
-}
-
-// settle marks e done and wakes its followers. The caller holds the
-// owning shard's lock.
-func (e *cacheEntry) settle() {
-	e.done = true
-	if e.wait != nil {
-		close(e.wait)
-	}
-}
-
-// await is phase 4: every in-flight entry the batch follows that is
-// still unsettled gets a wait channel (the first follower creates it),
-// and the batch blocks on each until its leader settles it.
-func (s *cacheShard) await(sc *cacheScratch) {
-	s.mu.Lock()
-	for i, f := range sc.flags {
-		if e := sc.ents[i]; f&flagInFlight != 0 && !e.done {
-			if e.wait == nil {
-				e.wait = make(chan struct{})
-			}
-			sc.flags[i] |= flagWait
-		}
-	}
-	s.mu.Unlock()
-	for i, f := range sc.flags {
-		if f&flagWait != 0 {
-			<-sc.ents[i].wait
-		}
-	}
+	return added
 }
 
 // CacheSnapshot is a point-in-time view of the cache counters.
 type CacheSnapshot struct {
-	Hits      int64 // calls answered from a memoized entry
-	Misses    int64 // calls that reached the inner evaluator
-	Coalesced int64 // calls that waited on another caller's in-flight evaluation
+	Hits   int64 // calls answered from a memoized entry
+	Misses int64 // calls that reached the inner evaluator
+	// Coalesced is always 0: the cache evaluates every miss itself and
+	// shares no in-flight work. The field remains for readers that
+	// still report it.
+	Coalesced int64
 	Entries   int64 // memoized results currently resident
 }
 
@@ -482,9 +342,8 @@ type CacheSnapshot struct {
 // snapshot taken mid-flight may be off by in-flight calls.
 func (c *Cache) Snapshot() CacheSnapshot {
 	return CacheSnapshot{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-		Entries:   c.entries.Load(),
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Entries: c.entries.Load(),
 	}
 }

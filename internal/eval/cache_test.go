@@ -105,7 +105,7 @@ func TestCachedPipelineMatchesBareBackend(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			// Each worker walks the cases from a different offset, so
-			// leaders and followers interleave across keys.
+			// concurrent misses and hits interleave across keys.
 			for i := range cases {
 				j := (i + w*7) % len(cases)
 				c, exp := cases[j], want[j]
@@ -146,42 +146,65 @@ func TestCachedPipelineMatchesBareBackend(t *testing.T) {
 	}
 }
 
-func TestSingleFlightCoalescesConcurrentCallers(t *testing.T) {
-	const followers = 7
-	var arrived atomic.Int64
-	release := make(chan struct{})
-	fake := &fakeEval{fn: func() (maestro.Cost, error) {
-		<-release
-		return maestro.Cost{DelayCycles: 1}, nil
-	}}
-	pipe := Chain(fake, WithCache())
-	cache := pipe.Cache()
-	tr := randomTriples(1, 1)[0]
+// barrierEval is maestro behind a barrier: every batch that reaches it
+// counts its items in and blocks until release is closed.
+type barrierEval struct {
+	maestro.Model
+	entered atomic.Int64
+	release chan struct{}
+}
 
+func (b *barrierEval) EvaluateTo(a hw.Accel, ss []sched.Schedule, l workload.Layer, costs []maestro.Cost, errs []error) {
+	b.entered.Add(int64(len(ss)))
+	<-b.release
+	b.Model.EvaluateTo(a, ss, l, costs, errs)
+}
+
+// TestConcurrentCallersOfOneKey: callers that miss one key at the same
+// moment each evaluate it. The backend holds every call until all of
+// them have missed, so all N miss; they get bit-identical results, the
+// table keeps one entry, and the next call is a hit on it.
+func TestConcurrentCallersOfOneKey(t *testing.T) {
+	const callers = 8
+	a, s, l := validTriple(t, maestro.New())
+	var want result
+	want.cost, want.err = maestro.New().Evaluate(a, s, l)
+	backend := &barrierEval{release: make(chan struct{})}
+	pipe := Chain(backend, WithCache())
+
+	got := make([]result, callers)
 	var wg sync.WaitGroup
-	for i := 0; i < followers+1; i++ {
+	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			arrived.Add(1)
-			if _, err := pipe.Evaluate(tr.a, tr.s, tr.l); err != nil {
-				t.Errorf("Evaluate: %v", err)
-			}
+			got[i].cost, got[i].err = pipe.Evaluate(a, s, l)
 		}()
 	}
-	// Let every goroutine start before the leader's evaluation finishes;
-	// all of them then share one inner call.
-	for arrived.Load() < followers+1 {
+	for deadline := time.Now().Add(10 * time.Second); backend.entered.Load() != callers; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for every caller to miss")
+		}
 	}
-	close(release)
+	close(backend.release)
 	wg.Wait()
 
-	if got := fake.calls.Load(); got != 1 {
-		t.Fatalf("inner evaluator called %d times, want 1", got)
+	for i, r := range got {
+		if err := sameResult(r.cost, r.err, want); err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
 	}
-	snap := cache.Snapshot()
-	if snap.Hits != followers || snap.Misses != 1 || snap.Entries != 1 {
-		t.Fatalf("snapshot = %+v, want hits=%d misses=1 entries=1", snap, followers)
+	wantSnap := CacheSnapshot{Misses: callers, Entries: 1}
+	if snap := pipe.Cache().Snapshot(); snap != wantSnap {
+		t.Fatalf("snapshot %+v, want %+v", snap, wantSnap)
+	}
+	cost, err := pipe.Evaluate(a, s, l)
+	if err := sameResult(cost, err, want); err != nil {
+		t.Fatalf("hit: %v", err)
+	}
+	wantSnap.Hits = 1
+	if snap := pipe.Cache().Snapshot(); snap != wantSnap || backend.entered.Load() != callers {
+		t.Fatalf("snapshot %+v after %d backend items, want %+v", snap, backend.entered.Load(), wantSnap)
 	}
 }
 
@@ -227,7 +250,9 @@ func TestTransientErrorIsNotMemoized(t *testing.T) {
 	}
 }
 
-func TestLeaderPanicWithdrawsEntry(t *testing.T) {
+// TestPanicLeavesNoEntry: a backend panic propagates through the cache
+// and leaves no entry behind, so the next call evaluates afresh.
+func TestPanicLeavesNoEntry(t *testing.T) {
 	first := true
 	fake := &fakeEval{fn: func() (maestro.Cost, error) {
 		if first {
@@ -247,15 +272,19 @@ func TestLeaderPanicWithdrawsEntry(t *testing.T) {
 		}()
 		pipe.Evaluate(tr.a, tr.s, tr.l)
 	}()
+	if snap := pipe.Cache().Snapshot(); snap.Entries != 0 {
+		t.Fatalf("snapshot %+v after a panic, want no entries", snap)
+	}
 
-	// The panicked entry must be withdrawn: the next caller re-evaluates
-	// instead of deadlocking on (or hitting) a dead entry.
 	cost, err := pipe.Evaluate(tr.a, tr.s, tr.l)
 	if err != nil || cost.DelayCycles != 2 {
 		t.Fatalf("post-panic Evaluate = %+v, %v", cost, err)
 	}
 	if got := fake.calls.Load(); got != 2 {
 		t.Fatalf("inner evaluator called %d times, want 2", got)
+	}
+	if snap := pipe.Cache().Snapshot(); snap.Entries != 1 {
+		t.Fatalf("snapshot %+v, want the re-evaluated entry", snap)
 	}
 }
 
@@ -373,8 +402,10 @@ func TestContextIdentityIsExact(t *testing.T) {
 }
 
 // gatedEval blocks its first evaluation until the gate opens and then
-// ends it with outcome; every later evaluation returns the same cost at
-// once. entered is closed when the first evaluation starts.
+// ends it with outcome; every later evaluation returns DelayCycles 9 at
+// once. entered is closed when the first evaluation starts. Unlike a
+// real backend it answers one key two ways, so a test can tell which
+// copy of a result the cache kept.
 type gatedEval struct {
 	calls   atomic.Int64
 	entered chan struct{}
@@ -393,97 +424,63 @@ func (g *gatedEval) Evaluate(hw.Accel, sched.Schedule, workload.Layer) (maestro.
 	return maestro.Cost{DelayCycles: 9}, nil
 }
 
-// waitingFollowers counts the unsettled entries a follower is blocked
-// on: those whose wait channel exists.
-func waitingFollowers(c *Cache) int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, e := range s.m {
-			if e.wait != nil && !e.done {
-				n++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// TestFollowerOfInFlightLeader drives the lazy wait channel through each
-// way a leader can end: a follower in another goroutine arrives while
-// the leader is inside the backend, and only then does the leader
-// publish, return a transient error, or panic. The follower never
-// blocks past that: it shares a published result, and retries as a
-// leader itself after a fault or a panic withdrew the entry. Inner call
-// and counter totals are exact.
-func TestFollowerOfInFlightLeader(t *testing.T) {
+// TestConcurrentDoubleMissFirstPublishWins: a first caller misses a key
+// and stays inside the backend while a second misses it too and
+// publishes DelayCycles 9. However the first then ends — with another
+// cost, a transient error or a panic — the first-published entry stays,
+// and a later hit returns it. Inner call and counter totals are exact;
+// a caller that panicked counts no miss.
+func TestConcurrentDoubleMissFirstPublishWins(t *testing.T) {
 	cases := []struct {
-		name                      string
-		outcome                   func() (maestro.Cost, error)
-		leaderOK, leaderPanics    bool
-		calls, hits, misses, kept int64
+		name                 string
+		outcome              func() (maestro.Cost, error)
+		firstOK, firstPanics bool
+		misses               int64
 	}{
-		{name: "publish", outcome: func() (maestro.Cost, error) { return maestro.Cost{DelayCycles: 9}, nil },
-			leaderOK: true, calls: 1, hits: 1, misses: 1, kept: 1},
+		{name: "publish", outcome: func() (maestro.Cost, error) { return maestro.Cost{DelayCycles: 1}, nil },
+			firstOK: true, misses: 2},
 		{name: "transient", outcome: func() (maestro.Cost, error) { return maestro.Cost{}, errors.New("transient fault") },
-			calls: 2, misses: 2, kept: 1},
+			misses: 2},
 		{name: "panic", outcome: func() (maestro.Cost, error) { panic("backend crash") },
-			leaderPanics: true, calls: 2, misses: 1, kept: 1},
+			firstPanics: true, misses: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := &gatedEval{entered: make(chan struct{}), gate: make(chan struct{}), outcome: tc.outcome}
 			pipe := Chain(g, WithCache())
-			c := pipe.Cache()
 			tr := randomTriples(31, 1)[0]
 
-			leader := make(chan error, 1)
+			first := make(chan error, 1)
 			go func() {
 				defer func() {
 					if r := recover(); r != nil {
-						leader <- fmt.Errorf("panic: %v", r)
+						first <- fmt.Errorf("panic: %v", r)
 					}
 				}()
 				_, err := pipe.Evaluate(tr.a, tr.s, tr.l)
-				leader <- err
+				first <- err
 			}()
 			<-g.entered
-
-			type outcome struct {
-				cost maestro.Cost
-				err  error
-			}
-			follower := make(chan outcome, 1)
-			go func() {
-				cost, err := pipe.Evaluate(tr.a, tr.s, tr.l)
-				follower <- outcome{cost, err}
-			}()
-			for waitingFollowers(c) == 0 {
-				runtime.Gosched()
+			if cost, err := pipe.Evaluate(tr.a, tr.s, tr.l); err != nil || cost.DelayCycles != 9 {
+				t.Fatalf("second caller got (%+v, %v), want DelayCycles 9", cost, err)
 			}
 			close(g.gate)
 
-			lerr := <-leader
-			if got := lerr != nil && strings.HasPrefix(lerr.Error(), "panic:"); got != tc.leaderPanics {
-				t.Fatalf("leader ended with %v, panic expected: %v", lerr, tc.leaderPanics)
+			ferr := <-first
+			if got := ferr != nil && strings.HasPrefix(ferr.Error(), "panic:"); got != tc.firstPanics {
+				t.Fatalf("first caller ended with %v, panic expected: %v", ferr, tc.firstPanics)
 			}
-			if (lerr == nil) != tc.leaderOK {
-				t.Fatalf("leader error %v, success expected: %v", lerr, tc.leaderOK)
+			if (ferr == nil) != tc.firstOK {
+				t.Fatalf("first caller error %v, success expected: %v", ferr, tc.firstOK)
 			}
-			select {
-			case f := <-follower:
-				if f.err != nil || f.cost.DelayCycles != 9 {
-					t.Fatalf("follower got (%+v, %v), want the memoizable cost", f.cost, f.err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("follower still blocked after the leader ended")
+			if cost, err := pipe.Evaluate(tr.a, tr.s, tr.l); err != nil || cost.DelayCycles != 9 {
+				t.Fatalf("hit got (%+v, %v), want the first-published DelayCycles 9", cost, err)
 			}
-			if got := g.calls.Load(); got != tc.calls {
-				t.Fatalf("backend called %d times, want %d", got, tc.calls)
+			if got := g.calls.Load(); got != 2 {
+				t.Fatalf("backend called %d times, want 2", got)
 			}
-			want := CacheSnapshot{Hits: tc.hits, Misses: tc.misses, Coalesced: 1, Entries: tc.kept}
-			if snap := c.Snapshot(); snap != want {
+			want := CacheSnapshot{Hits: 1, Misses: tc.misses, Entries: 1}
+			if snap := pipe.Cache().Snapshot(); snap != want {
 				t.Fatalf("snapshot %+v, want %+v", snap, want)
 			}
 		})

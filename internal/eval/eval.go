@@ -15,8 +15,8 @@
 //     the pipeline's layer contract (one batch-shaped evaluation method
 //     per layer; a single evaluation is a batch of one) and wraps it in
 //     layers that each preserve the evaluator contract. The bundled
-//     middlewares are WithCache (a sharded, concurrency-safe memo cache
-//     with single-flight deduplication), WithDisk (a crash-safe
+//     middlewares are WithCache (a sharded, concurrency-safe memo
+//     cache of published results), WithDisk (a crash-safe
 //     persistent cache), and WithGuard (panic and timeout
 //     containment). The backend adapter itself keeps
 //     atomic eval/invalid/error/latency counters (Pipeline.Stats), so
@@ -281,8 +281,8 @@ func (p *Pipeline) Report() string {
 	}
 	if p.cache != nil {
 		c := p.cache.Snapshot()
-		fmt.Fprintf(&b, "eval cache: hits=%d misses=%d coalesced=%d entries=%d\n",
-			c.Hits, c.Misses, c.Coalesced, c.Entries)
+		fmt.Fprintf(&b, "eval cache: hits=%d misses=%d entries=%d\n",
+			c.Hits, c.Misses, c.Entries)
 	}
 	if p.disk != nil {
 		if s := p.disk.Store(); s != nil {

@@ -167,7 +167,7 @@ func TestReport(t *testing.T) {
 	p.Evaluate(a, s, l)
 	p.Evaluate(a, s, l)
 	rep := p.Report()
-	for _, want := range []string{"eval stats [maestro]:", "evals=1", "eval cache:", "hits=1", "misses=1"} {
+	for _, want := range []string{"eval stats [maestro]:", "evals=1", "\neval cache: hits=1 misses=1 entries=1\n"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report %q missing %q", rep, want)
 		}

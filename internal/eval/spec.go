@@ -52,7 +52,7 @@ type SpecOptions struct {
 // is the sim backend, memoized, with the guard outermost (so cache hits
 // skip the guard's machinery).
 //
-// Middleware tokens: "cache" (memo cache with single-flight dedup),
+// Middleware tokens: "cache" (sharded memo cache),
 // "diskcache(path=FILE)" (crash-safe persistent cache journaling to
 // FILE; bare "diskcache" derives the path from SpecOptions.CacheDir),
 // "guard" (panic and timeout containment), and "stats", which is accepted

@@ -60,14 +60,13 @@ const (
 	DABODegraded EventType = "dabo.degraded" // Scope; N: consecutive fit failures
 
 	// Evaluation pipeline (internal/eval).
-	EvalDone     EventType = "eval.done"         // DurMS; Detail: ok|invalid|error
-	EvalBatch    EventType = "eval.batch"        // N: batch size; DurMS: whole-batch duration
-	BackendPath  EventType = "backend.path"      // Detail: backend event name (e.g. sim's simulated/fallback)
-	CacheHit     EventType = "cache.hit"         // N: occurrences when folded by a span (see Count)
-	CacheMiss    EventType = "cache.miss"        // N: occurrences when folded by a span
-	CachePanic   EventType = "cache.leaderpanic" //
-	CachePersist EventType = "cache.persist"     // Detail: hit|append|recovered|readonly|invalidated|degraded; N: occurrences (hit/append folded by a span) or record count
-	GuardTimeout EventType = "guard.timeout"     // DurMS: configured bound; Detail: bound string
+	EvalDone     EventType = "eval.done"     // DurMS; Detail: ok|invalid|error
+	EvalBatch    EventType = "eval.batch"    // N: batch size; DurMS: whole-batch duration
+	BackendPath  EventType = "backend.path"  // Detail: backend event name (e.g. sim's simulated/fallback)
+	CacheHit     EventType = "cache.hit"     // N: occurrences when folded by a span (see Count)
+	CacheMiss    EventType = "cache.miss"    // N: occurrences when folded by a span
+	CachePersist EventType = "cache.persist" // Detail: hit|append|recovered|readonly|invalidated|degraded; N: occurrences (hit/append folded by a span) or record count
+	GuardTimeout EventType = "guard.timeout" // DurMS: configured bound; Detail: bound string
 
 	// Causal spans (any layer, via the Span API). Span carries the span's
 	// id; Parent the enclosing span (0 for a root). Every *other* event
@@ -101,7 +100,6 @@ var schema = map[EventType]eventRule{
 	BackendPath:    {detail: true},
 	CacheHit:       {},
 	CacheMiss:      {},
-	CachePanic:     {},
 	CachePersist:   {detail: true},
 	GuardTimeout:   {detail: true},
 	SpanStart:      {detail: true, span: true},

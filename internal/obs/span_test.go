@@ -264,7 +264,6 @@ func TestEventCount(t *testing.T) {
 		{Event{Type: CachePersist, Detail: "append", N: 2}, 2},
 		{Event{Type: CachePersist, Detail: "recovered", N: 9}, 1},
 		{Event{Type: CachePersist, Detail: "readonly", N: 9}, 1},
-		{Event{Type: CachePanic, N: 3}, 1},
 		{Event{Type: EvalBatch, N: 64}, 1},
 	}
 	for _, c := range cases {
